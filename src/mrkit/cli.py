@@ -22,7 +22,7 @@ import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
 
-from .data import DataError, SummaryDataset, load_correlation, load_dataset, select_risk_factor
+from .data import SummaryDataset, load_correlation, load_dataset, select_risk_factor
 from .estimators import (
     MRResult,
     egger_correlated,
@@ -34,7 +34,7 @@ from .estimators import (
     ivw_univariable,
 )
 from .orientation import OrientationReport, orient
-from .regression import FactorizationError, RankError, WeightScheme
+from .regression import WeightScheme
 from .simulation import (
     DEFAULT_SEED,
     DESK_REPLICATES,
@@ -60,9 +60,8 @@ _INTERCEPT_UNITS = "log odds ratio per effect allele"
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Resolved options for one CLI invocation (any subcommand)."""
+    """Resolved options for the analyze subcommand."""
 
-    mode: str
     data_path: str | None = None
     k: int | None = None
     corr_path: str | None = None
@@ -73,17 +72,6 @@ class AnalysisConfig:
     fmt: str = "text"
     n_participants: int | None = None
     r2: float | None = None
-    scenario: int | None = None
-    theta1: float = 0.0
-    mu: float = 0.0
-    correlated: bool = False
-    mediation: bool = False
-    j_variants: int = 185
-    weight_mode: str = "realized"
-    replicates: int = DESK_REPLICATES
-    seed: int = DEFAULT_SEED
-    mediation_only: bool = False
-    out_prefix: str | None = None
 
 
 @dataclass(frozen=True)
@@ -489,14 +477,16 @@ def _grid_text_table(rows: list[GridRow]) -> str:
     return "\n".join(lines).lstrip("\n") + "\n"
 
 
-def _write_grid_outputs(rows: list[GridRow], config: AnalysisConfig) -> list[str]:
+def _write_grid_outputs(rows: list[GridRow], replicates: int, seed: int,
+                        mediation_only: bool,
+                        out_prefix: str | None) -> list[str]:
     import csv
 
-    prefix = config.out_prefix or "mrkit_grid"
+    prefix = out_prefix or "mrkit_grid"
     csv_path, txt_path = f"{prefix}.csv", f"{prefix}.txt"
-    audit = (f"# seed={config.seed} replicates={config.replicates} "
+    audit = (f"# seed={seed} replicates={replicates} "
              f"rows={len(rows)} mediation_only="
-             f"{'true' if config.mediation_only else 'false'}")
+             f"{'true' if mediation_only else 'false'}")
     with open(csv_path, "w", newline="") as handle:
         handle.write("# mrkit grid\n")
         handle.write(audit + "\n")
@@ -626,7 +616,6 @@ def _simulate_settings(args: argparse.Namespace) -> dict:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = AnalysisConfig(
-        mode="analyze",
         data_path=args.data,
         k=args.k,
         corr_path=args.corr,
@@ -674,10 +663,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     rows = list(run_scenario_grid(replicates=args.replicates, seed=args.seed))
     if args.mediation:
         rows = [row for row in rows if row.mediation]
-    config = AnalysisConfig(mode="grid", replicates=args.replicates,
-                            seed=args.seed, mediation_only=args.mediation,
-                            out_prefix=args.out)
-    paths = _write_grid_outputs(rows, config)
+    paths = _write_grid_outputs(rows, args.replicates, args.seed,
+                                args.mediation, args.out)
     sys.stdout.write(_grid_text_table(rows))
     print(f"wrote {', '.join(paths)}")
     failures = sum(row.summary.failures for row in rows)
@@ -779,13 +766,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RankError, FactorizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    # DataError, RankError and FactorizationError are ValueErrors.
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

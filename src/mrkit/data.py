@@ -173,7 +173,7 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     if k < 1:
         raise DataError("k must be a positive integer")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -237,7 +237,7 @@ def load_correlation(path: str | Path, dataset: SummaryDataset) -> CorrelationMa
     """Load a J x J correlation matrix whose row order matches ``dataset``."""
     path = Path(path)
     rows: list[list[float]] = []
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .data import SummaryDataset
 from .regression import (
@@ -122,12 +122,17 @@ def _check_level(level: float) -> None:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
 
 
+def _t_pvalue(theta, se, df: int):
+    """Two-sided t p-value of theta / se for df > 0 (stdtr is t.sf, unchecked)."""
+    return 2.0 * special.stdtr(df, -np.abs(theta / se))
+
+
 def _inference(theta: float, se: float, df: int,
                level: float) -> tuple[float, float, float]:
     """Two-sided t p-value and CI; NaN when no residual df remain."""
     if df <= 0:
         return math.nan, math.nan, math.nan
-    p_value = 2.0 * float(stats.t.sf(abs(theta / se), df))
+    p_value = float(_t_pvalue(theta, se, df))
     half_width = float(stats.t.ppf(0.5 + level / 2.0, df)) * se
     return p_value, theta - half_width, theta + half_width
 

@@ -1,5 +1,15 @@
 """Weighted and generalized least squares with residual-scale conventions.
 
+Every fit runs one batched kernel, :func:`_wls_kernel`, on whitened problems
+(rows scaled by sqrt(w), or by the inverse Cholesky factor of Omega).
+:func:`fit_wls` and :func:`fit_gls` call it with one problem and raise
+:class:`RankError` on its full-rank flag (smallest singular value of R below
+RANK_TOL times the largest); the Monte Carlo engine calls it per chunk of
+replicates and counts a rank-deficient replicate as failed. sigma_hat =
+sqrt(weighted RSS / df), the RSS summed from the residuals, and is exactly 0
+when df = 0 or the RSS is at most (100 eps)^2 times the weighted total sum
+of squares.
+
 The coefficient standard errors returned by the fit functions are "unscaled":
 square roots of the diagonal of the unit-variance coefficient covariance
 (X'WX)^-1 (or (X'Omega^-1 X)^-1 for the generalized fit). Inference-time
@@ -102,48 +112,74 @@ def _as_design(design: np.ndarray) -> np.ndarray:
     return design
 
 
-def _qr_solve(xw: np.ndarray, yw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve min ||yw - xw b|| via QR with rank detection.
+# Weighted RSS at or below this fraction of the weighted total sum of squares
+# is rounding noise: an exactly-linear response would otherwise get
+# sigma ~ 1e-16 instead of 0.
+_EXACT_FIT_RATIO = (100.0 * np.finfo(float).eps) ** 2
 
-    Returns (coefficients, unscaled_se). The orthogonal decomposition is used
-    instead of explicit normal-equation inversion for rank detection and
-    conditioning on near-collinear designs.
+
+def _wls_kernel(xw: np.ndarray, yw: np.ndarray):
+    """Least squares on C whitened problems at once; never raises.
+
+    ``xw`` is (C, J, p) with J >= p and ``yw`` is (C, J). Returns
+    (coefficients (C, p), unscaled se (C, p), residual scale (C,), full-rank
+    flag (C,)). A problem that is not full rank, or whose design is not
+    finite, gets NaN in every numeric output.
     """
+    p = xw.shape[-1]
     q, r = np.linalg.qr(xw)
-    singular_values = np.linalg.svd(r, compute_uv=False)
-    largest = singular_values[0] if singular_values.size else 0.0
-    if largest == 0.0 or singular_values[-1] < RANK_TOL * largest:
-        raise RankError("design matrix is rank deficient")
-    beta = solve_triangular(r, q.T @ yw, lower=False)
+    # Triangular R is invertible exactly when its diagonal has no zero; the
+    # others invert the identity, so the batch cannot fail, and are flagged.
+    full_rank = (np.all(np.diagonal(r, axis1=1, axis2=2) != 0.0, axis=1)
+                 & np.all(np.isfinite(r), axis=(1, 2)))
+    if not full_rank.all():
+        r = np.where(full_rank[:, None, None], r, np.eye(p))
+    r_inv = np.linalg.inv(r)
     # (X'WX)^-1 = R^-1 R^-T, so its diagonal is the row sums of squares of R^-1.
-    r_inv = solve_triangular(r, np.eye(r.shape[0]), lower=False)
-    unscaled_se = np.sqrt(np.sum(r_inv ** 2, axis=1))
-    return beta, unscaled_se
+    variance = np.sum(r_inv ** 2, axis=2)
+    # Rank test: the smallest singular value of R is at least RANK_TOL times
+    # the largest. Their ratio is at least 1 / (||R||_F ||R^-1||_F), so only
+    # problems that bound cannot clear pay for an SVD.
+    bound = np.einsum("cij,cij->c", r, r) * np.sum(variance, axis=1)
+    unclear = full_rank & ~(bound < RANK_TOL ** -2)
+    if unclear.any():
+        singular_values = np.linalg.svd(r[unclear], compute_uv=False)
+        full_rank[unclear] = (singular_values[:, -1]
+                              >= RANK_TOL * singular_values[:, 0])
+    unscaled_se = np.sqrt(variance)
+    qty = np.einsum("cjp,cj->cp", q, yw)
+    beta = np.linalg.solve(r, qty[..., None])[..., 0]
+    residuals = yw - (xw @ beta[..., None])[..., 0]
+    rss = np.einsum("cj,cj->c", residuals, residuals)
+    tss = np.einsum("cj,cj->c", yw, yw)
+    df = xw.shape[-2] - p
+    sigma = np.sqrt(rss / df) if df > 0 else np.zeros_like(rss)
+    # The relative cutoff means nothing once the total sum of squares
+    # overflows; an overflowing RSS then leaves sigma infinite.
+    sigma[(rss <= _EXACT_FIT_RATIO * tss) & np.isfinite(tss)] = 0.0
+    failed = ~full_rank
+    if failed.any():
+        beta[failed] = unscaled_se[failed] = sigma[failed] = np.nan
+    return beta, unscaled_se, sigma, full_rank
 
 
-def _finish(x: np.ndarray, y: np.ndarray, beta: np.ndarray,
-            unscaled_se: np.ndarray, weighted_rss: float,
-            weighted_tss: float) -> RegressionFit:
-    j, p = x.shape
+def _fit_one(x: np.ndarray, y: np.ndarray, xw: np.ndarray,
+             yw: np.ndarray) -> RegressionFit:
+    """Single-dataset fit: the kernel at C = 1, with RankError on its flag."""
+    beta, unscaled_se, sigma, full_rank = (
+        out[0] for out in _wls_kernel(xw[None], yw[None]))
+    if not full_rank:
+        raise RankError("design matrix is rank deficient")
     fitted = x @ beta
-    residuals = y - fitted
-    df = j - p
-    # Residual sums at rounding level relative to the response are an exact
-    # fit; without the relative cutoff an exactly-linear response would get
-    # sigma ~ 1e-16 instead of 0 and never set the flag.
-    exact_tol = (100.0 * np.finfo(float).eps) ** 2 * weighted_tss
-    if df > 0 and weighted_rss > exact_tol:
-        sigma = float(np.sqrt(weighted_rss / df))
-    else:
-        sigma = 0.0
+    df = x.shape[0] - x.shape[1]
     return RegressionFit(
         coefficients=beta,
         unscaled_se=unscaled_se,
-        residual_scale=sigma,
+        residual_scale=float(sigma),
         df_residual=df,
         fitted=fitted,
-        residuals=residuals,
-        exact_fit=(df == 0 or sigma == 0.0),
+        residuals=y - fitted,
+        exact_fit=bool(sigma == 0.0),
     )
 
 
@@ -162,11 +198,7 @@ def fit_wls(design: np.ndarray, response: np.ndarray,
     if j < p:
         raise ValueError(f"J={j} observations < {p} parameters")
     sqrt_w = np.sqrt(spec.weights)
-    beta, unscaled_se = _qr_solve(x * sqrt_w[:, None], y * sqrt_w)
-    residuals = y - x @ beta
-    weighted_rss = float(np.sum(spec.weights * residuals ** 2))
-    weighted_tss = float(np.sum(spec.weights * y ** 2))
-    return _finish(x, y, beta, unscaled_se, weighted_rss, weighted_tss)
+    return _fit_one(x, y, x * sqrt_w[:, None], y * sqrt_w)
 
 
 def fit_gls(design: np.ndarray, response: np.ndarray,
@@ -175,8 +207,9 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
 
     Coefficients equal (X' Omega^-1 X)^-1 X' Omega^-1 y, computed by
     Cholesky-transforming to an ordinary fit; unscaled_se[i] is the square
-    root of ((X' Omega^-1 X)^-1)_ii. The caller supplies any intercept column
-    explicitly.
+    root of ((X' Omega^-1 X)^-1)_ii, and sigma_hat is defined on the
+    decorrelated scale, where the model has unit error variance. The caller
+    supplies any intercept column explicitly.
     """
     x = _as_design(design)
     y = np.asarray(response, dtype=float)
@@ -193,23 +226,23 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
     except np.linalg.LinAlgError:
         raise FactorizationError(
             "omega is not positive definite (factorization failed)") from None
-    xt = solve_triangular(cho, x, lower=True)
-    yt = solve_triangular(cho, y, lower=True)
-    beta, unscaled_se = _qr_solve(xt, yt)
-    # sigma_hat is defined on the decorrelated scale, where the model has
-    # unit error variance.
-    weighted_rss = float(np.sum((yt - xt @ beta) ** 2))
-    weighted_tss = float(np.sum(yt ** 2))
-    return _finish(x, y, beta, unscaled_se, weighted_rss, weighted_tss)
+    return _fit_one(x, y, solve_triangular(cho, x, lower=True),
+                    solve_triangular(cho, y, lower=True))
+
+
+def _random_effects_se(unscaled_se: np.ndarray, sigma) -> np.ndarray:
+    """unscaled_se * max(sigma, 1), for one fit or a (C, p) batch.
+
+    sigma is 0 when df = 0, so max() keeps the exact-fit case finite.
+    """
+    return unscaled_se * np.maximum(sigma, 1.0)[..., None]
 
 
 def scaled_se(fit: RegressionFit, scheme: WeightScheme) -> np.ndarray:
     """Inference-time coefficient standard errors under the given scheme."""
     if scheme is WeightScheme.FIXED_EFFECT:
         return fit.unscaled_se.copy()
-    # residual_scale is already 0 when df_residual = 0, so max() keeps the
-    # exact-fit case finite instead of dividing by a zero residual scale.
-    return fit.unscaled_se * max(fit.residual_scale, 1.0)
+    return _random_effects_se(fit.unscaled_se, fit.residual_scale)
 
 
 def _check_moment_args(values: np.ndarray, weights: np.ndarray) -> None:

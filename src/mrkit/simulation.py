@@ -44,9 +44,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .data import SummaryDataset, VariantRecord
+from .estimators import _t_pvalue
+from .regression import _random_effects_se, _wls_kernel
 
 __all__ = [
     "ScenarioConfig",
@@ -109,6 +110,10 @@ class ScenarioConfig:
             if len(value) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
             object.__setattr__(self, name, value)
+        for name in ("theta", "beta_means", "sigmas_sq", "rhos", "mu",
+                     "sigma_alpha_sq", "gamma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if any(s <= 0 for s in self.sigmas_sq):
             raise ValueError("sigmas_sq entries must be positive")
         if any(abs(r) > 1 for r in self.rhos):
@@ -381,40 +386,6 @@ def generate_dataset(config: ScenarioConfig,
     return dataset, truth
 
 
-def _batched_wls(columns: list[np.ndarray], response: np.ndarray,
-                 se2: np.ndarray, intercept: bool):
-    """Vectorized weighted least squares over a chunk of replicates.
-
-    columns/response/se2 are (C, J) arrays; returns (coefficients (C, p),
-    unscaled se (C, p), residual scale (C,)). QR per replicate via the
-    batched LAPACK path.
-    """
-    sqrt_w = np.sqrt(1.0 / se2)
-    parts = [np.ones_like(response)] if intercept else []
-    parts.extend(columns)
-    design = np.stack(parts, axis=-1)
-    xw = design * sqrt_w[..., None]
-    yw = response * sqrt_w
-    q, r = np.linalg.qr(xw)
-    qty = np.einsum("cjp,cj->cp", q, yw)
-    beta = np.linalg.solve(r, qty[..., None])[..., 0]
-    p = design.shape[-1]
-    r_inv = np.linalg.solve(r, np.broadcast_to(np.eye(p), r.shape))
-    unscaled_se = np.sqrt(np.sum(r_inv ** 2, axis=2))
-    rss = np.einsum("cj,cj->c", yw, yw) - np.einsum("cp,cp->c", qty, qty)
-    df = response.shape[-1] - p
-    sigma = np.sqrt(np.maximum(rss, 0.0) / df)
-    return beta, unscaled_se, sigma
-
-
-def _t_pvalue(theta: np.ndarray, se: np.ndarray, df: int) -> np.ndarray:
-    return 2.0 * stats.t.sf(np.abs(theta / se), df)
-
-
-def _scaled(unscaled_se: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return unscaled_se * np.maximum(sigma, 1.0)[..., None]
-
-
 def _thread_count() -> int:
     env = os.environ.get("MRKIT_THREADS")
     if env is not None:
@@ -437,8 +408,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     All three estimators use multiplicative random-effects standard errors
     and two-sided t tests at the 5% level; the univariable fit regresses on
     the first covariate only, with its errors widened by the variance the
-    omitted risk factors explain. Replicates yielding any non-finite result
+    omitted risk factors explain. Replicates yielding any non-finite result,
+    or whose design is rank deficient (the same test behind ``RankError``),
     are counted in ``failures`` and excluded from the affected summaries.
+    Raises ValueError when every replicate fails for some estimator.
     """
     reps = config.replicates
     j = config.j_variants
@@ -458,26 +431,27 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
         beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
         abs_x1, x2, x3, beta_y, se2_mv = _observables(
             config, beta_cols, alpha_prime, epsilon)
-        se2_uv = se2_mv + uv_extra
 
-        beta, use, sigma = _batched_wls([abs_x1, x2, x3], beta_y, se2_mv,
-                                        intercept=False)
-        se = _scaled(use, sigma)
+        def fit(columns, se2, intercept):
+            sqrt_w = np.sqrt(1.0 / se2)
+            parts = [np.ones_like(beta_y)] if intercept else []
+            design = np.stack(parts + columns, axis=-1)
+            beta, unscaled_se, sigma, _ = _wls_kernel(
+                design * sqrt_w[..., None], beta_y * sqrt_w)
+            return beta, _random_effects_se(unscaled_se, sigma)
+
+        beta, se = fit([abs_x1, x2, x3], se2_mv, intercept=False)
         out["mi_theta"][start:end] = beta[:, 0]
         out["mi_se"][start:end] = se[:, 0]
         out["mi_p"][start:end] = _t_pvalue(beta[:, 0], se[:, 0], df_mi)
 
-        beta, use, sigma = _batched_wls([abs_x1], beta_y, se2_uv,
-                                        intercept=True)
-        se = _scaled(use, sigma)
+        beta, se = fit([abs_x1], se2_mv + uv_extra, intercept=True)
         out["ue_theta"][start:end] = beta[:, 1]
         out["ue_se"][start:end] = se[:, 1]
         out["ue_p"][start:end] = _t_pvalue(beta[:, 1], se[:, 1], df_ue)
         out["ue_p0"][start:end] = _t_pvalue(beta[:, 0], se[:, 0], df_ue)
 
-        beta, use, sigma = _batched_wls([abs_x1, x2, x3], beta_y, se2_mv,
-                                        intercept=True)
-        se = _scaled(use, sigma)
+        beta, se = fit([abs_x1, x2, x3], se2_mv, intercept=True)
         out["me_theta"][start:end] = beta[:, 1]
         out["me_se"][start:end] = se[:, 1]
         out["me_p"][start:end] = _t_pvalue(beta[:, 1], se[:, 1], df_me)
@@ -502,7 +476,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
         ok = np.all(np.isfinite(np.stack(fields)), axis=0)
         used = int(ok.sum())
         if used == 0:
-            raise RuntimeError(
+            raise ValueError(
                 f"every replicate failed for estimator {estimator}")
         power_intercept = (
             float(np.mean(out[f"{prefix}_p0"][ok] < POWER_ALPHA))

@@ -261,6 +261,25 @@ class TestSimulate:
         assert code == 2
         assert "needs mu > 0" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--scenario", "1", "--theta1", "inf"], "theta must be finite"),
+        (["--scenario", "3", "--mu", "nan"], "mu must be finite"),
+    ])
+    def test_non_finite_setting(self, tmp_path, capsys, argv, message):
+        code = main(["simulate"] + argv + ["--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_every_replicate_failed(self, tmp_path, capsys):
+        # Finite but overflowing: every outcome residual sum is infinite.
+        code = main(["simulate", "--scenario", "1", "--theta1", "1e200",
+                     "--reps", "8", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: every replicate failed for estimator MI" in err
+
 
 class TestGrid:
     def test_full_grid_outputs(self, tmp_path, capsys):

@@ -244,6 +244,15 @@ class TestLoadDataset:
         assert ds.variants[0].beta_x == (0.1, 0.3)
         assert ds.variants[0].se_x == (0.02, 0.04)
 
+    def test_bom_and_crlf(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(("\ufeff" + HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n")
+                      .replace("\n", "\r\n").encode("utf-8"))
+        ds = load_dataset(p, k=1)
+        assert ds.j == 1
+        assert ds.variants[0].variant_id == "rs1"
+        assert ds.variants[0].se_y == 0.01
+
 
 class TestLoadCorrelation:
     def test_load(self, tmp_path):
@@ -251,6 +260,13 @@ class TestLoadCorrelation:
         p = _write(tmp_path, "1.0,0.5\n0.5,1.0\n", name="corr.csv")
         m = load_correlation(p, ds)
         assert m.entries[0, 1] == 0.5
+
+    def test_bom_and_crlf(self, tmp_path):
+        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
+        p = tmp_path / "corr.csv"
+        p.write_bytes("\ufeff1.0,0.5\r\n0.5,1.0\r\n".encode("utf-8"))
+        m = load_correlation(p, ds)
+        assert m.entries.tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_dimension_mismatch(self, tmp_path):
         ds = make_dataset([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [1, 1, 1])

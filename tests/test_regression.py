@@ -1,10 +1,13 @@
 """Weighted/generalized least-squares engine and weighted moments."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrkit.regression import (
+    RANK_TOL,
     FactorizationError,
     RankError,
     RegressionSpec,
@@ -15,6 +18,7 @@ from mrkit.regression import (
     weighted_cov,
     weighted_mean,
     weighted_var,
+    _wls_kernel,
 )
 
 
@@ -125,6 +129,114 @@ class TestFitGls:
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="J x J"):
             fit_gls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]), np.eye(3))
+
+
+def whitened(x, y, w):
+    """Whiten exactly as fit_wls does, for any leading batch shape."""
+    sqrt_w = np.sqrt(w)
+    return x * sqrt_w[..., None], y * sqrt_w
+
+
+class TestKernelEdgeCases:
+    """fit_wls and the batched kernel agree on the awkward designs."""
+
+    def test_collinear_columns(self):
+        good = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 5.0]])
+        collinear = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        y = np.array([1.0, 2.5, 2.0])
+        w = np.ones(3)
+        with pytest.raises(RankError):
+            fit_wls(collinear, y, spec(w))
+        xw, yw = whitened(np.stack([good, collinear]), np.stack([y, y]),
+                          np.stack([w, w]))
+        beta, use, sigma, full_rank = _wls_kernel(xw, yw)
+        assert full_rank.tolist() == [True, False]
+        assert np.all(np.isfinite(beta[0])) and np.isfinite(sigma[0])
+        assert np.all(np.isnan(beta[1])) and np.all(np.isnan(use[1]))
+        assert np.isnan(sigma[1])
+
+    def test_exact_fit(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
+        exact = 2.0 * x[:, 0]
+        noisy = exact + np.array([0.1, -0.2, 0.05, 0.0])
+        w = np.array([1.0, 2.0, 0.5, 3.0])
+        assert fit_wls(x, exact, spec(w)).residual_scale == 0.0
+        xw, yw = whitened(np.stack([x, x]), np.stack([exact, noisy]),
+                          np.stack([w, w]))
+        _, _, sigma, _ = _wls_kernel(xw, yw)
+        assert sigma[0] == 0.0
+        assert sigma[1] > 0.0
+
+    def test_zero_residual_df(self):
+        x = np.array([[1.0, 0.5], [2.0, -1.0]])
+        y = np.array([0.3, 0.7])
+        w = np.array([1.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_wls(x, y, spec(w))
+            xw, yw = whitened(np.stack([x, 2.0 * x]), np.stack([y, -y]),
+                              np.stack([w, w]))
+            _, _, sigma, full_rank = _wls_kernel(xw, yw)
+        assert fit.df_residual == 0
+        assert fit.residual_scale == 0.0 and fit.exact_fit
+        assert full_rank.all()
+        assert sigma.tolist() == [0.0, 0.0]
+
+    def test_non_finite_design_is_not_full_rank(self):
+        xw = np.ones((2, 4, 2))
+        xw[0, :, 1] = [1.0, 2.0, 3.0, 5.0]
+        xw[1, 0, 0] = np.nan
+        _, _, _, full_rank = _wls_kernel(xw, np.ones((2, 4)))
+        assert full_rank.tolist() == [True, False]
+
+
+@st.composite
+def design_batches(draw):
+    """C weighted problems sharing J and p, some collinear or with a zero column."""
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    c = draw(st.integers(min_value=1, max_value=6))
+    p = draw(st.integers(min_value=1, max_value=4))
+    j = draw(st.integers(min_value=p, max_value=p + 6))
+    kinds = draw(st.lists(st.sampled_from(["plain", "collinear", "zero"]),
+                          min_size=c, max_size=c))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(c, j, p))
+    for i, kind in enumerate(kinds):
+        column = int(rng.integers(p))
+        if kind == "zero":
+            x[i, :, column] = 0.0
+        elif kind == "collinear" and p > 1:
+            other = (column + 1) % p
+            x[i, :, column] = rng.normal() * x[i, :, other]
+    y = rng.normal(size=(c, j))
+    w = rng.uniform(0.1, 5.0, size=(c, j))
+    return x, y, w
+
+
+@given(design_batches())
+@settings(max_examples=150, deadline=None)
+def test_batched_kernel_matches_single_fits(batch):
+    x, y, w = batch
+    xw, yw = whitened(x, y, w)
+    beta, use, sigma, full_rank = _wls_kernel(xw, yw)
+    # The flag is the RANK_TOL test on the singular values of R.
+    singular_values = np.linalg.svd(np.linalg.qr(xw)[1], compute_uv=False)
+    assert np.array_equal(
+        full_rank, singular_values[:, -1] > RANK_TOL * singular_values[:, 0])
+    for i in range(x.shape[0]):
+        one = _wls_kernel(*whitened(x[i:i + 1], y[i:i + 1], w[i:i + 1]))
+        for got, want in zip((beta[i], use[i], sigma[i]), one[:3]):
+            np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=0,
+                                       equal_nan=True)
+        assert full_rank[i] == one[3][0]
+        if not full_rank[i]:
+            with pytest.raises(RankError):
+                fit_wls(x[i], y[i], spec(w[i]))
+            continue
+        fit = fit_wls(x[i], y[i], spec(w[i]))
+        np.testing.assert_allclose(fit.coefficients, beta[i], rtol=1e-12)
+        np.testing.assert_allclose(fit.unscaled_se, use[i], rtol=1e-12)
+        np.testing.assert_allclose(fit.residual_scale, sigma[i], rtol=1e-12)
 
 
 class TestScaledSe:

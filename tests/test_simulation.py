@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mrkit import simulation
 from mrkit.simulation import (
     CORRELATED_RHOS,
     DEFAULT_SEED,
@@ -63,6 +64,22 @@ class TestScenarioConfig:
             ScenarioConfig(seed=2 ** 64)
         with pytest.raises(ValueError, match="weight_mode"):
             ScenarioConfig(weight_mode="other")
+
+    def test_non_finite_settings(self):
+        nan, inf = float("nan"), float("inf")
+        for field, value in (("theta", (inf, 0.1, -0.3)), ("mu", nan),
+                             ("sigma_alpha_sq", inf), ("gamma", nan),
+                             ("beta_means", (0.08, nan, -0.05)),
+                             ("sigmas_sq", (0.03, 0.02, nan)),
+                             ("rhos", (nan, 0.0, 0.0))):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ScenarioConfig(**{field: value})
+        # NaN slips past both mu checks of the factory, so the config has
+        # to catch it.
+        with pytest.raises(ValueError, match="mu must be finite"):
+            scenario_config(3, mu=nan)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            scenario_config(1, theta1=inf)
 
     def test_labels(self):
         assert ScenarioConfig(mu=0.1).scenario_label == \
@@ -254,6 +271,22 @@ class TestRunScenario:
         summary = run_scenario(config)
         assert summary.mi.replicates_used == 257
         assert summary.failures == 0
+
+    def test_rank_deficient_replicates_count_as_failures(self, monkeypatch):
+        observables = simulation._observables
+
+        def collinear_first(*args):
+            abs_x1, x2, x3, beta_y, se2 = observables(*args)
+            x3 = x3.copy()
+            x3[0] = x2[0]  # replicate 0: x3 duplicates x2
+            return abs_x1, x2, x3, beta_y, se2
+
+        monkeypatch.setattr(simulation, "_observables", collinear_first)
+        summary = run_scenario(scenario_config(2, replicates=20, seed=3))
+        assert summary.failures == 1
+        assert summary.mi.replicates_used == 19
+        assert summary.me.replicates_used == 19
+        assert summary.ue.replicates_used == 20
 
     def test_summary_fields(self):
         config = scenario_config(2, replicates=200, seed=11)
