@@ -554,10 +554,13 @@ def _write_simulate_outputs(config: ScenarioConfig, scenario: int,
     return [csv_path, txt_path]
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; '#' comments and blank lines ignored."""
-    values: dict[str, str] = {}
-    with open(path) as handle:
+def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Flat key=value lines; '#' comments and blank lines ignored.
+
+    Returns key -> (1-based line, value); a repeated key keeps its last line.
+    """
+    values: dict[str, tuple[int, str]] = {}
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -566,43 +569,48 @@ def _parse_config_file(path: str) -> dict[str, str]:
                 raise ValueError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (lineno, value.strip())
     return values
 
 
-_CONFIG_KEYS = {
-    "scenario": int,
-    "theta1": float,
-    "mu": float,
-    "correlated": None,  # bool
-    "mediation": None,
-    "j_variants": int,
-    "replicates": int,
-    "seed": int,
-    "weight_mode": str,
-}
-
-
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ValueError(f"config key {key} expects a boolean, got {value!r}")
+    raise ValueError(value)
+
+
+# Config key -> (parser, what the value must be).
+_CONFIG_KEYS = {
+    "scenario": (int, "an integer"),
+    "theta1": (float, "a number"),
+    "mu": (float, "a number"),
+    "correlated": (_parse_bool, "a boolean"),
+    "mediation": (_parse_bool, "a boolean"),
+    "j_variants": (int, "an integer"),
+    "replicates": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "weight_mode": (str, "a string"),
+}
 
 
 def _simulate_settings(args: argparse.Namespace) -> dict:
     settings: dict = {}
     if args.config is not None:
-        for key, value in _parse_config_file(args.config).items():
+        for key, (lineno, value) in _parse_config_file(args.config).items():
+            where = f"{args.config}:{lineno}"
             if key not in _CONFIG_KEYS:
                 raise ValueError(
-                    f"unknown config key {key!r}; valid keys: "
+                    f"{where}: unknown config key {key!r}; valid keys: "
                     f"{', '.join(sorted(_CONFIG_KEYS))}")
-            caster = _CONFIG_KEYS[key]
-            settings[key] = (_parse_bool(value, key) if caster is None
-                             else caster(value))
+            parse, expects = _CONFIG_KEYS[key]
+            try:
+                settings[key] = parse(value)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: {key} expects {expects}, got {value!r}") from None
     for key in _CONFIG_KEYS:
         override = getattr(args, key, None)
         if override is not None:

@@ -169,7 +169,7 @@ def _require_oriented(dataset: SummaryDataset, reference: str) -> None:
         raise ValueError(
             f"unknown risk factor {reference!r}; "
             f"expected one of {', '.join(dataset.risk_factor_names)}")
-    column = dataset.beta_x_matrix()[:, dataset.risk_factor_names.index(reference)]
+    column = dataset.beta_x[:, dataset.risk_factor_names.index(reference)]
     if np.any(column < 0):
         raise ValueError(
             f"dataset is not orientation-normalized: negative {reference} "

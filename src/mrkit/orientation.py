@@ -48,30 +48,10 @@ def orient(dataset: SummaryDataset,
         raise ValueError(
             f"unknown risk factor {reference!r}; "
             f"expected one of {', '.join(dataset.risk_factor_names)}")
-    ref_index = dataset.risk_factor_names.index(reference)
-
-    flipped: list[str] = []
-    zeros: list[str] = []
-    signs = np.ones(dataset.j)
-    variants = []
-    for row, variant in enumerate(dataset.variants):
-        ref_beta = variant.beta_x[ref_index]
-        if ref_beta == 0.0:
-            zeros.append(variant.variant_id)
-            variants.append(variant)
-            continue
-        if ref_beta > 0.0:
-            variants.append(variant)
-            continue
-        signs[row] = -1.0
-        flipped.append(variant.variant_id)
-        variants.append(replace(
-            variant,
-            effect_allele=variant.other_allele,
-            other_allele=variant.effect_allele,
-            beta_x=tuple(-b for b in variant.beta_x),
-            beta_y=-variant.beta_y,
-        ))
+    reference_column = dataset.beta_x[:, dataset.risk_factor_names.index(reference)]
+    flip = reference_column < 0.0
+    zeros = dataset.variant_ids[reference_column == 0.0].tolist()
+    flipped = dataset.variant_ids[flip].tolist()
 
     if zeros:
         warnings.warn(
@@ -81,16 +61,23 @@ def orient(dataset: SummaryDataset,
             stacklevel=2,
         )
 
-    correlation = dataset.correlation
-    if correlation is not None and flipped:
-        conjugated = signs[:, None] * correlation.entries * signs[None, :]
-        correlation = CorrelationMatrix(conjugated)
-
-    oriented = SummaryDataset(
-        risk_factor_names=dataset.risk_factor_names,
-        variants=tuple(variants),
-        correlation=correlation,
-    )
+    oriented = dataset
+    if flipped:
+        correlation = dataset.correlation
+        if correlation is not None:
+            signs = np.where(flip, -1.0, 1.0)
+            correlation = CorrelationMatrix(
+                signs[:, None] * correlation.entries * signs[None, :])
+        oriented = replace(
+            dataset,
+            effect_alleles=np.where(flip, dataset.other_alleles,
+                                    dataset.effect_alleles),
+            other_alleles=np.where(flip, dataset.effect_alleles,
+                                   dataset.other_alleles),
+            beta_x=np.where(flip[:, None], -dataset.beta_x, dataset.beta_x),
+            beta_y=np.where(flip, -dataset.beta_y, dataset.beta_y),
+            correlation=correlation,
+        )
     report = OrientationReport(
         reference=reference,
         flipped_ids=tuple(flipped),

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SummaryDataset, VariantRecord
+from .data import SummaryDataset
 from .estimators import _t_pvalue
 from .regression import _random_effects_se, _wls_kernel
 
@@ -362,21 +362,19 @@ def generate_dataset(config: ScenarioConfig,
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
         config, beta_cols, alpha_prime, epsilon)
 
-    se_x = tuple(float(np.sqrt(s)) for s in config.sigmas_sq)
-    se_y = np.sqrt(se2_mv)
-    variants = tuple(
-        VariantRecord(
-            variant_id=f"v{i + 1:05d}",
-            effect_allele="A",
-            other_allele="G",
-            beta_x=(float(abs_x1[i]), float(x2[i]), float(x3[i])),
-            se_x=se_x,
-            beta_y=float(beta_y[i]),
-            se_y=float(se_y[i]),
-        )
-        for i in range(config.j_variants))
-    dataset = SummaryDataset(risk_factor_names=("x1", "x2", "x3"),
-                             variants=variants)
+    j = config.j_variants
+    dataset = SummaryDataset(
+        risk_factor_names=("x1", "x2", "x3"),
+        variant_ids=np.char.add(
+            "v", np.char.zfill(np.arange(1, j + 1).astype(str), 5)),
+        effect_alleles=np.full(j, "A"),
+        other_alleles=np.full(j, "G"),
+        beta_x=np.column_stack([abs_x1, x2, x3]),
+        se_x=np.broadcast_to(np.sqrt(np.asarray(config.sigmas_sq, dtype=float)),
+                             (j, 3)),
+        beta_y=beta_y,
+        se_y=np.sqrt(se2_mv),
+    )
     truth = GeneratedTruth(
         beta_x=np.column_stack(beta_cols),
         alpha_prime=np.asarray(alpha_prime, dtype=float),

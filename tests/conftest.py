@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mrkit import CorrelationMatrix, SummaryDataset, VariantRecord
+from mrkit import CorrelationMatrix, SummaryDataset
 
 
 def make_dataset(beta_x, beta_y, se_y, names=("x1",), corr=None,
@@ -17,19 +17,11 @@ def make_dataset(beta_x, beta_y, se_y, names=("x1",), corr=None,
         se_x = np.ones((j, k))
     else:
         se_x = np.broadcast_to(np.asarray(se_x, dtype=float), (j, k))
-    variants = tuple(
-        VariantRecord(
-            variant_id=f"v{i}",
-            effect_allele="A",
-            other_allele="G",
-            beta_x=tuple(float(b) for b in beta_x[i]),
-            se_x=tuple(float(s) for s in se_x[i]),
-            beta_y=float(beta_y[i]),
-            se_y=float(se_y[i]),
-        )
-        for i in range(j))
     correlation = CorrelationMatrix(corr) if corr is not None else None
-    return SummaryDataset(risk_factor_names=tuple(names), variants=variants,
+    return SummaryDataset(risk_factor_names=tuple(names),
+                          variant_ids=[f"v{i}" for i in range(j)],
+                          effect_alleles=["A"] * j, other_alleles=["G"] * j,
+                          beta_x=beta_x, se_x=se_x, beta_y=beta_y, se_y=se_y,
                           correlation=correlation)
 
 

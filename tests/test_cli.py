@@ -246,6 +246,29 @@ class TestSimulate:
         assert code == 2
         assert "expected key=value" in err
 
+    def test_config_with_bom(self, tmp_path, capsys):
+        conf = tmp_path / "sim.conf"
+        conf.write_bytes("\ufeffscenario = 1\r\nreplicates = 60\r\n"
+                         .encode("utf-8"))
+        out_prefix = str(tmp_path / "bom")
+        code = main(["simulate", "--config", str(conf), "--out", out_prefix])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "replicates=60" in (tmp_path / "bom.csv").read_text()
+
+    @pytest.mark.parametrize("line, message", [
+        ("replicates=abc", "replicates expects an integer, got 'abc'"),
+        ("theta1 = 0.3x", "theta1 expects a number, got '0.3x'"),
+        ("correlated = maybe", "correlated expects a boolean, got 'maybe'"),
+    ])
+    def test_bad_config_value_located(self, tmp_path, capsys, line, message):
+        conf = tmp_path / "sim.conf"
+        conf.write_text(f"# header\nscenario = 1\n{line}\n")
+        code = main(["simulate", "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{conf}:3: {message}" in err
+
     def test_scenario_required(self, tmp_path, capsys):
         conf = tmp_path / "sim.conf"
         conf.write_text("theta1 = 0.3\n")

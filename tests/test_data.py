@@ -1,6 +1,8 @@
 """Ingestion, validation, and round-trip behaviour of the data layer."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrkit import (
     CorrelationMatrix,
@@ -114,23 +116,23 @@ class TestSummaryDataset:
 
     def test_needs_variants(self):
         with pytest.raises(DataError, match="at least one variant"):
-            SummaryDataset(risk_factor_names=("x1",), variants=())
+            SummaryDataset.from_records(("x1",), ())
 
     def test_needs_names(self):
         v = VariantRecord("rs1", "A", "G", (0.1,), (0.02,), 0.05, 0.01)
         with pytest.raises(DataError, match="at least one risk factor"):
-            SummaryDataset(risk_factor_names=(), variants=(v,))
+            SummaryDataset.from_records((), (v,))
 
     def test_k_mismatch(self):
         v1 = VariantRecord("rs1", "A", "G", (0.1,), (0.02,), 0.05, 0.01)
         v2 = VariantRecord("rs2", "A", "G", (0.1, 0.2), (0.02, 0.02), 0.05, 0.01)
         with pytest.raises(DataError, match="expected 1"):
-            SummaryDataset(risk_factor_names=("x1",), variants=(v1, v2))
+            SummaryDataset.from_records(("x1",), (v1, v2))
 
     def test_duplicate_id(self):
         v = VariantRecord("rs1", "A", "G", (0.1,), (0.02,), 0.05, 0.01)
         with pytest.raises(DataError, match="duplicate variant_id"):
-            SummaryDataset(risk_factor_names=("x1",), variants=(v, v))
+            SummaryDataset.from_records(("x1",), (v, v))
 
     def test_correlation_dimension(self):
         with pytest.raises(DataError, match="correlation dimension"):
@@ -226,6 +228,47 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="non-finite value at row 2"):
             load_dataset(p, k=1)
 
+    def test_empty_variant_id_row(self, tmp_path):
+        p = _write(tmp_path, HEADER_K1
+                   + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + ",A,G,0.1,0.02,0.05,0.01\n")
+        with pytest.raises(DataError,
+                           match=r"data\.csv: empty variant_id at row 3"):
+            load_dataset(p, k=1)
+
+    def test_empty_allele_row(self, tmp_path):
+        p = _write(tmp_path, HEADER_K1
+                   + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + "rs2,A, ,0.1,0.02,0.05,0.01\n")
+        with pytest.raises(DataError,
+                           match=r"data\.csv: empty allele label at row 3"):
+            load_dataset(p, k=1)
+
+    def test_first_faulty_row_reported(self, tmp_path):
+        # Faults of different kinds on rows 3 to 6: the earliest row wins,
+        # and on one row the checks keep the order a row-by-row read has.
+        p = _write(tmp_path, HEADER_K1
+                   + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + "rs1,A,G,0.1,oops,0.05,0.01\n"
+                   + "rs3,A,G,nan,0.02,0.05,0.01\n"
+                   + "rs4,A,G,0.1\n"
+                   + ",A,G,0.1,x,0.05,0.01\n")
+        with pytest.raises(DataError,
+                           match="duplicate variant_id 'rs1' at row 3"):
+            load_dataset(p, k=1)
+        p = _write(tmp_path, HEADER_K1
+                   + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + "rs2,A,G,0.1,oops,0.05,-1\n"
+                   + "rs3,A,G,nan,0.02,0.05,0.01\n")
+        with pytest.raises(DataError, match="non-numeric value 'oops'"):
+            load_dataset(p, k=1)
+        p = _write(tmp_path, HEADER_K1
+                   + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + "rs2,A,G,0.1,0.02,0.05\n"
+                   + "rs3,A,G,nan,0.02,0.05,0.01\n")
+        with pytest.raises(DataError, match="column count mismatch at row 3"):
+            load_dataset(p, k=1)
+
     def test_no_data_rows(self, tmp_path):
         p = _write(tmp_path, HEADER_K1)
         with pytest.raises(DataError, match="no data rows"):
@@ -274,6 +317,20 @@ class TestLoadCorrelation:
         with pytest.raises(DataError, match="must be 3x3 to match the dataset"):
             load_correlation(p, ds)
 
+    def test_ragged_row_located(self, tmp_path):
+        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
+        p = _write(tmp_path, "1.0,0.5\n\n0.5\n", name="corr.csv")
+        with pytest.raises(DataError, match="must be 2x2 to match the dataset: "
+                                            "row 3 has 1 entries"):
+            load_correlation(p, ds)
+
+    def test_row_count_reported(self, tmp_path):
+        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
+        p = _write(tmp_path, "1.0,0.5\n0.5,1.0\n0.5,1.0\n", name="corr.csv")
+        with pytest.raises(DataError, match="must be 2x2 to match the dataset: "
+                                            "found 3 rows"):
+            load_correlation(p, ds)
+
     def test_non_numeric(self, tmp_path):
         ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
         p = _write(tmp_path, "1.0,x\nx,1.0\n", name="corr.csv")
@@ -303,3 +360,102 @@ class TestSelectRiskFactor:
         ds = make_dataset([0.1], [0.5], [0.1])
         with pytest.raises(DataError, match="unknown risk factor 'nope'"):
             select_risk_factor(ds, "nope")
+
+
+def _random_labelled_dataset(seed: int) -> SummaryDataset:
+    """Random dataset with distinct ids, random alleles and signed betas."""
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(1, 25))
+    k = int(rng.integers(1, 4))
+    alleles = np.array(["A", "C", "G", "T"])
+    return SummaryDataset(
+        risk_factor_names=tuple(f"x{i + 1}" for i in range(k)),
+        variant_ids=[f"rs{n}" for n in rng.permutation(10 * j)[:j]],
+        effect_alleles=alleles[rng.integers(0, 4, j)],
+        other_alleles=alleles[rng.integers(0, 4, j)],
+        beta_x=rng.normal(0.0, 0.3, size=(j, k)),
+        se_x=rng.uniform(0.01, 0.1, size=(j, k)),
+        beta_y=rng.normal(0.0, 0.2, size=j),
+        se_y=rng.uniform(0.01, 0.1, size=j),
+    )
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=60, deadline=None)
+def test_columns_match_row_view_through_csv(tmp_path_factory, seed):
+    ds = _random_labelled_dataset(seed)
+    path = tmp_path_factory.mktemp("rt") / "ds.csv"
+    write_dataset(ds, path)
+    back = load_dataset(path, k=ds.k)
+    # The file holds each value at 12 significant digits.
+    rows = ds.variants
+    digits = lambda value: float(f"{value:.12g}")  # noqa: E731
+    assert back.variant_ids.tolist() == [v.variant_id for v in rows]
+    assert back.effect_alleles.tolist() == [v.effect_allele for v in rows]
+    assert back.other_alleles.tolist() == [v.other_allele for v in rows]
+    assert np.array_equal(back.beta_x, [[digits(b) for b in v.beta_x] for v in rows])
+    assert np.array_equal(back.se_x, [[digits(s) for s in v.se_x] for v in rows])
+    assert np.array_equal(back.beta_y, [digits(v.beta_y) for v in rows])
+    assert np.array_equal(back.se_y, [digits(v.se_y) for v in rows])
+    # And the loaded dataset's own row view matches its columns.
+    assert SummaryDataset.from_records(back.risk_factor_names,
+                                       back.variants).variants == back.variants
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=60, deadline=None)
+def test_select_is_a_column_slice(seed):
+    ds = _random_labelled_dataset(seed)
+    i = int(np.random.default_rng(seed).integers(0, ds.k))
+    sub = select_risk_factor(ds, ds.risk_factor_names[i])
+    assert sub.risk_factor_names == (ds.risk_factor_names[i],)
+    assert np.array_equal(sub.beta_x, ds.beta_x[:, [i]])
+    assert np.array_equal(sub.se_x, ds.se_x[:, [i]])
+    for name in ("variant_ids", "effect_alleles", "other_alleles",
+                 "beta_y", "se_y"):
+        assert np.array_equal(getattr(sub, name), getattr(ds, name))
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=30, deadline=None)
+def test_stored_arrays_read_only(seed):
+    ds = _random_labelled_dataset(seed)
+    assert ds.beta_x_matrix() is ds.beta_x
+    assert ds.beta_y_vector() is ds.beta_y
+    assert ds.se_y_vector() is ds.se_y
+    for name in ("variant_ids", "effect_alleles", "other_alleles",
+                 "beta_x", "se_x", "beta_y", "se_y"):
+        column = getattr(ds, name)
+        with pytest.raises(ValueError):
+            column[0] = column[-1]
+
+
+_CELL_CASES = [" 1 ", "\t2.5 ", "1e-3", "1E+2", "inf", "-Infinity", "nan",
+               "+nan", "1_0", "1__0", "_1", "1_", "0x10", "1d3", "", " ",
+               "1e400", "-0", ".5", "5.", "\u0661\u0662", "\u00a01"]
+
+
+@given(st.one_of(
+    st.sampled_from(_CELL_CASES),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters=',"\r\n\x00'), max_size=8),
+    st.floats().map(repr)))
+@settings(max_examples=300, deadline=None)
+def test_numeric_cell_parsed_as_float_does(tmp_path_factory, cell):
+    path = tmp_path_factory.mktemp("cell") / "data.csv"
+    path.write_text(HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                    + f"rs2,A,G,0.1,0.02,{cell},0.01\n", encoding="utf-8")
+    try:
+        expected = float(cell)
+    except ValueError:
+        with pytest.raises(DataError, match="non-numeric value .* in column "
+                                            "beta_y at row 3"):
+            load_dataset(path, k=1)
+        return
+    if not np.isfinite(expected):
+        with pytest.raises(DataError, match="non-finite value at row 3"):
+            load_dataset(path, k=1)
+        return
+    value = load_dataset(path, k=1).beta_y[1]
+    assert value == expected
+    assert np.signbit(value) == np.signbit(expected)

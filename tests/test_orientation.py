@@ -1,4 +1,7 @@
 """Allele orientation and its interaction with the estimators."""
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,3 +208,57 @@ def test_orient_properties(seed):
         after = ivw_multivariable(oriented).estimates[0]
     assert before.theta_hat == after.theta_hat
     assert before.se == after.se
+
+
+def _orient_by_rows(ds, reference):
+    """Per-row reference for orient(): one variant at a time."""
+    ref = ds.risk_factor_names.index(reference)
+    rows, flipped, signs = [], [], []
+    for v in ds.variants:
+        if v.beta_x[ref] < 0:
+            flipped.append(v.variant_id)
+            signs.append(-1.0)
+            rows.append((v.variant_id, v.other_allele, v.effect_allele,
+                         tuple(-b for b in v.beta_x), v.se_x, -v.beta_y,
+                         v.se_y))
+        else:
+            signs.append(1.0)
+            rows.append((v.variant_id, v.effect_allele, v.other_allele,
+                         v.beta_x, v.se_x, v.beta_y, v.se_y))
+    rho = None
+    if ds.correlation is not None:
+        entries = ds.correlation.entries
+        rho = [[signs[s] * entries[s, t] * signs[t]
+                for t in range(ds.j)] for s in range(ds.j)]
+    return rows, tuple(flipped), rho
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=100, deadline=None)
+def test_orient_matches_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(2, 12))
+    k = int(rng.integers(1, 4))
+    bx = rng.normal(size=(j, k))
+    bx[rng.random((j, k)) < 0.15] = 0.0  # some zero reference associations
+    alleles = np.array(["A", "C", "G", "T"])
+    ds = make_dataset(bx, rng.normal(size=j), rng.uniform(0.3, 2.0, j),
+                      names=tuple(f"x{i + 1}" for i in range(k)),
+                      se_x=rng.uniform(0.01, 0.1, size=(j, k)),
+                      corr=random_correlation(rng, j) if rng.random() < 0.5
+                      else None)
+    ds = replace(ds, effect_alleles=alleles[rng.integers(0, 4, j)],
+                 other_alleles=alleles[rng.integers(0, 4, j)])
+    ref = f"x{int(rng.integers(1, k + 1))}"
+    rows, flipped, rho = _orient_by_rows(ds, ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        oriented, report = orient(ds, ref)
+    assert report.flipped_ids == flipped
+    # Exact: a flip is a negation and nothing else changes.
+    assert [(v.variant_id, v.effect_allele, v.other_allele, v.beta_x,
+             v.se_x, v.beta_y, v.se_y) for v in oriented.variants] == rows
+    if rho is None:
+        assert oriented.correlation is None
+    else:
+        assert oriented.correlation.entries.tolist() == rho
