@@ -76,7 +76,6 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class MethodBlock:
-    requested: str
     result: MRResult
     note: str | None = None
 
@@ -136,10 +135,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
             analysis, orientation = orient(dataset, config.reference)
         captured.extend(str(w.message) for w in caught)
 
-    blocks = [
-        _run_method(method, dataset, analysis, config)
-        for method in config.methods
-    ]
+    blocks = [_run_method(method, analysis, config)
+              for method in config.methods]
 
     instrument = None
     if config.n_participants is not None or config.r2 is not None:
@@ -165,54 +162,42 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     )
 
 
-def _run_method(method: str, raw: SummaryDataset, analysis: SummaryDataset,
+# A multivariable method on one risk factor is its univariable counterpart.
+_K1_REDUCTIONS = {
+    "MI": ("UI", "multivariable IVW on a single risk factor reduces to "
+                 "univariable IVW; reporting it as UI"),
+    "ME": ("UE", "multivariable MR-Egger on a single risk factor reduces to "
+                 "univariable MR-Egger; reporting it as UE"),
+}
+
+
+def _run_method(method: str, analysis: SummaryDataset,
                 config: AnalysisConfig) -> MethodBlock:
-    correlated = analysis.correlation is not None
     note = None
-    k = analysis.k
+    if analysis.k == 1 and method in _K1_REDUCTIONS:
+        method, note = _K1_REDUCTIONS[method]
+    target = analysis
+    if method in ("UI", "UE") and analysis.k > 1:
+        target = select_risk_factor(analysis, config.reference)
 
-    if method == "MI" and k == 1:
-        method = "UI"
-        note = ("multivariable IVW on a single risk factor reduces to "
-                "univariable IVW; reporting it as UI")
-    if method == "ME" and k == 1:
-        method = "UE"
-        note = ("multivariable MR-Egger on a single risk factor reduces to "
-                "univariable MR-Egger; reporting it as UE")
-
-    if method == "UI":
-        target = analysis if k == 1 else select_risk_factor(
-            analysis, config.reference)
-        if correlated:
-            result = ivw_correlated(target, config.scheme, config.level)
-        else:
-            result = ivw_univariable(target, config.scheme, config.level)
-    elif method == "UE":
-        reference = config.reference or analysis.risk_factor_names[0]
-        target = analysis if k == 1 else select_risk_factor(analysis,
-                                                            reference)
-        if correlated:
-            result = egger_correlated(target, reference, config.scheme,
-                                      config.level)
-        else:
-            result = egger_univariable(target, config.scheme, config.level)
+    scheme, level, reference = config.scheme, config.level, config.reference
+    if analysis.correlation is not None:
+        result = (ivw_correlated(target, scheme, level)
+                  if method in ("UI", "MI")
+                  else egger_correlated(target, reference, scheme, level))
+    elif method == "UI":
+        result = ivw_univariable(target, scheme, level)
     elif method == "MI":
-        if correlated:
-            result = ivw_correlated(analysis, config.scheme, config.level)
-        else:
-            result = ivw_multivariable(analysis, config.scheme, config.level)
-    else:  # ME
-        if correlated:
-            result = egger_correlated(analysis, config.reference,
-                                      config.scheme, config.level)
-        else:
-            result = egger_multivariable(analysis, config.reference,
-                                         config.scheme, config.level)
+        result = ivw_multivariable(target, scheme, level)
+    elif method == "UE":
+        result = egger_univariable(target, scheme, level)
+    else:
+        result = egger_multivariable(target, reference, scheme, level)
 
     if result.experimental and note is None:
         note = ("correlated-variant MR-Egger is experimental; interpret "
                 "with caution")
-    return MethodBlock(requested=method, result=result, note=note)
+    return MethodBlock(result=result, note=note)
 
 
 # --- report rendering -------------------------------------------------------
@@ -286,7 +271,7 @@ def _report_records(report: AnalysisReport) -> list[dict]:
                 "ci_high": _fmt(estimate.ci_high),
                 "p_value": _fmt(estimate.p_value),
                 "df": estimate.df,
-                "odds_ratio": _fmt(math.exp(estimate.theta_hat)),
+                "odds_ratio": _fmt(_safe_exp(estimate.theta_hat)),
                 "or_ci_low": _fmt(_safe_exp(estimate.ci_low)),
                 "or_ci_high": _fmt(_safe_exp(estimate.ci_high)),
                 "units": _CAUSAL_UNITS,
@@ -307,7 +292,11 @@ def _report_records(report: AnalysisReport) -> list[dict]:
 
 
 def _safe_exp(value: float) -> float:
-    return math.exp(value) if not math.isnan(value) else math.nan
+    """exp(value), or inf where the odds ratio overflows a float."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
 
 
 def _num(value, missing: str = "n/a") -> str:
@@ -477,67 +466,65 @@ def _grid_text_table(rows: list[GridRow]) -> str:
     return "\n".join(lines).lstrip("\n") + "\n"
 
 
+def _write_outputs(prefix: str, title: str, audit: str, header: list[str],
+                   rows: list[list], body: str) -> tuple[list[str], str]:
+    """Write <prefix>.csv (two '#' audit lines, header, rows) and <prefix>.txt.
+
+    Returns the two paths and the text written to the .txt file.
+    """
+    import csv
+
+    csv_path, txt_path = f"{prefix}.csv", f"{prefix}.txt"
+    with open(csv_path, "w", newline="") as handle:
+        handle.write(f"# {title}\n# {audit}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    text = f"{title}\n{audit}\n\n{body}"
+    with open(txt_path, "w") as handle:
+        handle.write(text)
+    return [csv_path, txt_path], text
+
+
 def _write_grid_outputs(rows: list[GridRow], replicates: int, seed: int,
                         mediation_only: bool,
                         out_prefix: str | None) -> list[str]:
-    import csv
-
-    prefix = out_prefix or "mrkit_grid"
-    csv_path, txt_path = f"{prefix}.csv", f"{prefix}.txt"
-    audit = (f"# seed={seed} replicates={replicates} "
+    audit = (f"seed={seed} replicates={replicates} "
              f"rows={len(rows)} mediation_only="
              f"{'true' if mediation_only else 'false'}")
-    with open(csv_path, "w", newline="") as handle:
-        handle.write("# mrkit grid\n")
-        handle.write(audit + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["row", "grid", "correlated", "theta1", "scenario",
-                         "mu", "seed"] + _SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.index,
-                "mediation" if row.mediation else "main",
-                "true" if row.correlated else "false",
-                f"{row.theta1:g}",
-                row.scenario,
-                f"{row.mu:g}",
-                row.seed,
-            ] + _summary_cells(row.summary))
-    text = _grid_text_table(rows)
-    with open(txt_path, "w") as handle:
-        handle.write("mrkit grid\n" + audit.lstrip("# ") + "\n\n")
-        handle.write(text)
-    return [csv_path, txt_path]
+    header = ["row", "grid", "correlated", "theta1", "scenario", "mu",
+              "seed"] + _SUMMARY_COLUMNS
+    cells = [[
+        row.index,
+        "mediation" if row.mediation else "main",
+        "true" if row.correlated else "false",
+        f"{row.theta1:g}",
+        row.scenario,
+        f"{row.mu:g}",
+        row.seed,
+    ] + _summary_cells(row.summary) for row in rows]
+    paths, _ = _write_outputs(out_prefix or "mrkit_grid", "mrkit grid", audit,
+                              header, cells, _grid_text_table(rows))
+    return paths
 
 
 def _write_simulate_outputs(config: ScenarioConfig, scenario: int,
                             summary: SimulationSummary,
                             out_prefix: str) -> list[str]:
-    import csv
-
-    csv_path, txt_path = f"{out_prefix}.csv", f"{out_prefix}.txt"
-    audit = (f"# scenario={scenario} theta1={config.theta[0]:g} "
+    audit = (f"scenario={scenario} theta1={config.theta[0]:g} "
              f"mu={config.mu:g} correlated="
              f"{'true' if config.rhos != (0.0, 0.0, 0.0) else 'false'} "
              f"gamma={config.gamma:g} j_variants={config.j_variants} "
              f"replicates={config.replicates} seed={config.seed} "
              f"weight_mode={config.weight_mode}")
-    with open(csv_path, "w", newline="") as handle:
-        handle.write("# mrkit simulate\n")
-        handle.write(audit + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scenario", "theta1", "mu", "gamma", "j_variants",
-                         "replicates", "seed", "weight_mode"]
-                        + _SUMMARY_COLUMNS)
-        writer.writerow([
-            scenario, f"{config.theta[0]:g}", f"{config.mu:g}",
-            f"{config.gamma:g}", config.j_variants, config.replicates,
-            config.seed, config.weight_mode,
-        ] + _summary_cells(summary))
+    header = ["scenario", "theta1", "mu", "gamma", "j_variants",
+              "replicates", "seed", "weight_mode"] + _SUMMARY_COLUMNS
+    cells = [scenario, f"{config.theta[0]:g}", f"{config.mu:g}",
+             f"{config.gamma:g}", config.j_variants, config.replicates,
+             config.seed, config.weight_mode] + _summary_cells(summary)
 
-    lines = ["mrkit simulate", audit.lstrip("# "), ""]
-    lines.append(f"{'estimator':<12} {'mean theta1':>12} {'mean se':>10} "
-                 f"{'power %':>8} {'intercept power %':>18}")
+    lines = [f"{'estimator':<12} {'mean theta1':>12} {'mean se':>10} "
+             f"{'power %':>8} {'intercept power %':>18}"]
     for est in (summary.mi, summary.ue, summary.me):
         intercept_power = ("" if est.power_intercept is None
                            else f"{100 * est.power_intercept:.1f}")
@@ -547,11 +534,10 @@ def _write_simulate_outputs(config: ScenarioConfig, scenario: int,
             f"{intercept_power:>18}")
     lines.append(f"replicates used: {summary.mi.replicates_used}; "
                  f"failures: {summary.failures}")
-    text = "\n".join(lines) + "\n"
-    with open(txt_path, "w") as handle:
-        handle.write(text)
+    paths, text = _write_outputs(out_prefix, "mrkit simulate", audit, header,
+                                 [cells], "\n".join(lines) + "\n")
     print(text, end="")
-    return [csv_path, txt_path]
+    return paths
 
 
 def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
@@ -646,16 +632,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = _simulate_settings(args)
     scenario = settings.pop("scenario")
     config = scenario_config(
-        scenario,
-        theta1=settings.get("theta1", 0.0),
-        mu=settings.get("mu", 0.0),
-        correlated=settings.get("correlated", False),
-        mediation=settings.get("mediation", False),
-        j_variants=settings.get("j_variants", 185),
-        replicates=settings.get("replicates", DESK_REPLICATES),
-        seed=settings.get("seed", DEFAULT_SEED),
-        weight_mode=settings.get("weight_mode", "realized"),
-    )
+        scenario, **{"replicates": DESK_REPLICATES, **settings})
     summary = run_scenario(config)
     paths = _write_simulate_outputs(config, scenario, summary,
                                     args.out or "mrkit_sim")

@@ -20,8 +20,12 @@ J-1 (UI), J-2 (UE), J-K (MI), J-(K+1) (ME). Fixed-effect and multiplicative
 random-effects standard errors are as in :func:`mrkit.regression.scaled_se`;
 point estimates are identical under both schemes.
 
-Correlated-variant versions solve the same regressions by generalized least
-squares with error covariance Omega_st = se_Ys * se_Yt * rho_st.
+All six public estimators are one regression of outcome on risk-factor
+associations, fitted and packaged by one private core: with or without an
+intercept, over one column or K. The core picks the fit from the dataset:
+weighted least squares (weights se_Y^-2) for independent variants, or
+generalized least squares with error covariance
+Omega_st = se_Ys * se_Yt * rho_st when a correlation matrix is attached.
 """
 from __future__ import annotations
 
@@ -152,16 +156,15 @@ def _estimate(name: str, theta: float, se: float, df: int, method: MethodTag,
     )
 
 
-def _require_uncorrelated(dataset: SummaryDataset, op: str) -> None:
-    if dataset.correlation is not None:
+def _require_correlation(dataset: SummaryDataset, op: str,
+                         attached: bool) -> None:
+    """Reject a dataset whose correlation matrix the estimator cannot use."""
+    if attached and dataset.correlation is None:
+        raise ValueError(f"{op} requires an attached correlation matrix")
+    if not attached and dataset.correlation is not None:
         raise ValueError(
             f"{op} assumes independent variants but a correlation matrix is "
             f"attached; use the correlated-variant estimator instead")
-
-
-def _require_correlated(dataset: SummaryDataset, op: str) -> None:
-    if dataset.correlation is None:
-        raise ValueError(f"{op} requires an attached correlation matrix")
 
 
 def _require_oriented(dataset: SummaryDataset, reference: str) -> None:
@@ -176,16 +179,46 @@ def _require_oriented(dataset: SummaryDataset, reference: str) -> None:
             f"associations present; run orient() first")
 
 
-def _weight_spec(dataset: SummaryDataset, include_intercept: bool) -> RegressionSpec:
-    return RegressionSpec(
-        include_intercept=include_intercept,
-        weights=dataset.se_y_vector() ** -2.0,
-    )
+def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
+               scheme: WeightScheme, level: float,
+               reference: str | None = None) -> MRResult:
+    """Regress beta_Y on beta_X (intercept column first if asked); package it.
 
-
-def _error_covariance(dataset: SummaryDataset) -> np.ndarray:
+    Independent variants are fitted by weighted least squares with weights
+    se_Y^-2; with a correlation matrix attached, by generalized least squares
+    with Omega = se_Y se_Y' * rho. An intercept fit also reports the
+    intercept test, and is experimental when the variants are correlated.
+    """
+    design = dataset.beta_x_matrix()
+    if intercept:
+        design = np.column_stack([np.ones(dataset.j), design])
     se_y = dataset.se_y_vector()
-    return np.outer(se_y, se_y) * dataset.correlation.entries
+    correlated = dataset.correlation is not None
+    if correlated:
+        fit = fit_gls(design, dataset.beta_y_vector(),
+                      np.outer(se_y, se_y) * dataset.correlation.entries)
+    else:
+        fit = fit_wls(design, dataset.beta_y_vector(),
+                      RegressionSpec(include_intercept=False,
+                                     weights=se_y ** -2.0))
+    se = scaled_se(fit, scheme)
+    tag = MethodTag(estimator, scheme,
+                    "correlated" if correlated else "independent")
+    first = 1 if intercept else 0
+    estimates = tuple(
+        _estimate(name, fit.coefficients[first + i], se[first + i],
+                  fit.df_residual, tag, level)
+        for i, name in enumerate(dataset.risk_factor_names))
+    test = None
+    if intercept:
+        p_value, _, _ = _inference(fit.coefficients[0], se[0],
+                                   fit.df_residual, level)
+        test = InterceptTest(theta_0=float(fit.coefficients[0]),
+                             se=float(se[0]), p_value=p_value)
+    return MRResult(estimates=estimates, intercept=test,
+                    residual_scale=fit.residual_scale,
+                    orientation_reference=reference,
+                    experimental=correlated and intercept)
 
 
 def ivw_univariable(dataset: SummaryDataset,
@@ -200,15 +233,8 @@ def ivw_univariable(dataset: SummaryDataset,
     _check_level(level)
     if dataset.k != 1:
         raise ValueError(f"univariable estimator requires K=1, got K={dataset.k}")
-    _require_uncorrelated(dataset, "ivw_univariable")
-    fit = fit_wls(dataset.beta_x_matrix(), dataset.beta_y_vector(),
-                  _weight_spec(dataset, include_intercept=False))
-    se = scaled_se(fit, scheme)
-    tag = MethodTag("UI", scheme, "independent")
-    estimate = _estimate(dataset.risk_factor_names[0], fit.coefficients[0],
-                         se[0], fit.df_residual, tag, level)
-    return MRResult(estimates=(estimate,), intercept=None,
-                    residual_scale=fit.residual_scale)
+    _require_correlation(dataset, "ivw_univariable", attached=False)
+    return _fit_model(dataset, "UI", False, scheme, level)
 
 
 def egger_univariable(dataset: SummaryDataset,
@@ -223,15 +249,12 @@ def egger_univariable(dataset: SummaryDataset,
     _check_level(level)
     if dataset.k != 1:
         raise ValueError(f"univariable estimator requires K=1, got K={dataset.k}")
-    _require_uncorrelated(dataset, "egger_univariable")
+    _require_correlation(dataset, "egger_univariable", attached=False)
     if dataset.j < 3:
         raise ValueError(f"MR-Egger requires J >= 3 variants, got J={dataset.j}")
     reference = dataset.risk_factor_names[0]
     _require_oriented(dataset, reference)
-    fit = fit_wls(dataset.beta_x_matrix(), dataset.beta_y_vector(),
-                  _weight_spec(dataset, include_intercept=True))
-    return _egger_result(dataset, fit, scheme, level, reference,
-                         MethodTag("UE", scheme, "independent"))
+    return _fit_model(dataset, "UE", True, scheme, level, reference)
 
 
 def ivw_multivariable(dataset: SummaryDataset,
@@ -246,20 +269,12 @@ def ivw_multivariable(dataset: SummaryDataset,
     coefficient from a direct to a total effect.
     """
     _check_level(level)
-    _require_uncorrelated(dataset, "ivw_multivariable")
+    _require_correlation(dataset, "ivw_multivariable", attached=False)
     if dataset.j <= dataset.k:
         raise ValueError(
             f"need J > K for the intercept-free model, got J={dataset.j}, "
             f"K={dataset.k}")
-    fit = fit_wls(dataset.beta_x_matrix(), dataset.beta_y_vector(),
-                  _weight_spec(dataset, include_intercept=False))
-    se = scaled_se(fit, scheme)
-    tag = MethodTag("MI", scheme, "independent")
-    estimates = tuple(
-        _estimate(name, fit.coefficients[i], se[i], fit.df_residual, tag, level)
-        for i, name in enumerate(dataset.risk_factor_names))
-    return MRResult(estimates=estimates, intercept=None,
-                    residual_scale=fit.residual_scale)
+    return _fit_model(dataset, "MI", False, scheme, level)
 
 
 def egger_multivariable(dataset: SummaryDataset, reference: str,
@@ -272,16 +287,13 @@ def egger_multivariable(dataset: SummaryDataset, reference: str,
     with the other columns and the outcome recoded consistently per variant.
     """
     _check_level(level)
-    _require_uncorrelated(dataset, "egger_multivariable")
+    _require_correlation(dataset, "egger_multivariable", attached=False)
     _require_oriented(dataset, reference)
     if dataset.j < dataset.k + 2:
         raise ValueError(
             f"multivariable MR-Egger requires J >= K + 2, got J={dataset.j}, "
             f"K={dataset.k}")
-    fit = fit_wls(dataset.beta_x_matrix(), dataset.beta_y_vector(),
-                  _weight_spec(dataset, include_intercept=True))
-    return _egger_result(dataset, fit, scheme, level, reference,
-                         MethodTag("ME", scheme, "independent"))
+    return _fit_model(dataset, "ME", True, scheme, level, reference)
 
 
 def ivw_correlated(dataset: SummaryDataset,
@@ -294,20 +306,13 @@ def ivw_correlated(dataset: SummaryDataset,
     exactly. Works for any K >= 1 (df = J - K).
     """
     _check_level(level)
-    _require_correlated(dataset, "ivw_correlated")
+    _require_correlation(dataset, "ivw_correlated", attached=True)
     if dataset.j <= dataset.k:
         raise ValueError(
             f"need J > K for the intercept-free model, got J={dataset.j}, "
             f"K={dataset.k}")
-    fit = fit_gls(dataset.beta_x_matrix(), dataset.beta_y_vector(),
-                  _error_covariance(dataset))
-    se = scaled_se(fit, scheme)
-    tag = MethodTag("MI" if dataset.k > 1 else "UI", scheme, "correlated")
-    estimates = tuple(
-        _estimate(name, fit.coefficients[i], se[i], fit.df_residual, tag, level)
-        for i, name in enumerate(dataset.risk_factor_names))
-    return MRResult(estimates=estimates, intercept=None,
-                    residual_scale=fit.residual_scale)
+    return _fit_model(dataset, "MI" if dataset.k > 1 else "UI", False,
+                      scheme, level)
 
 
 def egger_correlated(dataset: SummaryDataset, reference: str,
@@ -321,35 +326,13 @@ def egger_correlated(dataset: SummaryDataset, reference: str,
     must be applied to the correlation matrix as well (orient() does this).
     """
     _check_level(level)
-    _require_correlated(dataset, "egger_correlated")
+    _require_correlation(dataset, "egger_correlated", attached=True)
     _require_oriented(dataset, reference)
     if dataset.j < dataset.k + 2:
         raise ValueError(
             f"MR-Egger requires J >= K + 2, got J={dataset.j}, K={dataset.k}")
-    design = np.column_stack([np.ones(dataset.j), dataset.beta_x_matrix()])
-    fit = fit_gls(design, dataset.beta_y_vector(), _error_covariance(dataset))
-    tag = MethodTag("ME" if dataset.k > 1 else "UE", scheme, "correlated")
-    return _egger_result(dataset, fit, scheme, level, reference, tag,
-                         experimental=True)
-
-
-def _egger_result(dataset: SummaryDataset, fit, scheme: WeightScheme,
-                  level: float, reference: str, tag: MethodTag,
-                  experimental: bool = False) -> MRResult:
-    """Package an intercept-included fit: slope estimates + intercept test."""
-    se = scaled_se(fit, scheme)
-    estimates = tuple(
-        _estimate(name, fit.coefficients[i + 1], se[i + 1], fit.df_residual,
-                  tag, level)
-        for i, name in enumerate(dataset.risk_factor_names))
-    p_value, _, _ = _inference(fit.coefficients[0], se[0], fit.df_residual,
-                               level)
-    intercept = InterceptTest(theta_0=float(fit.coefficients[0]),
-                              se=float(se[0]), p_value=p_value)
-    return MRResult(estimates=estimates, intercept=intercept,
-                    residual_scale=fit.residual_scale,
-                    orientation_reference=reference,
-                    experimental=experimental)
+    return _fit_model(dataset, "ME" if dataset.k > 1 else "UE", True,
+                      scheme, level, reference)
 
 
 def inside_bias_oracle(true_alpha: np.ndarray, true_beta_x: np.ndarray,

@@ -2,14 +2,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrkit
 from mrkit import write_dataset
 from mrkit.cli import main
 
-from conftest import make_dataset
+from conftest import make_dataset, random_correlation
 
 
 @pytest.fixture
@@ -191,6 +196,109 @@ class TestAnalyze:
         assert code == 1
         assert "warning:" in out
         assert "zero reference association" in out
+
+
+    @pytest.mark.parametrize("k, methods, expected", [
+        (3, "UI,UE,MI,ME", ("UI", "UE", "MI", "ME")),
+        (1, "MI,ME", ("UI", "UE")),
+    ])
+    def test_correlated_dispatch(self, three_factor_csv, one_factor_csv,
+                                 tmp_path, capsys, k, methods, expected):
+        data = three_factor_csv if k == 3 else one_factor_csv
+        dataset = mrkit.load_dataset(data, k)
+        corr_path = tmp_path / "rho.csv"
+        corr_path.write_text("\n".join(
+            ",".join(repr(float(v)) for v in row)
+            for row in random_correlation(np.random.default_rng(3), dataset.j)
+        ) + "\n")
+        args = ["--data", data, "--k", str(k), "--corr", str(corr_path),
+                "--methods", methods, "--ref", "x1"]
+        code, jsonl_out, err = _analyze(args + ["--format", "jsonl"], capsys)
+        assert code == 0, err
+        code, text_out, err = _analyze(args, capsys)
+        assert code == 0, err
+
+        records = [json.loads(line) for line in jsonl_out.splitlines()]
+        blocks = [r for r in records if r["record"] == "method"]
+        assert [b["method"] for b in blocks] == list(expected)
+        experimental = "correlated-variant MR-Egger is experimental"
+        for block in blocks:
+            egger = block["method"] in ("UE", "ME")
+            assert (f"{block['method']}/{block['scheme']}/{block['variants']}"
+                    == f"{block['method']}/random/correlated")
+            assert block["experimental"] is egger
+            if k == 1:
+                assert "reduces to univariable" in block["note"]
+            elif egger:
+                assert block["note"].startswith(experimental)
+            else:
+                assert block["note"] is None
+        assert text_out.count("[EXPERIMENTAL]") == len(
+            [m for m in expected if m in ("UE", "ME")])
+        assert text_out.count(experimental) == (2 if k == 3 else 0)
+
+        oriented, _ = mrkit.orient(dataset.with_correlation(
+            mrkit.load_correlation(str(corr_path), dataset)), "x1")
+        univariable = (oriented if k == 1
+                       else mrkit.select_risk_factor(oriented, "x1"))
+        direct = {
+            "UI": mrkit.ivw_correlated(univariable),
+            "UE": mrkit.egger_correlated(univariable, "x1"),
+            "MI": mrkit.ivw_correlated(oriented),
+            "ME": mrkit.egger_correlated(oriented, "x1"),
+        }
+        printed = [r for r in records if r["record"] == "estimate"]
+        assert len(printed) == sum(len(direct[m].estimates) for m in expected)
+        for record in printed:
+            estimate = direct[record["method"]].estimate_for(
+                record["risk_factor"])
+            assert record["estimate"] == float(f"{estimate.theta_hat:.6g}")
+            assert record["se"] == float(f"{estimate.se:.6g}")
+        for record in (r for r in records if r["record"] == "intercept"):
+            intercept = direct[record["method"]].intercept
+            assert record["estimate"] == float(f"{intercept.theta_0:.6g}")
+            assert record["se"] == float(f"{intercept.se:.6g}")
+
+    def test_overflowing_odds_ratio_reported_as_inf(self, tmp_path, capsys):
+        # Weak instruments and large outcome associations: theta_hat ~ 3000,
+        # far beyond the largest argument math.exp accepts (~709).
+        bx = np.array([0.0010, 0.0011, 0.0012, 0.0009, 0.0010, 0.0013])
+        by = np.array([2.0, 3.5, 4.0, 2.5, 3.0, 3.9])
+        path = tmp_path / "weak.csv"
+        write_dataset(make_dataset(bx, by, np.full(6, 0.5)), path)
+        args = ["--data", str(path), "--k", "1", "--methods", "UI,UE",
+                "--ref", "x1"]
+
+        code, jsonl_out, err = _analyze(args + ["--format", "jsonl"], capsys)
+        assert code == 0, err
+        records = [json.loads(line) for line in jsonl_out.splitlines()]
+        ui = next(r for r in records
+                  if r["record"] == "estimate" and r["method"] == "UI")
+        assert ui["estimate"] > 709
+        assert ui["odds_ratio"] == ui["or_ci_high"] == float("inf")
+
+        code, csv_out, err = _analyze(args + ["--format", "csv"], capsys)
+        assert code == 0, err
+        rows = [r for r in csv.DictReader(io.StringIO(csv_out))
+                if r["record"] == "estimate" and r["method"] == "UI"]
+        assert rows[0]["odds_ratio"] == rows[0]["or_ci_high"] == "inf"
+
+        code, text_out, err = _analyze(args, capsys)
+        assert code == 0, err
+        assert "inf (" in text_out
+
+
+def test_python_m_mrkit_help():
+    src = str(Path(mrkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "mrkit", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    for command in ("analyze", "simulate", "grid"):
+        assert command in done.stdout
 
 
 class TestSimulate:
