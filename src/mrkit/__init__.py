@@ -28,7 +28,6 @@ from .regression import (
     FactorizationError,
     RankError,
     RegressionFit,
-    RegressionSpec,
     WeightScheme,
     fit_gls,
     fit_wls,
@@ -61,8 +60,8 @@ __all__ = [
     "f_statistic", "inside_bias_oracle", "ivw_correlated",
     "ivw_multivariable", "ivw_univariable",
     "OrientationReport", "orient",
-    "FactorizationError", "RankError", "RegressionFit", "RegressionSpec",
-    "WeightScheme", "fit_gls", "fit_wls", "scaled_se",
+    "FactorizationError", "RankError", "RegressionFit", "WeightScheme",
+    "fit_gls", "fit_wls", "scaled_se",
     "weighted_cov", "weighted_mean", "weighted_var",
     "DEFAULT_SEED", "DESK_REPLICATES", "EstimatorSummary", "GeneratedTruth",
     "GridRow", "ScenarioConfig", "SimulationSummary", "generate_dataset",

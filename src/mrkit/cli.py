@@ -299,14 +299,8 @@ def _safe_exp(value: float) -> float:
         return math.inf
 
 
-def _num(value, missing: str = "n/a") -> str:
-    if value is None:
-        return missing
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _num(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.6g}"
 
 
 def render_text(report: AnalysisReport) -> str:
@@ -438,13 +432,15 @@ def _scenario_text(scenario: int, mu: float) -> str:
 
 
 def _grid_text_table(rows: list[GridRow]) -> str:
-    header = (f"{'theta1':>6}  {'pleiotropy':<36}"
+    labels = [_scenario_text(row.scenario, row.mu) for row in rows]
+    width = max(map(len, labels))
+    header = (f"{'theta1':>6}  {'pleiotropy':<{width}}"
               f"{'MI mean (se)':>18} {'pw%':>6}"
               f"{'UE mean (se)':>18} {'pw%':>6} {'int%':>6}"
               f"{'ME mean (se)':>18} {'pw%':>6} {'int%':>6}")
     lines = []
     block = None
-    for row in rows:
+    for row, label in zip(rows, labels):
         key = (row.mediation, row.correlated)
         if key != block:
             block = key
@@ -457,7 +453,7 @@ def _grid_text_table(rows: list[GridRow]) -> str:
             return f"{est.mean_theta1:+.3f} ({est.mean_se:.3f})"
 
         lines.append(
-            f"{row.theta1:>6.1f}  {_scenario_text(row.scenario, row.mu):<36}"
+            f"{row.theta1:>6.1f}  {label:<{width}}"
             f"{cell(s.mi):>18} {100 * s.mi.power_causal:>6.1f}"
             f"{cell(s.ue):>18} {100 * s.ue.power_causal:>6.1f} "
             f"{100 * s.ue.power_intercept:>6.1f}"

@@ -84,7 +84,10 @@ class CorrelationMatrix:
 
     Positive semi-definiteness is checked by attempted factorization;
     empirical correlation matrices are often numerically indefinite, so
-    eigenvalues down to -1e-10 are accepted (treated as zero downstream).
+    eigenvalues down to -1e-10 are accepted when loading. The estimators need
+    more: generalized least squares factorizes Omega = se_Y se_Y' * rho, so a
+    singular or near-singular matrix (a duplicated variant with rho = 1, say)
+    loads but makes every correlated estimator raise FactorizationError.
     """
 
     entries: np.ndarray

@@ -37,8 +37,8 @@ from scipy import special, stats
 
 from .data import SummaryDataset
 from .regression import (
-    RegressionSpec,
     WeightScheme,
+    _with_intercept,
     fit_gls,
     fit_wls,
     scaled_se,
@@ -191,16 +191,14 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
     """
     design = dataset.beta_x_matrix()
     if intercept:
-        design = np.column_stack([np.ones(dataset.j), design])
+        design = _with_intercept(design)
     se_y = dataset.se_y_vector()
     correlated = dataset.correlation is not None
     if correlated:
         fit = fit_gls(design, dataset.beta_y_vector(),
                       np.outer(se_y, se_y) * dataset.correlation.entries)
     else:
-        fit = fit_wls(design, dataset.beta_y_vector(),
-                      RegressionSpec(include_intercept=False,
-                                     weights=se_y ** -2.0))
+        fit = fit_wls(design, dataset.beta_y_vector(), se_y ** -2.0)
     se = scaled_se(fit, scheme)
     tag = MethodTag(estimator, scheme,
                     "correlated" if correlated else "independent")

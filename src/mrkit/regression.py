@@ -2,13 +2,17 @@
 
 Every fit runs one batched kernel, :func:`_wls_kernel`, on whitened problems
 (rows scaled by sqrt(w), or by the inverse Cholesky factor of Omega).
-:func:`fit_wls` and :func:`fit_gls` call it with one problem and raise
-:class:`RankError` on its full-rank flag (smallest singular value of R below
-RANK_TOL times the largest); the Monte Carlo engine calls it per chunk of
-replicates and counts a rank-deficient replicate as failed. sigma_hat =
-sqrt(weighted RSS / df), the RSS summed from the residuals, and is exactly 0
-when df = 0 or the RSS is at most (100 eps)^2 times the weighted total sum
-of squares.
+:func:`fit_wls` takes the design, the response and the weight vector w
+(the semantic se(beta_Yj)^-2); :func:`fit_gls` takes Omega in place of w.
+Neither adds an intercept: the caller puts one first with
+:func:`_with_intercept`. Both fit one problem and raise :class:`RankError` on
+the kernel's full-rank flag (smallest singular value of R below RANK_TOL
+times the largest). The Monte Carlo engine builds its (C, J, p) designs with
+the same :func:`_with_intercept`, fits each chunk of replicates with the same
+sqrt(w) whitening, :func:`_weighted_kernel`, and counts a rank-deficient
+replicate as failed. sigma_hat = sqrt(weighted RSS / df), the RSS summed from
+the residuals, and is exactly 0 when df = 0 or the RSS is at most
+(100 eps)^2 times the weighted total sum of squares.
 
 The coefficient standard errors returned by the fit functions are "unscaled":
 square roots of the diagonal of the unit-variance coefficient covariance
@@ -36,7 +40,6 @@ __all__ = [
     "RankError",
     "FactorizationError",
     "WeightScheme",
-    "RegressionSpec",
     "RegressionFit",
     "fit_wls",
     "fit_gls",
@@ -64,26 +67,6 @@ class WeightScheme(Enum):
 
 
 @dataclass(frozen=True)
-class RegressionSpec:
-    """Weights and intercept choice for a weighted least-squares fit.
-
-    Weights carry the semantic se(beta_Yj)^-2 and must be positive and finite.
-    """
-
-    include_intercept: bool
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-            raise ValueError("weights must be positive and finite")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
 class RegressionFit:
     """Result of a (generalized) weighted least-squares fit.
 
@@ -103,13 +86,27 @@ class RegressionFit:
     exact_fit: bool
 
 
-def _as_design(design: np.ndarray) -> np.ndarray:
-    design = np.asarray(design, dtype=float)
-    if design.ndim == 1:
-        design = design[:, None]
-    if design.ndim != 2:
+def _as_problem(design: np.ndarray,
+                response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J x p design (a vector is one column), length-J response, J >= p."""
+    x = np.asarray(design, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2:
         raise ValueError("design must be a J x p matrix")
-    return design
+    y = np.asarray(response, dtype=float)
+    j, p = x.shape
+    if y.shape != (j,):
+        raise ValueError("response length does not match design")
+    if j < p:
+        raise ValueError(f"J={j} observations < {p} parameters")
+    return x, y
+
+
+def _with_intercept(design: np.ndarray) -> np.ndarray:
+    """Put a column of ones first in a (J, p) or (C, J, p) design."""
+    ones = np.ones(design.shape[:-1] + (1,))
+    return np.concatenate([ones, design], axis=-1)
 
 
 # Weighted RSS at or below this fraction of the weighted total sum of squares
@@ -163,11 +160,16 @@ def _wls_kernel(xw: np.ndarray, yw: np.ndarray):
     return beta, unscaled_se, sigma, full_rank
 
 
-def _fit_one(x: np.ndarray, y: np.ndarray, xw: np.ndarray,
-             yw: np.ndarray) -> RegressionFit:
-    """Single-dataset fit: the kernel at C = 1, with RankError on its flag."""
-    beta, unscaled_se, sigma, full_rank = (
-        out[0] for out in _wls_kernel(xw[None], yw[None]))
+def _weighted_kernel(design: np.ndarray, response: np.ndarray,
+                     weights: np.ndarray):
+    """:func:`_wls_kernel` on (C, J, p) designs whitened by sqrt(weights)."""
+    sqrt_w = np.sqrt(weights)
+    return _wls_kernel(design * sqrt_w[..., None], response * sqrt_w)
+
+
+def _fit_one(x: np.ndarray, y: np.ndarray, kernel_out) -> RegressionFit:
+    """Single-dataset fit from the kernel at C = 1; RankError on its flag."""
+    beta, unscaled_se, sigma, full_rank = (out[0] for out in kernel_out)
     if not full_rank:
         raise RankError("design matrix is rank deficient")
     fitted = x @ beta
@@ -184,21 +186,21 @@ def _fit_one(x: np.ndarray, y: np.ndarray, xw: np.ndarray,
 
 
 def fit_wls(design: np.ndarray, response: np.ndarray,
-            spec: RegressionSpec) -> RegressionFit:
-    """Weighted least squares: minimize sum_j w_j (y_j - x_j' b)^2."""
-    x = _as_design(design)
-    y = np.asarray(response, dtype=float)
-    if spec.include_intercept:
-        x = np.column_stack([np.ones(x.shape[0]), x])
-    j, p = x.shape
-    if y.shape != (j,):
-        raise ValueError("response length does not match design")
-    if spec.weights.shape != (j,):
+            weights: np.ndarray) -> RegressionFit:
+    """Weighted least squares: minimize sum_j w_j (y_j - x_j' b)^2.
+
+    ``weights`` carry the semantic se(beta_Yj)^-2 and must be positive and
+    finite. The caller supplies any intercept column explicitly.
+    """
+    x, y = _as_problem(design, response)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1:
+        raise ValueError("weights must be a vector")
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise ValueError("weights must be positive and finite")
+    if weights.shape != y.shape:
         raise ValueError("weights length does not match design")
-    if j < p:
-        raise ValueError(f"J={j} observations < {p} parameters")
-    sqrt_w = np.sqrt(spec.weights)
-    return _fit_one(x, y, x * sqrt_w[:, None], y * sqrt_w)
+    return _fit_one(x, y, _weighted_kernel(x[None], y[None], weights[None]))
 
 
 def fit_gls(design: np.ndarray, response: np.ndarray,
@@ -211,23 +213,18 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
     decorrelated scale, where the model has unit error variance. The caller
     supplies any intercept column explicitly.
     """
-    x = _as_design(design)
-    y = np.asarray(response, dtype=float)
-    j, p = x.shape
-    if y.shape != (j,):
-        raise ValueError("response length does not match design")
+    x, y = _as_problem(design, response)
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (j, j):
+    if omega.shape != (y.size, y.size):
         raise ValueError("omega must be J x J")
-    if j < p:
-        raise ValueError(f"J={j} observations < {p} parameters")
     try:
         cho = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise FactorizationError(
             "omega is not positive definite (factorization failed)") from None
-    return _fit_one(x, y, solve_triangular(cho, x, lower=True),
-                    solve_triangular(cho, y, lower=True))
+    xw = solve_triangular(cho, x, lower=True)
+    yw = solve_triangular(cho, y, lower=True)
+    return _fit_one(x, y, _wls_kernel(xw[None], yw[None]))
 
 
 def _random_effects_se(unscaled_se: np.ndarray, sigma) -> np.ndarray:

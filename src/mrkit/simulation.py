@@ -47,7 +47,7 @@ import numpy as np
 
 from .data import SummaryDataset
 from .estimators import _t_pvalue
-from .regression import _random_effects_se, _wls_kernel
+from .regression import _random_effects_se, _weighted_kernel, _with_intercept
 
 __all__ = [
     "ScenarioConfig",
@@ -77,6 +77,20 @@ INSIDE_CORRELATION = 0.3
 CORRELATED_RHOS = (0.2, -0.3, 0.1)
 POWER_ALPHA = 0.05
 _CHUNK = 256
+
+# The tabulated estimators, in summary order: name, covariate columns (0
+# |bX1|, 1 bX2 + gamma*|bX1|, 2 bX3), whether the univariable extra variance
+# widens the outcome errors, and whether the fit has an intercept.
+_ESTIMATORS = (
+    ("MI", (0, 1, 2), False, False),
+    ("UE", (0,), True, True),
+    ("ME", (0, 1, 2), False, True),
+)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -132,8 +146,7 @@ class ScenarioConfig:
             raise ValueError("j_variants must be at least 5 (J >= K + 2)")
         if self.replicates < 1:
             raise ValueError("replicates must be a positive integer")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
         if self.weight_mode not in ("realized", "variance_component"):
             raise ValueError(
                 "weight_mode must be 'realized' or 'variance_component'")
@@ -415,13 +428,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     j = config.j_variants
     chol = _draw_coefficients(config)
     uv_extra = _univariable_extra_variance(config)
-    df_mi, df_ue, df_me = j - 3, j - 2, j - 4
-
-    out = {name: np.empty(reps) for name in (
-        "mi_theta", "mi_se", "mi_p",
-        "ue_theta", "ue_se", "ue_p", "ue_p0",
-        "me_theta", "me_se", "me_p", "me_p0",
-    )}
+    # Per estimator and replicate: theta1, its se, its p-value and the
+    # intercept p-value (left unset for intercept-free fits).
+    results = np.empty((len(_ESTIMATORS), 4, reps))
 
     def work(start: int, end: int) -> None:
         z = np.stack([_replicate_normals(config, r, j)
@@ -429,31 +438,22 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
         beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
         abs_x1, x2, x3, beta_y, se2_mv = _observables(
             config, beta_cols, alpha_prime, epsilon)
-
-        def fit(columns, se2, intercept):
-            sqrt_w = np.sqrt(1.0 / se2)
-            parts = [np.ones_like(beta_y)] if intercept else []
-            design = np.stack(parts + columns, axis=-1)
-            beta, unscaled_se, sigma, _ = _wls_kernel(
-                design * sqrt_w[..., None], beta_y * sqrt_w)
-            return beta, _random_effects_se(unscaled_se, sigma)
-
-        beta, se = fit([abs_x1, x2, x3], se2_mv, intercept=False)
-        out["mi_theta"][start:end] = beta[:, 0]
-        out["mi_se"][start:end] = se[:, 0]
-        out["mi_p"][start:end] = _t_pvalue(beta[:, 0], se[:, 0], df_mi)
-
-        beta, se = fit([abs_x1], se2_mv + uv_extra, intercept=True)
-        out["ue_theta"][start:end] = beta[:, 1]
-        out["ue_se"][start:end] = se[:, 1]
-        out["ue_p"][start:end] = _t_pvalue(beta[:, 1], se[:, 1], df_ue)
-        out["ue_p0"][start:end] = _t_pvalue(beta[:, 0], se[:, 0], df_ue)
-
-        beta, se = fit([abs_x1, x2, x3], se2_mv, intercept=True)
-        out["me_theta"][start:end] = beta[:, 1]
-        out["me_se"][start:end] = se[:, 1]
-        out["me_p"][start:end] = _t_pvalue(beta[:, 1], se[:, 1], df_me)
-        out["me_p0"][start:end] = _t_pvalue(beta[:, 0], se[:, 0], df_me)
+        covariates = (abs_x1, x2, x3)
+        for out, (_, columns, univariable, intercept) in zip(
+                results[:, :, start:end], _ESTIMATORS):
+            design = np.stack([covariates[c] for c in columns], axis=-1)
+            if intercept:
+                design = _with_intercept(design)
+            se2 = se2_mv + uv_extra if univariable else se2_mv
+            beta, unscaled_se, sigma, _ = _weighted_kernel(
+                design, beta_y, 1.0 / se2)
+            se = _random_effects_se(unscaled_se, sigma)
+            first = 1 if intercept else 0
+            df = j - len(columns) - first
+            out[0], out[1] = beta[:, first], se[:, first]
+            out[2] = _t_pvalue(out[0], out[1], df)
+            if intercept:
+                out[3] = _t_pvalue(beta[:, 0], se[:, 0], df)
 
     bounds = [(s, min(s + _CHUNK, reps)) for s in range(0, reps, _CHUNK)]
     workers = _thread_count()
@@ -465,35 +465,28 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
             # Materialize to surface any worker exception.
             list(pool.map(lambda b: work(*b), bounds))
 
-    def summarize(prefix: str, estimator: str,
-                  has_intercept: bool) -> tuple[EstimatorSummary, np.ndarray]:
-        fields = [out[f"{prefix}_theta"], out[f"{prefix}_se"],
-                  out[f"{prefix}_p"]]
-        if has_intercept:
-            fields.append(out[f"{prefix}_p0"])
-        ok = np.all(np.isfinite(np.stack(fields)), axis=0)
+    summaries = []
+    all_ok = np.ones(reps, dtype=bool)
+    for (estimator, _, _, intercept), fields in zip(_ESTIMATORS, results):
+        theta, se, p, p0 = fields
+        ok = np.all(np.isfinite(fields[:4 if intercept else 3]), axis=0)
         used = int(ok.sum())
         if used == 0:
             raise ValueError(
                 f"every replicate failed for estimator {estimator}")
-        power_intercept = (
-            float(np.mean(out[f"{prefix}_p0"][ok] < POWER_ALPHA))
-            if has_intercept else None)
-        summary = EstimatorSummary(
+        summaries.append(EstimatorSummary(
             estimator=estimator,
-            mean_theta1=float(np.mean(out[f"{prefix}_theta"][ok])),
-            mean_se=float(np.mean(out[f"{prefix}_se"][ok])),
-            power_causal=float(np.mean(out[f"{prefix}_p"][ok] < POWER_ALPHA)),
-            power_intercept=power_intercept,
+            mean_theta1=float(np.mean(theta[ok])),
+            mean_se=float(np.mean(se[ok])),
+            power_causal=float(np.mean(p[ok] < POWER_ALPHA)),
+            power_intercept=(float(np.mean(p0[ok] < POWER_ALPHA))
+                             if intercept else None),
             replicates_used=used,
-        )
-        return summary, ok
-
-    mi, mi_ok = summarize("mi", "MI", has_intercept=False)
-    ue, ue_ok = summarize("ue", "UE", has_intercept=True)
-    me, me_ok = summarize("me", "ME", has_intercept=True)
-    failures = int(np.sum(~(mi_ok & ue_ok & me_ok)))
-    return SimulationSummary(mi=mi, ue=ue, me=me, failures=failures)
+        ))
+        all_ok &= ok
+    mi, ue, me = summaries
+    return SimulationSummary(mi=mi, ue=ue, me=me,
+                             failures=int(np.sum(~all_ok)))
 
 
 # Scenario rows of each grid block, in table order: no pleiotropy; balanced;
@@ -513,6 +506,7 @@ def run_scenario_grid(replicates: int = DEFAULT_REPLICATES,
     derived from (seed, row index), so any subset of rows is reproducible in
     isolation.
     """
+    _check_seed(seed)
     rows = []
     index = 0
     for mediation in (False, True):

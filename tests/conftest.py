@@ -1,9 +1,26 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import mrkit
 from mrkit import CorrelationMatrix, SummaryDataset
+
+
+def subprocess_env(**overrides: str) -> dict[str, str]:
+    """The environment plus overrides, with mrkit's source first on PYTHONPATH.
+
+    pyproject's pytest ``pythonpath`` reaches only the pytest process, so a
+    ``python -m mrkit`` subprocess gets the source tree from PYTHONPATH.
+    """
+    src = str(Path(mrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def make_dataset(beta_x, beta_y, se_y, names=("x1",), corr=None,

@@ -4,7 +4,6 @@ Every test prints exactly one ``ACCEPTANCE n: PASS/FAIL`` line summarizing
 its sub-checks, then asserts. Desk-scale simulation criteria use 2,000
 replicates under the default seed.
 """
-import os
 import subprocess
 import sys
 import time
@@ -24,7 +23,6 @@ from mrkit import (
     orient,
 )
 from mrkit.regression import (
-    RegressionSpec,
     WeightScheme,
     fit_gls,
     fit_wls,
@@ -33,7 +31,7 @@ from mrkit.regression import (
 )
 from mrkit.simulation import DEFAULT_SEED, generate_dataset, run_scenario, scenario_config
 
-from conftest import make_dataset, random_correlation
+from conftest import make_dataset, random_correlation, subprocess_env
 
 DESK = dict(replicates=2000, seed=DEFAULT_SEED)
 
@@ -273,8 +271,7 @@ def test_acceptance_6_property_suite():
                 failures["k1 equivalence"] += 1
 
         gls = fit_gls(bx, by, np.diag(se_y ** 2))
-        wls = fit_wls(bx, by, RegressionSpec(include_intercept=False,
-                                             weights=w))
+        wls = fit_wls(bx, by, w)
         if not (np.allclose(gls.coefficients, wls.coefficients, rtol=1e-10)
                 and np.allclose(gls.unscaled_se, wls.unscaled_se,
                                 rtol=1e-10)):
@@ -319,7 +316,7 @@ def test_acceptance_8_grid_determinism(tmp_path):
     outputs = {}
     for threads in ("1", "2", "8", "2-again"):
         tag = f"t{threads}"
-        env = dict(os.environ, MRKIT_THREADS=threads.split("-")[0])
+        env = subprocess_env(MRKIT_THREADS=threads.split("-")[0])
         prefix = str(tmp_path / tag)
         proc = subprocess.run(
             [sys.executable, "-m", "mrkit.cli", "grid", "--reps", "120",

@@ -2,10 +2,8 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ import mrkit
 from mrkit import write_dataset
 from mrkit.cli import main
 
-from conftest import make_dataset, random_correlation
+from conftest import make_dataset, random_correlation, subprocess_env
 
 
 @pytest.fixture
@@ -162,6 +160,25 @@ class TestAnalyze:
         assert "[EXPERIMENTAL]" in out
         assert "experimental; interpret with caution" in out
 
+    def test_singular_correlation_fails_cleanly(self, tmp_path, capsys):
+        # A duplicated variant with rho = 1 passes the numerical PSD check on
+        # load, but its error covariance has no Cholesky factor.
+        bx = np.array([0.3, 0.3, 0.5, 0.2, 0.4])
+        by = np.array([0.1, 0.1, 0.3, -0.2, 0.2])
+        se_y = np.array([0.5, 0.5, 0.8, 1.1, 0.7])
+        data_path = tmp_path / "dup.csv"
+        write_dataset(make_dataset(bx, by, se_y), data_path)
+        corr = np.eye(5)
+        corr[0, 1] = corr[1, 0] = 1.0
+        corr_path = tmp_path / "rho.csv"
+        np.savetxt(corr_path, corr, delimiter=",", fmt="%g")
+        code, _, err = _analyze(
+            ["--data", str(data_path), "--k", "1", "--corr", str(corr_path),
+             "--methods", "UI"], capsys)
+        assert code == 2
+        assert err.startswith("error: omega is not positive definite")
+        assert "Traceback" not in err
+
     def test_fixed_scheme_label(self, one_factor_csv, capsys):
         code, out, _ = _analyze(
             ["--data", one_factor_csv, "--k", "1", "--methods", "UI",
@@ -289,13 +306,9 @@ class TestAnalyze:
 
 
 def test_python_m_mrkit_help():
-    src = str(Path(mrkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-m", "mrkit", "--help"],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+                          capture_output=True, text=True,
+                          env=subprocess_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     for command in ("analyze", "simulate", "grid"):
         assert command in done.stdout
@@ -446,6 +459,26 @@ class TestGrid:
         assert "mediation_only=true" in lines[1]
         # Row indices keep their full-grid positions so seeds line up.
         assert data[0].startswith("32,mediation,")
+
+    def test_text_table_columns_align(self, tmp_path, capsys):
+        assert main(["grid", "--reps", "5", "--seed", "3",
+                     "--out", str(tmp_path / "g")]) == 0
+        capsys.readouterr()
+        blocks = (tmp_path / "g.txt").read_text().split("\n== ")[1:]
+        assert len(blocks) == 4
+        for block in blocks:
+            _, header, *rows = block.strip().splitlines()
+            assert len(rows) == 16
+            assert [len(row) for row in rows] == [len(header)] * 16
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        code = main(["grid", "--reps", "2", "--seed", seed,
+                     "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: seed must fit in an unsigned 64-bit integer\n"
+        assert not (tmp_path / "g.csv").exists()
 
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

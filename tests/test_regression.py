@@ -10,7 +10,6 @@ from mrkit.regression import (
     RANK_TOL,
     FactorizationError,
     RankError,
-    RegressionSpec,
     WeightScheme,
     fit_gls,
     fit_wls,
@@ -22,16 +21,11 @@ from mrkit.regression import (
 )
 
 
-def spec(weights, intercept=False):
-    return RegressionSpec(include_intercept=intercept,
-                          weights=np.asarray(weights, dtype=float))
-
-
 class TestFitWls:
     def test_two_point_slope(self):
         # Hand evaluation: b = (1+3)/2 = 2, var(b) = 1/2, rss = 1+1 = 2, df 1.
         fit = fit_wls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]),
-                      spec([1.0, 1.0]))
+                      [1.0, 1.0])
         assert fit.coefficients == pytest.approx([2.0], abs=1e-14)
         assert fit.unscaled_se == pytest.approx([1 / np.sqrt(2)], abs=1e-14)
         assert fit.residual_scale == pytest.approx(np.sqrt(2.0), abs=1e-14)
@@ -39,15 +33,15 @@ class TestFitWls:
         assert not fit.exact_fit
 
     def test_exact_line(self):
-        fit = fit_wls(np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0]),
-                      spec([1.0, 1.0, 1.0], intercept=True))
+        x = np.column_stack([np.ones(3), [1.0, 2.0, 3.0]])
+        fit = fit_wls(x, np.array([2.0, 3.0, 4.0]), [1.0, 1.0, 1.0])
         assert fit.coefficients == pytest.approx([1.0, 1.0], abs=1e-12)
         assert fit.residuals == pytest.approx([0.0] * 3, abs=1e-12)
         assert fit.residual_scale == 0.0
         assert fit.exact_fit
 
     def test_saturated_fit(self):
-        fit = fit_wls(np.array([[2.0]]), np.array([1.0]), spec([1.0]))
+        fit = fit_wls(np.array([[2.0]]), np.array([1.0]), [1.0])
         assert fit.df_residual == 0
         assert fit.exact_fit
         assert fit.residual_scale == 0.0
@@ -55,35 +49,36 @@ class TestFitWls:
     def test_duplicate_columns_rank_error(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(RankError):
-            fit_wls(x, np.array([1.0, 2.0, 3.0]), spec([1.0] * 3))
+            fit_wls(x, np.array([1.0, 2.0, 3.0]), [1.0] * 3)
 
     def test_zero_column_rank_error(self):
         x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         with pytest.raises(RankError):
-            fit_wls(x, np.array([1.0, 2.0, 3.0]), spec([1.0] * 3))
+            fit_wls(x, np.array([1.0, 2.0, 3.0]), [1.0] * 3)
 
     def test_more_params_than_rows(self):
         with pytest.raises(ValueError, match="observations"):
-            fit_wls(np.array([[1.0, 2.0]]), np.array([1.0]), spec([1.0]))
+            fit_wls(np.array([[1.0, 2.0]]), np.array([1.0]), [1.0])
 
     def test_length_mismatches(self):
         with pytest.raises(ValueError, match="response length"):
-            fit_wls(np.array([1.0, 2.0]), np.array([1.0]), spec([1.0, 1.0]))
+            fit_wls(np.array([1.0, 2.0]), np.array([1.0]), [1.0, 1.0])
         with pytest.raises(ValueError, match="weights length"):
-            fit_wls(np.array([1.0, 2.0]), np.array([1.0, 2.0]), spec([1.0]))
+            fit_wls(np.array([1.0, 2.0]), np.array([1.0, 2.0]), [1.0])
 
     def test_weights_validation(self):
+        x, y = np.array([1.0, 2.0]), np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="positive"):
-            spec([1.0, -1.0])
+            fit_wls(x, y, [1.0, -1.0])
         with pytest.raises(ValueError, match="positive"):
-            spec([1.0, np.inf])
+            fit_wls(x, y, [1.0, np.inf])
         with pytest.raises(ValueError, match="vector"):
-            RegressionSpec(include_intercept=False, weights=np.ones((2, 2)))
+            fit_wls(x, y, np.ones((2, 2)))
 
     def test_weights_matter(self):
         x = np.array([1.0, 1.0])
         y = np.array([1.0, 3.0])
-        fit = fit_wls(x, y, spec([3.0, 1.0]))
+        fit = fit_wls(x, y, [3.0, 1.0])
         assert fit.coefficients[0] == pytest.approx(1.5, abs=1e-14)
 
 
@@ -94,7 +89,7 @@ class TestFitGls:
         y = rng.normal(size=6)
         se = rng.uniform(0.5, 2.0, size=6)
         gls = fit_gls(x, y, np.diag(se ** 2))
-        wls = fit_wls(x, y, spec(se ** -2))
+        wls = fit_wls(x, y, se ** -2)
         assert gls.coefficients == pytest.approx(wls.coefficients, rel=1e-10)
         assert gls.unscaled_se == pytest.approx(wls.unscaled_se, rel=1e-10)
         assert gls.residual_scale == pytest.approx(wls.residual_scale, rel=1e-10)
@@ -146,7 +141,7 @@ class TestKernelEdgeCases:
         y = np.array([1.0, 2.5, 2.0])
         w = np.ones(3)
         with pytest.raises(RankError):
-            fit_wls(collinear, y, spec(w))
+            fit_wls(collinear, y, w)
         xw, yw = whitened(np.stack([good, collinear]), np.stack([y, y]),
                           np.stack([w, w]))
         beta, use, sigma, full_rank = _wls_kernel(xw, yw)
@@ -160,7 +155,7 @@ class TestKernelEdgeCases:
         exact = 2.0 * x[:, 0]
         noisy = exact + np.array([0.1, -0.2, 0.05, 0.0])
         w = np.array([1.0, 2.0, 0.5, 3.0])
-        assert fit_wls(x, exact, spec(w)).residual_scale == 0.0
+        assert fit_wls(x, exact, w).residual_scale == 0.0
         xw, yw = whitened(np.stack([x, x]), np.stack([exact, noisy]),
                           np.stack([w, w]))
         _, _, sigma, _ = _wls_kernel(xw, yw)
@@ -173,7 +168,7 @@ class TestKernelEdgeCases:
         w = np.array([1.0, 4.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_wls(x, y, spec(w))
+            fit = fit_wls(x, y, w)
             xw, yw = whitened(np.stack([x, 2.0 * x]), np.stack([y, -y]),
                               np.stack([w, w]))
             _, _, sigma, full_rank = _wls_kernel(xw, yw)
@@ -231,9 +226,9 @@ def test_batched_kernel_matches_single_fits(batch):
         assert full_rank[i] == one[3][0]
         if not full_rank[i]:
             with pytest.raises(RankError):
-                fit_wls(x[i], y[i], spec(w[i]))
+                fit_wls(x[i], y[i], w[i])
             continue
-        fit = fit_wls(x[i], y[i], spec(w[i]))
+        fit = fit_wls(x[i], y[i], w[i])
         np.testing.assert_allclose(fit.coefficients, beta[i], rtol=1e-12)
         np.testing.assert_allclose(fit.unscaled_se, use[i], rtol=1e-12)
         np.testing.assert_allclose(fit.residual_scale, sigma[i], rtol=1e-12)
@@ -242,7 +237,7 @@ def test_batched_kernel_matches_single_fits(batch):
 class TestScaledSe:
     def test_random_effects_inflation(self):
         fit = fit_wls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]),
-                      spec([1.0, 1.0]))
+                      [1.0, 1.0])
         assert scaled_se(fit, WeightScheme.FIXED_EFFECT) == \
                pytest.approx([1 / np.sqrt(2)])
         # sigma = sqrt(2) > 1, so the random-effects se is inflated to 1.
@@ -253,7 +248,7 @@ class TestScaledSe:
         # Underdispersed: sigma < 1 must not deflate the standard error.
         x = np.array([1.0, 2.0, 3.0, 4.0])
         y = x * 2.0 + np.array([0.01, -0.01, 0.01, -0.01])
-        fit = fit_wls(x, y, spec([1.0] * 4))
+        fit = fit_wls(x, y, [1.0] * 4)
         assert 0 < fit.residual_scale < 1
         fixed = scaled_se(fit, WeightScheme.FIXED_EFFECT)
         random = scaled_se(fit, WeightScheme.MULTIPLICATIVE_RANDOM_EFFECT)
@@ -262,7 +257,7 @@ class TestScaledSe:
 
     def test_exact_fit_stays_finite(self):
         fit = fit_wls(np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.0]),
-                      spec([1.0] * 3))
+                      [1.0] * 3)
         assert fit.exact_fit
         out = scaled_se(fit, WeightScheme.MULTIPLICATIVE_RANDOM_EFFECT)
         assert np.all(np.isfinite(out))
@@ -330,7 +325,7 @@ def test_wls_matches_normal_equations(seed):
     x = rng.normal(size=(j, p))
     y = rng.normal(size=j)
     w = rng.uniform(0.1, 5.0, size=j)
-    fit = fit_wls(x, y, spec(w))
+    fit = fit_wls(x, y, w)
     xtwx = x.T * w @ x
     beta = np.linalg.solve(xtwx, x.T @ (w * y))
     assert fit.coefficients == pytest.approx(beta, rel=1e-9, abs=1e-12)
@@ -353,7 +348,7 @@ def test_gls_diagonal_equals_wls(seed):
     y = rng.normal(size=j)
     se = rng.uniform(0.2, 3.0, size=j)
     gls = fit_gls(x, y, np.diag(se ** 2))
-    wls = fit_wls(x, y, spec(se ** -2))
+    wls = fit_wls(x, y, se ** -2)
     assert gls.coefficients == pytest.approx(wls.coefficients,
                                              rel=1e-10, abs=1e-12)
     assert gls.unscaled_se == pytest.approx(wls.unscaled_se, rel=1e-10)
@@ -366,7 +361,7 @@ def test_scheme_ordering(seed):
     j = int(rng.integers(4, 12))
     x = rng.normal(size=(j, 2))
     y = rng.normal(size=j)
-    fit = fit_wls(x, y, spec(rng.uniform(0.2, 4.0, size=j)))
+    fit = fit_wls(x, y, rng.uniform(0.2, 4.0, size=j))
     fixed = scaled_se(fit, WeightScheme.FIXED_EFFECT)
     random = scaled_se(fit, WeightScheme.MULTIPLICATIVE_RANDOM_EFFECT)
     if fit.residual_scale >= 1:

@@ -4,7 +4,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mrkit import simulation
+from mrkit import (
+    egger_multivariable,
+    egger_univariable,
+    ivw_multivariable,
+    simulation,
+)
 from mrkit.simulation import (
     CORRELATED_RHOS,
     DEFAULT_SEED,
@@ -16,6 +21,8 @@ from mrkit.simulation import (
     run_scenario,
     scenario_config,
 )
+
+from conftest import make_dataset
 
 
 class TestScenarioConfig:
@@ -336,6 +343,34 @@ class TestRunScenario:
         assert abs(summary.mi.mean_theta1) > 0.3  # strong upward bias
         assert abs(summary.me.mean_theta1) < 0.05
         assert summary.me.power_intercept > 0.5  # pleiotropy is detectable
+
+
+@pytest.mark.parametrize("scenario, settings", [
+    (1, {}),
+    (2, {"correlated": True}),
+    (3, {"theta1": 0.3, "mu": 0.05, "mediation": True}),
+    (4, {"mu": 0.1}),
+])
+def test_batched_summary_matches_single_dataset_fits(scenario, settings):
+    """run_scenario's chunked fits agree with the public estimators."""
+    config = scenario_config(scenario, replicates=5, seed=61, **settings)
+    summary = run_scenario(config)
+    assert summary.failures == 0
+    extra = _univariable_extra_variance(config)
+    single = {"MI": [], "UE": [], "ME": []}
+    for r in range(config.replicates):
+        dataset, _ = generate_dataset(config, r)
+        single["MI"].append(ivw_multivariable(dataset).estimates[0])
+        single["ME"].append(egger_multivariable(dataset, "x1").estimates[0])
+        univariable = make_dataset(dataset.beta_x[:, 0], dataset.beta_y,
+                                   np.sqrt(dataset.se_y ** 2 + extra))
+        single["UE"].append(egger_univariable(univariable).estimates[0])
+    for name, estimates in single.items():
+        batched = summary.for_estimator(name)
+        np.testing.assert_allclose(
+            [batched.mean_theta1, batched.mean_se],
+            [np.mean([e.theta_hat for e in estimates]),
+             np.mean([e.se for e in estimates])], rtol=1e-9)
 
 
 @pytest.fixture(scope="module")
