@@ -25,7 +25,9 @@ associations, fitted and packaged by one private core: with or without an
 intercept, over one column or K. The core picks the fit from the dataset:
 weighted least squares (weights se_Y^-2) for independent variants, or
 generalized least squares with error covariance
-Omega_st = se_Ys * se_Yt * rho_st when a correlation matrix is attached.
+Omega_st = se_Ys * se_Yt * rho_st when a correlation matrix is attached. The
+generalized fit reuses the Cholesky factor the correlation matrix computed
+when it was loaded, so no estimator factors a matrix.
 """
 from __future__ import annotations
 
@@ -33,13 +35,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .data import SummaryDataset
 from .regression import (
+    _NOT_POSITIVE_DEFINITE,
+    FactorizationError,
     WeightScheme,
+    _factored_fit,
     _with_intercept,
-    fit_gls,
+    fit_gls,  # unused here; perfbench traces it as mrkit.estimators.fit_gls
     fit_wls,
     scaled_se,
     weighted_cov,
@@ -137,7 +142,7 @@ def _inference(theta: float, se: float, df: int,
     if df <= 0:
         return math.nan, math.nan, math.nan
     p_value = float(_t_pvalue(theta, se, df))
-    half_width = float(stats.t.ppf(0.5 + level / 2.0, df)) * se
+    half_width = float(special.stdtrit(df, 0.5 + level / 2.0)) * se
     return p_value, theta - half_width, theta + half_width
 
 
@@ -186,17 +191,26 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
 
     Independent variants are fitted by weighted least squares with weights
     se_Y^-2; with a correlation matrix attached, by generalized least squares
-    with Omega = se_Y se_Y' * rho. An intercept fit also reports the
-    intercept test, and is experimental when the variants are correlated.
+    with Omega = se_Y se_Y' * rho, whitened by its Cholesky factor
+    diag(se_Y) L, where L is the factor the matrix stored at load (a singular
+    matrix has none and raises FactorizationError). An intercept fit also
+    reports the intercept test, and is experimental when the variants are
+    correlated.
     """
     design = dataset.beta_x_matrix()
     if intercept:
         design = _with_intercept(design)
     se_y = dataset.se_y_vector()
-    correlated = dataset.correlation is not None
+    correlation = dataset.correlation
+    correlated = correlation is not None
     if correlated:
-        fit = fit_gls(design, dataset.beta_y_vector(),
-                      np.outer(se_y, se_y) * dataset.correlation.entries)
+        if correlation.factor is None:
+            raise FactorizationError(
+                f"{_NOT_POSITIVE_DEFINITE}: the variant correlation matrix is "
+                f"singular (smallest eigenvalue "
+                f"{correlation.smallest_eigenvalue:.3e})")
+        fit = _factored_fit(design, dataset.beta_y_vector(),
+                            se_y[:, None] * correlation.factor)
     else:
         fit = fit_wls(design, dataset.beta_y_vector(), se_y ** -2.0)
     se = scaled_se(fit, scheme)

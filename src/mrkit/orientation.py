@@ -8,7 +8,8 @@ to that convention, swapping effect/other alleles and negating every
 association (all risk factors and the outcome) for flipped variants. Standard
 errors are sign-free and unchanged. An attached variant correlation matrix is
 sign-conjugated (rho'_st = s_s * s_t * rho_st) so that it continues to refer
-to the recoded alleles.
+to the recoded alleles; its Cholesky factor is conjugated the same way, so the
+flipped matrix is neither validated nor factored again.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import CorrelationMatrix, SummaryDataset
+from .data import SummaryDataset
 
 __all__ = ["OrientationReport", "orient"]
 
@@ -65,9 +66,7 @@ def orient(dataset: SummaryDataset,
     if flipped:
         correlation = dataset.correlation
         if correlation is not None:
-            signs = np.where(flip, -1.0, 1.0)
-            correlation = CorrelationMatrix(
-                signs[:, None] * correlation.entries * signs[None, :])
+            correlation = correlation.sign_flipped(flip)
         oriented = replace(
             dataset,
             effect_alleles=np.where(flip, dataset.other_alleles,

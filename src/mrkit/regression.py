@@ -1,12 +1,16 @@
 """Weighted and generalized least squares with residual-scale conventions.
 
 Every fit runs one batched kernel, :func:`_wls_kernel`, on whitened problems
-(rows scaled by sqrt(w), or by the inverse Cholesky factor of Omega).
+(rows scaled by sqrt(w), or solved with the lower Cholesky factor of Omega).
 :func:`fit_wls` takes the design, the response and the weight vector w
-(the semantic se(beta_Yj)^-2); :func:`fit_gls` takes Omega in place of w.
-Neither adds an intercept: the caller puts one first with
-:func:`_with_intercept`. Both fit one problem and raise :class:`RankError` on
-the kernel's full-rank flag (smallest singular value of R below RANK_TOL
+(the semantic se(beta_Yj)^-2); :func:`fit_gls` takes Omega in place of w,
+factors it and hands the factor to :func:`_factored_fit`, the one
+triangular-whitening step. The correlated-variant estimators call
+:func:`_factored_fit` directly with diag(se_Y) L, where L is the factor their
+correlation matrix stored at load, so they never factor or build Omega.
+None of these adds an intercept: the caller puts one first with
+:func:`_with_intercept`. Each fits one problem and raises :class:`RankError`
+on the kernel's full-rank flag (smallest singular value of R below RANK_TOL
 times the largest). The Monte Carlo engine builds its (C, J, p) designs with
 the same :func:`_with_intercept`, fits each chunk of replicates with the same
 sqrt(w) whitening, :func:`_weighted_kernel`, and counts a rank-deficient
@@ -59,6 +63,9 @@ class RankError(ValueError):
 
 class FactorizationError(ValueError):
     """Covariance matrix factorization failed (not positive definite)."""
+
+
+_NOT_POSITIVE_DEFINITE = "omega is not positive definite (factorization failed)"
 
 
 class WeightScheme(Enum):
@@ -218,12 +225,22 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
     if omega.shape != (y.size, y.size):
         raise ValueError("omega must be J x J")
     try:
-        cho = np.linalg.cholesky(omega)
+        factor = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
-        raise FactorizationError(
-            "omega is not positive definite (factorization failed)") from None
-    xw = solve_triangular(cho, x, lower=True)
-    yw = solve_triangular(cho, y, lower=True)
+        raise FactorizationError(_NOT_POSITIVE_DEFINITE) from None
+    return _factored_fit(x, y, factor)
+
+
+def _factored_fit(x: np.ndarray, y: np.ndarray,
+                  factor: np.ndarray) -> RegressionFit:
+    """GLS fit given the lower Cholesky factor of the error covariance.
+
+    Whitens the design and response by solving with ``factor``, then fits
+    them with the kernel at C = 1; fitted values and residuals stay on the
+    original scale.
+    """
+    xw = solve_triangular(factor, x, lower=True)
+    yw = solve_triangular(factor, y, lower=True)
     return _fit_one(x, y, _wls_kernel(xw[None], yw[None]))
 
 

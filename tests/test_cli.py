@@ -179,6 +179,34 @@ class TestAnalyze:
         assert err.startswith("error: omega is not positive definite")
         assert "Traceback" not in err
 
+    def test_correlation_factored_once(self, three_factor_csv, tmp_path,
+                                       capsys, monkeypatch):
+        # Load factors rho; orient flips the factor and all four estimators
+        # whiten with it, so nothing factors a matrix again.
+        corr_path = tmp_path / "rho.csv"
+        np.savetxt(corr_path, random_correlation(np.random.default_rng(3), 10),
+                   delimiter=",")
+        cholesky, orient = np.linalg.cholesky, mrkit.cli.orient
+        calls, at_orient = [], []
+
+        def counting_cholesky(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cholesky(*args, **kwargs)
+
+        def counting_orient(*args, **kwargs):
+            at_orient.append(len(calls))
+            return orient(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(mrkit.cli, "orient", counting_orient)
+        code, out, err = _analyze(
+            ["--data", three_factor_csv, "--k", "3", "--corr", str(corr_path),
+             "--methods", "UI,UE,MI,ME", "--ref", "x1"], capsys)
+        assert code == 0, err
+        assert out.count("correlated variants") == 4
+        assert at_orient and set(at_orient) == {1}
+        assert calls == [(10, 10)]
+
     def test_fixed_scheme_label(self, one_factor_csv, capsys):
         code, out, _ = _analyze(
             ["--data", one_factor_csv, "--k", "1", "--methods", "UI",

@@ -1,4 +1,6 @@
 """Ingestion, validation, and round-trip behaviour of the data layer."""
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -459,3 +461,68 @@ def test_numeric_cell_parsed_as_float_does(tmp_path_factory, cell):
     value = load_dataset(path, k=1).beta_y[1]
     assert value == expected
     assert np.signbit(value) == np.signbit(expected)
+
+
+def _float_rows(text: str, path, j: int) -> CorrelationMatrix:
+    """A correlation file parsed line by line with ``float()``: the reference."""
+    rows = []
+    for line_no, line in enumerate(io.StringIO(text.removeprefix("\ufeff"),
+                                               newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append((line_no, [float(c) for c in line.strip().split(",")]))
+        except ValueError:
+            raise DataError(
+                f"{path}: non-numeric correlation entry at row {line_no}") from None
+    mismatch = f"{path}: correlation matrix must be {j}x{j} to match the dataset"
+    for line_no, row in rows:
+        if len(row) != j:
+            raise DataError(f"{mismatch}: row {line_no} has {len(row)} entries")
+    if len(rows) != j:
+        raise DataError(f"{mismatch}: found {len(rows)} rows")
+    return CorrelationMatrix([row for _, row in rows])
+
+
+def _outcome(load):
+    try:
+        return load().entries.tobytes()
+    except DataError as error:
+        return str(error)
+
+
+@given(cell=st.one_of(
+           st.sampled_from(_CELL_CASES + ["1.0", "0.5", " -0.25\t", "1e-3",
+                                          "1_0e-1", "\ufeff1"]),
+           st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters=",\r\n"), max_size=8),
+           st.floats(min_value=-1.0, max_value=1.0).map(repr)),
+       j=st.sampled_from([1, 2, 3]),
+       bom=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       filler=st.sampled_from([None, "", " ", "\t \x0c", "1,", "#"]),
+       filler_at=st.integers(min_value=0, max_value=3))
+@settings(max_examples=400, deadline=None)
+def test_correlation_cells_parsed_as_float_does(tmp_path_factory, cell, j, bom,
+                                                newline, filler, filler_at):
+    """The whole-array parse accepts, rejects and reports as float() rows do.
+
+    The cell sits on the diagonal of a 1 x 1 file, or symmetrically off it,
+    so accepted values also pass or fail matrix validation; blank,
+    whitespace-only and malformed filler lines, a BOM and CR/CRLF endings
+    vary around it.
+    """
+    cells = [["1" if s == t else "0" for t in range(j)] for s in range(j)]
+    if j == 1:
+        cells[0][0] = cell
+    else:
+        cells[0][1] = cells[1][0] = cell
+    rows = [",".join(row) for row in cells]
+    if filler is not None:
+        rows.insert(min(filler_at, len(rows)), filler)
+    text = ("\ufeff" if bom else "") + newline.join(rows) + newline
+    path = tmp_path_factory.mktemp("corr") / "rho.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ds = make_dataset(np.full(j, 0.1), np.full(j, 0.1), np.ones(j))
+    expected = _outcome(lambda: _float_rows(text, path, j))
+    assert _outcome(lambda: load_correlation(path, ds)) == expected

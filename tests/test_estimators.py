@@ -1,4 +1,7 @@
 """Estimator behaviour: point estimates, inference, correlated variants, oracles."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +20,13 @@ from mrkit import (
     ivw_correlated,
     ivw_multivariable,
     ivw_univariable,
+    orient,
     select_risk_factor,
 )
-from mrkit.estimators import MethodTag
-from mrkit.regression import weighted_cov, weighted_mean, weighted_var
+from mrkit.estimators import MethodTag, _fit_model, _inference
+from mrkit.regression import fit_gls, weighted_cov, weighted_mean, weighted_var
 
-from conftest import make_dataset, random_correlation
+from conftest import make_dataset, random_correlation, subprocess_env
 
 
 FIXED = WeightScheme.FIXED_EFFECT
@@ -279,6 +283,33 @@ class TestCorrelatedVariants:
         with pytest.raises(FactorizationError):
             ivw_correlated(ds)
 
+    def test_singular_correlation_named(self):
+        # Two copies of one variant: the matrix loads through the eigenvalue
+        # check with no factor, and every correlated estimator names it.
+        corr = np.eye(5)
+        corr[0, 1] = corr[1, 0] = 1.0
+        bx = np.array([[0.3, 0.1], [0.3, 0.1], [-0.5, 0.4], [0.2, -0.3],
+                       [0.4, 0.2]])
+        ds = make_dataset(bx, [0.1, 0.1, -0.3, -0.2, 0.2],
+                          [0.5, 0.5, 0.8, 1.1, 0.7], names=("x1", "x2"),
+                          corr=corr)
+        oriented, report = orient(ds, "x1")
+        assert report.n_flipped == 1
+        assert ds.correlation.factor is None
+        smallest = ds.correlation.smallest_eigenvalue
+        assert oriented.correlation.smallest_eigenvalue == smallest
+        message = ("omega is not positive definite (factorization failed): "
+                   "the variant correlation matrix is singular (smallest "
+                   f"eigenvalue {smallest:.3e})")
+        one = select_risk_factor(oriented, "x1")
+        for run in (lambda: ivw_correlated(one),
+                    lambda: egger_correlated(one, "x1"),
+                    lambda: ivw_correlated(oriented),
+                    lambda: egger_correlated(oriented, "x1")):
+            with pytest.raises(FactorizationError) as error:
+                run()
+            assert str(error.value) == message
+
     def test_positive_correlation_inflates_se(self):
         base = dict(beta_x=[1.0, 1.0], beta_y=[1.0, 3.0], se_y=[1.0, 1.0])
         ds0 = make_dataset(base["beta_x"], base["beta_y"], base["se_y"],
@@ -359,6 +390,25 @@ class TestInference:
         assert est.ci_high == pytest.approx(est.theta_hat + half, rel=1e-12)
         assert est.p_value == pytest.approx(
             2 * stats.t.sf(abs(est.theta_hat / est.se), est.df), rel=1e-12)
+
+    def test_t_quantile_matches_scipy_stats(self):
+        # The CI half-width comes from special.stdtrit; it must be the
+        # stats.t.ppf quantile bit for bit.
+        levels = [0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
+        dfs = list(range(1, 501)) + [750, 1_000, 5_000, 10**4, 10**5, 10**6]
+        for level in levels:
+            for df in dfs:
+                _, _, half_width = _inference(0.0, 1.0, df, level)
+                assert half_width == stats.t.ppf(0.5 + level / 2.0, df), \
+                    (level, df)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mrkit; print('scipy.stats' in sys.modules)"],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_level_changes_width(self):
         rng = np.random.default_rng(73)
@@ -509,3 +559,46 @@ def test_egger_nests_ivw(seed):
     # And the free-intercept fit differs unless the intercept is (nearly) 0.
     ue = egger_univariable(ds)
     assert ue.intercept is not None
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000),
+       j=st.integers(min_value=5, max_value=40),
+       k=st.integers(min_value=1, max_value=3),
+       intercept=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_stored_factor_fit_matches_fit_gls(seed, j, k, intercept):
+    """GLS with the factor stored at load and flipped by orient equals a
+    Cholesky of Omega = D (S rho S) D, computed afresh."""
+    rng = np.random.default_rng(seed)
+    rho = random_correlation(rng, j)
+    beta_x = rng.normal(0.0, 0.6, size=(j, k))
+    se_y = rng.uniform(0.3, 2.0, j)
+    ds = make_dataset(beta_x, rng.normal(size=j), se_y,
+                      names=tuple(f"x{i + 1}" for i in range(k)), corr=rho)
+    oriented, _ = orient(ds, "x1")
+
+    signs = np.where(beta_x[:, 0] < 0, -1.0, 1.0)
+    flipped = signs[:, None] * rho * signs
+    factor = oriented.correlation.factor
+    assert np.array_equal(oriented.correlation.entries, flipped)
+    assert np.array_equal(factor,
+                          signs[:, None] * np.linalg.cholesky(rho) * signs)
+    assert np.max(np.abs(factor @ factor.T - flipped)) <= 1e-12
+
+    design = oriented.beta_x
+    if intercept:
+        design = np.column_stack([np.ones(j), design])
+    want = fit_gls(design, oriented.beta_y, np.outer(se_y, se_y) * flipped)
+    got = _fit_model(oriented, "ME" if intercept else "MI", intercept, FIXED,
+                     0.95)
+    coefficients = [e.theta_hat for e in got.estimates]
+    unscaled_se = [e.se for e in got.estimates]  # FIXED: se is unscaled
+    if intercept:
+        coefficients.insert(0, got.intercept.theta_0)
+        unscaled_se.insert(0, got.intercept.se)
+    # Relative to the largest coefficient: a near-zero one carries the
+    # rounding of the others.
+    assert (np.max(np.abs(np.subtract(coefficients, want.coefficients)))
+            <= 1e-12 * np.max(np.abs(want.coefficients)))
+    assert np.allclose(unscaled_se, want.unscaled_se, rtol=1e-12, atol=0)
+    assert got.residual_scale == pytest.approx(want.residual_scale, rel=1e-12)
