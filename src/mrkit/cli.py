@@ -7,7 +7,8 @@ analyze   Load a summary-data CSV, orient it to a reference risk factor,
           jsonl — all three carry the same fields).
 simulate  Run one Monte Carlo scenario (from a flat key=value config file
           and/or flags) and write summary files.
-grid      Run the full 64-row scenario grid and write CSV + text tables.
+grid      Run the 64-row scenario grid (or, with --mediation, only its 32
+          mediation rows) and write CSV + text tables.
 
 Exit status: 0 success, 1 success with warnings, 2 errors (bad usage, bad
 data, estimator failure). Simulation worker threads are controlled by the
@@ -431,7 +432,7 @@ def _scenario_text(scenario: int, mu: float) -> str:
     }[scenario]
 
 
-def _grid_text_table(rows: list[GridRow]) -> str:
+def _grid_text_table(rows: tuple[GridRow, ...]) -> str:
     labels = [_scenario_text(row.scenario, row.mu) for row in rows]
     width = max(map(len, labels))
     header = (f"{'theta1':>6}  {'pleiotropy':<{width}}"
@@ -482,8 +483,8 @@ def _write_outputs(prefix: str, title: str, audit: str, header: list[str],
     return [csv_path, txt_path], text
 
 
-def _write_grid_outputs(rows: list[GridRow], replicates: int, seed: int,
-                        mediation_only: bool,
+def _write_grid_outputs(rows: tuple[GridRow, ...], replicates: int,
+                        seed: int, mediation_only: bool,
                         out_prefix: str | None) -> list[str]:
     audit = (f"seed={seed} replicates={replicates} "
              f"rows={len(rows)} mediation_only="
@@ -641,9 +642,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    rows = list(run_scenario_grid(replicates=args.replicates, seed=args.seed))
-    if args.mediation:
-        rows = [row for row in rows if row.mediation]
+    rows = run_scenario_grid(replicates=args.replicates, seed=args.seed,
+                             mediation_only=args.mediation)
     paths = _write_grid_outputs(rows, args.replicates, args.seed,
                                 args.mediation, args.out)
     sys.stdout.write(_grid_text_table(rows))
@@ -736,7 +736,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--seed", type=int, default=DEFAULT_SEED,
                       help=f"root RNG seed (default {DEFAULT_SEED})")
     grid.add_argument("--mediation", action="store_true",
-                      help="write only the 32 mediation rows")
+                      help="compute and write only the 32 mediation rows")
     grid.add_argument("--out", help="output file prefix "
                                     "(default mrkit_grid)")
     grid.set_defaults(func=_cmd_grid)

@@ -79,7 +79,7 @@ class VariantRecord:
                  f"non-positive standard error for variant '{self.variant_id}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """J x J variant correlation matrix: symmetric, unit diagonal, PSD.
 
@@ -96,9 +96,8 @@ class CorrelationMatrix:
     """
 
     entries: np.ndarray
-    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
-    smallest_eigenvalue: float | None = field(init=False, repr=False,
-                                              compare=False)
+    factor: np.ndarray | None = field(init=False, repr=False)
+    smallest_eigenvalue: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)
@@ -130,6 +129,13 @@ class CorrelationMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "smallest_eigenvalue", smallest)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CorrelationMatrix):
+            return NotImplemented
+        return bool(np.array_equal(self.entries, other.entries))
+
+    __hash__ = None  # the entries are an ndarray, which has no hash
 
     @property
     def dimension(self) -> int:

@@ -39,6 +39,7 @@ arrays, so summaries are bit-identical for any worker count (set via the
 """
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -497,37 +498,39 @@ _GRID_SCENARIOS = ((1, 0.0), (2, 0.0), (3, 0.01), (3, 0.05), (3, 0.1),
 
 
 def run_scenario_grid(replicates: int = DEFAULT_REPLICATES,
-                   seed: int = DEFAULT_SEED) -> tuple[GridRow, ...]:
-    """Run the full 64-row scenario grid.
+                      seed: int = DEFAULT_SEED, *,
+                      mediation_only: bool = False) -> tuple[GridRow, ...]:
+    """Run the 64-row scenario grid, or only its 32 mediation rows.
 
     Rows 0-31 are the main grid (independent then correlated risk factors,
     theta1 = 0 then 0.3, eight pleiotropy rows each); rows 32-63 repeat the
-    layout with mediation (gamma = 0.5). Each row runs under its own seed
-    derived from (seed, row index), so any subset of rows is reproducible in
+    layout with mediation (gamma = 0.5). With ``mediation_only`` the main
+    rows are skipped before any draw or fit, and only rows 32-63 are run.
+    Each row runs under its own seed derived from (seed, row index), and
+    keeps its full-grid index, so any subset of rows is reproducible in
     isolation.
     """
     _check_seed(seed)
+    layout = itertools.product((False, True), (False, True), (0.0, 0.3),
+                               _GRID_SCENARIOS)
     rows = []
-    index = 0
-    for mediation in (False, True):
-        for correlated in (False, True):
-            for theta1 in (0.0, 0.3):
-                for scenario, mu in _GRID_SCENARIOS:
-                    row_seed = int(np.random.SeedSequence(
-                        [int(seed), index]).generate_state(1, np.uint64)[0])
-                    config = scenario_config(
-                        scenario, theta1=theta1, mu=mu, correlated=correlated,
-                        mediation=mediation, replicates=replicates,
-                        seed=row_seed)
-                    rows.append(GridRow(
-                        index=index,
-                        mediation=mediation,
-                        correlated=correlated,
-                        theta1=theta1,
-                        scenario=scenario,
-                        mu=mu,
-                        seed=row_seed,
-                        summary=run_scenario(config),
-                    ))
-                    index += 1
+    for index, (mediation, correlated, theta1, (scenario, mu)) in enumerate(
+            layout):
+        if mediation_only and not mediation:
+            continue
+        row_seed = int(np.random.SeedSequence(
+            [int(seed), index]).generate_state(1, np.uint64)[0])
+        config = scenario_config(
+            scenario, theta1=theta1, mu=mu, correlated=correlated,
+            mediation=mediation, replicates=replicates, seed=row_seed)
+        rows.append(GridRow(
+            index=index,
+            mediation=mediation,
+            correlated=correlated,
+            theta1=theta1,
+            scenario=scenario,
+            mu=mu,
+            seed=row_seed,
+            summary=run_scenario(config),
+        ))
     return tuple(rows)

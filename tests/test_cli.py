@@ -488,6 +488,23 @@ class TestGrid:
         # Row indices keep their full-grid positions so seeds line up.
         assert data[0].startswith("32,mediation,")
 
+    def test_mediation_rows_match_full_grid(self, tmp_path, capsys,
+                                            monkeypatch):
+        def data_rows(name):
+            return (tmp_path / f"{name}.csv").read_text().splitlines()[3:]
+
+        assert main(["grid", "--reps", "10", "--seed", "7",
+                     "--out", str(tmp_path / "full")]) == 0
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MRKIT_THREADS", threads)
+            assert main(["grid", "--mediation", "--reps", "10", "--seed", "7",
+                         "--out", str(tmp_path / f"med{threads}")]) == 0
+        capsys.readouterr()
+        assert data_rows("med1") == data_rows("full")[32:]
+        for suffix in (".csv", ".txt"):
+            assert (tmp_path / f"med1{suffix}").read_bytes() == \
+                   (tmp_path / f"med2{suffix}").read_bytes()
+
     def test_text_table_columns_align(self, tmp_path, capsys):
         assert main(["grid", "--reps", "5", "--seed", "3",
                      "--out", str(tmp_path / "g")]) == 0

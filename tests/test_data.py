@@ -104,6 +104,29 @@ class TestCorrelationMatrix:
         with pytest.raises(DataError, match="non-finite"):
             CorrelationMatrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
+    def test_equality_compares_entries(self):
+        rho = np.array([[1.0, 0.4], [0.4, 1.0]])
+        assert CorrelationMatrix(np.eye(2)) == CorrelationMatrix(np.eye(2))
+        assert CorrelationMatrix(rho) == CorrelationMatrix(rho.copy())
+        assert CorrelationMatrix(rho) != CorrelationMatrix(np.eye(2))
+        assert CorrelationMatrix(np.eye(2)) != CorrelationMatrix(np.eye(3))
+        assert CorrelationMatrix(np.eye(2)).__eq__(np.eye(2)) is NotImplemented
+        # A singular matrix has no factor; equality ignores the factor.
+        ones = np.ones((2, 2))
+        assert CorrelationMatrix(ones) == CorrelationMatrix(ones)
+        with pytest.raises(TypeError):
+            hash(CorrelationMatrix(np.eye(2)))
+
+    def test_sign_flipped_equals_validated_flip(self):
+        rho = np.array([[1.0, 0.5, -0.2],
+                        [0.5, 1.0, 0.3],
+                        [-0.2, 0.3, 1.0]])
+        flip = np.array([False, True, True])
+        signs = np.where(flip, -1.0, 1.0)
+        flipped = CorrelationMatrix(rho).sign_flipped(flip)
+        assert flipped == CorrelationMatrix(signs[:, None] * rho * signs)
+        assert flipped != CorrelationMatrix(rho)
+
 
 class TestSummaryDataset:
     def test_shapes(self):

@@ -405,6 +405,28 @@ class TestGrid:
             replicates=20, seed=row.seed)
         assert run_scenario(config) == row.summary
 
+    def test_mediation_only_returns_mediation_rows(self, grid_rows):
+        rows = run_scenario_grid(replicates=20, seed=404, mediation_only=True)
+        assert [r.index for r in rows] == list(range(32, 64))
+        assert rows == grid_rows[32:]
+
+    @pytest.mark.parametrize("mediation_only, gammas",
+                             [(False, [0.0] * 32 + [0.5] * 32),
+                              (True, [0.5] * 32)])
+    def test_mediation_only_skips_main_rows(self, monkeypatch,
+                                            mediation_only, gammas):
+        computed = []
+        real = simulation.run_scenario
+
+        def counting(config):
+            computed.append(config.gamma)
+            return real(config)
+
+        monkeypatch.setattr(simulation, "run_scenario", counting)
+        run_scenario_grid(replicates=2, seed=404,
+                          mediation_only=mediation_only)
+        assert computed == gammas
+
     def test_seed_changes_rows(self):
         a = run_scenario_grid(replicates=20, seed=1)
         b = run_scenario_grid(replicates=20, seed=2)
