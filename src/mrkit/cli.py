@@ -21,11 +21,9 @@ import json
 import math
 import sys
 import warnings as _warnings
-from dataclasses import dataclass, field
 
 from .data import SummaryDataset, load_correlation, load_dataset, select_risk_factor
 from .estimators import (
-    MRResult,
     egger_correlated,
     egger_multivariable,
     egger_univariable,
@@ -34,7 +32,7 @@ from .estimators import (
     ivw_multivariable,
     ivw_univariable,
 )
-from .orientation import OrientationReport, orient
+from .orientation import orient
 from .regression import WeightScheme
 from .simulation import (
     DEFAULT_SEED,
@@ -47,7 +45,7 @@ from .simulation import (
     scenario_config,
 )
 
-__all__ = ["AnalysisConfig", "AnalysisReport", "run_analyze", "main"]
+__all__ = ["run_analyze", "main"]
 
 _METHOD_LABELS = {
     "UI": "univariable IVW",
@@ -59,108 +57,77 @@ _CAUSAL_UNITS = "log odds ratio per SD of risk factor"
 _INTERCEPT_UNITS = "log odds ratio per effect allele"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Resolved options for the analyze subcommand."""
+def run_analyze(args: argparse.Namespace) -> list[dict]:
+    """Load, orient, estimate; the report records, in print order.
 
-    data_path: str | None = None
-    k: int | None = None
-    corr_path: str | None = None
-    methods: tuple[str, ...] = ()
-    reference: str | None = None
-    scheme: WeightScheme = WeightScheme.MULTIPLICATIVE_RANDOM_EFFECT
-    level: float = 0.95
-    fmt: str = "text"
-    n_participants: int | None = None
-    r2: float | None = None
-
-
-@dataclass(frozen=True)
-class MethodBlock:
-    result: MRResult
-    note: str | None = None
-
-
-@dataclass(frozen=True)
-class InstrumentBlock:
-    n_participants: int
-    k_variants: int
-    r2: float
-    f_stat: float
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything the analyze subcommand reports, format-independent."""
-
-    dataset_j: int
-    dataset_k: int
-    risk_factors: tuple[str, ...]
-    correlated: bool
-    orientation: OrientationReport | None
-    methods: tuple[MethodBlock, ...]
-    instrument: InstrumentBlock | None
-    warnings: tuple[str, ...] = field(default=())
-
-
-def run_analyze(config: AnalysisConfig) -> AnalysisReport:
-    """Load, orient, estimate; raises on invalid config/data."""
-    if not config.methods:
+    Raises on invalid options or data. The records are dataset, orientation
+    (with --ref), instrument_strength (with --n-participants and --r2), the
+    method/estimate/intercept records of each method, then warnings.
+    """
+    methods = [m.strip().upper() for m in args.methods.split(",")
+               if m.strip()]
+    if not methods:
         raise ValueError("no methods requested; use --methods")
-    for method in config.methods:
+    for method in methods:
         if method not in _METHOD_LABELS:
             raise ValueError(
                 f"unknown method {method!r}; choose from UI, UE, MI, ME")
-    if config.data_path is None or config.k is None:
-        raise ValueError("analyze requires --data and --k")
 
-    dataset = load_dataset(config.data_path, config.k)
-    if config.corr_path is not None:
+    dataset = load_dataset(args.data, args.k)
+    if args.corr is not None:
         dataset = dataset.with_correlation(
-            load_correlation(config.corr_path, dataset))
+            load_correlation(args.corr, dataset))
 
-    needs_reference = [m for m in config.methods if m in ("UE", "ME")]
-    if config.k > 1:
-        needs_reference += [m for m in config.methods if m == "UI"]
-    if needs_reference and config.reference is None:
+    needs_reference = [m for m in methods if m in ("UE", "ME")]
+    if args.k > 1:
+        needs_reference += [m for m in methods if m == "UI"]
+    if needs_reference and args.ref is None:
         raise ValueError(
             f"--ref is required for {', '.join(sorted(set(needs_reference)))}"
             f" (orientation / risk-factor selection)")
 
-    captured: list[str] = []
-    orientation = None
+    records: list[dict] = [{
+        "record": "dataset",
+        "j": dataset.j,
+        "k": dataset.k,
+        "risk_factors": ";".join(dataset.risk_factor_names),
+        "correlated": dataset.correlation is not None,
+    }]
+    caught = []
     analysis = dataset
-    if config.reference is not None:
+    if args.ref is not None:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            analysis, orientation = orient(dataset, config.reference)
-        captured.extend(str(w.message) for w in caught)
+            analysis, orientation = orient(dataset, args.ref)
+        records.append({
+            "record": "orientation",
+            "reference": orientation.reference,
+            "flipped": len(orientation.flipped_ids),
+            "zero_oriented": len(orientation.zero_ids),
+            "ids": ";".join(orientation.flipped_ids),
+        })
 
-    blocks = [_run_method(method, analysis, config)
-              for method in config.methods]
+    scheme = WeightScheme(args.scheme)
+    method_records = [
+        record for method in methods
+        for record in _method_records(method, analysis, args.ref, scheme,
+                                      args.level)]
 
-    instrument = None
-    if config.n_participants is not None or config.r2 is not None:
-        if config.n_participants is None or config.r2 is None:
+    if args.n_participants is not None or args.r2 is not None:
+        if args.n_participants is None or args.r2 is None:
             raise ValueError(
                 "instrument strength needs both --n-participants and --r2")
-        instrument = InstrumentBlock(
-            n_participants=config.n_participants,
-            k_variants=dataset.j,
-            r2=config.r2,
-            f_stat=f_statistic(config.n_participants, dataset.j, config.r2),
-        )
-
-    return AnalysisReport(
-        dataset_j=dataset.j,
-        dataset_k=dataset.k,
-        risk_factors=dataset.risk_factor_names,
-        correlated=dataset.correlation is not None,
-        orientation=orientation,
-        methods=tuple(blocks),
-        instrument=instrument,
-        warnings=tuple(captured),
-    )
+        records.append({
+            "record": "instrument_strength",
+            "n_participants": args.n_participants,
+            "k": dataset.j,
+            "r2": _fmt(args.r2),
+            "f_statistic": _fmt(
+                f_statistic(args.n_participants, dataset.j, args.r2)),
+            "units": "dimensionless",
+        })
+    return records + method_records + [
+        {"record": "warning", "message": str(w.message)} for w in caught]
 
 
 # A multivariable method on one risk factor is its univariable counterpart.
@@ -172,16 +139,17 @@ _K1_REDUCTIONS = {
 }
 
 
-def _run_method(method: str, analysis: SummaryDataset,
-                config: AnalysisConfig) -> MethodBlock:
+def _method_records(method: str, analysis: SummaryDataset,
+                    reference: str | None, scheme: WeightScheme,
+                    level: float) -> list[dict]:
+    """Run one requested method; its method, estimate and intercept records."""
     note = None
     if analysis.k == 1 and method in _K1_REDUCTIONS:
         method, note = _K1_REDUCTIONS[method]
     target = analysis
     if method in ("UI", "UE") and analysis.k > 1:
-        target = select_risk_factor(analysis, config.reference)
+        target = select_risk_factor(analysis, reference)
 
-    scheme, level, reference = config.scheme, config.level, config.reference
     if analysis.correlation is not None:
         result = (ivw_correlated(target, scheme, level)
                   if method in ("UI", "MI")
@@ -198,11 +166,51 @@ def _run_method(method: str, analysis: SummaryDataset,
     if result.experimental and note is None:
         note = ("correlated-variant MR-Egger is experimental; interpret "
                 "with caution")
-    return MethodBlock(result=result, note=note)
+    tag = result.estimates[0].method
+    df = result.estimates[0].df
+    records = [{
+        "record": "method",
+        "method": tag.estimator,
+        "label": _METHOD_LABELS[tag.estimator],
+        "scheme": tag.scheme.value,
+        "variants": tag.variants,
+        "df": df,
+        "residual_scale": _fmt(result.residual_scale),
+        "reference": result.orientation_reference,
+        "experimental": result.experimental,
+        "note": note,
+    }]
+    for estimate in result.estimates:
+        records.append({
+            "record": "estimate",
+            "method": tag.estimator,
+            "risk_factor": estimate.risk_factor,
+            "estimate": _fmt(estimate.theta_hat),
+            "se": _fmt(estimate.se),
+            "ci_low": _fmt(estimate.ci_low),
+            "ci_high": _fmt(estimate.ci_high),
+            "p_value": _fmt(estimate.p_value),
+            "df": estimate.df,
+            "odds_ratio": _fmt(_safe_exp(estimate.theta_hat)),
+            "or_ci_low": _fmt(_safe_exp(estimate.ci_low)),
+            "or_ci_high": _fmt(_safe_exp(estimate.ci_high)),
+            "units": _CAUSAL_UNITS,
+        })
+    if result.intercept is not None:
+        records.append({
+            "record": "intercept",
+            "method": tag.estimator,
+            "estimate": _fmt(result.intercept.theta_0),
+            "se": _fmt(result.intercept.se),
+            "p_value": _fmt(result.intercept.p_value),
+            "df": df,
+            "units": _INTERCEPT_UNITS,
+        })
+    return records
 
 
 # --- report rendering -------------------------------------------------------
-# All three formats are views of the same record stream, so they agree
+# All three formats are views of the same record list, so they agree
 # field-for-field by construction.
 
 _CSV_COLUMNS = [
@@ -216,80 +224,8 @@ _CSV_COLUMNS = [
 
 
 def _fmt(value: float) -> float | None:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return None
-    return float(f"{value:.6g}")
-
-
-def _report_records(report: AnalysisReport) -> list[dict]:
-    records: list[dict] = [{
-        "record": "dataset",
-        "j": report.dataset_j,
-        "k": report.dataset_k,
-        "risk_factors": ";".join(report.risk_factors),
-        "correlated": report.correlated,
-    }]
-    if report.orientation is not None:
-        records.append({
-            "record": "orientation",
-            "reference": report.orientation.reference,
-            "flipped": len(report.orientation.flipped_ids),
-            "zero_oriented": len(report.orientation.zero_ids),
-            "ids": ";".join(report.orientation.flipped_ids),
-        })
-    if report.instrument is not None:
-        records.append({
-            "record": "instrument_strength",
-            "n_participants": report.instrument.n_participants,
-            "k": report.instrument.k_variants,
-            "r2": _fmt(report.instrument.r2),
-            "f_statistic": _fmt(report.instrument.f_stat),
-            "units": "dimensionless",
-        })
-    for block in report.methods:
-        result = block.result
-        tag = result.estimates[0].method
-        records.append({
-            "record": "method",
-            "method": tag.estimator,
-            "label": _METHOD_LABELS[tag.estimator],
-            "scheme": tag.scheme.value,
-            "variants": tag.variants,
-            "df": result.estimates[0].df,
-            "residual_scale": _fmt(result.residual_scale),
-            "reference": result.orientation_reference,
-            "experimental": result.experimental,
-            "note": block.note,
-        })
-        for estimate in result.estimates:
-            records.append({
-                "record": "estimate",
-                "method": tag.estimator,
-                "risk_factor": estimate.risk_factor,
-                "estimate": _fmt(estimate.theta_hat),
-                "se": _fmt(estimate.se),
-                "ci_low": _fmt(estimate.ci_low),
-                "ci_high": _fmt(estimate.ci_high),
-                "p_value": _fmt(estimate.p_value),
-                "df": estimate.df,
-                "odds_ratio": _fmt(_safe_exp(estimate.theta_hat)),
-                "or_ci_low": _fmt(_safe_exp(estimate.ci_low)),
-                "or_ci_high": _fmt(_safe_exp(estimate.ci_high)),
-                "units": _CAUSAL_UNITS,
-            })
-        if result.intercept is not None:
-            records.append({
-                "record": "intercept",
-                "method": tag.estimator,
-                "estimate": _fmt(result.intercept.theta_0),
-                "se": _fmt(result.intercept.se),
-                "p_value": _fmt(result.intercept.p_value),
-                "df": result.estimates[0].df,
-                "units": _INTERCEPT_UNITS,
-            })
-    for message in report.warnings:
-        records.append({"record": "warning", "message": message})
-    return records
+    """``value`` at 6 significant digits; NaN becomes None (n/a)."""
+    return None if math.isnan(value) else float(f"{value:.6g}")
 
 
 def _safe_exp(value: float) -> float:
@@ -304,9 +240,9 @@ def _num(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6g}"
 
 
-def render_text(report: AnalysisReport) -> str:
+def render_text(records: list[dict]) -> str:
     lines = []
-    for record in _report_records(report):
+    for record in records:
         kind = record["record"]
         if kind == "dataset":
             names = record["risk_factors"].replace(";", ", ")
@@ -367,7 +303,7 @@ def render_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(report: AnalysisReport) -> str:
+def render_csv(records: list[dict]) -> str:
     import csv
     import io
 
@@ -375,7 +311,7 @@ def render_csv(report: AnalysisReport) -> str:
     writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, restval="",
                             lineterminator="\n")
     writer.writeheader()
-    for record in _report_records(report):
+    for record in records:
         row = {}
         for key, value in record.items():
             if value is None:
@@ -390,9 +326,18 @@ def render_csv(report: AnalysisReport) -> str:
     return buffer.getvalue()
 
 
-def render_jsonl(report: AnalysisReport) -> str:
-    lines = [json.dumps(record, sort_keys=True)
-             for record in _report_records(report)]
+def _json_value(value):
+    """An infinite float as its csv/text cell ("inf"), which JSON lacks."""
+    if isinstance(value, float) and math.isinf(value):
+        return f"{value:.6g}"
+    return value
+
+
+def render_jsonl(records: list[dict]) -> str:
+    lines = [json.dumps({key: _json_value(value)
+                         for key, value in record.items()},
+                        sort_keys=True, allow_nan=False)
+             for record in records]
     return "\n".join(lines) + "\n"
 
 
@@ -485,7 +430,8 @@ def _write_outputs(prefix: str, title: str, audit: str, header: list[str],
 
 def _write_grid_outputs(rows: tuple[GridRow, ...], replicates: int,
                         seed: int, mediation_only: bool,
-                        out_prefix: str | None) -> list[str]:
+                        out_prefix: str | None) -> tuple[list[str], str]:
+    """Write the grid .csv and .txt; return the paths and the text table."""
     audit = (f"seed={seed} replicates={replicates} "
              f"rows={len(rows)} mediation_only="
              f"{'true' if mediation_only else 'false'}")
@@ -500,9 +446,10 @@ def _write_grid_outputs(rows: tuple[GridRow, ...], replicates: int,
         f"{row.mu:g}",
         row.seed,
     ] + _summary_cells(row.summary) for row in rows]
+    table = _grid_text_table(rows)
     paths, _ = _write_outputs(out_prefix or "mrkit_grid", "mrkit grid", audit,
-                              header, cells, _grid_text_table(rows))
-    return paths
+                              header, cells, table)
+    return paths, table
 
 
 def _write_simulate_outputs(config: ScenarioConfig, scenario: int,
@@ -606,23 +553,9 @@ def _simulate_settings(args: argparse.Namespace) -> dict:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = AnalysisConfig(
-        data_path=args.data,
-        k=args.k,
-        corr_path=args.corr,
-        methods=tuple(m.strip().upper()
-                      for m in args.methods.split(",") if m.strip()),
-        reference=args.ref,
-        scheme=(WeightScheme.FIXED_EFFECT if args.scheme == "fixed"
-                else WeightScheme.MULTIPLICATIVE_RANDOM_EFFECT),
-        level=args.level,
-        fmt=args.format,
-        n_participants=args.n_participants,
-        r2=args.r2,
-    )
-    report = run_analyze(config)
-    sys.stdout.write(_RENDERERS[config.fmt](report))
-    return 1 if report.warnings else 0
+    records = run_analyze(args)
+    sys.stdout.write(_RENDERERS[args.format](records))
+    return 1 if any(r["record"] == "warning" for r in records) else 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -644,9 +577,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     rows = run_scenario_grid(replicates=args.replicates, seed=args.seed,
                              mediation_only=args.mediation)
-    paths = _write_grid_outputs(rows, args.replicates, args.seed,
-                                args.mediation, args.out)
-    sys.stdout.write(_grid_text_table(rows))
+    paths, table = _write_grid_outputs(rows, args.replicates, args.seed,
+                                       args.mediation, args.out)
+    sys.stdout.write(table)
     print(f"wrote {', '.join(paths)}")
     failures = sum(row.summary.failures for row in rows)
     if failures:
@@ -700,9 +633,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="run one Monte Carlo scenario")
     simulate.add_argument("--config",
-                          help="flat key=value config file (keys: scenario, "
-                               "theta1, mu, correlated, mediation, "
-                               "j_variants, replicates, seed, weight_mode)")
+                          help=f"flat key=value config file (keys: "
+                               f"{', '.join(_CONFIG_KEYS)})")
     simulate.add_argument("--scenario", type=int, choices=(1, 2, 3, 4),
                           help="pleiotropy scenario (1 none, 2 balanced, "
                                "3 directional, 4 InSIDE-violated)")

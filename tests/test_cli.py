@@ -113,36 +113,55 @@ class TestAnalyze:
         assert code == 2
         assert "confidence level" in err
 
-    def test_formats_agree(self, three_factor_csv, capsys):
-        args = ["--data", three_factor_csv, "--k", "3",
-                "--methods", "UI,UE,MI,ME", "--ref", "x1"]
-        code, jsonl_out, _ = _analyze(args + ["--format", "jsonl"], capsys)
-        assert code == 0
-        code, csv_out, _ = _analyze(args + ["--format", "csv"], capsys)
-        assert code == 0
-        code, text_out, _ = _analyze(args, capsys)
-        assert code == 0
+    def test_formats_agree(self, tmp_path, capsys):
+        # An exactly-zero x1 association adds a warning record, and the
+        # instrument options add an instrument_strength record, so every
+        # record kind appears.
+        rng = np.random.default_rng(2025)
+        bx = rng.normal(0.2, 0.6, size=(10, 3))
+        bx[0, 0] = -abs(bx[0, 0])
+        bx[3, 0] = 0.0
+        path = tmp_path / "summary.csv"
+        write_dataset(make_dataset(bx, rng.normal(size=10),
+                                   rng.uniform(0.4, 1.5, 10),
+                                   names=("x1", "x2", "x3")), path)
+        args = ["--data", str(path), "--k", "3", "--methods", "UI,UE,MI,ME",
+                "--ref", "x1", "--n-participants", "5000", "--r2", "0.04"]
+        outputs = {}
+        for fmt in ("jsonl", "csv", "text"):
+            code, outputs[fmt], err = _analyze(args + ["--format", fmt],
+                                               capsys)
+            assert code == 1, err
 
         json_records = [json.loads(line) for line in
-                        jsonl_out.strip().splitlines()]
-        csv_records = list(csv.DictReader(io.StringIO(csv_out)))
-        assert len(json_records) == len(csv_records)
+                        outputs["jsonl"].splitlines()]
+        csv_records = list(csv.DictReader(io.StringIO(outputs["csv"])))
+        assert [r["record"] for r in json_records] == [
+            "dataset", "orientation", "instrument_strength",
+            "method", "estimate",                                # UI
+            "method", "estimate", "intercept",                   # UE
+            "method", "estimate", "estimate", "estimate",        # MI
+            "method", "estimate", "estimate", "estimate", "intercept",  # ME
+            "warning"]
 
-        def keyed(records, get):
-            return {(r["method"], r["risk_factor"]): r for r in records
-                    if get(r, "record") == "estimate"}
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return f"{value:.6g}"
+            return str(value)
 
-        jmap = keyed(json_records, lambda r, k: r.get(k))
-        cmap = keyed(csv_records, lambda r, k: r.get(k))
-        assert jmap.keys() == cmap.keys()
-        assert len(jmap) == 8  # UI + UE + 3x MI + 3x ME
-        for key, jrec in jmap.items():
-            crec = cmap[key]
-            for field in ("estimate", "se", "ci_low", "ci_high", "p_value"):
-                assert float(crec[field]) == pytest.approx(jrec[field],
-                                                           rel=1e-12)
-            # And the text table shows the same 6-significant-digit numbers.
-            assert f"{jrec['estimate']:.6g}" in text_out
+        assert len(csv_records) == len(json_records)
+        for jrec, crec in zip(json_records, csv_records):
+            assert set(jrec) <= set(crec)
+            assert {key: cell(jrec.get(key)) for key in crec} == crec
+        # And the text report shows the same 6-significant-digit numbers.
+        for jrec in json_records:
+            if jrec["record"] == "estimate":
+                assert f"{jrec['estimate']:.6g}" in outputs["text"]
+        assert "warning: " in outputs["text"]
 
     def test_correlated_analysis(self, one_factor_csv, tmp_path, capsys):
         j = 12
@@ -316,11 +335,17 @@ class TestAnalyze:
 
         code, jsonl_out, err = _analyze(args + ["--format", "jsonl"], capsys)
         assert code == 0, err
-        records = [json.loads(line) for line in jsonl_out.splitlines()]
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        # Strict JSON: no Infinity or NaN tokens on any line.
+        records = [json.loads(line, parse_constant=reject)
+                   for line in jsonl_out.splitlines()]
         ui = next(r for r in records
                   if r["record"] == "estimate" and r["method"] == "UI")
         assert ui["estimate"] > 709
-        assert ui["odds_ratio"] == ui["or_ci_high"] == float("inf")
+        assert ui["odds_ratio"] == ui["or_ci_high"] == "inf"
 
         code, csv_out, err = _analyze(args + ["--format", "csv"], capsys)
         assert code == 0, err
@@ -343,6 +368,14 @@ def test_python_m_mrkit_help():
 
 
 class TestSimulate:
+    def test_help_names_every_config_key(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for key in mrkit.cli._CONFIG_KEYS:
+            assert key in out
+
     def test_config_file_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MRKIT_THREADS", "2")
         conf = tmp_path / "sim.conf"
@@ -524,6 +557,24 @@ class TestGrid:
         assert code == 2
         assert err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("mediation", [[], ["--mediation"]])
+    def test_text_table_rendered_once(self, tmp_path, capsys, monkeypatch,
+                                      mediation):
+        table = mrkit.cli._grid_text_table
+        calls = []
+
+        def counting_table(rows):
+            calls.append(len(rows))
+            return table(rows)
+
+        monkeypatch.setattr(mrkit.cli, "_grid_text_table", counting_table)
+        assert main(["grid", "--reps", "4", "--seed", "3", "--out",
+                     str(tmp_path / "g")] + mediation) == 0
+        out = capsys.readouterr().out
+        assert calls == [32 if mediation else 64]
+        text = (tmp_path / "g.txt").read_text()
+        assert out.startswith(text[text.index("\n\n") + 2:])
 
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
