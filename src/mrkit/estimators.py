@@ -42,8 +42,8 @@ from .regression import (
     _NOT_POSITIVE_DEFINITE,
     FactorizationError,
     WeightScheme,
+    _design,
     _factored_fit,
-    _with_intercept,
     fit_gls,  # unused here; perfbench traces it as mrkit.estimators.fit_gls
     fit_wls,
     scaled_se,
@@ -197,9 +197,7 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
     reports the intercept test, and is experimental when the variants are
     correlated.
     """
-    design = dataset.beta_x_matrix()
-    if intercept:
-        design = _with_intercept(design)
+    design = _design(dataset.beta_x_matrix().T, intercept)
     se_y = dataset.se_y_vector()
     correlation = dataset.correlation
     correlated = correlation is not None

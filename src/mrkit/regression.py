@@ -2,18 +2,20 @@
 
 Every fit runs one batched kernel, :func:`_wls_kernel`, on whitened problems
 (rows scaled by sqrt(w), or solved with the lower Cholesky factor of Omega).
-:func:`fit_wls` takes the design, the response and the weight vector w
-(the semantic se(beta_Yj)^-2); :func:`fit_gls` takes Omega in place of w,
-factors it and hands the factor to :func:`_factored_fit`, the one
-triangular-whitening step. The correlated-variant estimators call
-:func:`_factored_fit` directly with diag(se_Y) L, where L is the factor their
-correlation matrix stored at load, so they never factor or build Omega.
-None of these adds an intercept: the caller puts one first with
-:func:`_with_intercept`. Each fits one problem and raises :class:`RankError`
-on the kernel's full-rank flag (smallest singular value of R below RANK_TOL
-times the largest). The Monte Carlo engine builds its (C, J, p) designs with
-the same :func:`_with_intercept`, fits each chunk of replicates with the same
-sqrt(w) whitening, :func:`_weighted_kernel`, and counts a rank-deficient
+:func:`_design` builds every design matrix: the intercept column first when
+asked, then the covariates, each row scaled by 1 or, to whiten, by sqrt(w),
+all written into one array. :func:`fit_wls` takes the design, the response
+and the weight vector w (the semantic se(beta_Yj)^-2) and whitens the design
+with :func:`_design`; :func:`fit_gls` takes Omega in place of w, factors it
+and hands the factor to :func:`_factored_fit`, the one triangular-whitening
+step. The correlated-variant estimators call :func:`_factored_fit` directly
+with diag(se_Y) L, where L is the factor their correlation matrix stored at
+load, so they never factor or build Omega. None of these adds an intercept:
+the caller puts one first with :func:`_design`. Each fits one problem and
+raises :class:`RankError` on the kernel's full-rank flag (smallest singular
+value of R below RANK_TOL times the largest). The Monte Carlo engine builds
+each chunk's whitened (C, J, p) designs, intercept first, with the same
+:func:`_design`, fits them with the kernel, and counts a rank-deficient
 replicate as failed. sigma_hat = sqrt(weighted RSS / df), the RSS summed from
 the residuals, and is exactly 0 when df = 0 or the RSS is at most
 (100 eps)^2 times the weighted total sum of squares.
@@ -110,10 +112,22 @@ def _as_problem(design: np.ndarray,
     return x, y
 
 
-def _with_intercept(design: np.ndarray) -> np.ndarray:
-    """Put a column of ones first in a (J, p) or (C, J, p) design."""
-    ones = np.ones(design.shape[:-1] + (1,))
-    return np.concatenate([ones, design], axis=-1)
+def _design(columns, intercept: bool, row_scale=1.0) -> np.ndarray:
+    """The design [1, c_1, ..., c_k], each row scaled by ``row_scale``.
+
+    ``columns`` holds k arrays of one shape, (J,) or (C, J); the column of
+    ones comes first only with ``intercept``. A ``row_scale`` of sqrt(w)
+    whitens a weighted fit (the ones column becomes sqrt(w)); the default 1
+    leaves every value as it is. The result is one (..., J, intercept + k)
+    array, written in place column by column.
+    """
+    first = int(intercept)
+    design = np.empty(np.shape(columns[0]) + (first + len(columns),))
+    if intercept:
+        design[..., 0] = row_scale
+    for i, column in enumerate(columns):
+        np.multiply(column, row_scale, out=design[..., first + i])
+    return design
 
 
 # Weighted RSS at or below this fraction of the weighted total sum of squares
@@ -167,13 +181,6 @@ def _wls_kernel(xw: np.ndarray, yw: np.ndarray):
     return beta, unscaled_se, sigma, full_rank
 
 
-def _weighted_kernel(design: np.ndarray, response: np.ndarray,
-                     weights: np.ndarray):
-    """:func:`_wls_kernel` on (C, J, p) designs whitened by sqrt(weights)."""
-    sqrt_w = np.sqrt(weights)
-    return _wls_kernel(design * sqrt_w[..., None], response * sqrt_w)
-
-
 def _fit_one(x: np.ndarray, y: np.ndarray, kernel_out) -> RegressionFit:
     """Single-dataset fit from the kernel at C = 1; RankError on its flag."""
     beta, unscaled_se, sigma, full_rank = (out[0] for out in kernel_out)
@@ -207,7 +214,9 @@ def fit_wls(design: np.ndarray, response: np.ndarray,
         raise ValueError("weights must be positive and finite")
     if weights.shape != y.shape:
         raise ValueError("weights length does not match design")
-    return _fit_one(x, y, _weighted_kernel(x[None], y[None], weights[None]))
+    sqrt_w = np.sqrt(weights)
+    xw = _design(x.T, False, sqrt_w)
+    return _fit_one(x, y, _wls_kernel(xw[None], (y * sqrt_w)[None]))
 
 
 def fit_gls(design: np.ndarray, response: np.ndarray,

@@ -31,11 +31,14 @@ The realized convention is the default: multivariable IVW mean se is
 near their stated size. The variance-component weights are far more
 conservative (mean se ~ 0.41 in the same setting).
 
-Determinism: replicate r of a scenario with seed s draws from
-``default_rng(SeedSequence([s, r]))``, one ``standard_normal((J, 5))`` call.
+Determinism: replicate r of a scenario with seed s draws its (J, 5) standard
+normals from ``default_rng(SeedSequence([s, r]))`` in one call, through
+``_replicate_normals``: ``generate_dataset`` takes them as a new array, and
+``run_scenario`` writes them into row r of its chunk's one (C, J, 5) block.
 Replicates are processed in fixed-size chunks written to index-ordered
-arrays, so summaries are bit-identical for any worker count (set via the
-``MRKIT_THREADS`` environment variable, default min(4, cpu count)).
+arrays, so summaries are bit-identical for any chunk size and any worker
+count (set via the ``MRKIT_THREADS`` environment variable, default
+min(4, cpu count)).
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ import numpy as np
 
 from .data import SummaryDataset
 from .estimators import _t_pvalue
-from .regression import _random_effects_se, _weighted_kernel, _with_intercept
+from .regression import _design, _random_effects_se, _wls_kernel
 
 __all__ = [
     "ScenarioConfig",
@@ -77,16 +80,11 @@ INSIDE_CORRELATION = 0.3
 
 CORRELATED_RHOS = (0.2, -0.3, 0.1)
 POWER_ALPHA = 0.05
-_CHUNK = 256
+_CHUNK = 128
 
-# The tabulated estimators, in summary order: name, covariate columns (0
-# |bX1|, 1 bX2 + gamma*|bX1|, 2 bX3), whether the univariable extra variance
-# widens the outcome errors, and whether the fit has an intercept.
-_ESTIMATORS = (
-    ("MI", (0, 1, 2), False, False),
-    ("UE", (0,), True, True),
-    ("ME", (0, 1, 2), False, True),
-)
+# The tabulated estimators, in summary order, and whether each fit has an
+# intercept.
+_ESTIMATORS = (("MI", False), ("UE", True), ("ME", True))
 
 
 def _check_seed(seed: int) -> None:
@@ -295,11 +293,12 @@ def _draw_coefficients(config: ScenarioConfig) -> np.ndarray:
     return chol
 
 
-def _replicate_normals(config: ScenarioConfig, replicate_index: int,
-                       j: int) -> np.ndarray:
+def _replicate_normals(config: ScenarioConfig, replicate_index: int, j: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """One replicate's (J, 5) standard normals, written into ``out`` if given."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(config.seed), int(replicate_index)]))
-    return rng.standard_normal((j, 5))
+    return rng.standard_normal((j, 5), out=out)
 
 
 def _latent_draws(config: ScenarioConfig, z: np.ndarray,
@@ -414,6 +413,31 @@ def _thread_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def _whitened_fits(config: ScenarioConfig, chol: np.ndarray, uv_extra: float,
+                   start: int, end: int):
+    """Whitened (design, response) of MI, UE and ME for replicates start..end-1.
+
+    The draws fill one (C, J, 5) block, and the latent and observable arrays
+    are freed on return, so only the fits' inputs outlive this call. MI's
+    design is a view of the last three columns of ME's; UE's outcome errors
+    are widened by the univariable extra variance ``uv_extra``.
+    """
+    j = config.j_variants
+    z = np.empty((end - start, j, 5))
+    for r, z_r in zip(range(start, end), z):
+        _replicate_normals(config, r, j, out=z_r)
+    beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
+    abs_x1, x2, x3, beta_y, se2_mv = _observables(
+        config, beta_cols, alpha_prime, epsilon)
+    sqrt_w = np.sqrt(1.0 / se2_mv)
+    me = _design((abs_x1, x2, x3), True, sqrt_w)
+    me_response = beta_y * sqrt_w
+    sqrt_w = np.sqrt(1.0 / (se2_mv + uv_extra))
+    ue = _design((abs_x1,), True, sqrt_w)
+    return ((me[..., 1:], me_response), (ue, beta_y * sqrt_w),
+            (me, me_response))
+
+
 def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     """Monte Carlo summary of MI / UE / ME over config.replicates datasets.
 
@@ -434,23 +458,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     results = np.empty((len(_ESTIMATORS), 4, reps))
 
     def work(start: int, end: int) -> None:
-        z = np.stack([_replicate_normals(config, r, j)
-                      for r in range(start, end)])
-        beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
-        abs_x1, x2, x3, beta_y, se2_mv = _observables(
-            config, beta_cols, alpha_prime, epsilon)
-        covariates = (abs_x1, x2, x3)
-        for out, (_, columns, univariable, intercept) in zip(
-                results[:, :, start:end], _ESTIMATORS):
-            design = np.stack([covariates[c] for c in columns], axis=-1)
-            if intercept:
-                design = _with_intercept(design)
-            se2 = se2_mv + uv_extra if univariable else se2_mv
-            beta, unscaled_se, sigma, _ = _weighted_kernel(
-                design, beta_y, 1.0 / se2)
+        fits = _whitened_fits(config, chol, uv_extra, start, end)
+        for out, (_, intercept), (xw, yw) in zip(
+                results[:, :, start:end], _ESTIMATORS, fits):
+            beta, unscaled_se, sigma, _ = _wls_kernel(xw, yw)
             se = _random_effects_se(unscaled_se, sigma)
             first = 1 if intercept else 0
-            df = j - len(columns) - first
+            df = j - xw.shape[-1]
             out[0], out[1] = beta[:, first], se[:, first]
             out[2] = _t_pvalue(out[0], out[1], df)
             if intercept:
@@ -468,7 +482,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
 
     summaries = []
     all_ok = np.ones(reps, dtype=bool)
-    for (estimator, _, _, intercept), fields in zip(_ESTIMATORS, results):
+    for (estimator, intercept), fields in zip(_ESTIMATORS, results):
         theta, se, p, p0 = fields
         ok = np.all(np.isfinite(fields[:4 if intercept else 3]), axis=0)
         used = int(ok.sum())

@@ -17,6 +17,7 @@ from mrkit.regression import (
     weighted_cov,
     weighted_mean,
     weighted_var,
+    _design,
     _wls_kernel,
 )
 
@@ -130,6 +131,21 @@ def whitened(x, y, w):
     """Whiten exactly as fit_wls does, for any leading batch shape."""
     sqrt_w = np.sqrt(w)
     return x * sqrt_w[..., None], y * sqrt_w
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 7)])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_design_matches_concatenate_then_whiten(shape, intercept):
+    """_design writes in place what ones + stack + a multiply would build."""
+    rng = np.random.default_rng(8)
+    columns = rng.normal(size=(3,) + shape)
+    sqrt_w = np.sqrt(rng.uniform(0.1, 5.0, size=shape))
+    stacked = np.stack(columns, axis=-1)
+    if intercept:
+        stacked = np.concatenate([np.ones(shape + (1,)), stacked], axis=-1)
+    assert np.array_equal(_design(columns, intercept, sqrt_w),
+                          stacked * sqrt_w[..., None])
+    assert np.array_equal(_design(columns, intercept), stacked)
 
 
 class TestKernelEdgeCases:

@@ -274,10 +274,48 @@ class TestRunScenario:
             run_scenario(config)
 
     def test_chunk_boundary(self):
-        config = scenario_config(1, replicates=257, j_variants=30, seed=5)
+        # One full chunk and a partial last chunk of one replicate.
+        replicates = simulation._CHUNK + 1
+        config = scenario_config(1, replicates=replicates, j_variants=30,
+                                 seed=5)
         summary = run_scenario(config)
-        assert summary.mi.replicates_used == 257
+        assert summary.mi.replicates_used == replicates
         assert summary.failures == 0
+
+    def test_chunk_size_invariant(self, monkeypatch):
+        # Chunk size is free to change: summaries are bit-identical for a
+        # small chunk, a non-divisor, the default and one chunk for all.
+        config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
+                                 mediation=True, replicates=300, seed=19)
+        summaries = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MRKIT_THREADS", threads)
+            for chunk in (16, 100, simulation._CHUNK, 512):
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulation, "_CHUNK", chunk)
+                    summaries.append(run_scenario(config))
+        assert all(s == summaries[0] for s in summaries)
+
+    def test_chunk_draws_match_single_replicate(self, monkeypatch):
+        # The chunk fills its draw block in place from the same per-replicate
+        # generator that generate_dataset uses.
+        monkeypatch.setenv("MRKIT_THREADS", "1")
+        latent_draws = simulation._latent_draws
+        blocks = []
+
+        def capture(config, z, chol):
+            blocks.append(z.copy())
+            return latent_draws(config, z, chol)
+
+        monkeypatch.setattr(simulation, "_latent_draws", capture)
+        config = scenario_config(2, replicates=2 * simulation._CHUNK,
+                                 j_variants=20, seed=8)
+        run_scenario(config)
+        assert [len(b) for b in blocks] == [simulation._CHUNK] * 2
+        z = np.concatenate(blocks)
+        for r in range(config.replicates):
+            assert np.array_equal(
+                z[r], simulation._replicate_normals(config, r, 20))
 
     def test_rank_deficient_replicates_count_as_failures(self, monkeypatch):
         observables = simulation._observables
