@@ -337,6 +337,23 @@ def _expected_header(k: int) -> list[str]:
     return header + ["beta_y", "se_y"]
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
+    """DataError for a file that is not UTF-8, at the line of its first bad byte.
+
+    A reader decodes in chunks, so ``exc`` places the byte only within its
+    chunk; the file is read again whole to find the line.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        # A sentinel byte makes the line holding the bad byte count too.
+        line = len((data[:whole.start] + b"x").splitlines())
+        return DataError(f"{path}: not UTF-8 text ({whole.reason}) at line {line}")
+    # The file changed after the failed read.
+    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     """Load and validate a summary-statistics CSV with K risk factors.
 
@@ -353,17 +370,21 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            expected = _expected_header(k)
+            if len(header) != len(expected):
+                raise DataError(
+                    f"{path}: column count mismatch: expected {len(expected)} "
+                    f"columns for k={k}, found {len(header)}")
+            if [h.strip() for h in header] != expected:
+                raise DataError(
+                    f"{path}: malformed header: expected {','.join(expected)}")
+            rows = list(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        expected = _expected_header(k)
-        if len(header) != len(expected):
-            raise DataError(
-                f"{path}: column count mismatch: expected {len(expected)} columns "
-                f"for k={k}, found {len(header)}")
-        if [h.strip() for h in header] != expected:
-            raise DataError(
-                f"{path}: malformed header: expected {','.join(expected)}")
-        rows = list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc} at line {reader.line_num}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
 
     lines = np.arange(2, len(rows) + 2)
     if not all(rows):  # a blank line reads as an empty row
@@ -445,7 +466,7 @@ def load_correlation(path: str | Path, dataset: SummaryDataset) -> CorrelationMa
             entries = np.loadtxt(path, dtype=float, delimiter=",",
                                  comments=None, ndmin=2,
                                  encoding="utf-8-sig")
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError too: the row parse reports it
         entries = None
     if entries is None or entries.shape != (dataset.j, dataset.j):
         entries = _parse_correlation_rows(path, dataset.j)
@@ -457,17 +478,20 @@ def _parse_correlation_rows(path: Path, j: int) -> list[list[float]]:
     rows: list[list[float]] = []
     line_nos: list[int] = []
     with path.open(encoding="utf-8-sig") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric correlation entry at row {line_no}") from None
-            line_nos.append(line_no)
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError:
+                    raise DataError(f"{path}: non-numeric correlation entry "
+                                    f"at row {line_no}") from None
+                line_nos.append(line_no)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     mismatch = f"{path}: correlation matrix must be {j}x{j} to match the dataset"
     for line_no, row in zip(line_nos, rows):
         if len(row) != j:

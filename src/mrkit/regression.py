@@ -1,11 +1,12 @@
 """Weighted and generalized least squares with residual-scale conventions.
 
 Every fit runs one batched kernel, :func:`_wls_kernel`, on whitened problems
-(rows scaled by sqrt(w), or solved with the lower Cholesky factor of Omega).
-:func:`_design` builds every design matrix: the intercept column first when
-asked, then the covariates, each row scaled by 1 or, to whiten, by sqrt(w),
-all written into one array. :func:`fit_wls` takes the design, the response
-and the weight vector w (the semantic se(beta_Yj)^-2) and whitens the design
+(rows scaled by sqrt(w), or solved with the lower Cholesky factor of Omega),
+each passed as the augmented array [Xw | yw]. :func:`_design` builds every
+design matrix: the intercept column first when asked, then the covariates,
+each row scaled by 1 or, to whiten, by sqrt(w), all written into one array.
+:func:`fit_wls` takes the design, the response
+and the weight vector w (the semantic se(beta_Yj)^-2) and whitens [X | y]
 with :func:`_design`; :func:`fit_gls` takes Omega in place of w, factors it
 and hands the factor to :func:`_factored_fit`, the one triangular-whitening
 step. The correlated-variant estimators call :func:`_factored_fit` directly
@@ -14,11 +15,14 @@ load, so they never factor or build Omega. None of these adds an intercept:
 the caller puts one first with :func:`_design`. Each fits one problem and
 raises :class:`RankError` on the kernel's full-rank flag (smallest singular
 value of R below RANK_TOL times the largest). The Monte Carlo engine builds
-each chunk's whitened (C, J, p) designs, intercept first, with the same
-:func:`_design`, fits them with the kernel, and counts a rank-deficient
-replicate as failed. sigma_hat = sqrt(weighted RSS / df), the RSS summed from
-the residuals, and is exactly 0 when df = 0 or the RSS is at most
-(100 eps)^2 times the weighted total sum of squares.
+each chunk's whitened (C, J, p + 1) problems, intercept first and response
+last, with the same :func:`_design`, fits them with the kernel, and counts a
+rank-deficient replicate as failed. The kernel takes one R-only QR of
+[Xw | yw]: R of Xw, Q'yw and the residual norm |r_(p+1,p+1)| all come from
+that one factor, and no Q or residual vector is formed. sigma_hat =
+sqrt(weighted RSS / df), with the RSS the square of that residual norm, and
+is exactly 0 when df = 0 or the RSS is at most (100 eps)^2 times the weighted
+total sum of squares.
 
 The coefficient standard errors returned by the fit functions are "unscaled":
 square roots of the diagonal of the unit-variance coefficient covariance
@@ -119,7 +123,8 @@ def _design(columns, intercept: bool, row_scale=1.0) -> np.ndarray:
     ones comes first only with ``intercept``. A ``row_scale`` of sqrt(w)
     whitens a weighted fit (the ones column becomes sqrt(w)); the default 1
     leaves every value as it is. The result is one (..., J, intercept + k)
-    array, written in place column by column.
+    array, written in place column by column. With the response as the last
+    column it is the kernel's augmented problem [Xw | yw].
     """
     first = int(intercept)
     design = np.empty(np.shape(columns[0]) + (first + len(columns),))
@@ -136,41 +141,45 @@ def _design(columns, intercept: bool, row_scale=1.0) -> np.ndarray:
 _EXACT_FIT_RATIO = (100.0 * np.finfo(float).eps) ** 2
 
 
-def _wls_kernel(xw: np.ndarray, yw: np.ndarray):
+def _wls_kernel(problem: np.ndarray):
     """Least squares on C whitened problems at once; never raises.
 
-    ``xw`` is (C, J, p) with J >= p and ``yw`` is (C, J). Returns
-    (coefficients (C, p), unscaled se (C, p), residual scale (C,), full-rank
-    flag (C,)). A problem that is not full rank, or whose design is not
-    finite, gets NaN in every numeric output.
+    ``problem`` is the (C, J, p + 1) augmented array [Xw | yw] with J >= p.
+    Returns (coefficients (C, p), unscaled se (C, p), residual scale (C,),
+    full-rank flag (C,)). A problem that is not full rank, or whose design is
+    not finite, gets NaN in every numeric output.
     """
-    p = xw.shape[-1]
-    q, r = np.linalg.qr(xw)
+    p = problem.shape[-1] - 1
+    # One R-only QR of [Xw | yw]: its leading p x p block is R of Xw, the top
+    # of its last column is Q'yw, and the rest of that column has the norm of
+    # the residuals (it is empty when J = p).
+    r = np.linalg.qr(problem, mode="r")
+    r_x, tail = r[:, :p, :p], r[:, :, p]
     # Triangular R is invertible exactly when its diagonal has no zero; the
     # others invert the identity, so the batch cannot fail, and are flagged.
-    full_rank = (np.all(np.diagonal(r, axis1=1, axis2=2) != 0.0, axis=1)
-                 & np.all(np.isfinite(r), axis=(1, 2)))
+    full_rank = (np.all(np.diagonal(r_x, axis1=1, axis2=2) != 0.0, axis=1)
+                 & np.all(np.isfinite(r_x), axis=(1, 2)))
     if not full_rank.all():
-        r = np.where(full_rank[:, None, None], r, np.eye(p))
-    r_inv = np.linalg.inv(r)
+        r_x = np.where(full_rank[:, None, None], r_x, np.eye(p))
+    r_inv = np.linalg.inv(r_x)
     # (X'WX)^-1 = R^-1 R^-T, so its diagonal is the row sums of squares of R^-1.
     variance = np.sum(r_inv ** 2, axis=2)
     # Rank test: the smallest singular value of R is at least RANK_TOL times
     # the largest. Their ratio is at least 1 / (||R||_F ||R^-1||_F), so only
     # problems that bound cannot clear pay for an SVD.
-    bound = np.einsum("cij,cij->c", r, r) * np.sum(variance, axis=1)
+    bound = np.einsum("cij,cij->c", r_x, r_x) * np.sum(variance, axis=1)
     unclear = full_rank & ~(bound < RANK_TOL ** -2)
     if unclear.any():
-        singular_values = np.linalg.svd(r[unclear], compute_uv=False)
+        singular_values = np.linalg.svd(r_x[unclear], compute_uv=False)
         full_rank[unclear] = (singular_values[:, -1]
                               >= RANK_TOL * singular_values[:, 0])
     unscaled_se = np.sqrt(variance)
-    qty = np.einsum("cjp,cj->cp", q, yw)
-    beta = np.linalg.solve(r, qty[..., None])[..., 0]
-    residuals = yw - (xw @ beta[..., None])[..., 0]
-    rss = np.einsum("cj,cj->c", residuals, residuals)
-    tss = np.einsum("cj,cj->c", yw, yw)
-    df = xw.shape[-2] - p
+    beta = np.linalg.solve(r_x, tail[:, :p, None])[..., 0]
+    # Q is orthogonal, so the whole last column has the norm of yw. einsum
+    # lets a sum of squares past the float range become inf without a warning.
+    rss = np.einsum("ci,ci->c", tail[:, p:], tail[:, p:])
+    tss = np.einsum("ci,ci->c", tail, tail)
+    df = problem.shape[-2] - p
     sigma = np.sqrt(rss / df) if df > 0 else np.zeros_like(rss)
     # The relative cutoff means nothing once the total sum of squares
     # overflows; an overflowing RSS then leaves sigma infinite.
@@ -214,9 +223,8 @@ def fit_wls(design: np.ndarray, response: np.ndarray,
         raise ValueError("weights must be positive and finite")
     if weights.shape != y.shape:
         raise ValueError("weights length does not match design")
-    sqrt_w = np.sqrt(weights)
-    xw = _design(x.T, False, sqrt_w)
-    return _fit_one(x, y, _wls_kernel(xw[None], (y * sqrt_w)[None]))
+    problem = _design((*x.T, y), False, np.sqrt(weights))
+    return _fit_one(x, y, _wls_kernel(problem[None]))
 
 
 def fit_gls(design: np.ndarray, response: np.ndarray,
@@ -244,13 +252,12 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
                   factor: np.ndarray) -> RegressionFit:
     """GLS fit given the lower Cholesky factor of the error covariance.
 
-    Whitens the design and response by solving with ``factor``, then fits
-    them with the kernel at C = 1; fitted values and residuals stay on the
+    Whitens [x | y] with one triangular solve against ``factor``, then fits
+    it with the kernel at C = 1; fitted values and residuals stay on the
     original scale.
     """
-    xw = solve_triangular(factor, x, lower=True)
-    yw = solve_triangular(factor, y, lower=True)
-    return _fit_one(x, y, _wls_kernel(xw[None], yw[None]))
+    problem = solve_triangular(factor, np.column_stack([x, y]), lower=True)
+    return _fit_one(x, y, _wls_kernel(problem[None]))
 
 
 def _random_effects_se(unscaled_se: np.ndarray, sigma) -> np.ndarray:

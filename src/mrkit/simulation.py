@@ -32,13 +32,18 @@ near their stated size. The variance-component weights are far more
 conservative (mean se ~ 0.41 in the same setting).
 
 Determinism: replicate r of a scenario with seed s draws its (J, 5) standard
-normals from ``default_rng(SeedSequence([s, r]))`` in one call, through
-``_replicate_normals``: ``generate_dataset`` takes them as a new array, and
-``run_scenario`` writes them into row r of its chunk's one (C, J, 5) block.
-Replicates are processed in fixed-size chunks written to index-ordered
-arrays, so summaries are bit-identical for any chunk size and any worker
-count (set via the ``MRKIT_THREADS`` environment variable, default
-min(4, cpu count)).
+normals from ``default_rng(SeedSequence([s, r]))`` in one call.
+``generate_dataset`` builds that generator for its one replicate, through
+``_replicate_normals``. ``run_scenario`` seeds a whole chunk at once: it runs
+the SeedSequence hash of every [s, r] in the chunk as uint32 array
+operations, turns each result into the PCG64 state numpy would set, and
+re-seeds one generator per chunk with it, so row r of the chunk's one
+(C, J, 5) block holds the same stream, bit for bit. Each chunk checks its
+first replicate's state against numpy's own seeding and raises RuntimeError
+on a mismatch. Replicates are processed in fixed-size chunks written to
+index-ordered arrays, so summaries are bit-identical for any chunk size and
+any worker count (set via the ``MRKIT_THREADS`` environment variable,
+default min(4, cpu count)).
 """
 from __future__ import annotations
 
@@ -301,6 +306,100 @@ def _replicate_normals(config: ScenarioConfig, replicate_index: int, j: int,
     return rng.standard_normal((j, 5), out=out)
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe: a 4-word pool, the
+# entropy words mixed into it, then the output words hashed from it) and
+# PCG64's seeding from its first four 64-bit output words, written so that
+# one chunk of replicates is hashed at once.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int,
+                    calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) word of each of ``calls`` successive hashmixes."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+# mix_entropy makes 4 + 4 * 3 hashmix calls and generate_state(4, uint64)
+# hashes 8 output words; each sequence has its own constants.
+_MIX_XOR, _MIX_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mul
+    return words ^ (words >> 16)
+
+
+def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for each r.
+
+    ``indices`` is a vector of replicate indices below 2**64; the result is
+    (len(indices), 4) uint64. The entropy [seed, r] is the 32-bit words of
+    seed then of r, at most four, so it fits the pool; a short entropy is
+    zero-padded, which the hash does not tell from the missing words.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    pool = np.zeros((indices.size, 4), dtype=np.uint32)
+    pool[:, 0] = seed & _MASK32
+    first = 1 if seed <= _MASK32 else 2
+    if first == 2:
+        pool[:, 1] = seed >> 32
+    pool[:, first] = indices & _MASK32
+    pool[:, first + 1] = indices >> np.uint64(32)
+    pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MUL[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = _hashmix(pool[:, src, None], _MIX_XOR[calls], _MIX_MUL[calls])
+        mixed = pool[:, dst] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(
+            _MIX_MULT_R)
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    state = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MUL)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words: list[int]) -> tuple[int, int]:
+    """PCG64's (state, inc) when seeded with four SeedSequence output words."""
+    initstate = words[0] << 64 | words[1]
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    return ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
+
+
+def _chunk_normals(config: ScenarioConfig, start: int, end: int) -> np.ndarray:
+    """Replicates start..end-1's (J, 5) standard normals as one (C, J, 5) block.
+
+    Row i holds exactly what ``_replicate_normals(config, start + i, J)``
+    draws. The chunk's seeds are hashed at once, and one generator is
+    re-seeded per replicate. A guard checks the first replicate's state
+    against numpy's own seeding and raises RuntimeError on a mismatch,
+    rather than draw other numbers.
+    """
+    seed = int(config.seed)
+    words = _seed_words(seed, np.arange(start, end, dtype=np.uint64))
+    states = [_pcg64_state(w) for w in words.tolist()]
+    bit_generator = np.random.PCG64(np.random.SeedSequence([seed, start]))
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    if states[0] != (state["state"]["state"], state["state"]["inc"]):
+        raise RuntimeError(
+            "vectorized seeding disagrees with numpy's SeedSequence/PCG64 "
+            f"for seed {seed}, replicate {start}")
+    z = np.empty((end - start, config.j_variants, 5))
+    for (pcg_state, inc), z_r in zip(states, z):
+        state["state"] = {"state": pcg_state, "inc": inc}
+        bit_generator.state = state
+        generator.standard_normal(z_r.shape, out=z_r)
+    return z
+
+
 def _latent_draws(config: ScenarioConfig, z: np.ndarray,
                   chol: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Map standard normals z (..., J, 5) to (beta_x columns, alpha', eps).
@@ -413,29 +512,22 @@ def _thread_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _whitened_fits(config: ScenarioConfig, chol: np.ndarray, uv_extra: float,
-                   start: int, end: int):
-    """Whitened (design, response) of MI, UE and ME for replicates start..end-1.
+def _whitened_problems(config: ScenarioConfig, chol: np.ndarray,
+                       uv_extra: float, start: int, end: int):
+    """Whitened [design | response] of MI, UE and ME for replicates start..end-1.
 
     The draws fill one (C, J, 5) block, and the latent and observable arrays
     are freed on return, so only the fits' inputs outlive this call. MI's
-    design is a view of the last three columns of ME's; UE's outcome errors
+    problem is a view of the last four columns of ME's; UE's outcome errors
     are widened by the univariable extra variance ``uv_extra``.
     """
-    j = config.j_variants
-    z = np.empty((end - start, j, 5))
-    for r, z_r in zip(range(start, end), z):
-        _replicate_normals(config, r, j, out=z_r)
+    z = _chunk_normals(config, start, end)
     beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
         config, beta_cols, alpha_prime, epsilon)
-    sqrt_w = np.sqrt(1.0 / se2_mv)
-    me = _design((abs_x1, x2, x3), True, sqrt_w)
-    me_response = beta_y * sqrt_w
-    sqrt_w = np.sqrt(1.0 / (se2_mv + uv_extra))
-    ue = _design((abs_x1,), True, sqrt_w)
-    return ((me[..., 1:], me_response), (ue, beta_y * sqrt_w),
-            (me, me_response))
+    me = _design((abs_x1, x2, x3, beta_y), True, np.sqrt(1.0 / se2_mv))
+    ue = _design((abs_x1, beta_y), True, np.sqrt(1.0 / (se2_mv + uv_extra)))
+    return me[..., 1:], ue, me
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationSummary:
@@ -458,13 +550,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     results = np.empty((len(_ESTIMATORS), 4, reps))
 
     def work(start: int, end: int) -> None:
-        fits = _whitened_fits(config, chol, uv_extra, start, end)
-        for out, (_, intercept), (xw, yw) in zip(
-                results[:, :, start:end], _ESTIMATORS, fits):
-            beta, unscaled_se, sigma, _ = _wls_kernel(xw, yw)
+        problems = _whitened_problems(config, chol, uv_extra, start, end)
+        for out, (_, intercept), problem in zip(
+                results[:, :, start:end], _ESTIMATORS, problems):
+            beta, unscaled_se, sigma, _ = _wls_kernel(problem)
             se = _random_effects_se(unscaled_se, sigma)
             first = 1 if intercept else 0
-            df = j - xw.shape[-1]
+            df = j - (problem.shape[-1] - 1)
             out[0], out[1] = beta[:, first], se[:, first]
             out[2] = _t_pvalue(out[0], out[1], df)
             if intercept:

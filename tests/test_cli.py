@@ -106,6 +106,28 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("variant_id,effect_allele,other_allele,beta_x1,se_x1,"
+                        "beta_y,se_y\nrs1,A,G,0.1,0.02," + "1" * 200_000
+                        + ",0.01\n")
+        code, _, err = _analyze(
+            ["--data", str(data), "--k", "1", "--methods", "UI"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {data}: field larger than field limit")
+        assert "at line 2" in err
+
+    @pytest.mark.parametrize("corr", [False, True])
+    def test_not_utf8(self, one_factor_csv, tmp_path, capsys, corr):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes("1.0\n".encode("utf-16"))
+        files = (["--data", one_factor_csv, "--corr", str(bad)] if corr
+                 else ["--data", str(bad)])
+        code, _, err = _analyze(files + ["--k", "1", "--methods", "UI"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8 text (")
+        assert "at line 1" in err
+
     def test_bad_level(self, one_factor_csv, capsys):
         code, _, err = _analyze(
             ["--data", one_factor_csv, "--k", "1", "--methods", "UI",

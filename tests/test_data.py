@@ -321,6 +321,25 @@ class TestLoadDataset:
         assert ds.variants[0].variant_id == "rs1"
         assert ds.variants[0].se_y == 0.01
 
+    def test_field_over_csv_limit(self, tmp_path):
+        p = _write(tmp_path, HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + "rs2,A,G,0.1,0.02,0.05," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match=r"data\.csv: field larger than "
+                                            r"field limit .* at line 3$"):
+            load_dataset(p, k=1)
+
+    @pytest.mark.parametrize("data, line", [
+        ((HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n").encode("utf-16"), 1),
+        (HEADER_K1.encode() + b"rs1,A,G,0.1,0.02,0.05,0.01\r\n"
+         + b"rs2,A,G,0.1,0.02,0.05,\xff\n", 3),
+    ], ids=["utf-16", "bad-byte-on-line-3"])
+    def test_not_utf8(self, tmp_path, data, line):
+        p = tmp_path / "data.csv"
+        p.write_bytes(data)
+        with pytest.raises(DataError, match=rf"data\.csv: not UTF-8 text "
+                                            rf"\(.*\) at line {line}$"):
+            load_dataset(p, k=1)
+
 
 class TestLoadCorrelation:
     def test_load(self, tmp_path):
@@ -360,6 +379,18 @@ class TestLoadCorrelation:
         ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
         p = _write(tmp_path, "1.0,x\nx,1.0\n", name="corr.csv")
         with pytest.raises(DataError, match="non-numeric correlation entry at row 1"):
+            load_correlation(p, ds)
+
+    @pytest.mark.parametrize("data, line", [
+        ("1.0,0.5\n0.5,1.0\n".encode("utf-16"), 1),
+        (b"1.0,0.5\n\n0.5,1.0\xff\n", 3),
+    ], ids=["utf-16", "bad-byte-on-line-3"])
+    def test_not_utf8(self, tmp_path, data, line):
+        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
+        p = tmp_path / "corr.csv"
+        p.write_bytes(data)
+        with pytest.raises(DataError, match=rf"corr\.csv: not UTF-8 text "
+                                            rf"\(.*\) at line {line}$"):
             load_correlation(p, ds)
 
     def test_invalid_matrix_rejected(self, tmp_path):

@@ -133,6 +133,11 @@ def whitened(x, y, w):
     return x * sqrt_w[..., None], y * sqrt_w
 
 
+def augmented(xw, yw):
+    """The kernel's problem [xw | yw]."""
+    return np.concatenate([xw, yw[..., None]], axis=-1)
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 7)])
 @pytest.mark.parametrize("intercept", [False, True])
 def test_design_matches_concatenate_then_whiten(shape, intercept):
@@ -160,7 +165,7 @@ class TestKernelEdgeCases:
             fit_wls(collinear, y, w)
         xw, yw = whitened(np.stack([good, collinear]), np.stack([y, y]),
                           np.stack([w, w]))
-        beta, use, sigma, full_rank = _wls_kernel(xw, yw)
+        beta, use, sigma, full_rank = _wls_kernel(augmented(xw, yw))
         assert full_rank.tolist() == [True, False]
         assert np.all(np.isfinite(beta[0])) and np.isfinite(sigma[0])
         assert np.all(np.isnan(beta[1])) and np.all(np.isnan(use[1]))
@@ -174,7 +179,7 @@ class TestKernelEdgeCases:
         assert fit_wls(x, exact, w).residual_scale == 0.0
         xw, yw = whitened(np.stack([x, x]), np.stack([exact, noisy]),
                           np.stack([w, w]))
-        _, _, sigma, _ = _wls_kernel(xw, yw)
+        _, _, sigma, _ = _wls_kernel(augmented(xw, yw))
         assert sigma[0] == 0.0
         assert sigma[1] > 0.0
 
@@ -187,7 +192,7 @@ class TestKernelEdgeCases:
             fit = fit_wls(x, y, w)
             xw, yw = whitened(np.stack([x, 2.0 * x]), np.stack([y, -y]),
                               np.stack([w, w]))
-            _, _, sigma, full_rank = _wls_kernel(xw, yw)
+            _, _, sigma, full_rank = _wls_kernel(augmented(xw, yw))
         assert fit.df_residual == 0
         assert fit.residual_scale == 0.0 and fit.exact_fit
         assert full_rank.all()
@@ -197,7 +202,7 @@ class TestKernelEdgeCases:
         xw = np.ones((2, 4, 2))
         xw[0, :, 1] = [1.0, 2.0, 3.0, 5.0]
         xw[1, 0, 0] = np.nan
-        _, _, _, full_rank = _wls_kernel(xw, np.ones((2, 4)))
+        _, _, _, full_rank = _wls_kernel(augmented(xw, np.ones((2, 4))))
         assert full_rank.tolist() == [True, False]
 
 
@@ -229,13 +234,14 @@ def design_batches(draw):
 def test_batched_kernel_matches_single_fits(batch):
     x, y, w = batch
     xw, yw = whitened(x, y, w)
-    beta, use, sigma, full_rank = _wls_kernel(xw, yw)
+    beta, use, sigma, full_rank = _wls_kernel(augmented(xw, yw))
     # The flag is the RANK_TOL test on the singular values of R.
     singular_values = np.linalg.svd(np.linalg.qr(xw)[1], compute_uv=False)
     assert np.array_equal(
         full_rank, singular_values[:, -1] > RANK_TOL * singular_values[:, 0])
     for i in range(x.shape[0]):
-        one = _wls_kernel(*whitened(x[i:i + 1], y[i:i + 1], w[i:i + 1]))
+        one = _wls_kernel(
+            augmented(*whitened(x[i:i + 1], y[i:i + 1], w[i:i + 1])))
         for got, want in zip((beta[i], use[i], sigma[i]), one[:3]):
             np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=0,
                                        equal_nan=True)

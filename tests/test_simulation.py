@@ -3,6 +3,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from mrkit import (
     egger_multivariable,
@@ -316,6 +319,32 @@ class TestRunScenario:
         for r in range(config.replicates):
             assert np.array_equal(
                 z[r], simulation._replicate_normals(config, r, 20))
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+           indices=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                            max_size=6))
+    @example(seed=0, indices=[])
+    @example(seed=2 ** 32 - 1, indices=[])
+    @example(seed=2 ** 32, indices=[])
+    @example(seed=2 ** 64 - 1, indices=[])
+    @hypothesis_settings(max_examples=60, deadline=None)
+    def test_chunk_seeding_matches_seed_sequence(self, seed, indices):
+        # Indices that need a second 32-bit word always take part.
+        indices = [0, 2 ** 32 - 1, 2 ** 32] + indices
+        words = simulation._seed_words(seed, np.array(indices, dtype=np.uint64))
+        for r, row in zip(indices, words):
+            sequence = np.random.SeedSequence([seed, r])
+            assert np.array_equal(
+                row, sequence.generate_state(4, np.uint64))
+            state = np.random.PCG64(sequence).state["state"]
+            assert simulation._pcg64_state(row.tolist()) == (
+                state["state"], state["inc"])
+
+    def test_seeding_guard_raises_on_a_corrupted_hash(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_PCG64_MULTIPLIER",
+                            simulation._PCG64_MULTIPLIER + 2)
+        with pytest.raises(RuntimeError, match="seed 3, replicate 0"):
+            run_scenario(scenario_config(2, replicates=4, seed=3))
 
     def test_rank_deficient_replicates_count_as_failures(self, monkeypatch):
         observables = simulation._observables
