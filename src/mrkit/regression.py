@@ -116,18 +116,21 @@ def _as_problem(design: np.ndarray,
     return x, y
 
 
-def _design(columns, intercept: bool, row_scale=1.0) -> np.ndarray:
+def _design(columns, intercept: bool, row_scale=1.0,
+            out: np.ndarray | None = None) -> np.ndarray:
     """The design [1, c_1, ..., c_k], each row scaled by ``row_scale``.
 
     ``columns`` holds k arrays of one shape, (J,) or (C, J); the column of
     ones comes first only with ``intercept``. A ``row_scale`` of sqrt(w)
     whitens a weighted fit (the ones column becomes sqrt(w)); the default 1
     leaves every value as it is. The result is one (..., J, intercept + k)
-    array, written in place column by column. With the response as the last
-    column it is the kernel's augmented problem [Xw | yw].
+    array, written in place column by column into ``out`` (a new array when
+    not given). With the response as the last column it is the kernel's
+    augmented problem [Xw | yw].
     """
     first = int(intercept)
-    design = np.empty(np.shape(columns[0]) + (first + len(columns),))
+    design = out if out is not None else np.empty(
+        np.shape(columns[0]) + (first + len(columns),))
     if intercept:
         design[..., 0] = row_scale
     for i, column in enumerate(columns):

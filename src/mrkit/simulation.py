@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -373,8 +374,8 @@ def _pcg64_state(words: list[int]) -> tuple[int, int]:
     return ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
 
 
-def _chunk_normals(config: ScenarioConfig, start: int, end: int) -> np.ndarray:
-    """Replicates start..end-1's (J, 5) standard normals as one (C, J, 5) block.
+def _chunk_normals(config: ScenarioConfig, start: int, out: np.ndarray) -> None:
+    """Fill ``out``, a (C, J, 5) block, with replicates start..start+C-1's draws.
 
     Row i holds exactly what ``_replicate_normals(config, start + i, J)``
     draws. The chunk's seeds are hashed at once, and one generator is
@@ -383,7 +384,8 @@ def _chunk_normals(config: ScenarioConfig, start: int, end: int) -> np.ndarray:
     rather than draw other numbers.
     """
     seed = int(config.seed)
-    words = _seed_words(seed, np.arange(start, end, dtype=np.uint64))
+    words = _seed_words(
+        seed, np.arange(start, start + len(out), dtype=np.uint64))
     states = [_pcg64_state(w) for w in words.tolist()]
     bit_generator = np.random.PCG64(np.random.SeedSequence([seed, start]))
     generator = np.random.Generator(bit_generator)
@@ -392,57 +394,75 @@ def _chunk_normals(config: ScenarioConfig, start: int, end: int) -> np.ndarray:
         raise RuntimeError(
             "vectorized seeding disagrees with numpy's SeedSequence/PCG64 "
             f"for seed {seed}, replicate {start}")
-    z = np.empty((end - start, config.j_variants, 5))
-    for (pcg_state, inc), z_r in zip(states, z):
+    for (pcg_state, inc), z_r in zip(states, out):
         state["state"] = {"state": pcg_state, "inc": inc}
         bit_generator.state = state
         generator.standard_normal(z_r.shape, out=z_r)
-    return z
 
 
 def _latent_draws(config: ScenarioConfig, z: np.ndarray,
                   chol: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Map standard normals z (..., J, 5) to (beta_x columns, alpha', eps).
 
-    Written as scalar-coefficient elementwise arithmetic (no matmul) so the
-    single-replicate and chunked paths produce bit-identical values.
+    Works in place: the results are the five columns of ``z``, overwritten
+    (alpha' first, then the beta_x columns from the last, so every column
+    is read before it is replaced). Written as scalar-coefficient
+    elementwise arithmetic (no matmul) so the single-replicate and chunked
+    paths produce bit-identical values.
     """
-    sd = [float(np.sqrt(s)) for s in config.sigmas_sq]
-    beta_cols = []
-    for i in range(3):
-        acc = chol[i, 0] * z[..., 0]
-        for k in range(1, i + 1):
-            acc = acc + chol[i, k] * z[..., k]
-        beta_cols.append(config.beta_means[i] + sd[i] * acc)
-
+    acc, term = np.empty((2,) + z.shape[:-1])
+    alpha_prime = z[..., 3]
     if config.no_pleiotropy:
-        alpha_prime = np.zeros_like(z[..., 3])
+        alpha_prime.fill(0.0)
     elif config.inside_violated:
         sd_alpha = float(np.sqrt(config.sigma_alpha_sq))
         loading = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
         # z[..., 0] is exactly the standardized bX1 (chol[0, 0] = 1).
-        alpha_prime = config.mu + sd_alpha * (
-            INSIDE_CORRELATION * z[..., 0] + loading * z[..., 3])
+        np.multiply(loading, alpha_prime, out=alpha_prime)
+        np.add(np.multiply(INSIDE_CORRELATION, z[..., 0], out=term),
+               alpha_prime, out=alpha_prime)
+        np.multiply(sd_alpha, alpha_prime, out=alpha_prime)
+        np.add(config.mu, alpha_prime, out=alpha_prime)
     else:
         sd_alpha = float(np.sqrt(config.sigma_alpha_sq))
-        alpha_prime = config.mu + sd_alpha * z[..., 3]
+        np.multiply(sd_alpha, alpha_prime, out=alpha_prime)
+        np.add(config.mu, alpha_prime, out=alpha_prime)
 
-    return beta_cols, alpha_prime, z[..., 4]
+    for i in (2, 1, 0):
+        np.multiply(chol[i, 0], z[..., 0], out=acc)
+        for k in range(1, i + 1):
+            np.add(acc, np.multiply(chol[i, k], z[..., k], out=term), out=acc)
+        np.multiply(float(np.sqrt(config.sigmas_sq[i])), acc, out=acc)
+        np.add(config.beta_means[i], acc, out=z[..., i])
+    return [z[..., 0], z[..., 1], z[..., 2]], alpha_prime, z[..., 4]
 
 
 def _observables(config: ScenarioConfig, beta_cols: list[np.ndarray],
-                 alpha_prime: np.ndarray, epsilon: np.ndarray):
-    """Covariate columns, outcome associations, and squared outcome ses."""
+                 alpha_prime: np.ndarray, epsilon: np.ndarray,
+                 out: np.ndarray | None = None):
+    """Covariate columns, outcome associations, and squared outcome ses.
+
+    |bX1|, bX2, beta_Y and the squared ses are written into ``out``, a
+    (4, ..., J) array (a new one when not given); bX3 is ``beta_cols[2]``.
+    """
     theta1, theta2, theta3 = config.theta
-    abs_x1 = np.abs(beta_cols[0])
-    x2 = beta_cols[1] + config.gamma * abs_x1
+    if out is None:
+        out = np.empty((4,) + np.shape(epsilon))
+    abs_x1, x2, beta_y, se2_mv = out
     x3 = beta_cols[2]
-    beta_y = (alpha_prime + theta1 * abs_x1 + theta2 * x2 + theta3 * x3
-              + epsilon)
+    np.abs(beta_cols[0], out=abs_x1)
+    np.add(beta_cols[1], np.multiply(config.gamma, abs_x1, out=x2), out=x2)
+    # beta_Y = alpha' + theta1 |bX1| + theta2 bX2 + theta3 bX3 + eps, summed
+    # left to right; se2_mv holds each product until it is written last.
+    np.add(alpha_prime, np.multiply(theta1, abs_x1, out=beta_y), out=beta_y)
+    np.add(beta_y, np.multiply(theta2, x2, out=se2_mv), out=beta_y)
+    np.add(beta_y, np.multiply(theta3, x3, out=se2_mv), out=beta_y)
+    np.add(beta_y, epsilon, out=beta_y)
     if config.weight_mode == "realized":
-        se2_mv = epsilon ** 2 + config.sigma_alpha_sq
+        np.add(np.square(epsilon, out=se2_mv), config.sigma_alpha_sq,
+               out=se2_mv)
     else:
-        se2_mv = np.full_like(epsilon, 1.0 + config.sigma_alpha_sq)
+        se2_mv.fill(1.0 + config.sigma_alpha_sq)
     return abs_x1, x2, x3, beta_y, se2_mv
 
 
@@ -512,21 +532,51 @@ def _thread_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+class _ChunkBuffers:
+    """One worker thread's arrays for chunks of up to ``size`` replicates.
+
+    A chunk's draws, observables, weights and fit inputs are written into
+    these arrays, so the thread allocates them once per ``run_scenario``
+    call instead of once per chunk: arrays freed after every chunk were
+    returned to the system and page-faulted back in by the next. They are
+    views of one allocation because glibc returns the free top of its heap
+    once it passes twice the largest block it has unmapped; one block stays
+    under that and is reused by the next call, where separate arrays are not.
+    """
+
+    def __init__(self, size: int, j: int) -> None:
+        z, me, ue, observables, sqrt_w = np.split(
+            np.empty(18 * size * j), np.cumsum([5, 5, 3, 4]) * size * j)
+        self.z = z.reshape(size, j, 5)
+        self.me = me.reshape(size, j, 5)
+        self.ue = ue.reshape(size, j, 3)
+        self.observables = observables.reshape(4, size, j)
+        self.sqrt_w = sqrt_w.reshape(size, j)
+
+
 def _whitened_problems(config: ScenarioConfig, chol: np.ndarray,
-                       uv_extra: float, start: int, end: int):
+                       uv_extra: float, start: int, end: int,
+                       buffers: _ChunkBuffers):
     """Whitened [design | response] of MI, UE and ME for replicates start..end-1.
 
-    The draws fill one (C, J, 5) block, and the latent and observable arrays
-    are freed on return, so only the fits' inputs outlive this call. MI's
-    problem is a view of the last four columns of ME's; UE's outcome errors
-    are widened by the univariable extra variance ``uv_extra``.
+    Every array is a leading slice of ``buffers``: the draws fill its
+    (C, J, 5) block, which the latent draws overwrite, and the observables
+    fill its four (C, J) columns. MI's problem is a view of the last four
+    columns of ME's; UE's outcome errors are widened by the univariable
+    extra variance ``uv_extra``.
     """
-    z = _chunk_normals(config, start, end)
+    c = end - start
+    z = buffers.z[:c]
+    _chunk_normals(config, start, z)
     beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
-        config, beta_cols, alpha_prime, epsilon)
-    me = _design((abs_x1, x2, x3, beta_y), True, np.sqrt(1.0 / se2_mv))
-    ue = _design((abs_x1, beta_y), True, np.sqrt(1.0 / (se2_mv + uv_extra)))
+        config, beta_cols, alpha_prime, epsilon, buffers.observables[:, :c])
+    sqrt_w = buffers.sqrt_w[:c]
+    np.sqrt(np.divide(1.0, se2_mv, out=sqrt_w), out=sqrt_w)
+    me = _design((abs_x1, x2, x3, beta_y), True, sqrt_w, out=buffers.me[:c])
+    np.add(se2_mv, uv_extra, out=sqrt_w)
+    np.sqrt(np.divide(1.0, sqrt_w, out=sqrt_w), out=sqrt_w)
+    ue = _design((abs_x1, beta_y), True, sqrt_w, out=buffers.ue[:c])
     return me[..., 1:], ue, me
 
 
@@ -548,9 +598,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     # Per estimator and replicate: theta1, its se, its p-value and the
     # intercept p-value (left unset for intercept-free fits).
     results = np.empty((len(_ESTIMATORS), 4, reps))
+    chunk = min(_CHUNK, reps)
+    local = threading.local()
 
     def work(start: int, end: int) -> None:
-        problems = _whitened_problems(config, chol, uv_extra, start, end)
+        if not hasattr(local, "buffers"):
+            local.buffers = _ChunkBuffers(chunk, j)
+        problems = _whitened_problems(config, chol, uv_extra, start, end,
+                                      local.buffers)
         for out, (_, intercept), problem in zip(
                 results[:, :, start:end], _ESTIMATORS, problems):
             beta, unscaled_se, sigma, _ = _wls_kernel(problem)
@@ -562,7 +617,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
             if intercept:
                 out[3] = _t_pvalue(beta[:, 0], se[:, 0], df)
 
-    bounds = [(s, min(s + _CHUNK, reps)) for s in range(0, reps, _CHUNK)]
+    bounds = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
     workers = _thread_count()
     if workers == 1 or len(bounds) == 1:
         for start, end in bounds:
