@@ -21,8 +21,15 @@ import json
 import math
 import sys
 import warnings as _warnings
+from pathlib import Path
 
-from .data import SummaryDataset, load_correlation, load_dataset, select_risk_factor
+from .data import (
+    SummaryDataset,
+    _not_utf8,
+    load_correlation,
+    load_dataset,
+    select_risk_factor,
+)
 from .estimators import (
     egger_correlated,
     egger_multivariable,
@@ -488,18 +495,23 @@ def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
     """Flat key=value lines; '#' comments and blank lines ignored.
 
     Returns key -> (1-based line, value); a repeated key keeps its last line.
+    A file that is not UTF-8 raises DataError at the line of its first bad
+    byte.
     """
     values: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = (lineno, value.strip())
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, _, value = line.partition("=")
+                values[key.strip()] = (lineno, value.strip())
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(Path(path), exc) from None
     return values
 
 

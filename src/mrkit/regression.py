@@ -2,24 +2,27 @@
 
 Every fit runs one batched kernel, :func:`_wls_kernel`, on whitened problems
 (rows scaled by sqrt(w), or solved with the lower Cholesky factor of Omega),
-each passed as the augmented array [Xw | yw]. :func:`_design` builds every
-design matrix: the intercept column first when asked, then the covariates,
-each row scaled by 1 or, to whiten, by sqrt(w), all written into one array.
-:func:`fit_wls` takes the design, the response
-and the weight vector w (the semantic se(beta_Yj)^-2) and whitens [X | y]
-with :func:`_design`; :func:`fit_gls` takes Omega in place of w, factors it
-and hands the factor to :func:`_factored_fit`, the one triangular-whitening
-step. The correlated-variant estimators call :func:`_factored_fit` directly
+each passed as the augmented array [Xw | yw]. The kernel is an R-only QR of
+that array followed by :func:`_fit_from_r`, the fit from its R factor alone,
+which the Monte Carlo engine also calls on an R it derives without a QR over
+J rows. :func:`_design` builds every design matrix: the intercept column
+first when asked, then the covariates, each row scaled by 1 or, to whiten,
+by sqrt(w), all written into one array. :func:`fit_wls` takes the design,
+the response and the weight vector w (the semantic se(beta_Yj)^-2) and
+whitens [X | y] with :func:`_design`; :func:`fit_gls` takes Omega in place
+of w, factors it and hands the factor to :func:`_factored_fit`, the one
+triangular-whitening step. The correlated-variant estimators call :func:`_factored_fit` directly
 with diag(se_Y) L, where L is the factor their correlation matrix stored at
 load, so they never factor or build Omega. None of these adds an intercept:
 the caller puts one first with :func:`_design`. Each fits one problem and
 raises :class:`RankError` on the kernel's full-rank flag (smallest singular
 value of R below RANK_TOL times the largest). The Monte Carlo engine builds
 each chunk's whitened (C, J, p + 1) problems, intercept first and response
-last, with the same :func:`_design`, fits them with the kernel, and counts a
-rank-deficient replicate as failed. The kernel takes one R-only QR of
-[Xw | yw]: R of Xw, Q'yw and the residual norm |r_(p+1,p+1)| all come from
-that one factor, and no Q or residual vector is formed. sigma_hat =
+last, with the same :func:`_design`, fits them from their R factors, and
+counts a rank-deficient replicate as failed. R of Xw, Q'yw and the residual
+norm |r_(p+1,p+1)| all come from the one R factor of [Xw | yw], and no Q or
+residual vector is formed; the coefficients are R^-1 Q'yw through the same
+inverse of R that gives the standard errors. sigma_hat =
 sqrt(weighted RSS / df), with the RSS the square of that residual norm, and
 is exactly 0 when df = 0 or the RSS is at most (100 eps)^2 times the weighted
 total sum of squares.
@@ -152,11 +155,19 @@ def _wls_kernel(problem: np.ndarray):
     full-rank flag (C,)). A problem that is not full rank, or whose design is
     not finite, gets NaN in every numeric output.
     """
-    p = problem.shape[-1] - 1
-    # One R-only QR of [Xw | yw]: its leading p x p block is R of Xw, the top
-    # of its last column is Q'yw, and the rest of that column has the norm of
-    # the residuals (it is empty when J = p).
-    r = np.linalg.qr(problem, mode="r")
+    return _fit_from_r(np.linalg.qr(problem, mode="r"), problem.shape[-2])
+
+
+def _fit_from_r(r: np.ndarray, rows: int):
+    """The :func:`_wls_kernel` fit of C problems of ``rows`` rows from their R.
+
+    ``r`` is the (C, min(rows, p + 1), p + 1) R factor of the augmented
+    problems [Xw | yw], or of any array with the same R up to the signs of
+    its rows: its leading p x p block is R of Xw, the top of its last column
+    is Q'yw, and the rest of that column has the norm of the residuals (it
+    is empty when rows = p).
+    """
+    p = r.shape[-1] - 1
     r_x, tail = r[:, :p, :p], r[:, :, p]
     # Triangular R is invertible exactly when its diagonal has no zero; the
     # others invert the identity, so the batch cannot fail, and are flagged.
@@ -177,12 +188,12 @@ def _wls_kernel(problem: np.ndarray):
         full_rank[unclear] = (singular_values[:, -1]
                               >= RANK_TOL * singular_values[:, 0])
     unscaled_se = np.sqrt(variance)
-    beta = np.linalg.solve(r_x, tail[:, :p, None])[..., 0]
+    beta = np.einsum("cij,cj->ci", r_inv, tail[:, :p])
     # Q is orthogonal, so the whole last column has the norm of yw. einsum
     # lets a sum of squares past the float range become inf without a warning.
     rss = np.einsum("ci,ci->c", tail[:, p:], tail[:, p:])
     tss = np.einsum("ci,ci->c", tail, tail)
-    df = problem.shape[-2] - p
+    df = rows - p
     sigma = np.sqrt(rss / df) if df > 0 else np.zeros_like(rss)
     # The relative cutoff means nothing once the total sum of squares
     # overflows; an overflowing RSS then leaves sigma infinite.

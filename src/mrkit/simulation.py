@@ -57,7 +57,7 @@ import numpy as np
 
 from .data import SummaryDataset
 from .estimators import _t_pvalue
-from .regression import _design, _random_effects_se, _wls_kernel
+from .regression import _design, _fit_from_r, _random_effects_se, _wls_kernel
 
 __all__ = [
     "ScenarioConfig",
@@ -91,6 +91,9 @@ _CHUNK = 128
 # The tabulated estimators, in summary order, and whether each fit has an
 # intercept.
 _ESTIMATORS = (("MI", False), ("UE", True), ("ME", True))
+# Each chunk tests five coefficients, in this order: theta1 of each estimator,
+# then the intercepts, as (estimator, coefficient column) pairs.
+_TESTS = ((0, 0), (1, 1), (2, 1), (1, 0), (2, 0))
 
 
 def _check_seed(seed: int) -> None:
@@ -542,14 +545,17 @@ class _ChunkBuffers:
     views of one allocation because glibc returns the free top of its heap
     once it passes twice the largest block it has unmapped; one block stays
     under that and is reused by the next call, where separate arrays are not.
+    The ME and UE problems are (C, J, p + 1) arrays laid out column-major per
+    matrix: each column of each replicate's problem is J contiguous values,
+    so building a column writes, and the QR copies, contiguous memory.
     """
 
     def __init__(self, size: int, j: int) -> None:
         z, me, ue, observables, sqrt_w = np.split(
             np.empty(18 * size * j), np.cumsum([5, 5, 3, 4]) * size * j)
         self.z = z.reshape(size, j, 5)
-        self.me = me.reshape(size, j, 5)
-        self.ue = ue.reshape(size, j, 3)
+        self.me = me.reshape(size, 5, j).transpose(0, 2, 1)
+        self.ue = ue.reshape(size, 3, j).transpose(0, 2, 1)
         self.observables = observables.reshape(4, size, j)
         self.sqrt_w = sqrt_w.reshape(size, j)
 
@@ -557,13 +563,14 @@ class _ChunkBuffers:
 def _whitened_problems(config: ScenarioConfig, chol: np.ndarray,
                        uv_extra: float, start: int, end: int,
                        buffers: _ChunkBuffers):
-    """Whitened [design | response] of MI, UE and ME for replicates start..end-1.
+    """Whitened [design | response] of ME and UE for replicates start..end-1.
 
     Every array is a leading slice of ``buffers``: the draws fill its
     (C, J, 5) block, which the latent draws overwrite, and the observables
-    fill its four (C, J) columns. MI's problem is a view of the last four
-    columns of ME's; UE's outcome errors are widened by the univariable
-    extra variance ``uv_extra``.
+    fill its four (C, J) columns. MI's problem is ME's without its intercept
+    column, so it is not built: :func:`_chunk_tests` fits it from ME's R.
+    UE's outcome errors are widened by the univariable extra variance
+    ``uv_extra``.
     """
     c = end - start
     z = buffers.z[:c]
@@ -577,7 +584,31 @@ def _whitened_problems(config: ScenarioConfig, chol: np.ndarray,
     np.add(se2_mv, uv_extra, out=sqrt_w)
     np.sqrt(np.divide(1.0, sqrt_w, out=sqrt_w), out=sqrt_w)
     ue = _design((abs_x1, beta_y), True, sqrt_w, out=buffers.ue[:c])
-    return me[..., 1:], ue, me
+    return me, ue
+
+
+def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
+    """Fit MI, UE and ME to a chunk and test the five coefficients of _TESTS.
+
+    ``me`` and ``ue`` are the chunk's whitened (C, J, p + 1) problems. MI's
+    problem is ME's without its first column, so MI's R is the R of ME's R
+    without that column: a (C, 5, 4) QR in place of one over J rows. Each
+    coefficient's estimate, random-effects se and two-sided t p-value are
+    written to ``out[0]``, ``out[1]`` and ``out[2]``, (5, C) arrays; the five
+    p-values come from one call.
+    """
+    j = me.shape[-2]
+    r_me = np.linalg.qr(me, mode="r")
+    fits = (_fit_from_r(np.linalg.qr(r_me[..., 1:], mode="r"), j),
+            _wls_kernel(ue), _fit_from_r(r_me, j))
+    theta, se, p = out
+    df = np.empty((len(_TESTS), 1))
+    for row, (estimator, column) in enumerate(_TESTS):
+        beta, unscaled_se, sigma, _ = fits[estimator]
+        theta[row] = beta[:, column]
+        se[row] = _random_effects_se(unscaled_se, sigma)[:, column]
+        df[row] = j - beta.shape[1]
+    p[:] = _t_pvalue(theta, se, df)
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationSummary:
@@ -595,27 +626,18 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     j = config.j_variants
     chol = _draw_coefficients(config)
     uv_extra = _univariable_extra_variance(config)
-    # Per estimator and replicate: theta1, its se, its p-value and the
-    # intercept p-value (left unset for intercept-free fits).
-    results = np.empty((len(_ESTIMATORS), 4, reps))
+    # Per tested coefficient (see _TESTS) and replicate: the estimate, its se
+    # and its p-value.
+    results = np.empty((3, len(_TESTS), reps))
     chunk = min(_CHUNK, reps)
     local = threading.local()
 
     def work(start: int, end: int) -> None:
         if not hasattr(local, "buffers"):
             local.buffers = _ChunkBuffers(chunk, j)
-        problems = _whitened_problems(config, chol, uv_extra, start, end,
-                                      local.buffers)
-        for out, (_, intercept), problem in zip(
-                results[:, :, start:end], _ESTIMATORS, problems):
-            beta, unscaled_se, sigma, _ = _wls_kernel(problem)
-            se = _random_effects_se(unscaled_se, sigma)
-            first = 1 if intercept else 0
-            df = j - (problem.shape[-1] - 1)
-            out[0], out[1] = beta[:, first], se[:, first]
-            out[2] = _t_pvalue(out[0], out[1], df)
-            if intercept:
-                out[3] = _t_pvalue(beta[:, 0], se[:, 0], df)
+        me, ue = _whitened_problems(config, chol, uv_extra, start, end,
+                                    local.buffers)
+        _chunk_tests(me, ue, results[:, :, start:end])
 
     bounds = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
     workers = _thread_count()
@@ -629,18 +651,22 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
 
     summaries = []
     all_ok = np.ones(reps, dtype=bool)
-    for (estimator, intercept), fields in zip(_ESTIMATORS, results):
-        theta, se, p, p0 = fields
-        ok = np.all(np.isfinite(fields[:4 if intercept else 3]), axis=0)
+    theta, se, p = results
+    intercept_p = iter(p[len(_ESTIMATORS):])
+    for e, (estimator, intercept) in enumerate(_ESTIMATORS):
+        ok = np.isfinite(theta[e]) & np.isfinite(se[e]) & np.isfinite(p[e])
+        if intercept:
+            p0 = next(intercept_p)
+            ok &= np.isfinite(p0)
         used = int(ok.sum())
         if used == 0:
             raise ValueError(
                 f"every replicate failed for estimator {estimator}")
         summaries.append(EstimatorSummary(
             estimator=estimator,
-            mean_theta1=float(np.mean(theta[ok])),
-            mean_se=float(np.mean(se[ok])),
-            power_causal=float(np.mean(p[ok] < POWER_ALPHA)),
+            mean_theta1=float(np.mean(theta[e][ok])),
+            mean_se=float(np.mean(se[e][ok])),
+            power_causal=float(np.mean(p[e][ok] < POWER_ALPHA)),
             power_intercept=(float(np.mean(p0[ok] < POWER_ALPHA))
                              if intercept else None),
             replicates_used=used,

@@ -460,6 +460,19 @@ class TestSimulate:
         assert code == 0, captured.err
         assert "replicates=60" in (tmp_path / "bom.csv").read_text()
 
+    @pytest.mark.parametrize("content, line", [
+        ("scenario = 1\n".encode("utf-16"), 1),
+        (b"# header\nscenario = 1\nseed = 7\xff\n", 3),
+    ])
+    def test_config_not_utf8(self, tmp_path, capsys, content, line):
+        conf = tmp_path / "sim.conf"
+        conf.write_bytes(content)
+        code = main(["simulate", "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {conf}: not UTF-8 text (")
+        assert err.rstrip().endswith(f"at line {line}")
+
     @pytest.mark.parametrize("line, message", [
         ("replicates=abc", "replicates expects an integer, got 'abc'"),
         ("theta1 = 0.3x", "theta1 expects a number, got '0.3x'"),

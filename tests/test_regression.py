@@ -18,8 +18,11 @@ from mrkit.regression import (
     weighted_mean,
     weighted_var,
     _design,
+    _fit_from_r,
     _wls_kernel,
 )
+from mrkit.estimators import _t_pvalue
+from mrkit.simulation import _chunk_tests
 
 
 class TestFitWls:
@@ -204,6 +207,50 @@ class TestKernelEdgeCases:
         xw[1, 0, 0] = np.nan
         _, _, _, full_rank = _wls_kernel(augmented(xw, np.ones((2, 4))))
         assert full_rank.tolist() == [True, False]
+
+
+def test_fit_from_dropped_first_column_matches_kernel():
+    """MI fitted from ME's R agrees with a fit over ME's J rows without column 0.
+
+    The batch holds a full-rank replicate, one with a zero covariate column,
+    one with a non-finite value and an exact fit.
+    """
+    rng = np.random.default_rng(13)
+    j = 40
+    me = rng.normal(size=(4, j, 5))
+    me[..., 0] = np.sqrt(rng.uniform(0.5, 2.0, size=(4, j)))
+    me[1, :, 2] = 0.0
+    me[2, 7, 3] = np.nan
+    me[3, :, 4] = me[3, :, 1:4] @ np.array([2.0, 0.5, -1.0])
+    ue = me[..., [0, 1, 4]]
+    direct = _wls_kernel(me[..., 1:])
+    derived = _fit_from_r(
+        np.linalg.qr(np.linalg.qr(me, mode="r")[..., 1:], mode="r"), j)
+    assert direct[3].tolist() == derived[3].tolist() == [
+        True, False, False, True]
+    assert direct[2][3] == derived[2][3] == 0.0
+    for want, got in zip(direct[:3], derived[:3]):
+        assert np.array_equal(np.isnan(want), np.isnan(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                   equal_nan=True)
+
+    # The chunk stacks theta1 of MI, UE and ME, then the intercepts of UE
+    # and ME, and takes their five p-values in one call.
+    out = np.empty((3, 5, 4))
+    _chunk_tests(me, ue, out)
+    theta, se, p = out
+    fits = [derived, _wls_kernel(ue), _wls_kernel(me)]
+    for row, (fit, column) in enumerate(
+            [(0, 0), (1, 1), (2, 1), (1, 0), (2, 0)]):
+        beta, unscaled_se, sigma, _ = fits[fit]
+        se_want = unscaled_se[:, column] * np.maximum(sigma, 1.0)
+        np.testing.assert_allclose(theta[row], beta[:, column], rtol=1e-12,
+                                   atol=0, equal_nan=True)
+        np.testing.assert_allclose(se[row], se_want, rtol=1e-12, atol=0,
+                                   equal_nan=True)
+        df = j - beta.shape[1]
+        assert np.array_equal(p[row], _t_pvalue(theta[row], se[row], df),
+                              equal_nan=True)
 
 
 @st.composite

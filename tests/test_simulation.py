@@ -300,8 +300,8 @@ class TestRunScenario:
         assert all(s == summaries[0] for s in summaries)
 
     def test_chunk_draws_match_single_replicate(self, monkeypatch):
-        # The chunk fills its draw block in place from the same per-replicate
-        # generator that generate_dataset uses.
+        # The chunk fills its draw block in place through _chunk_normals,
+        # which must draw what generate_dataset draws for each replicate.
         monkeypatch.setenv("MRKIT_THREADS", "1")
         latent_draws = simulation._latent_draws
         blocks = []
