@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .regression import _one_blas_thread
+
 __all__ = [
     "DataError",
     "VariantRecord",
@@ -93,6 +95,8 @@ class CorrelationMatrix:
     :attr:`smallest_eigenvalue` is kept instead. Such a singular matrix (a
     duplicated variant with rho = 1, say) makes every correlated estimator
     raise FactorizationError naming the singular variant correlation matrix.
+    The factorization runs on one BLAS thread, so ``OPENBLAS_NUM_THREADS``
+    changes neither the factor nor the CPU cost of ``mrkit analyze --corr``.
     """
 
     entries: np.ndarray
@@ -110,15 +114,16 @@ class CorrelationMatrix:
                  "correlation matrix diagonal differs from 1 beyond tolerance 1e-8")
         _require(np.max(np.abs(entries)) <= 1.0 + 1e-8, "correlation out of range")
         factor, smallest = None, None
-        try:
-            factor = np.linalg.cholesky(entries)
-        except np.linalg.LinAlgError:
-            # Not strictly PD; accept if the smallest eigenvalue is only
-            # negligibly negative (numerical PSD).
-            smallest = float(np.linalg.eigvalsh(entries)[0])
-            _require(smallest >= -1e-10,
-                     "correlation matrix is not positive semi-definite "
-                     f"(smallest eigenvalue {smallest:.3e})")
+        with _one_blas_thread():
+            try:
+                factor = np.linalg.cholesky(entries)
+            except np.linalg.LinAlgError:
+                # Not strictly PD; accept if the smallest eigenvalue is only
+                # negligibly negative (numerical PSD).
+                smallest = float(np.linalg.eigvalsh(entries)[0])
+                _require(smallest >= -1e-10,
+                         "correlation matrix is not positive semi-definite "
+                         f"(smallest eigenvalue {smallest:.3e})")
         self._set(entries, factor, smallest)
 
     def _set(self, entries: np.ndarray, factor: np.ndarray | None,

@@ -13,8 +13,11 @@ whitens [X | y] with :func:`_design`; :func:`fit_gls` takes Omega in place
 of w, factors it and hands the factor to :func:`_factored_fit`, the one
 triangular-whitening step. The correlated-variant estimators call :func:`_factored_fit` directly
 with diag(se_Y) L, where L is the factor their correlation matrix stored at
-load, so they never factor or build Omega. None of these adds an intercept:
-the caller puts one first with :func:`_design`. Each fits one problem and
+load, so they never factor or build Omega. That dense J x J work (a Cholesky
+factor, a triangular whitening) runs on one BLAS thread, inside
+:func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS`` changes neither the
+results nor the CPU cost of ``mrkit analyze --corr``. None of these adds an
+intercept: the caller puts one first with :func:`_design`. Each fits one problem and
 raises :class:`RankError` on the kernel's full-rank flag (smallest singular
 value of R below RANK_TOL times the largest). The Monte Carlo engine builds
 each chunk's whitened (C, J, p + 1) problems, intercept first and response
@@ -43,8 +46,13 @@ Point estimates never depend on the scheme.
 """
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -75,6 +83,70 @@ class FactorizationError(ValueError):
 
 
 _NOT_POSITIVE_DEFINITE = "omega is not positive definite (factorization failed)"
+
+# The (get, set) thread-count functions of an OpenBLAS: numpy's wheel,
+# scipy's wheel, a system library.
+_OPENBLAS_THREAD_APIS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_BLAS_THREADS_LOCK = threading.RLock()
+
+
+@cache
+def _openblas_thread_apis() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS loaded.
+
+    Looks each API up in every shared object this process has mapped, as
+    listed in /proc/self/maps, without loading anything new; an extension
+    that links OpenBLAS resolves the same function, so each is kept once, by
+    address. Empty when /proc cannot be read or no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.rstrip("\n").split(None, 5) for line in maps]
+    except OSError:
+        return ()
+    paths = sorted({f[5] for f in fields if len(f) == 6 and ".so" in f[5]})
+    apis, seen = [], set()
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for names in _OPENBLAS_THREAD_APIS:
+            get, set_ = (getattr(library, name, None) for name in names)
+            if get is None or set_ is None:
+                continue
+            address = ctypes.cast(get, ctypes.c_void_p).value
+            if address not in seen:
+                seen.add(address)
+                apis.append((get, set_))
+    return tuple(apis)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread.
+
+    Dense J x J work gains nothing from a second BLAS thread here, and after
+    each threaded call the idle worker busy-waits for about a tenth of a
+    second; a threaded factor also differs in its last bits from the
+    one-thread factor. The saved counts come back on exit, also when the body
+    raises, and a module lock keeps concurrent callers from interleaving
+    save and restore. Without OpenBLAS it does nothing.
+    """
+    with _BLAS_THREADS_LOCK:
+        apis = _openblas_thread_apis()
+        saved = [get() for get, _ in apis]
+        try:
+            for _, set_ in apis:
+                set_(1)
+            yield
+        finally:
+            for (_, set_), count in zip(apis, saved):
+                set_(count)
 
 
 class WeightScheme(Enum):
@@ -256,7 +328,8 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
     if omega.shape != (y.size, y.size):
         raise ValueError("omega must be J x J")
     try:
-        factor = np.linalg.cholesky(omega)
+        with _one_blas_thread():
+            factor = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise FactorizationError(_NOT_POSITIVE_DEFINITE) from None
     return _factored_fit(x, y, factor)
@@ -270,7 +343,8 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
     it with the kernel at C = 1; fitted values and residuals stay on the
     original scale.
     """
-    problem = solve_triangular(factor, np.column_stack([x, y]), lower=True)
+    with _one_blas_thread():
+        problem = solve_triangular(factor, np.column_stack([x, y]), lower=True)
     return _fit_one(x, y, _wls_kernel(problem[None]))
 
 

@@ -1,5 +1,7 @@
 """Ingestion, validation, and round-trip behaviour of the data layer."""
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from mrkit import (
     write_dataset,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, subprocess_env
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -126,6 +128,31 @@ class TestCorrelationMatrix:
         flipped = CorrelationMatrix(rho).sign_flipped(flip)
         assert flipped == CorrelationMatrix(signs[:, None] * rho * signs)
         assert flipped != CorrelationMatrix(rho)
+
+    def test_factor_independent_of_openblas_threads(self):
+        # A threaded Cholesky or triangular solve differs in its last bits
+        # from the one-thread result, so the factor and the correlated fit
+        # must not follow OPENBLAS_NUM_THREADS.
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from mrkit import CorrelationMatrix\n"
+            "from mrkit.regression import _factored_fit\n"
+            "lags = np.abs(np.subtract.outer(np.arange(300), np.arange(300)))\n"
+            "factor = CorrelationMatrix(0.3 ** lags).factor\n"
+            "rng = np.random.default_rng(1)\n"
+            "fit = _factored_fit(rng.normal(size=(300, 4)),\n"
+            "                    rng.normal(size=300), factor)\n"
+            "for array in (factor, fit.coefficients):\n"
+            "    print(hashlib.sha256(array.tobytes()).hexdigest())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env=subprocess_env(OPENBLAS_NUM_THREADS=threads), timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSummaryDataset:

@@ -1,4 +1,5 @@
 """Weighted/generalized least-squares engine and weighted moments."""
+import ctypes
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrkit import CorrelationMatrix, DataError, regression
 from mrkit.regression import (
     RANK_TOL,
     FactorizationError,
@@ -19,6 +21,8 @@ from mrkit.regression import (
     weighted_var,
     _design,
     _fit_from_r,
+    _one_blas_thread,
+    _openblas_thread_apis,
     _wls_kernel,
 )
 from mrkit.estimators import _t_pvalue
@@ -128,6 +132,61 @@ class TestFitGls:
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="J x J"):
             fit_gls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]), np.eye(3))
+
+
+@pytest.fixture
+def blas_apis():
+    """Every loaded OpenBLAS set to 2 threads for the test, then restored."""
+    apis = _openblas_thread_apis()
+    if not apis:
+        pytest.skip("no OpenBLAS loaded")
+    saved = [get() for get, _ in apis]
+    for _, set_ in apis:
+        set_(2)
+    yield apis
+    for (_, set_), count in zip(apis, saved):
+        set_(count)
+
+
+def thread_counts(apis):
+    return [get() for get, _ in apis]
+
+
+class TestOneBlasThread:
+    def test_one_thread_inside_and_restored(self, blas_apis):
+        with _one_blas_thread():
+            assert thread_counts(blas_apis) == [1] * len(blas_apis)
+            with _one_blas_thread():
+                assert thread_counts(blas_apis) == [1] * len(blas_apis)
+            assert thread_counts(blas_apis) == [1] * len(blas_apis)
+        assert thread_counts(blas_apis) == [2] * len(blas_apis)
+
+    def test_restored_when_body_raises(self, blas_apis, monkeypatch):
+        # Pairwise correlations of 0.9, -0.9, 0.9 cannot coexist: the
+        # Cholesky fails, the eigenvalue fallback runs and DataError leaves.
+        bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        eigvalsh, inside = np.linalg.eigvalsh, []
+
+        def recording_eigvalsh(*args, **kwargs):
+            inside.append(thread_counts(blas_apis))
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        with pytest.raises(DataError, match="positive semi-definite"):
+            CorrelationMatrix(bad)
+        assert inside == [[1] * len(blas_apis)]
+        assert thread_counts(blas_apis) == [2] * len(blas_apis)
+
+    def test_without_openblas_does_nothing(self, blas_apis, monkeypatch):
+        monkeypatch.setattr(regression, "_openblas_thread_apis", lambda: ())
+        with _one_blas_thread():
+            assert thread_counts(blas_apis) == [2] * len(blas_apis)
+        assert thread_counts(blas_apis) == [2] * len(blas_apis)
+
+    def test_each_api_once(self, blas_apis):
+        addresses = [ctypes.cast(get, ctypes.c_void_p).value
+                     for get, _ in blas_apis]
+        assert len(set(addresses)) == len(addresses)
 
 
 def whitened(x, y, w):
