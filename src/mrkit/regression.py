@@ -55,7 +55,6 @@ from enum import Enum
 from functools import cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "RankError",
@@ -343,6 +342,10 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
     it with the kernel at C = 1; fitted values and residuals stay on the
     original scale.
     """
+    # Imported here, its only use, so that importing mrkit does not load
+    # scipy.linalg.
+    from scipy.linalg import solve_triangular
+
     with _one_blas_thread():
         problem = solve_triangular(factor, np.column_stack([x, y]), lower=True)
     return _fit_one(x, y, _wls_kernel(problem[None]))

@@ -43,7 +43,9 @@ first replicate's state against numpy's own seeding and raises RuntimeError
 on a mismatch. Replicates are processed in fixed-size chunks written to
 index-ordered arrays, so summaries are bit-identical for any chunk size and
 any worker count (set via the ``MRKIT_THREADS`` environment variable,
-default min(4, cpu count)).
+default min(4, cpu count)). ``run_scenario_grid`` packs rows smaller than a
+chunk into shared chunks; each replicate keeps its row's seed and its own
+index, so every row's summary is bit for bit the one it gets alone.
 """
 from __future__ import annotations
 
@@ -562,29 +564,29 @@ class _ChunkBuffers:
 
 def _whitened_problems(config: ScenarioConfig, chol: np.ndarray,
                        uv_extra: float, start: int, end: int,
-                       buffers: _ChunkBuffers):
+                       buffers: _ChunkBuffers, at: int) -> None:
     """Whitened [design | response] of ME and UE for replicates start..end-1.
 
-    Every array is a leading slice of ``buffers``: the draws fill its
-    (C, J, 5) block, which the latent draws overwrite, and the observables
-    fill its four (C, J) columns. MI's problem is ME's without its intercept
-    column, so it is not built: :func:`_chunk_tests` fits it from ME's R.
-    UE's outcome errors are widened by the univariable extra variance
-    ``uv_extra``.
+    Everything is written to rows at..at + end - start of ``buffers``: the
+    draws fill those rows of its (C, J, 5) block, which the latent draws
+    overwrite, the observables those of its four (C, J) columns, and the
+    problems those of its ME and UE arrays. MI's problem is ME's without its
+    intercept column, so it is not built: :func:`_chunk_tests` fits it from
+    ME's R. UE's outcome errors are widened by the univariable extra
+    variance ``uv_extra``.
     """
-    c = end - start
-    z = buffers.z[:c]
+    rows = slice(at, at + end - start)
+    z = buffers.z[rows]
     _chunk_normals(config, start, z)
     beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
-        config, beta_cols, alpha_prime, epsilon, buffers.observables[:, :c])
-    sqrt_w = buffers.sqrt_w[:c]
+        config, beta_cols, alpha_prime, epsilon, buffers.observables[:, rows])
+    sqrt_w = buffers.sqrt_w[rows]
     np.sqrt(np.divide(1.0, se2_mv, out=sqrt_w), out=sqrt_w)
-    me = _design((abs_x1, x2, x3, beta_y), True, sqrt_w, out=buffers.me[:c])
+    _design((abs_x1, x2, x3, beta_y), True, sqrt_w, out=buffers.me[rows])
     np.add(se2_mv, uv_extra, out=sqrt_w)
     np.sqrt(np.divide(1.0, sqrt_w, out=sqrt_w), out=sqrt_w)
-    ue = _design((abs_x1, beta_y), True, sqrt_w, out=buffers.ue[:c])
-    return me, ue
+    _design((abs_x1, beta_y), True, sqrt_w, out=buffers.ue[rows])
 
 
 def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
@@ -611,46 +613,13 @@ def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
     p[:] = _t_pvalue(theta, se, df)
 
 
-def run_scenario(config: ScenarioConfig) -> SimulationSummary:
-    """Monte Carlo summary of MI / UE / ME over config.replicates datasets.
+def _summarise(results: np.ndarray) -> SimulationSummary:
+    """One config's summary from its (3, len(_TESTS), replicates) results.
 
-    All three estimators use multiplicative random-effects standard errors
-    and two-sided t tests at the 5% level; the univariable fit regresses on
-    the first covariate only, with its errors widened by the variance the
-    omitted risk factors explain. Replicates yielding any non-finite result,
-    or whose design is rank deficient (the same test behind ``RankError``),
-    are counted in ``failures`` and excluded from the affected summaries.
     Raises ValueError when every replicate fails for some estimator.
     """
-    reps = config.replicates
-    j = config.j_variants
-    chol = _draw_coefficients(config)
-    uv_extra = _univariable_extra_variance(config)
-    # Per tested coefficient (see _TESTS) and replicate: the estimate, its se
-    # and its p-value.
-    results = np.empty((3, len(_TESTS), reps))
-    chunk = min(_CHUNK, reps)
-    local = threading.local()
-
-    def work(start: int, end: int) -> None:
-        if not hasattr(local, "buffers"):
-            local.buffers = _ChunkBuffers(chunk, j)
-        me, ue = _whitened_problems(config, chol, uv_extra, start, end,
-                                    local.buffers)
-        _chunk_tests(me, ue, results[:, :, start:end])
-
-    bounds = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
-    workers = _thread_count()
-    if workers == 1 or len(bounds) == 1:
-        for start, end in bounds:
-            work(start, end)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Materialize to surface any worker exception.
-            list(pool.map(lambda b: work(*b), bounds))
-
     summaries = []
-    all_ok = np.ones(reps, dtype=bool)
+    all_ok = np.ones(results.shape[-1], dtype=bool)
     theta, se, p = results
     intercept_p = iter(p[len(_ESTIMATORS):])
     for e, (estimator, intercept) in enumerate(_ESTIMATORS):
@@ -677,6 +646,70 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
                              failures=int(np.sum(~all_ok)))
 
 
+def _run_scenarios(configs: list[ScenarioConfig]) -> list[SimulationSummary]:
+    """Summaries of several configs that share one J, run as one job.
+
+    The configs' replicates are laid end to end, in order, and cut into
+    chunks of up to ``_CHUNK``, so one chunk may hold several configs'
+    replicates. A chunk is filled one segment at a time, each segment one
+    config's replicates under that config's seed and replicate indices, and
+    then fitted and tested at once. Every step is per replicate, so each
+    config's summary is bit for bit what it gets when run alone. Worker
+    threads start only when there is more than one chunk.
+    """
+    j = configs[0].j_variants
+    if any(config.j_variants != j for config in configs):
+        raise ValueError("configs run together must share j_variants")
+    ends = list(itertools.accumulate(config.replicates for config in configs))
+    firsts, total = [0] + ends[:-1], ends[-1]
+    segments = [(config, _draw_coefficients(config),
+                 _univariable_extra_variance(config), first)
+                for config, first in zip(configs, firsts)]
+    # Per tested coefficient (see _TESTS) and replicate: the estimate, its se
+    # and its p-value.
+    results = np.empty((3, len(_TESTS), total))
+    chunk = min(_CHUNK, total)
+    local = threading.local()
+
+    def work(start: int, end: int) -> None:
+        if not hasattr(local, "buffers"):
+            local.buffers = _ChunkBuffers(chunk, j)
+        for config, chol, uv_extra, first in segments:
+            lo, hi = max(start, first), min(end, first + config.replicates)
+            if lo < hi:
+                _whitened_problems(config, chol, uv_extra, lo - first,
+                                   hi - first, local.buffers, lo - start)
+        c = end - start
+        _chunk_tests(local.buffers.me[:c], local.buffers.ue[:c],
+                     results[:, :, start:end])
+
+    bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    workers = _thread_count()
+    if workers == 1 or len(bounds) == 1:
+        for start, end in bounds:
+            work(start, end)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # Materialize to surface any worker exception.
+            list(pool.map(lambda b: work(*b), bounds))
+    return [_summarise(results[:, :, first:end])
+            for first, end in zip(firsts, ends)]
+
+
+def run_scenario(config: ScenarioConfig) -> SimulationSummary:
+    """Monte Carlo summary of MI / UE / ME over config.replicates datasets.
+
+    All three estimators use multiplicative random-effects standard errors
+    and two-sided t tests at the 5% level; the univariable fit regresses on
+    the first covariate only, with its errors widened by the variance the
+    omitted risk factors explain. Replicates yielding any non-finite result,
+    or whose design is rank deficient (the same test behind ``RankError``),
+    are counted in ``failures`` and excluded from the affected summaries.
+    Raises ValueError when every replicate fails for some estimator.
+    """
+    return _run_scenarios([config])[0]
+
+
 # Scenario rows of each grid block, in table order: no pleiotropy; balanced;
 # directional mu = 0.01/0.05/0.1; the same three with the
 # instrument-strength-independence condition violated.
@@ -695,29 +728,30 @@ def run_scenario_grid(replicates: int = DEFAULT_REPLICATES,
     rows are skipped before any draw or fit, and only rows 32-63 are run.
     Each row runs under its own seed derived from (seed, row index), and
     keeps its full-grid index, so any subset of rows is reproducible in
-    isolation.
+    isolation. Rows smaller than a Monte Carlo chunk share one: consecutive
+    rows run together in groups of ``max(1, _CHUNK // replicates)``, each
+    replicate under its own row's seed, so every summary is bit for bit the
+    one ``run_scenario`` gives that row alone.
     """
     _check_seed(seed)
     layout = itertools.product((False, True), (False, True), (0.0, 0.3),
                                _GRID_SCENARIOS)
-    rows = []
+    rows, configs = [], []
     for index, (mediation, correlated, theta1, (scenario, mu)) in enumerate(
             layout):
         if mediation_only and not mediation:
             continue
         row_seed = int(np.random.SeedSequence(
             [int(seed), index]).generate_state(1, np.uint64)[0])
-        config = scenario_config(
+        rows.append((index, mediation, correlated, theta1, scenario, mu,
+                     row_seed))
+        configs.append(scenario_config(
             scenario, theta1=theta1, mu=mu, correlated=correlated,
-            mediation=mediation, replicates=replicates, seed=row_seed)
-        rows.append(GridRow(
-            index=index,
-            mediation=mediation,
-            correlated=correlated,
-            theta1=theta1,
-            scenario=scenario,
-            mu=mu,
-            seed=row_seed,
-            summary=run_scenario(config),
-        ))
-    return tuple(rows)
+            mediation=mediation, replicates=replicates, seed=row_seed))
+    # Every config is validated above, so replicates is positive here.
+    group = max(1, _CHUNK // replicates)
+    summaries = []
+    for first in range(0, len(configs), group):
+        summaries += _run_scenarios(configs[first:first + group])
+    return tuple(GridRow(*row, summary=summary)
+                 for row, summary in zip(rows, summaries))

@@ -593,6 +593,17 @@ class TestGrid:
         assert err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_bad_reps(self, tmp_path, capsys, reps):
+        # The grid sizes its row groups from --reps only after the rows'
+        # configs have validated it.
+        code = main(["grid", "--reps", reps, "--seed", "3",
+                     "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: replicates must be a positive integer\n"
+        assert not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("mediation", [[], ["--mediation"]])
     def test_text_table_rendered_once(self, tmp_path, capsys, monkeypatch,
                                       mediation):

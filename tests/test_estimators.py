@@ -405,10 +405,12 @@ class TestInference:
     def test_import_leaves_scipy_stats_unloaded(self):
         done = subprocess.run(
             [sys.executable, "-c",
-             "import sys, mrkit; print('scipy.stats' in sys.modules)"],
+             "import sys, mrkit, mrkit.cli; "
+             "print('scipy.stats' in sys.modules, "
+             "'scipy.linalg' in sys.modules)"],
             env=subprocess_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "False False"
 
     def test_level_changes_width(self):
         rng = np.random.default_rng(73)

@@ -299,6 +299,22 @@ class TestRunScenario:
                     summaries.append(run_scenario(config))
         assert all(s == summaries[0] for s in summaries)
 
+    def test_packed_configs_match_isolated_runs(self, monkeypatch):
+        # 173 replicates in two chunks: the first holds all of the first
+        # config and the head of the second, the last the second's tail and
+        # all of the third.
+        configs = [scenario_config(1, replicates=100, j_variants=30, seed=1),
+                   scenario_config(4, mu=0.1, replicates=70, j_variants=30,
+                                   seed=2),
+                   scenario_config(2, replicates=3, j_variants=30, seed=3)]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MRKIT_THREADS", threads)
+            assert simulation._run_scenarios(configs) == [
+                run_scenario(config) for config in configs]
+        with pytest.raises(ValueError, match="share j_variants"):
+            simulation._run_scenarios(
+                [configs[0], scenario_config(1, replicates=5, j_variants=20)])
+
     def test_chunk_draws_match_single_replicate(self, monkeypatch):
         # The chunk fills its draw block in place through _chunk_normals,
         # which must draw what generate_dataset draws for each replicate.
@@ -464,13 +480,23 @@ class TestGrid:
         # Row seeds are distinct, derived from (seed, index).
         assert len({r.seed for r in rows}) == 64
 
-    def test_rows_reproducible_in_isolation(self, grid_rows):
-        row = grid_rows[37]
-        config = scenario_config(
-            row.scenario, theta1=row.theta1, mu=row.mu,
-            correlated=row.correlated, mediation=row.mediation,
-            replicates=20, seed=row.seed)
-        assert run_scenario(config) == row.summary
+    def test_rows_reproducible_in_isolation(self, grid_rows, monkeypatch):
+        # At 20 replicates six rows share each chunk; at 50, two. Every row
+        # must still be bit for bit run_scenario on that row alone.
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MRKIT_THREADS", threads)
+            full = run_scenario_grid(replicates=20, seed=404)
+            assert full == grid_rows
+            mediation = run_scenario_grid(replicates=50, seed=404,
+                                          mediation_only=True)
+            for rows, replicates in ((full, 20), (mediation, 50)):
+                for row in rows:
+                    config = scenario_config(
+                        row.scenario, theta1=row.theta1, mu=row.mu,
+                        correlated=row.correlated, mediation=row.mediation,
+                        replicates=replicates, seed=row.seed)
+                    assert run_scenario(config) == row.summary, (
+                        threads, replicates, row.index)
 
     def test_mediation_only_returns_mediation_rows(self, grid_rows):
         rows = run_scenario_grid(replicates=20, seed=404, mediation_only=True)
@@ -483,13 +509,13 @@ class TestGrid:
     def test_mediation_only_skips_main_rows(self, monkeypatch,
                                             mediation_only, gammas):
         computed = []
-        real = simulation.run_scenario
+        real = simulation._run_scenarios
 
-        def counting(config):
-            computed.append(config.gamma)
-            return real(config)
+        def counting(configs):
+            computed.extend(config.gamma for config in configs)
+            return real(configs)
 
-        monkeypatch.setattr(simulation, "run_scenario", counting)
+        monkeypatch.setattr(simulation, "_run_scenarios", counting)
         run_scenario_grid(replicates=2, seed=404,
                           mediation_only=mediation_only)
         assert computed == gammas
