@@ -107,6 +107,7 @@ class CorrelationMatrix:
         entries = np.array(self.entries, dtype=float)
         _require(entries.ndim == 2 and entries.shape[0] == entries.shape[1],
                  "correlation matrix must be square")
+        _require(entries.size > 0, "correlation matrix is empty")
         _require(np.all(np.isfinite(entries)), "non-finite correlation entry")
         _require(np.max(np.abs(entries - entries.T)) <= 1e-8,
                  "correlation matrix asymmetric beyond tolerance 1e-8")

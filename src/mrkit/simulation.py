@@ -33,19 +33,19 @@ conservative (mean se ~ 0.41 in the same setting).
 
 Determinism: replicate r of a scenario with seed s draws its (J, 5) standard
 normals from ``default_rng(SeedSequence([s, r]))`` in one call.
-``generate_dataset`` builds that generator for its one replicate, through
-``_replicate_normals``. ``run_scenario`` seeds a whole chunk at once: it runs
-the SeedSequence hash of every [s, r] in the chunk as uint32 array
-operations, turns each result into the PCG64 state numpy would set, and
-re-seeds one generator per chunk with it, so row r of the chunk's one
-(C, J, 5) block holds the same stream, bit for bit. Each chunk checks its
-first replicate's state against numpy's own seeding and raises RuntimeError
-on a mismatch. Replicates are processed in fixed-size chunks written to
-index-ordered arrays, so summaries are bit-identical for any chunk size and
-any worker count (set via the ``MRKIT_THREADS`` environment variable,
-default min(4, cpu count)). ``run_scenario_grid`` packs rows smaller than a
-chunk into shared chunks; each replicate keeps its row's seed and its own
-index, so every row's summary is bit for bit the one it gets alone.
+``generate_dataset`` builds that generator for its one replicate.
+``run_scenario`` seeds a whole chunk at once: it runs the SeedSequence hash
+of every [s, r] in the chunk as uint32 array operations, turns each result
+into the PCG64 state numpy would set, and re-seeds one generator per chunk
+with it, so row r of the chunk's one (C, J, 5) block holds the same stream,
+bit for bit. Each chunk checks its first replicate's state against numpy's
+own seeding and raises RuntimeError on a mismatch. Replicates are processed
+in fixed-size chunks written to index-ordered arrays, so summaries are
+bit-identical for any chunk size and any worker count (set via the
+``MRKIT_THREADS`` environment variable, default min(4, cpu count)).
+``run_scenario_grid`` packs rows smaller than a chunk into shared chunks;
+each replicate keeps its row's seed and its own index, so every row's
+summary is bit for bit the one it gets alone.
 """
 from __future__ import annotations
 
@@ -160,8 +160,10 @@ class ScenarioConfig:
         if self.weight_mode not in ("realized", "variance_component"):
             raise ValueError(
                 "weight_mode must be 'realized' or 'variance_component'")
-        # Fails on a non-PSD risk-factor correlation; when inside_violated,
-        # also certifies the induced joint law of (bX1, bX2, bX3, alpha').
+        # Fails on a risk-factor correlation that is not positive definite.
+        # The joint law of (bX1, bX2, bX3, alpha') under inside_violated is
+        # then PSD too: its Schur complement is
+        # sigma_alpha_sq * (1 - INSIDE_CORRELATION**2).
         _draw_coefficients(self)
 
     @property
@@ -272,44 +274,21 @@ def scenario_config(scenario: int, theta1: float = 0.0, mu: float = 0.0,
 
 
 def _draw_coefficients(config: ScenarioConfig) -> np.ndarray:
-    """Cholesky factor of the risk-factor correlation, validated PD/PSD."""
+    """Cholesky factor of the risk-factor correlation.
+
+    Raises ValueError when the correlation is not positive definite.
+    """
     r12, r13, r23 = config.rhos
-    correlation = np.array([
-        [1.0, r12, r13],
-        [r12, 1.0, r23],
-        [r13, r23, 1.0],
-    ])
     try:
-        chol = np.linalg.cholesky(correlation)
+        return np.linalg.cholesky(np.array([
+            [1.0, r12, r13],
+            [r12, 1.0, r23],
+            [r13, r23, 1.0],
+        ]))
     except np.linalg.LinAlgError:
         raise ValueError(
             "risk-factor correlation implied by rhos is not positive "
             "definite") from None
-    if config.inside_violated:
-        # Joint covariance of (bX1, bX2, bX3, alpha') under the conditional
-        # construction: alpha' loads on bX1 only, inheriting the bX1-bX2/bX3
-        # correlations. PSD holds whenever |INSIDE_CORRELATION| <= 1; checked
-        # here so the stated invariant is certified, not assumed.
-        sd = np.sqrt(np.array(config.sigmas_sq))
-        sd_alpha = np.sqrt(config.sigma_alpha_sq)
-        joint = np.zeros((4, 4))
-        joint[:3, :3] = correlation * np.outer(sd, sd)
-        joint[3, 3] = config.sigma_alpha_sq
-        cross = INSIDE_CORRELATION * sd_alpha * sd * correlation[0, :3]
-        joint[3, :3] = joint[:3, 3] = cross
-        if np.linalg.eigvalsh(joint).min() < -1e-10:
-            raise ValueError(
-                "induced covariance of (beta_x, alpha') is not positive "
-                "semi-definite")
-    return chol
-
-
-def _replicate_normals(config: ScenarioConfig, replicate_index: int, j: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """One replicate's (J, 5) standard normals, written into ``out`` if given."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(config.seed), int(replicate_index)]))
-    return rng.standard_normal((j, 5), out=out)
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe: a 4-word pool, the
@@ -382,7 +361,8 @@ def _pcg64_state(words: list[int]) -> tuple[int, int]:
 def _chunk_normals(config: ScenarioConfig, start: int, out: np.ndarray) -> None:
     """Fill ``out``, a (C, J, 5) block, with replicates start..start+C-1's draws.
 
-    Row i holds exactly what ``_replicate_normals(config, start + i, J)``
+    Row i holds exactly what
+    ``default_rng(SeedSequence([seed, start + i])).standard_normal((J, 5))``
     draws. The chunk's seeds are hashed at once, and one generator is
     re-seeded per replicate. A guard checks the first replicate's state
     against numpy's own seeding and raises RuntimeError on a mismatch,
@@ -405,16 +385,17 @@ def _chunk_normals(config: ScenarioConfig, start: int, out: np.ndarray) -> None:
         generator.standard_normal(z_r.shape, out=z_r)
 
 
-def _latent_draws(config: ScenarioConfig, z: np.ndarray,
-                  chol: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def _latent_draws(config: ScenarioConfig,
+                  z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Map standard normals z (..., J, 5) to (beta_x columns, alpha', eps).
 
     Works in place: the results are the five columns of ``z``, overwritten
     (alpha' first, then the beta_x columns from the last, so every column
     is read before it is replaced). Written as scalar-coefficient
-    elementwise arithmetic (no matmul) so the single-replicate and chunked
-    paths produce bit-identical values.
+    elementwise arithmetic (no matmul), so a replicate's values do not
+    depend on the chunk size or on how chunks are packed.
     """
+    chol = _draw_coefficients(config)
     acc, term = np.empty((2,) + z.shape[:-1])
     alpha_prime = z[..., 3]
     if config.no_pleiotropy:
@@ -444,15 +425,13 @@ def _latent_draws(config: ScenarioConfig, z: np.ndarray,
 
 def _observables(config: ScenarioConfig, beta_cols: list[np.ndarray],
                  alpha_prime: np.ndarray, epsilon: np.ndarray,
-                 out: np.ndarray | None = None):
+                 out: np.ndarray):
     """Covariate columns, outcome associations, and squared outcome ses.
 
     |bX1|, bX2, beta_Y and the squared ses are written into ``out``, a
-    (4, ..., J) array (a new one when not given); bX3 is ``beta_cols[2]``.
+    (4, ..., J) array; bX3 is ``beta_cols[2]``.
     """
     theta1, theta2, theta3 = config.theta
-    if out is None:
-        out = np.empty((4,) + np.shape(epsilon))
     abs_x1, x2, beta_y, se2_mv = out
     x3 = beta_cols[2]
     np.abs(beta_cols[0], out=abs_x1)
@@ -493,13 +472,12 @@ def generate_dataset(config: ScenarioConfig,
         raise ValueError(
             f"replicate_index must be in [0, {config.replicates}), "
             f"got {replicate_index}")
-    chol = _draw_coefficients(config)
-    z = _replicate_normals(config, replicate_index, config.j_variants)
-    beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
-    abs_x1, x2, x3, beta_y, se2_mv = _observables(
-        config, beta_cols, alpha_prime, epsilon)
-
     j = config.j_variants
+    z = np.random.default_rng(np.random.SeedSequence(
+        [int(config.seed), int(replicate_index)])).standard_normal((j, 5))
+    beta_cols, alpha_prime, epsilon = _latent_draws(config, z)
+    abs_x1, x2, x3, beta_y, se2_mv = _observables(
+        config, beta_cols, alpha_prime, epsilon, np.empty((4, j)))
     dataset = SummaryDataset(
         risk_factor_names=("x1", "x2", "x3"),
         variant_ids=np.char.add(
@@ -562,8 +540,7 @@ class _ChunkBuffers:
         self.sqrt_w = sqrt_w.reshape(size, j)
 
 
-def _whitened_problems(config: ScenarioConfig, chol: np.ndarray,
-                       uv_extra: float, start: int, end: int,
+def _whitened_problems(config: ScenarioConfig, start: int, end: int,
                        buffers: _ChunkBuffers, at: int) -> None:
     """Whitened [design | response] of ME and UE for replicates start..end-1.
 
@@ -573,18 +550,18 @@ def _whitened_problems(config: ScenarioConfig, chol: np.ndarray,
     problems those of its ME and UE arrays. MI's problem is ME's without its
     intercept column, so it is not built: :func:`_chunk_tests` fits it from
     ME's R. UE's outcome errors are widened by the univariable extra
-    variance ``uv_extra``.
+    variance.
     """
     rows = slice(at, at + end - start)
     z = buffers.z[rows]
     _chunk_normals(config, start, z)
-    beta_cols, alpha_prime, epsilon = _latent_draws(config, z, chol)
+    beta_cols, alpha_prime, epsilon = _latent_draws(config, z)
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
         config, beta_cols, alpha_prime, epsilon, buffers.observables[:, rows])
     sqrt_w = buffers.sqrt_w[rows]
     np.sqrt(np.divide(1.0, se2_mv, out=sqrt_w), out=sqrt_w)
     _design((abs_x1, x2, x3, beta_y), True, sqrt_w, out=buffers.me[rows])
-    np.add(se2_mv, uv_extra, out=sqrt_w)
+    np.add(se2_mv, _univariable_extra_variance(config), out=sqrt_w)
     np.sqrt(np.divide(1.0, sqrt_w, out=sqrt_w), out=sqrt_w)
     _design((abs_x1, beta_y), True, sqrt_w, out=buffers.ue[rows])
 
@@ -662,9 +639,6 @@ def _run_scenarios(configs: list[ScenarioConfig]) -> list[SimulationSummary]:
         raise ValueError("configs run together must share j_variants")
     ends = list(itertools.accumulate(config.replicates for config in configs))
     firsts, total = [0] + ends[:-1], ends[-1]
-    segments = [(config, _draw_coefficients(config),
-                 _univariable_extra_variance(config), first)
-                for config, first in zip(configs, firsts)]
     # Per tested coefficient (see _TESTS) and replicate: the estimate, its se
     # and its p-value.
     results = np.empty((3, len(_TESTS), total))
@@ -674,11 +648,11 @@ def _run_scenarios(configs: list[ScenarioConfig]) -> list[SimulationSummary]:
     def work(start: int, end: int) -> None:
         if not hasattr(local, "buffers"):
             local.buffers = _ChunkBuffers(chunk, j)
-        for config, chol, uv_extra, first in segments:
+        for config, first in zip(configs, firsts):
             lo, hi = max(start, first), min(end, first + config.replicates)
             if lo < hi:
-                _whitened_problems(config, chol, uv_extra, lo - first,
-                                   hi - first, local.buffers, lo - start)
+                _whitened_problems(config, lo - first, hi - first,
+                                   local.buffers, lo - start)
         c = end - start
         _chunk_tests(local.buffers.me[:c], local.buffers.ue[:c],
                      results[:, :, start:end])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mrkit
-from mrkit import write_dataset
+from mrkit import simulation, write_dataset
 from mrkit.cli import main
 
 from conftest import make_dataset, random_correlation, subprocess_env
@@ -37,6 +37,34 @@ def one_factor_csv(tmp_path):
     path = tmp_path / "uni.csv"
     write_dataset(make_dataset(bx, by, se_y), path)
     return str(path)
+
+
+@pytest.fixture
+def collinear_replicates(monkeypatch):
+    """Make the first replicate of every _observables call rank deficient.
+
+    Its x3 duplicates x2, so MI and ME fail on it and UE does not. Returns
+    the list that counts the calls, one failed replicate each.
+    """
+    observables = simulation._observables
+    calls = []
+
+    def collinear_first(*args):
+        abs_x1, x2, x3, beta_y, se2 = observables(*args)
+        x3 = x3.copy()
+        x3[0] = x2[0]
+        calls.append(None)
+        return abs_x1, x2, x3, beta_y, se2
+
+    monkeypatch.setattr(simulation, "_observables", collinear_first)
+    return calls
+
+
+def _data_rows(path):
+    """The CSV's records as dicts, below its ``#`` audit lines."""
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    return list(csv.DictReader(lines))
 
 
 def _analyze(argv, capsys):
@@ -520,6 +548,20 @@ class TestSimulate:
         assert code == 2
         assert "error: every replicate failed for estimator MI" in err
 
+    def test_some_replicates_failed(self, tmp_path, capsys,
+                                    collinear_replicates):
+        # 300 replicates run as chunks of 128, 128 and 44: one failure each.
+        code = main(["simulate", "--scenario", "2", "--reps", "300",
+                     "--seed", "5", "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert len(collinear_replicates) == 3
+        assert captured.err == "warning: 3 replicate(s) failed\n"
+        assert code == 1
+        assert (tmp_path / "x.txt").exists()
+        [row] = _data_rows(tmp_path / "x.csv")
+        assert row["failures"] == "3"
+        assert row["replicates_used"] == "297"
+
 
 class TestGrid:
     def test_full_grid_outputs(self, tmp_path, capsys):
@@ -621,6 +663,22 @@ class TestGrid:
         assert calls == [32 if mediation else 64]
         text = (tmp_path / "g.txt").read_text()
         assert out.startswith(text[text.index("\n\n") + 2:])
+
+    def test_some_replicates_failed(self, tmp_path, capsys,
+                                    collinear_replicates):
+        # 32 rows of 32 replicates, packed four to a chunk: every row is its
+        # own _observables call, so every row loses one replicate.
+        code = main(["grid", "--mediation", "--reps", "32", "--seed", "3",
+                     "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert len(collinear_replicates) == 32
+        assert captured.err == \
+               "warning: 32 replicate(s) failed across the grid\n"
+        assert code == 1
+        assert (tmp_path / "g.txt").exists()
+        rows = _data_rows(tmp_path / "g.csv")
+        assert len(rows) == 32
+        assert [row["failures"] for row in rows] == ["1"] * 32
 
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -77,6 +77,10 @@ class TestCorrelationMatrix:
         with pytest.raises(DataError, match="square"):
             CorrelationMatrix(np.ones((2, 3)))
 
+    def test_empty(self):
+        with pytest.raises(DataError, match="^correlation matrix is empty$"):
+            CorrelationMatrix(np.zeros((0, 0)))
+
     def test_asymmetric(self):
         with pytest.raises(DataError, match="asymmetric"):
             CorrelationMatrix(np.array([[1.0, 0.2], [0.5, 1.0]]))
@@ -400,6 +404,13 @@ class TestLoadCorrelation:
         p = _write(tmp_path, "1.0,0.5\n0.5,1.0\n0.5,1.0\n", name="corr.csv")
         with pytest.raises(DataError, match="must be 2x2 to match the dataset: "
                                             "found 3 rows"):
+            load_correlation(p, ds)
+
+    def test_empty_file(self, tmp_path):
+        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
+        p = _write(tmp_path, "", name="corr.csv")
+        with pytest.raises(DataError, match="must be 2x2 to match the dataset: "
+                                            "found 0 rows"):
             load_correlation(p, ds)
 
     def test_non_numeric(self, tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from mrkit import (
 from mrkit.simulation import (
     CORRELATED_RHOS,
     DEFAULT_SEED,
+    INSIDE_CORRELATION,
     GeneratedTruth,
     ScenarioConfig,
     _univariable_extra_variance,
@@ -64,6 +65,41 @@ class TestScenarioConfig:
     def test_inside_violated_needs_variance(self):
         with pytest.raises(ValueError, match="sigma_alpha_sq > 0"):
             ScenarioConfig(inside_violated=True, sigma_alpha_sq=0.0)
+
+    @given(rhos=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
+           sigmas_sq=st.tuples(
+               *[st.floats(min_value=1e-6, max_value=10.0)] * 3),
+           sigma_alpha_sq=st.floats(min_value=1e-8, max_value=10.0))
+    @example(rhos=CORRELATED_RHOS, sigmas_sq=(0.03, 0.02, 0.04),
+             sigma_alpha_sq=0.004)
+    @example(rhos=(0.999, 0.999, 0.998), sigmas_sq=(10.0, 1e-6, 1.0),
+             sigma_alpha_sq=10.0)
+    @hypothesis_settings(max_examples=200, deadline=None)
+    def test_inside_violated_joint_law_is_psd(self, rhos, sigmas_sq,
+                                              sigma_alpha_sq):
+        # alpha' loads on the standardized bX1 only, so the joint covariance
+        # of (bX1, bX2, bX3, alpha') is PSD whenever the risk-factor
+        # correlation is: its Schur complement is
+        # sigma_alpha_sq * (1 - INSIDE_CORRELATION**2). This certifies that
+        # bound in place of a runtime check on every config.
+        r12, r13, r23 = rhos
+        correlation = np.array([[1.0, r12, r13], [r12, 1.0, r23],
+                                [r13, r23, 1.0]])
+        try:
+            np.linalg.cholesky(correlation)
+        except np.linalg.LinAlgError:
+            assume(False)
+        config = ScenarioConfig(inside_violated=True, rhos=rhos,
+                                sigmas_sq=sigmas_sq,
+                                sigma_alpha_sq=sigma_alpha_sq)
+        sd = np.sqrt(np.array(config.sigmas_sq))
+        joint = np.zeros((4, 4))
+        joint[:3, :3] = correlation * np.outer(sd, sd)
+        joint[3, 3] = config.sigma_alpha_sq
+        joint[3, :3] = joint[:3, 3] = (
+            INSIDE_CORRELATION * np.sqrt(config.sigma_alpha_sq) * sd
+            * correlation[0])
+        assert np.linalg.eigvalsh(joint).min() >= -1e-10
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="at least 5"):
@@ -322,9 +358,9 @@ class TestRunScenario:
         latent_draws = simulation._latent_draws
         blocks = []
 
-        def capture(config, z, chol):
+        def capture(config, z):
             blocks.append(z.copy())
-            return latent_draws(config, z, chol)
+            return latent_draws(config, z)
 
         monkeypatch.setattr(simulation, "_latent_draws", capture)
         config = scenario_config(2, replicates=2 * simulation._CHUNK,
@@ -333,8 +369,9 @@ class TestRunScenario:
         assert [len(b) for b in blocks] == [simulation._CHUNK] * 2
         z = np.concatenate(blocks)
         for r in range(config.replicates):
-            assert np.array_equal(
-                z[r], simulation._replicate_normals(config, r, 20))
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, r]))
+            assert np.array_equal(z[r], rng.standard_normal((20, 5)))
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
            indices=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
