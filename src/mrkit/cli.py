@@ -39,7 +39,7 @@ from .estimators import (
     ivw_multivariable,
     ivw_univariable,
 )
-from .orientation import orient
+from .orientation import _flip_mask, orient
 from .regression import WeightScheme
 from .simulation import (
     DEFAULT_SEED,
@@ -81,9 +81,13 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
                 f"unknown method {method!r}; choose from UI, UE, MI, ME")
 
     dataset = load_dataset(args.data, args.k)
+    correlation = None
     if args.corr is not None:
-        dataset = dataset.with_correlation(
-            load_correlation(args.corr, dataset))
+        # Loaded already oriented, so the matrix is held once and factored
+        # once; an unknown --ref is reported after the file's own faults.
+        flip = (_flip_mask(dataset, args.ref)
+                if args.ref in dataset.risk_factor_names else None)
+        correlation = load_correlation(args.corr, dataset, flip)
 
     needs_reference = [m for m in methods if m in ("UE", "ME")]
     if args.k > 1:
@@ -98,7 +102,7 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
         "j": dataset.j,
         "k": dataset.k,
         "risk_factors": ";".join(dataset.risk_factor_names),
-        "correlated": dataset.correlation is not None,
+        "correlated": correlation is not None,
     }]
     caught = []
     analysis = dataset
@@ -113,6 +117,8 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
             "zero_oriented": len(orientation.zero_ids),
             "ids": ";".join(orientation.flipped_ids),
         })
+    if correlation is not None:
+        analysis = analysis.with_correlation(correlation)
 
     scheme = WeightScheme(args.scheme)
     method_records = [

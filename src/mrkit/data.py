@@ -97,6 +97,11 @@ class CorrelationMatrix:
     raise FactorizationError naming the singular variant correlation matrix.
     The factorization runs on one BLAS thread, so ``OPENBLAS_NUM_THREADS``
     changes neither the factor nor the CPU cost of ``mrkit analyze --corr``.
+
+    The constructor validates a copy of the entries it is given;
+    :func:`load_correlation` instead adopts the array it parsed, so a loaded
+    matrix is held once. The checks make no J x J temporary: symmetry is
+    tested in blocks of rows, the range by ``max`` and ``min``.
     """
 
     entries: np.ndarray
@@ -104,16 +109,29 @@ class CorrelationMatrix:
     smallest_eigenvalue: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
+        self._validate(np.array(self.entries, dtype=float))
+
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "CorrelationMatrix":
+        """Validate and wrap ``entries`` itself, with no defensive copy.
+
+        For a float64 array that nothing else holds; it becomes read-only.
+        """
+        matrix = object.__new__(cls)
+        matrix._validate(entries)
+        return matrix
+
+    def _validate(self, entries: np.ndarray) -> None:
         _require(entries.ndim == 2 and entries.shape[0] == entries.shape[1],
                  "correlation matrix must be square")
         _require(entries.size > 0, "correlation matrix is empty")
-        _require(np.all(np.isfinite(entries)), "non-finite correlation entry")
-        _require(np.max(np.abs(entries - entries.T)) <= 1e-8,
+        _require(bool(np.isfinite(entries).all()), "non-finite correlation entry")
+        _require(_asymmetry(entries) <= 1e-8,
                  "correlation matrix asymmetric beyond tolerance 1e-8")
         _require(np.max(np.abs(np.diag(entries) - 1.0)) <= 1e-8,
                  "correlation matrix diagonal differs from 1 beyond tolerance 1e-8")
-        _require(np.max(np.abs(entries)) <= 1.0 + 1e-8, "correlation out of range")
+        _require(max(entries.max(), -entries.min()) <= 1.0 + 1e-8,
+                 "correlation out of range")
         factor, smallest = None, None
         with _one_blas_thread():
             try:
@@ -153,16 +171,41 @@ class CorrelationMatrix:
         Negation is exact and S L S is lower triangular with L's positive
         diagonal, so it is the Cholesky factor of S rho S: the flipped matrix
         keeps the factor (or the smallest eigenvalue) without another
-        validation or factorization.
+        validation or factorization. It allocates the two flipped arrays and
+        no temporary.
         """
-        signs = np.where(flip, -1.0, 1.0)
         factor = self.factor
         if factor is not None:
-            factor = signs[:, None] * factor * signs
+            factor = _sign_conjugated(factor, flip)
         flipped = object.__new__(CorrelationMatrix)
-        flipped._set(signs[:, None] * self.entries * signs, factor,
+        flipped._set(_sign_conjugated(self.entries, flip), factor,
                      self.smallest_eigenvalue)
         return flipped
+
+
+# Rows per block of the symmetry test, whose one temporary is 64 x J.
+_SYMMETRY_BLOCK = 64
+
+
+def _asymmetry(entries: np.ndarray) -> float:
+    """max |entries - entries'|, one block of rows at a time."""
+    worst = 0.0
+    for start in range(0, entries.shape[0], _SYMMETRY_BLOCK):
+        rows = slice(start, start + _SYMMETRY_BLOCK)
+        block = np.subtract(entries[rows], entries[:, rows].T)
+        worst = max(worst, float(np.abs(block, out=block).max()))
+    return worst
+
+
+def _sign_conjugated(matrix: np.ndarray, flip: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """S M S for S = diag(-1 where ``flip`` is set, else 1), into ``out``.
+
+    Two exact multiplications by +-1 in place, so no J x J temporary.
+    """
+    signs = np.where(flip, -1.0, 1.0)
+    out = np.multiply(matrix, signs[:, None], out=out)
+    return np.multiply(out, signs, out=out)
 
 
 def _row_checks(ids: np.ndarray, effect_alleles: np.ndarray,
@@ -456,14 +499,27 @@ def _parse_numeric(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | Non
     return values, (row, column)
 
 
-def load_correlation(path: str | Path, dataset: SummaryDataset) -> CorrelationMatrix:
+def load_correlation(path: str | Path, dataset: SummaryDataset,
+                     flip: np.ndarray | None = None) -> CorrelationMatrix:
     """Load a J x J correlation matrix whose row order matches ``dataset``.
 
     Cells are parsed as Python's ``float()`` parses them; blank and
     whitespace-only lines are skipped. A file that does not parse as a whole
     J x J array is parsed again row by row, which reports its first
     offending 1-based line.
+
+    With a (J,) boolean ``flip``, the matrix is sign-conjugated (rho'_st =
+    s_s s_t rho_st, s = -1 where ``flip`` is set) in place before it is
+    validated and factored, so the matrix is held once and factored once.
+    The result equals ``load_correlation(path, dataset).sign_flipped(flip)``:
+    sign flips commute exactly with every step of the Cholesky
+    factorization, so the entries and factor agree bit for bit but for the
+    sign of an exact zero in the factor; the same faults raise the same
+    errors. The parsed array becomes the matrix's entries without a copy.
     """
+    if flip is not None and np.shape(flip) != (dataset.j,):
+        raise ValueError(f"flip must be a mask over the dataset's {dataset.j} "
+                         f"variants, not of shape {np.shape(flip)}")
     path = Path(path)
     try:
         with warnings.catch_warnings():
@@ -475,8 +531,10 @@ def load_correlation(path: str | Path, dataset: SummaryDataset) -> CorrelationMa
     except ValueError:  # UnicodeDecodeError too: the row parse reports it
         entries = None
     if entries is None or entries.shape != (dataset.j, dataset.j):
-        entries = _parse_correlation_rows(path, dataset.j)
-    return CorrelationMatrix(entries)
+        entries = np.array(_parse_correlation_rows(path, dataset.j), dtype=float)
+    if flip is not None:
+        _sign_conjugated(entries, flip, out=entries)
+    return CorrelationMatrix._adopt(entries)
 
 
 def _parse_correlation_rows(path: Path, j: int) -> list[list[float]]:

@@ -9,7 +9,10 @@ association (all risk factors and the outcome) for flipped variants. Standard
 errors are sign-free and unchanged. An attached variant correlation matrix is
 sign-conjugated (rho'_st = s_s * s_t * rho_st) so that it continues to refer
 to the recoded alleles; its Cholesky factor is conjugated the same way, so the
-flipped matrix is neither validated nor factored again.
+flipped matrix is neither validated nor factored again. ``mrkit analyze``
+instead passes :func:`orient`'s flip mask to
+:func:`mrkit.data.load_correlation`, which conjugates the parsed matrix before
+its one validation and factorization, and attaches it after orienting.
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ def orient(dataset: SummaryDataset,
             f"unknown risk factor {reference!r}; "
             f"expected one of {', '.join(dataset.risk_factor_names)}")
     reference_column = dataset.beta_x[:, dataset.risk_factor_names.index(reference)]
-    flip = reference_column < 0.0
+    flip = _flip_mask(dataset, reference)
     zeros = dataset.variant_ids[reference_column == 0.0].tolist()
     flipped = dataset.variant_ids[flip].tolist()
 
@@ -83,3 +86,9 @@ def orient(dataset: SummaryDataset,
         zero_ids=tuple(zeros),
     )
     return oriented, report
+
+
+def _flip_mask(dataset: SummaryDataset, reference: str) -> np.ndarray:
+    """Mask of the variants :func:`orient` flips: a negative association with
+    ``reference``, which must name one of the dataset's risk factors."""
+    return dataset.beta_x[:, dataset.risk_factor_names.index(reference)] < 0.0

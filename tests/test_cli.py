@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,8 +251,9 @@ class TestAnalyze:
 
     def test_correlation_factored_once(self, three_factor_csv, tmp_path,
                                        capsys, monkeypatch):
-        # Load factors rho; orient flips the factor and all four estimators
-        # whiten with it, so nothing factors a matrix again.
+        # Load factors the oriented matrix before orient runs, and all four
+        # estimators whiten with that factor, so nothing factors a matrix
+        # again.
         corr_path = tmp_path / "rho.csv"
         np.savetxt(corr_path, random_correlation(np.random.default_rng(3), 10),
                    delimiter=",")
@@ -275,6 +277,68 @@ class TestAnalyze:
         assert out.count("correlated variants") == 4
         assert at_orient and set(at_orient) == {1}
         assert calls == [(10, 10)]
+
+    @pytest.mark.parametrize("ref", [["--ref", "x9"], []],
+                             ids=["unknown-ref", "missing-ref"])
+    @pytest.mark.parametrize("fault, message", [
+        ("asymmetric", "correlation matrix asymmetric beyond tolerance 1e-8"),
+        ("indefinite", "correlation matrix is not positive semi-definite "
+                       "(smallest eigenvalue -8.000e-01)"),
+        (None, None),
+    ], ids=["asymmetric", "indefinite", "valid"])
+    def test_correlation_faults_before_reference(self, three_factor_csv,
+                                                 tmp_path, capsys, fault,
+                                                 message, ref):
+        # The matrix is loaded oriented only for a known --ref; a faulty
+        # file is reported before an unknown or missing --ref, as it always
+        # was.
+        corr = np.eye(10)
+        if fault == "asymmetric":
+            corr[0, 1] = 0.5
+        elif fault == "indefinite":
+            corr[:3, :3] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9],
+                            [-0.9, 0.9, 1.0]]
+        corr_path = tmp_path / "rho.csv"
+        np.savetxt(corr_path, corr, delimiter=",")
+        if message is None:
+            message = ("unknown risk factor 'x9'; expected one of x1, x2, x3"
+                       if ref else
+                       "--ref is required for ME, UE, UI (orientation / "
+                       "risk-factor selection)")
+        code, out, err = _analyze(
+            ["--data", three_factor_csv, "--k", "3", "--corr", str(corr_path),
+             "--methods", "UI,UE,MI,ME", *ref], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_correlated_analysis_memory(self, tmp_path, capsys):
+        # One analysis holds three J x J arrays at once: the oriented matrix,
+        # its factor and one transient (the factorization's output before it
+        # is kept, or an estimator's diag(se_y) L). Loading, copying and then
+        # flipping the matrix held about 5.2 x 8 J^2 bytes. tracemalloc counts
+        # numpy's arrays only, not the buffers LAPACK allocates itself.
+        j = 400
+        rng = np.random.default_rng(11)
+        bx = rng.normal(0.0, 0.5, size=(j, 3))  # about half of x1 negative
+        data_path = tmp_path / "ld.csv"
+        write_dataset(make_dataset(bx, rng.normal(size=j),
+                                   rng.uniform(0.4, 1.5, j),
+                                   names=("x1", "x2", "x3")), data_path)
+        lags = np.abs(np.subtract.outer(np.arange(j), np.arange(j)))
+        corr_path = tmp_path / "rho.csv"
+        np.savetxt(corr_path, 0.3 ** lags, delimiter=",")
+        argv = ["analyze", "--data", str(data_path), "--k", "3", "--corr",
+                str(corr_path), "--methods", "UI,UE,MI,ME", "--ref", "x1"]
+        assert main(argv) == 0  # imports and first-use caches, untraced
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert np.count_nonzero(bx[:, 0] < 0) > j // 3
+        assert peak <= 3.5 * 8 * j * j
 
     def test_fixed_scheme_label(self, one_factor_csv, capsys):
         code, out, _ = _analyze(

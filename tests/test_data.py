@@ -19,7 +19,7 @@ from mrkit import (
     write_dataset,
 )
 
-from conftest import make_dataset, subprocess_env
+from conftest import make_dataset, random_correlation, subprocess_env
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -431,6 +431,13 @@ class TestLoadCorrelation:
                                             rf"\(.*\) at line {line}$"):
             load_correlation(p, ds)
 
+    def test_flip_mask_shape(self, tmp_path):
+        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
+        p = _write(tmp_path, "1.0,0.5\n0.5,1.0\n", name="corr.csv")
+        with pytest.raises(ValueError, match="flip must be a mask over the "
+                                             "dataset's 2 variants"):
+            load_correlation(p, ds, np.array([True, False, True]))
+
     def test_invalid_matrix_rejected(self, tmp_path):
         ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
         p = _write(tmp_path, "1.0,0.5\n0.4,1.0\n", name="corr.csv")
@@ -618,3 +625,80 @@ def test_correlation_cells_parsed_as_float_does(tmp_path_factory, cell, j, bom,
     ds = make_dataset(np.full(j, 0.1), np.full(j, 0.1), np.ones(j))
     expected = _outcome(lambda: _float_rows(text, path, j))
     assert _outcome(lambda: load_correlation(path, ds)) == expected
+
+
+def _error(load) -> str | None:
+    try:
+        load()
+    except DataError as error:
+        return str(error)
+    return None
+
+
+_FAULTS = ("asymmetric", "out of range", "diagonal", "not positive semi-definite")
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       j=st.integers(min_value=2, max_value=40),
+       kind=st.sampled_from(("definite", "singular") + _FAULTS),
+       bom=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=150, deadline=None)
+def test_oriented_load_equals_load_then_flip(tmp_path_factory, seed, j, kind,
+                                             bom, newline):
+    """Loading with a flip mask equals loading, then sign_flipped.
+
+    A singular matrix (a duplicated variant with rho = 1) usually has no
+    factor and keeps its smallest eigenvalue; a faulty one raises the same
+    DataError with and without the mask.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "not positive semi-definite":
+        j = max(j, 3)
+    rho = random_correlation(rng, j)
+    s, t, u = rng.choice(j, size=3, replace=False) if j > 2 else (0, 1, None)
+    if kind == "singular":
+        rho[t] = rho[s]
+        rho[:, t] = rho[:, s]
+    elif kind == "asymmetric":
+        rho[s, (s + 1) % j] += 1e-6
+    elif kind == "out of range":
+        rho[s, (s + 1) % j] = rho[(s + 1) % j, s] = 1.25
+    elif kind == "diagonal":
+        rho[s, s] = 0.9
+    elif kind == "not positive semi-definite":
+        # Pairwise correlations of 0.9, -0.9, 0.9 cannot coexist.
+        rho[np.ix_([s, t, u], [s, t, u])] = [[1.0, 0.9, -0.9],
+                                              [0.9, 1.0, 0.9],
+                                              [-0.9, 0.9, 1.0]]
+    flip = rng.random(j) < 0.5
+    text = io.StringIO()
+    np.savetxt(text, rho, delimiter=",", newline=newline)
+    path = tmp_path_factory.mktemp("corr") / "rho.csv"
+    path.write_bytes((("\ufeff" if bom else "") + text.getvalue()).encode("utf-8"))
+    ds = make_dataset(np.full(j, 0.1), np.full(j, 0.1), np.ones(j))
+
+    if kind in _FAULTS:
+        message = _error(lambda: load_correlation(path, ds))
+        assert message is not None and kind in message
+        assert _error(lambda: load_correlation(path, ds, flip)) == message
+        return
+    got = load_correlation(path, ds, flip)
+    want = load_correlation(path, ds).sign_flipped(flip)
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert not got.entries.flags.writeable
+    if want.factor is None:
+        # Singular, and the factorization failed where it met the duplicate.
+        # Relative to the matrix's scale: the eigenvalue itself is near 0.
+        assert got.factor is None
+        assert (abs(got.smallest_eigenvalue - want.smallest_eigenvalue)
+                <= 1e-12 * j)
+    else:
+        # Bit for bit, but for the sign of an exact zero: sign_flipped turns
+        # a zero of the upper triangle into -0.0 where the factorization of
+        # the flipped matrix writes +0.0.
+        nonzero = want.factor != 0.0
+        assert np.array_equal(got.factor, want.factor)
+        assert got.factor[nonzero].tobytes() == want.factor[nonzero].tobytes()
+        assert not got.factor.flags.writeable
+        assert got.smallest_eigenvalue is None
