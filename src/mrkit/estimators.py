@@ -26,8 +26,10 @@ intercept, over one column or K. The core picks the fit from the dataset:
 weighted least squares (weights se_Y^-2) for independent variants, or
 generalized least squares with error covariance
 Omega_st = se_Ys * se_Yt * rho_st when a correlation matrix is attached. The
-generalized fit reuses the Cholesky factor the correlation matrix computed
-when it was loaded, so no estimator factors a matrix.
+generalized fit scales each row by 1 / se_Y and whitens it with the Cholesky
+factor the correlation matrix computed when it was loaded, which every
+attached matrix has, so no estimator factors a matrix or builds
+diag(se_Y) L.
 """
 from __future__ import annotations
 
@@ -39,8 +41,6 @@ from scipy import special
 
 from .data import SummaryDataset
 from .regression import (
-    _NOT_POSITIVE_DEFINITE,
-    FactorizationError,
     WeightScheme,
     _design,
     _factored_fit,
@@ -191,24 +191,19 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
 
     Independent variants are fitted by weighted least squares with weights
     se_Y^-2; with a correlation matrix attached, by generalized least squares
-    with Omega = se_Y se_Y' * rho, whitened by its Cholesky factor
-    diag(se_Y) L, where L is the factor the matrix stored at load (a singular
-    matrix has none and raises FactorizationError). An intercept fit also
-    reports the intercept test, and is experimental when the variants are
-    correlated.
+    with Omega = se_Y se_Y' * rho. That fit divides the rows of the design
+    and the response by se_Y and whitens them with the Cholesky factor L of
+    rho that the matrix stored at load, since Omega's factor is
+    diag(se_Y) L. An intercept fit also reports the intercept test, and is
+    experimental when the variants are correlated.
     """
     design = _design(dataset.beta_x_matrix().T, intercept)
     se_y = dataset.se_y_vector()
     correlation = dataset.correlation
     correlated = correlation is not None
     if correlated:
-        if correlation.factor is None:
-            raise FactorizationError(
-                f"{_NOT_POSITIVE_DEFINITE}: the variant correlation matrix is "
-                f"singular (smallest eigenvalue "
-                f"{correlation.smallest_eigenvalue:.3e})")
-        fit = _factored_fit(design, dataset.beta_y_vector(),
-                            se_y[:, None] * correlation.factor)
+        fit = _factored_fit(design / se_y[:, None],
+                            dataset.beta_y_vector() / se_y, correlation.factor)
     else:
         fit = fit_wls(design, dataset.beta_y_vector(), se_y ** -2.0)
     se = scaled_se(fit, scheme)

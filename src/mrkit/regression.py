@@ -11,24 +11,25 @@ by sqrt(w), all written into one array. :func:`fit_wls` takes the design,
 the response and the weight vector w (the semantic se(beta_Yj)^-2) and
 whitens [X | y] with :func:`_design`; :func:`fit_gls` takes Omega in place
 of w, factors it and hands the factor to :func:`_factored_fit`, the one
-triangular-whitening step. The correlated-variant estimators call :func:`_factored_fit` directly
-with diag(se_Y) L, where L is the factor their correlation matrix stored at
-load, so they never factor or build Omega. That dense J x J work (a Cholesky
-factor, a triangular whitening) runs on one BLAS thread, inside
+triangular-whitening step. The correlated-variant estimators call
+:func:`_factored_fit` directly, with the design and response divided by se_Y
+and the factor L their correlation matrix stored at load, so they never
+factor or build Omega. That dense J x J work (a Cholesky factor, a
+triangular whitening) runs on one BLAS thread, inside
 :func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS`` changes neither the
 results nor the CPU cost of ``mrkit analyze --corr``. None of these adds an
-intercept: the caller puts one first with :func:`_design`. Each fits one problem and
-raises :class:`RankError` on the kernel's full-rank flag (smallest singular
-value of R below RANK_TOL times the largest). The Monte Carlo engine builds
-each chunk's whitened (C, J, p + 1) problems, intercept first and response
-last, with the same :func:`_design`, fits them from their R factors, and
-counts a rank-deficient replicate as failed. R of Xw, Q'yw and the residual
-norm |r_(p+1,p+1)| all come from the one R factor of [Xw | yw], and no Q or
-residual vector is formed; the coefficients are R^-1 Q'yw through the same
-inverse of R that gives the standard errors. sigma_hat =
-sqrt(weighted RSS / df), with the RSS the square of that residual norm, and
-is exactly 0 when df = 0 or the RSS is at most (100 eps)^2 times the weighted
-total sum of squares.
+intercept: the caller puts one first with :func:`_design`. Each fits one
+problem and raises :class:`RankError` on the kernel's full-rank flag (smallest
+singular value of R below RANK_TOL times the largest). The Monte Carlo engine
+builds each chunk's whitened (C, J, p + 1) problems, intercept first and
+response last, with the same :func:`_design`, fits them from their R factors,
+and counts a rank-deficient replicate as failed. R of Xw, Q'yw and the
+residual norm |r_(p+1,p+1)| all come from the one R factor of [Xw | yw], and
+no Q or residual vector is formed; the coefficients are R^-1 Q'yw through the
+same inverse of R that gives the standard errors. sigma_hat = sqrt(weighted
+RSS / df), with the RSS the square of that residual norm, and is exactly 0
+when df = 0 or the RSS is at most (100 eps)^2 times the weighted total sum of
+squares.
 
 The coefficient standard errors returned by the fit functions are "unscaled":
 square roots of the diagonal of the unit-variance coefficient covariance
@@ -80,8 +81,6 @@ class RankError(ValueError):
 class FactorizationError(ValueError):
     """Covariance matrix factorization failed (not positive definite)."""
 
-
-_NOT_POSITIVE_DEFINITE = "omega is not positive definite (factorization failed)"
 
 # The (get, set) thread-count functions of an OpenBLAS: numpy's wheel,
 # scipy's wheel, a system library.
@@ -330,7 +329,8 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
         with _one_blas_thread():
             factor = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
-        raise FactorizationError(_NOT_POSITIVE_DEFINITE) from None
+        raise FactorizationError(
+            "omega is not positive definite (factorization failed)") from None
     return _factored_fit(x, y, factor)
 
 
@@ -339,8 +339,8 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
     """GLS fit given the lower Cholesky factor of the error covariance.
 
     Whitens [x | y] with one triangular solve against ``factor``, then fits
-    it with the kernel at C = 1; fitted values and residuals stay on the
-    original scale.
+    it with the kernel at C = 1; fitted values and residuals are on the
+    scale of ``x`` and ``y`` as given.
     """
     # Imported here, its only use, so that importing mrkit does not load
     # scipy.linalg.

@@ -110,8 +110,8 @@ class ScenarioConfig:
     ``theta`` is (theta1, theta2, theta3); ``mu`` and ``sigma_alpha_sq`` give
     the direct-effect distribution; ``inside_violated`` draws alpha'
     correlated 0.3 with the signed first association; ``gamma`` is the
-    mediated effect of risk factor 1 on risk factor 2; ``no_pleiotropy``
-    forces alpha'_j = 0 exactly (and requires mu = sigma_alpha_sq = 0).
+    mediated effect of risk factor 1 on risk factor 2. With mu =
+    sigma_alpha_sq = 0 every alpha'_j is exactly 0 (:attr:`no_pleiotropy`).
     """
 
     theta: tuple[float, float, float] = (0.0, 0.1, -0.3)
@@ -125,7 +125,6 @@ class ScenarioConfig:
     j_variants: int = 185
     replicates: int = DEFAULT_REPLICATES
     seed: int = DEFAULT_SEED
-    no_pleiotropy: bool = False
     weight_mode: str = "realized"
 
     def __post_init__(self) -> None:
@@ -144,10 +143,6 @@ class ScenarioConfig:
             raise ValueError("rhos entries must lie in [-1, 1]")
         if self.sigma_alpha_sq < 0:
             raise ValueError("sigma_alpha_sq must be non-negative")
-        if self.no_pleiotropy and (self.mu != 0 or self.sigma_alpha_sq != 0):
-            raise ValueError(
-                "no_pleiotropy means alpha' = 0 exactly; set mu and "
-                "sigma_alpha_sq to 0")
         if self.inside_violated and self.sigma_alpha_sq == 0:
             raise ValueError(
                 "inside_violated requires sigma_alpha_sq > 0 (a degenerate "
@@ -165,6 +160,11 @@ class ScenarioConfig:
         # then PSD too: its Schur complement is
         # sigma_alpha_sq * (1 - INSIDE_CORRELATION**2).
         _draw_coefficients(self)
+
+    @property
+    def no_pleiotropy(self) -> bool:
+        """Whether every direct effect alpha'_j is exactly 0."""
+        return self.mu == 0 and self.sigma_alpha_sq == 0
 
     @property
     def scenario_label(self) -> str:
@@ -268,7 +268,6 @@ def scenario_config(scenario: int, theta1: float = 0.0, mu: float = 0.0,
         j_variants=j_variants,
         replicates=replicates,
         seed=seed,
-        no_pleiotropy=(scenario == 1),
         weight_mode=weight_mode,
     )
 
@@ -398,9 +397,7 @@ def _latent_draws(config: ScenarioConfig,
     chol = _draw_coefficients(config)
     acc, term = np.empty((2,) + z.shape[:-1])
     alpha_prime = z[..., 3]
-    if config.no_pleiotropy:
-        alpha_prime.fill(0.0)
-    elif config.inside_violated:
+    if config.inside_violated:
         sd_alpha = float(np.sqrt(config.sigma_alpha_sq))
         loading = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
         # z[..., 0] is exactly the standardized bX1 (chol[0, 0] = 1).

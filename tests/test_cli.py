@@ -128,6 +128,12 @@ class TestAnalyze:
         assert code == 2
         assert "unknown method" in err
 
+    def test_no_methods(self, one_factor_csv, capsys):
+        code, out, err = _analyze(
+            ["--data", one_factor_csv, "--k", "1", "--methods", ","], capsys)
+        assert (code, out, err) == (
+            2, "", "error: no methods requested; use --methods\n")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = _analyze(
             ["--data", str(tmp_path / "nope.csv"), "--k", "1",
@@ -231,8 +237,8 @@ class TestAnalyze:
         assert "experimental; interpret with caution" in out
 
     def test_singular_correlation_fails_cleanly(self, tmp_path, capsys):
-        # A duplicated variant with rho = 1 passes the numerical PSD check on
-        # load, but its error covariance has no Cholesky factor.
+        # A duplicated variant with rho = 1: the matrix has no Cholesky
+        # factor, so it is refused at load, before any estimator runs.
         bx = np.array([0.3, 0.3, 0.5, 0.2, 0.4])
         by = np.array([0.1, 0.1, 0.3, -0.2, 0.2])
         se_y = np.array([0.5, 0.5, 0.8, 1.1, 0.7])
@@ -242,18 +248,19 @@ class TestAnalyze:
         corr[0, 1] = corr[1, 0] = 1.0
         corr_path = tmp_path / "rho.csv"
         np.savetxt(corr_path, corr, delimiter=",", fmt="%g")
-        code, _, err = _analyze(
+        code, out, err = _analyze(
             ["--data", str(data_path), "--k", "1", "--corr", str(corr_path),
              "--methods", "UI"], capsys)
-        assert code == 2
-        assert err.startswith("error: omega is not positive definite")
-        assert "Traceback" not in err
+        smallest = np.linalg.eigvalsh(corr)[0]
+        assert (code, out, err) == (
+            2, "", "error: correlation matrix is not positive definite "
+                   f"(smallest eigenvalue {smallest:.3e})\n")
 
     def test_correlation_factored_once(self, three_factor_csv, tmp_path,
                                        capsys, monkeypatch):
         # Load factors the oriented matrix before orient runs, and all four
-        # estimators whiten with that factor, so nothing factors a matrix
-        # again.
+        # estimators whiten their rows, scaled by 1 / se_y, with that
+        # factor, so nothing factors a matrix again.
         corr_path = tmp_path / "rho.csv"
         np.savetxt(corr_path, random_correlation(np.random.default_rng(3), 10),
                    delimiter=",")
@@ -282,22 +289,28 @@ class TestAnalyze:
                              ids=["unknown-ref", "missing-ref"])
     @pytest.mark.parametrize("fault, message", [
         ("asymmetric", "correlation matrix asymmetric beyond tolerance 1e-8"),
-        ("indefinite", "correlation matrix is not positive semi-definite "
+        ("indefinite", "correlation matrix is not positive definite "
                        "(smallest eigenvalue -8.000e-01)"),
+        ("singular", "correlation matrix is not positive definite "
+                     "(smallest eigenvalue {smallest:.3e})"),
         (None, None),
-    ], ids=["asymmetric", "indefinite", "valid"])
+    ], ids=["asymmetric", "indefinite", "singular", "valid"])
     def test_correlation_faults_before_reference(self, three_factor_csv,
                                                  tmp_path, capsys, fault,
                                                  message, ref):
         # The matrix is loaded oriented only for a known --ref; a faulty
-        # file is reported before an unknown or missing --ref, as it always
-        # was.
+        # file, a singular matrix included, is reported before an unknown or
+        # missing --ref.
         corr = np.eye(10)
         if fault == "asymmetric":
             corr[0, 1] = 0.5
         elif fault == "indefinite":
             corr[:3, :3] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9],
                             [-0.9, 0.9, 1.0]]
+        elif fault == "singular":
+            # The first two variants duplicated, with rho = 1.
+            corr[0, 1] = corr[1, 0] = 1.0
+            message = message.format(smallest=np.linalg.eigvalsh(corr)[0])
         corr_path = tmp_path / "rho.csv"
         np.savetxt(corr_path, corr, delimiter=",")
         if message is None:
@@ -311,11 +324,10 @@ class TestAnalyze:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_correlated_analysis_memory(self, tmp_path, capsys):
-        # One analysis holds three J x J arrays at once: the oriented matrix,
-        # its factor and one transient (the factorization's output before it
-        # is kept, or an estimator's diag(se_y) L). Loading, copying and then
-        # flipping the matrix held about 5.2 x 8 J^2 bytes. tracemalloc counts
-        # numpy's arrays only, not the buffers LAPACK allocates itself.
+        # One analysis holds two J x J arrays at once: the oriented matrix
+        # and its factor. The estimators divide their rows by se_y rather
+        # than build diag(se_y) L. tracemalloc counts numpy's arrays only,
+        # not the buffers LAPACK allocates itself.
         j = 400
         rng = np.random.default_rng(11)
         bx = rng.normal(0.0, 0.5, size=(j, 3))  # about half of x1 negative
@@ -338,7 +350,7 @@ class TestAnalyze:
         capsys.readouterr()
         assert code == 0
         assert np.count_nonzero(bx[:, 0] < 0) > j // 3
-        assert peak <= 3.5 * 8 * j * j
+        assert peak <= 2.5 * 8 * j * j
 
     def test_fixed_scheme_label(self, one_factor_csv, capsys):
         code, out, _ = _analyze(
@@ -577,6 +589,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{conf}:3: {message}" in err
+
+    @pytest.mark.parametrize("value, correlated", [
+        ("no", "false"), ("off", "false"), ("0", "false"), ("On", "true"),
+        ("maybe", None),
+    ])
+    def test_config_boolean_spellings(self, tmp_path, capsys, value,
+                                      correlated):
+        conf = tmp_path / "sim.conf"
+        conf.write_text(f"scenario = 1\ncorrelated = {value}\n"
+                        "replicates = 20\n")
+        code = main(["simulate", "--config", str(conf),
+                     "--out", str(tmp_path / "s")])
+        out, err = capsys.readouterr()
+        if correlated is None:
+            assert (code, out, err) == (
+                2, "", f"error: {conf}:2: correlated expects a boolean, got "
+                       f"'{value}'\n")
+        else:
+            assert code == 0, err
+            audit = (tmp_path / "s.csv").read_text().splitlines()[1]
+            assert f" correlated={correlated} " in audit
 
     def test_scenario_required(self, tmp_path, capsys):
         conf = tmp_path / "sim.conf"

@@ -98,13 +98,15 @@ class TestCorrelationMatrix:
         bad = np.array([[1.0, 0.9, -0.9],
                         [0.9, 1.0, 0.9],
                         [-0.9, 0.9, 1.0]])
-        with pytest.raises(DataError, match="positive semi-definite"):
+        with pytest.raises(DataError, match="not positive definite"):
             CorrelationMatrix(bad)
 
-    def test_numerically_psd_accepted(self):
-        # Rank-deficient (perfect correlation) is PSD, not PD: must pass.
-        m = CorrelationMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert m.dimension == 2
+    def test_singular_rejected(self):
+        # Rank-deficient (perfect correlation) is PSD but has no Cholesky
+        # factor, so no GLS fit can use it: it is refused at load.
+        with pytest.raises(DataError, match=r"^correlation matrix is not "
+                           r"positive definite \(smallest eigenvalue "):
+            CorrelationMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):
@@ -117,9 +119,6 @@ class TestCorrelationMatrix:
         assert CorrelationMatrix(rho) != CorrelationMatrix(np.eye(2))
         assert CorrelationMatrix(np.eye(2)) != CorrelationMatrix(np.eye(3))
         assert CorrelationMatrix(np.eye(2)).__eq__(np.eye(2)) is NotImplemented
-        # A singular matrix has no factor; equality ignores the factor.
-        ones = np.ones((2, 2))
-        assert CorrelationMatrix(ones) == CorrelationMatrix(ones)
         with pytest.raises(TypeError):
             hash(CorrelationMatrix(np.eye(2)))
 
@@ -635,7 +634,7 @@ def _error(load) -> str | None:
     return None
 
 
-_FAULTS = ("asymmetric", "out of range", "diagonal", "not positive semi-definite")
+_FAULTS = ("asymmetric", "out of range", "diagonal", "not positive definite")
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -648,12 +647,13 @@ def test_oriented_load_equals_load_then_flip(tmp_path_factory, seed, j, kind,
                                              bom, newline):
     """Loading with a flip mask equals loading, then sign_flipped.
 
-    A singular matrix (a duplicated variant with rho = 1) usually has no
-    factor and keeps its smallest eigenvalue; a faulty one raises the same
-    DataError with and without the mask.
+    A faulty matrix raises the same DataError with and without the mask. So
+    does a singular one (a duplicated variant with rho = 1) whose
+    factorization fails; one whose rounding leaves it a factor loads and is
+    checked like a definite one.
     """
     rng = np.random.default_rng(seed)
-    if kind == "not positive semi-definite":
+    if kind == "not positive definite":
         j = max(j, 3)
     rho = random_correlation(rng, j)
     s, t, u = rng.choice(j, size=3, replace=False) if j > 2 else (0, 1, None)
@@ -666,7 +666,7 @@ def test_oriented_load_equals_load_then_flip(tmp_path_factory, seed, j, kind,
         rho[s, (s + 1) % j] = rho[(s + 1) % j, s] = 1.25
     elif kind == "diagonal":
         rho[s, s] = 0.9
-    elif kind == "not positive semi-definite":
+    elif kind == "not positive definite":
         # Pairwise correlations of 0.9, -0.9, 0.9 cannot coexist.
         rho[np.ix_([s, t, u], [s, t, u])] = [[1.0, 0.9, -0.9],
                                               [0.9, 1.0, 0.9],
@@ -678,27 +678,21 @@ def test_oriented_load_equals_load_then_flip(tmp_path_factory, seed, j, kind,
     path.write_bytes((("\ufeff" if bom else "") + text.getvalue()).encode("utf-8"))
     ds = make_dataset(np.full(j, 0.1), np.full(j, 0.1), np.ones(j))
 
-    if kind in _FAULTS:
-        message = _error(lambda: load_correlation(path, ds))
-        assert message is not None and kind in message
+    message = _error(lambda: load_correlation(path, ds))
+    if message is not None or kind in _FAULTS:
+        # A singular draw whose factorization fails is refused as indefinite.
+        fault = "not positive definite" if kind == "singular" else kind
+        assert fault in _FAULTS and fault in (message or "")
         assert _error(lambda: load_correlation(path, ds, flip)) == message
         return
     got = load_correlation(path, ds, flip)
     want = load_correlation(path, ds).sign_flipped(flip)
     assert got.entries.tobytes() == want.entries.tobytes()
     assert not got.entries.flags.writeable
-    if want.factor is None:
-        # Singular, and the factorization failed where it met the duplicate.
-        # Relative to the matrix's scale: the eigenvalue itself is near 0.
-        assert got.factor is None
-        assert (abs(got.smallest_eigenvalue - want.smallest_eigenvalue)
-                <= 1e-12 * j)
-    else:
-        # Bit for bit, but for the sign of an exact zero: sign_flipped turns
-        # a zero of the upper triangle into -0.0 where the factorization of
-        # the flipped matrix writes +0.0.
-        nonzero = want.factor != 0.0
-        assert np.array_equal(got.factor, want.factor)
-        assert got.factor[nonzero].tobytes() == want.factor[nonzero].tobytes()
-        assert not got.factor.flags.writeable
-        assert got.smallest_eigenvalue is None
+    # Bit for bit, but for the sign of an exact zero: sign_flipped turns a
+    # zero of the upper triangle into -0.0 where the factorization of the
+    # flipped matrix writes +0.0.
+    nonzero = want.factor != 0.0
+    assert np.array_equal(got.factor, want.factor)
+    assert got.factor[nonzero].tobytes() == want.factor[nonzero].tobytes()
+    assert not got.factor.flags.writeable

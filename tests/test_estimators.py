@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mrkit import (
-    FactorizationError,
+    DataError,
     RankError,
     WeightScheme,
     egger_correlated,
@@ -102,6 +102,12 @@ class TestEggerUnivariable:
     def test_rejects_small_j(self):
         ds = make_dataset([1.0, 2.0], [1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="J >= 3"):
+            egger_univariable(ds)
+
+    def test_rejects_multifactor(self):
+        ds = make_dataset([[1.0, 2.0], [2.0, 1.0], [3.0, 1.0]],
+                          [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], names=("a", "b"))
+        with pytest.raises(ValueError, match="requires K=1, got K=2"):
             egger_univariable(ds)
 
     def test_intercept_uses_host_df(self):
@@ -276,39 +282,39 @@ class TestCorrelatedVariants:
         assert cor.experimental and not unc.experimental
 
     def test_perfect_correlation_fails(self):
-        # A duplicated variant adds no information; the error covariance is
-        # singular and the factorization refuses it.
+        # A duplicated variant adds no information; the correlation matrix
+        # has no Cholesky factor, so no dataset can carry it.
         corr = np.array([[1.0, 1.0], [1.0, 1.0]])
-        ds = make_dataset([1.0, 1.0], [0.5, 0.5], [1.0, 1.0], corr=corr)
-        with pytest.raises(FactorizationError):
-            ivw_correlated(ds)
+        with pytest.raises(DataError, match="not positive definite"):
+            make_dataset([1.0, 1.0], [0.5, 0.5], [1.0, 1.0], corr=corr)
 
     def test_singular_correlation_named(self):
-        # Two copies of one variant: the matrix loads through the eigenvalue
-        # check with no factor, and every correlated estimator names it.
+        # Two copies of one variant: the matrix is refused when it is built,
+        # with its smallest eigenvalue, before any estimator runs.
         corr = np.eye(5)
         corr[0, 1] = corr[1, 0] = 1.0
         bx = np.array([[0.3, 0.1], [0.3, 0.1], [-0.5, 0.4], [0.2, -0.3],
                        [0.4, 0.2]])
-        ds = make_dataset(bx, [0.1, 0.1, -0.3, -0.2, 0.2],
-                          [0.5, 0.5, 0.8, 1.1, 0.7], names=("x1", "x2"),
-                          corr=corr)
-        oriented, report = orient(ds, "x1")
-        assert report.n_flipped == 1
-        assert ds.correlation.factor is None
-        smallest = ds.correlation.smallest_eigenvalue
-        assert oriented.correlation.smallest_eigenvalue == smallest
-        message = ("omega is not positive definite (factorization failed): "
-                   "the variant correlation matrix is singular (smallest "
+        smallest = np.linalg.eigvalsh(corr)[0]
+        message = ("correlation matrix is not positive definite (smallest "
                    f"eigenvalue {smallest:.3e})")
-        one = select_risk_factor(oriented, "x1")
-        for run in (lambda: ivw_correlated(one),
-                    lambda: egger_correlated(one, "x1"),
-                    lambda: ivw_correlated(oriented),
-                    lambda: egger_correlated(oriented, "x1")):
-            with pytest.raises(FactorizationError) as error:
-                run()
-            assert str(error.value) == message
+        with pytest.raises(DataError) as error:
+            make_dataset(bx, [0.1, 0.1, -0.3, -0.2, 0.2],
+                         [0.5, 0.5, 0.8, 1.1, 0.7], names=("x1", "x2"),
+                         corr=corr)
+        assert str(error.value) == message
+
+    def test_too_few_variants(self):
+        # IVW needs J > K and MR-Egger J >= K + 2, as without a matrix.
+        bx = [[1.0, 0.5], [2.0, -0.5], [3.0, 1.0]]
+        ds = make_dataset(bx[:2], [1.0, 2.0], [1.0, 1.0], names=("x1", "x2"),
+                          corr=np.eye(2))
+        with pytest.raises(ValueError, match="need J > K .* J=2, K=2"):
+            ivw_correlated(ds)
+        ds = make_dataset(bx, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0],
+                          names=("x1", "x2"), corr=np.eye(3))
+        with pytest.raises(ValueError, match="J >= K \\+ 2, got J=3, K=2"):
+            egger_correlated(ds, "x1")
 
     def test_positive_correlation_inflates_se(self):
         base = dict(beta_x=[1.0, 1.0], beta_y=[1.0, 3.0], se_y=[1.0, 1.0])
@@ -467,6 +473,9 @@ class TestInsideBiasOracle:
             inside_bias_oracle(np.arange(4.0), np.arange(5.0), w)
         with pytest.raises(ValueError, match="out of range"):
             inside_bias_oracle(np.arange(5.0), np.arange(5.0), w, target=1)
+        collinear = np.column_stack([np.arange(5.0), 2.0 * np.arange(5.0)])
+        with pytest.raises(ValueError, match="columns is singular"):
+            inside_bias_oracle(np.arange(5.0), collinear, w)
 
     def test_independent_alpha_decays_with_j(self):
         # With alpha independent of the instrument strengths the bias is a

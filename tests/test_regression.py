@@ -68,6 +68,10 @@ class TestFitWls:
         with pytest.raises(ValueError, match="observations"):
             fit_wls(np.array([[1.0, 2.0]]), np.array([1.0]), [1.0])
 
+    def test_design_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="J x p matrix"):
+            fit_wls(np.ones((2, 2, 1)), np.array([1.0, 2.0]), [1.0, 1.0])
+
     def test_length_mismatches(self):
         with pytest.raises(ValueError, match="response length"):
             fit_wls(np.array([1.0, 2.0]), np.array([1.0]), [1.0, 1.0])
@@ -163,7 +167,7 @@ class TestOneBlasThread:
 
     def test_restored_when_body_raises(self, blas_apis, monkeypatch):
         # Pairwise correlations of 0.9, -0.9, 0.9 cannot coexist: the
-        # Cholesky fails, the eigenvalue fallback runs and DataError leaves.
+        # Cholesky fails, eigvalsh runs for the message and DataError leaves.
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         eigvalsh, inside = np.linalg.eigvalsh, []
 
@@ -172,7 +176,7 @@ class TestOneBlasThread:
             return eigvalsh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        with pytest.raises(DataError, match="positive semi-definite"):
+        with pytest.raises(DataError, match="not positive definite"):
             CorrelationMatrix(bad)
         assert inside == [[1] * len(blas_apis)]
         assert thread_counts(blas_apis) == [2] * len(blas_apis)

@@ -55,12 +55,14 @@ class TestScenarioConfig:
             ScenarioConfig(rhos=(0.99, -0.99, 0.99))
 
     def test_no_pleiotropy_consistency(self):
-        with pytest.raises(ValueError, match="alpha' = 0"):
-            ScenarioConfig(no_pleiotropy=True, mu=0.1)
-        with pytest.raises(ValueError, match="alpha' = 0"):
-            ScenarioConfig(no_pleiotropy=True)  # default sigma_alpha_sq > 0
-        ok = ScenarioConfig(no_pleiotropy=True, mu=0.0, sigma_alpha_sq=0.0)
+        # Derived from the direct-effect law, so it cannot contradict it.
+        assert not ScenarioConfig(mu=0.1, sigma_alpha_sq=0.0).no_pleiotropy
+        assert not ScenarioConfig().no_pleiotropy  # default sigma_alpha_sq > 0
+        ok = ScenarioConfig(mu=0.0, sigma_alpha_sq=0.0)
+        assert ok.no_pleiotropy
         assert ok.scenario_label == "none"
+        with pytest.raises(TypeError):
+            ScenarioConfig(no_pleiotropy=True)
 
     def test_inside_violated_needs_variance(self):
         with pytest.raises(ValueError, match="sigma_alpha_sq > 0"):
@@ -229,7 +231,9 @@ class TestGenerateDataset:
     def test_no_pleiotropy_zero_alpha(self):
         config = scenario_config(1, replicates=3, j_variants=30)
         _, truth = generate_dataset(config, 0)
+        # +0.0 exactly: 0 * z + 0 rounds a negative z's -0.0 up to +0.0.
         assert np.all(truth.alpha_prime == 0.0)
+        assert not np.signbit(truth.alpha_prime).any()
 
     def test_marginal_moments(self):
         config = scenario_config(2, replicates=200)
