@@ -31,6 +31,7 @@ from .data import (
     select_risk_factor,
 )
 from .estimators import (
+    _check_level,
     egger_correlated,
     egger_multivariable,
     egger_univariable,
@@ -49,7 +50,6 @@ from .simulation import (
     SimulationSummary,
     run_scenario_grid,
     run_scenario,
-    scenario_config,
 )
 
 __all__ = ["run_analyze", "main"]
@@ -79,6 +79,10 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
         if method not in _METHOD_LABELS:
             raise ValueError(
                 f"unknown method {method!r}; choose from UI, UE, MI, ME")
+    _check_level(args.level)
+    if (args.n_participants is None) != (args.r2 is None):
+        raise ValueError(
+            "instrument strength needs both --n-participants and --r2")
 
     dataset = load_dataset(args.data, args.k)
     correlation = None
@@ -126,10 +130,7 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
         for record in _method_records(method, analysis, args.ref, scheme,
                                       args.level)]
 
-    if args.n_participants is not None or args.r2 is not None:
-        if args.n_participants is None or args.r2 is None:
-            raise ValueError(
-                "instrument strength needs both --n-participants and --r2")
+    if args.n_participants is not None:
         records.append({
             "record": "instrument_strength",
             "n_participants": args.n_participants,
@@ -391,7 +392,8 @@ def _scenario_text(scenario: int, mu: float) -> str:
 
 
 def _grid_text_table(rows: tuple[GridRow, ...]) -> str:
-    labels = [_scenario_text(row.scenario, row.mu) for row in rows]
+    labels = [_scenario_text(row.config.scenario, row.config.mu)
+              for row in rows]
     width = max(map(len, labels))
     header = (f"{'theta1':>6}  {'pleiotropy':<{width}}"
               f"{'MI mean (se)':>18} {'pw%':>6}"
@@ -400,11 +402,12 @@ def _grid_text_table(rows: tuple[GridRow, ...]) -> str:
     lines = []
     block = None
     for row, label in zip(rows, labels):
-        key = (row.mediation, row.correlated)
+        config = row.config
+        key = (config.mediation, config.correlated)
         if key != block:
             block = key
-            grid = "mediation grid" if row.mediation else "main grid"
-            corr = "correlated" if row.correlated else "independent"
+            grid = "mediation grid" if config.mediation else "main grid"
+            corr = "correlated" if config.correlated else "independent"
             lines += ["", f"== {grid}, {corr} risk factors ==", header]
         s = row.summary
 
@@ -412,7 +415,7 @@ def _grid_text_table(rows: tuple[GridRow, ...]) -> str:
             return f"{est.mean_theta1:+.3f} ({est.mean_se:.3f})"
 
         lines.append(
-            f"{row.theta1:>6.1f}  {label:<{width}}"
+            f"{config.theta1:>6.1f}  {label:<{width}}"
             f"{cell(s.mi):>18} {100 * s.mi.power_causal:>6.1f}"
             f"{cell(s.ue):>18} {100 * s.ue.power_causal:>6.1f} "
             f"{100 * s.ue.power_intercept:>6.1f}"
@@ -452,12 +455,12 @@ def _write_grid_outputs(rows: tuple[GridRow, ...], replicates: int,
               "seed"] + _SUMMARY_COLUMNS
     cells = [[
         row.index,
-        "mediation" if row.mediation else "main",
-        "true" if row.correlated else "false",
-        f"{row.theta1:g}",
-        row.scenario,
-        f"{row.mu:g}",
-        row.seed,
+        "mediation" if row.config.mediation else "main",
+        "true" if row.config.correlated else "false",
+        f"{row.config.theta1:g}",
+        row.config.scenario,
+        f"{row.config.mu:g}",
+        row.config.seed,
     ] + _summary_cells(row.summary) for row in rows]
     table = _grid_text_table(rows)
     paths, _ = _write_outputs(out_prefix or "mrkit_grid", "mrkit grid", audit,
@@ -465,18 +468,19 @@ def _write_grid_outputs(rows: tuple[GridRow, ...], replicates: int,
     return paths, table
 
 
-def _write_simulate_outputs(config: ScenarioConfig, scenario: int,
+def _write_simulate_outputs(config: ScenarioConfig,
                             summary: SimulationSummary,
-                            out_prefix: str) -> list[str]:
-    audit = (f"scenario={scenario} theta1={config.theta[0]:g} "
+                            out_prefix: str) -> tuple[list[str], str]:
+    """Write the simulate .csv and .txt; return the paths and the text."""
+    audit = (f"scenario={config.scenario} theta1={config.theta1:g} "
              f"mu={config.mu:g} correlated="
-             f"{'true' if config.rhos != (0.0, 0.0, 0.0) else 'false'} "
+             f"{'true' if config.correlated else 'false'} "
              f"gamma={config.gamma:g} j_variants={config.j_variants} "
              f"replicates={config.replicates} seed={config.seed} "
              f"weight_mode={config.weight_mode}")
     header = ["scenario", "theta1", "mu", "gamma", "j_variants",
               "replicates", "seed", "weight_mode"] + _SUMMARY_COLUMNS
-    cells = [scenario, f"{config.theta[0]:g}", f"{config.mu:g}",
+    cells = [config.scenario, f"{config.theta1:g}", f"{config.mu:g}",
              f"{config.gamma:g}", config.j_variants, config.replicates,
              config.seed, config.weight_mode] + _summary_cells(summary)
 
@@ -491,10 +495,8 @@ def _write_simulate_outputs(config: ScenarioConfig, scenario: int,
             f"{intercept_power:>18}")
     lines.append(f"replicates used: {summary.mi.replicates_used}; "
                  f"failures: {summary.failures}")
-    paths, text = _write_outputs(out_prefix, "mrkit simulate", audit, header,
-                                 [cells], "\n".join(lines) + "\n")
-    print(text, end="")
-    return paths
+    return _write_outputs(out_prefix, "mrkit simulate", audit, header,
+                          [cells], "\n".join(lines) + "\n")
 
 
 def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
@@ -577,13 +579,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _simulate_settings(args)
-    scenario = settings.pop("scenario")
-    config = scenario_config(
-        scenario, **{"replicates": DESK_REPLICATES, **settings})
+    config = ScenarioConfig(
+        **{"replicates": DESK_REPLICATES, **_simulate_settings(args)})
     summary = run_scenario(config)
-    paths = _write_simulate_outputs(config, scenario, summary,
-                                    args.out or "mrkit_sim")
+    paths, text = _write_simulate_outputs(config, summary,
+                                          args.out or "mrkit_sim")
+    sys.stdout.write(text)
     print(f"wrote {', '.join(paths)}")
     if summary.failures:
         print(f"warning: {summary.failures} replicate(s) failed",

@@ -1,14 +1,17 @@
 """Monte Carlo study engine for the multivariable pleiotropy-robust estimators.
 
 Data-generating process (per replicate): true associations of J variants with
-three risk factors are drawn jointly normal with means (0.08, 0.03, -0.05),
-variances (0.03, 0.02, 0.04), and a configurable correlation; per-variant
-direct (pleiotropic) effects alpha'_j are N(mu, sigma_alpha_sq) — optionally
-correlated 0.3 with the first risk-factor association — and the outcome
-association is
+three risk factors are drawn jointly normal with means ``BETA_MEANS``,
+variances ``SIGMAS_SQ``, and correlations 0 or ``CORRELATED_RHOS``;
+per-variant direct (pleiotropic) effects alpha'_j are N(mu, sigma_alpha_sq)
+— in scenario 4 correlated ``INSIDE_CORRELATION`` with the first risk-factor
+association — and the outcome association is
 
     beta_Yj = alpha'_j + theta1*|bX1j| + theta2*(bX2j + gamma*|bX1j|)
               + theta3*bX3j + eps_j,        eps_j ~ N(0, 1).
+
+A :class:`ScenarioConfig` holds only the settings the study varies; theta2,
+theta3, sigma_alpha_sq and gamma come from the module constants below.
 
 gamma > 0 makes risk factor 2 partially mediate risk factor 1, so the
 univariable slope targets the total effect theta1 + gamma*theta2 while the
@@ -82,11 +85,28 @@ DEFAULT_REPLICATES = 10_000
 DESK_REPLICATES = 2_000
 DEFAULT_SEED = 20260819
 
+# The fixed parts of the data-generating process.
+THETA2, THETA3 = 0.1, -0.3
+BETA_MEANS = (0.08, 0.03, -0.05)
+SIGMAS_SQ = (0.03, 0.02, 0.04)
+# Direct-effect variance in scenarios 2-4 (scenario 1 has none).
+SIGMA_ALPHA_SQ = 0.004
+# Effect of risk factor 1 on risk factor 2 under mediation.
+MEDIATION_GAMMA = 0.5
+# (rho12, rho13, rho23) of correlated risk factors.
+CORRELATED_RHOS = (0.2, -0.3, 0.1)
 # Correlation between alpha' and the signed first risk-factor association
 # when the instrument-strength-independence condition is violated.
 INSIDE_CORRELATION = 0.3
 
-CORRELATED_RHOS = (0.2, -0.3, 0.1)
+# Cholesky factors of the independent and the correlated risk-factor
+# correlation, indexed by ``correlated``.
+_RISK_FACTOR_CHOLESKY = tuple(
+    np.linalg.cholesky(np.array([[1.0, r12, r13], [r12, 1.0, r23],
+                                 [r13, r23, 1.0]]))
+    for r12, r13, r23 in ((0.0, 0.0, 0.0), CORRELATED_RHOS))
+_INSIDE_LOADING = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
+
 POWER_ALPHA = 0.05
 _CHUNK = 128
 
@@ -105,48 +125,39 @@ def _check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation setting.
+    """One setting of the simulation study.
 
-    ``theta`` is (theta1, theta2, theta3); ``mu`` and ``sigma_alpha_sq`` give
-    the direct-effect distribution; ``inside_violated`` draws alpha'
-    correlated 0.3 with the signed first association; ``gamma`` is the
-    mediated effect of risk factor 1 on risk factor 2. With mu =
-    sigma_alpha_sq = 0 every alpha'_j is exactly 0 (:attr:`no_pleiotropy`).
+    ``scenario`` is the pleiotropy scenario: 1 — none (every alpha'_j is
+    exactly 0); 2 — balanced (mu = 0); 3 — directional with the
+    instrument-strength-independence (InSIDE) condition satisfied; 4 —
+    directional with it violated. Scenarios 3 and 4 require mu > 0.
+    ``correlated`` correlates the risk factors by ``CORRELATED_RHOS``;
+    ``mediation`` makes risk factor 1 act partly through risk factor 2
+    (gamma = ``MEDIATION_GAMMA``). ``scenario_config`` is this class.
     """
 
-    theta: tuple[float, float, float] = (0.0, 0.1, -0.3)
+    scenario: int
+    theta1: float = 0.0
     mu: float = 0.0
-    sigma_alpha_sq: float = 0.004
-    inside_violated: bool = False
-    beta_means: tuple[float, float, float] = (0.08, 0.03, -0.05)
-    sigmas_sq: tuple[float, float, float] = (0.03, 0.02, 0.04)
-    rhos: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    gamma: float = 0.0
+    correlated: bool = False
+    mediation: bool = False
     j_variants: int = 185
     replicates: int = DEFAULT_REPLICATES
     seed: int = DEFAULT_SEED
     weight_mode: str = "realized"
 
     def __post_init__(self) -> None:
-        for name in ("theta", "beta_means", "sigmas_sq", "rhos"):
-            value = tuple(float(v) for v in getattr(self, name))
-            if len(value) != 3:
-                raise ValueError(f"{name} must have exactly 3 entries")
-            object.__setattr__(self, name, value)
-        for name in ("theta", "beta_means", "sigmas_sq", "rhos", "mu",
-                     "sigma_alpha_sq", "gamma"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        scenario, mu = self.scenario, self.mu
+        if scenario not in (1, 2, 3, 4):
+            raise ValueError(f"scenario must be 1-4, got {scenario}")
+        if scenario in (3, 4) and mu <= 0:
+            raise ValueError(f"scenario {scenario} needs mu > 0, got {mu}")
+        if scenario in (1, 2) and mu != 0:
+            raise ValueError(f"scenario {scenario} fixes mu = 0, got {mu}")
+        # A NaN or +inf mu passes the checks of scenarios 3 and 4.
+        for name in ("theta1", "mu"):
+            if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if any(s <= 0 for s in self.sigmas_sq):
-            raise ValueError("sigmas_sq entries must be positive")
-        if any(abs(r) > 1 for r in self.rhos):
-            raise ValueError("rhos entries must lie in [-1, 1]")
-        if self.sigma_alpha_sq < 0:
-            raise ValueError("sigma_alpha_sq must be non-negative")
-        if self.inside_violated and self.sigma_alpha_sq == 0:
-            raise ValueError(
-                "inside_violated requires sigma_alpha_sq > 0 (a degenerate "
-                "alpha' cannot be correlated with anything)")
         if self.j_variants < 5:
             raise ValueError("j_variants must be at least 5 (J >= K + 2)")
         if self.replicates < 1:
@@ -155,26 +166,29 @@ class ScenarioConfig:
         if self.weight_mode not in ("realized", "variance_component"):
             raise ValueError(
                 "weight_mode must be 'realized' or 'variance_component'")
-        # Fails on a risk-factor correlation that is not positive definite.
-        # The joint law of (bX1, bX2, bX3, alpha') under inside_violated is
-        # then PSD too: its Schur complement is
-        # sigma_alpha_sq * (1 - INSIDE_CORRELATION**2).
-        _draw_coefficients(self)
 
     @property
-    def no_pleiotropy(self) -> bool:
-        """Whether every direct effect alpha'_j is exactly 0."""
-        return self.mu == 0 and self.sigma_alpha_sq == 0
+    def theta(self) -> tuple[float, float, float]:
+        """(theta1, theta2, theta3)."""
+        return (self.theta1, THETA2, THETA3)
+
+    @property
+    def sigma_alpha_sq(self) -> float:
+        """Variance of the direct effects alpha'_j."""
+        return 0.0 if self.scenario == 1 else SIGMA_ALPHA_SQ
+
+    @property
+    def gamma(self) -> float:
+        """Mediated effect of risk factor 1 on risk factor 2."""
+        return MEDIATION_GAMMA if self.mediation else 0.0
 
     @property
     def scenario_label(self) -> str:
-        if self.no_pleiotropy:
-            return "none"
-        if self.inside_violated:
-            return "directional, InSIDE violated"
-        if self.mu == 0:
-            return "balanced"
-        return "directional, InSIDE satisfied"
+        return {1: "none", 2: "balanced", 3: "directional, InSIDE satisfied",
+                4: "directional, InSIDE violated"}[self.scenario]
+
+
+scenario_config = ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -231,63 +245,8 @@ class GridRow:
     """One row of the scenario grid, with its resolved config and summary."""
 
     index: int
-    mediation: bool
-    correlated: bool
-    theta1: float
-    scenario: int
-    mu: float
-    seed: int
+    config: ScenarioConfig
     summary: SimulationSummary = field(repr=False)
-
-
-def scenario_config(scenario: int, theta1: float = 0.0, mu: float = 0.0,
-                    correlated: bool = False, mediation: bool = False,
-                    j_variants: int = 185,
-                    replicates: int = DEFAULT_REPLICATES,
-                    seed: int = DEFAULT_SEED,
-                    weight_mode: str = "realized") -> ScenarioConfig:
-    """Build a config for one of the four standard pleiotropy scenarios.
-
-    1 — no pleiotropy; 2 — balanced (mu = 0); 3 — directional with the
-    instrument-strength-independence condition satisfied; 4 — directional
-    with it violated. Scenarios 3 and 4 require mu > 0.
-    """
-    if scenario not in (1, 2, 3, 4):
-        raise ValueError(f"scenario must be 1-4, got {scenario}")
-    if scenario in (3, 4) and mu <= 0:
-        raise ValueError(f"scenario {scenario} needs mu > 0, got {mu}")
-    if scenario in (1, 2) and mu != 0:
-        raise ValueError(f"scenario {scenario} fixes mu = 0, got {mu}")
-    return ScenarioConfig(
-        theta=(theta1, 0.1, -0.3),
-        mu=mu,
-        sigma_alpha_sq=0.0 if scenario == 1 else 0.004,
-        inside_violated=(scenario == 4),
-        rhos=CORRELATED_RHOS if correlated else (0.0, 0.0, 0.0),
-        gamma=0.5 if mediation else 0.0,
-        j_variants=j_variants,
-        replicates=replicates,
-        seed=seed,
-        weight_mode=weight_mode,
-    )
-
-
-def _draw_coefficients(config: ScenarioConfig) -> np.ndarray:
-    """Cholesky factor of the risk-factor correlation.
-
-    Raises ValueError when the correlation is not positive definite.
-    """
-    r12, r13, r23 = config.rhos
-    try:
-        return np.linalg.cholesky(np.array([
-            [1.0, r12, r13],
-            [r12, 1.0, r23],
-            [r13, r23, 1.0],
-        ]))
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "risk-factor correlation implied by rhos is not positive "
-            "definite") from None
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe: a 4-word pool, the
@@ -394,29 +353,24 @@ def _latent_draws(config: ScenarioConfig,
     elementwise arithmetic (no matmul), so a replicate's values do not
     depend on the chunk size or on how chunks are packed.
     """
-    chol = _draw_coefficients(config)
+    chol = _RISK_FACTOR_CHOLESKY[bool(config.correlated)]
     acc, term = np.empty((2,) + z.shape[:-1])
     alpha_prime = z[..., 3]
-    if config.inside_violated:
-        sd_alpha = float(np.sqrt(config.sigma_alpha_sq))
-        loading = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
+    if config.scenario == 4:
         # z[..., 0] is exactly the standardized bX1 (chol[0, 0] = 1).
-        np.multiply(loading, alpha_prime, out=alpha_prime)
+        np.multiply(_INSIDE_LOADING, alpha_prime, out=alpha_prime)
         np.add(np.multiply(INSIDE_CORRELATION, z[..., 0], out=term),
                alpha_prime, out=alpha_prime)
-        np.multiply(sd_alpha, alpha_prime, out=alpha_prime)
-        np.add(config.mu, alpha_prime, out=alpha_prime)
-    else:
-        sd_alpha = float(np.sqrt(config.sigma_alpha_sq))
-        np.multiply(sd_alpha, alpha_prime, out=alpha_prime)
-        np.add(config.mu, alpha_prime, out=alpha_prime)
+    np.multiply(float(np.sqrt(config.sigma_alpha_sq)), alpha_prime,
+                out=alpha_prime)
+    np.add(config.mu, alpha_prime, out=alpha_prime)
 
     for i in (2, 1, 0):
         np.multiply(chol[i, 0], z[..., 0], out=acc)
         for k in range(1, i + 1):
             np.add(acc, np.multiply(chol[i, k], z[..., k], out=term), out=acc)
-        np.multiply(float(np.sqrt(config.sigmas_sq[i])), acc, out=acc)
-        np.add(config.beta_means[i], acc, out=z[..., i])
+        np.multiply(float(np.sqrt(SIGMAS_SQ[i])), acc, out=acc)
+        np.add(BETA_MEANS[i], acc, out=z[..., i])
     return [z[..., 0], z[..., 1], z[..., 2]], alpha_prime, z[..., 4]
 
 
@@ -449,12 +403,11 @@ def _observables(config: ScenarioConfig, beta_cols: list[np.ndarray],
 
 def _univariable_extra_variance(config: ScenarioConfig) -> float:
     """Variance the other risk factors add to a univariable fit's errors."""
-    _, theta2, theta3 = config.theta
-    s1, s2, s3 = config.sigmas_sq
-    rho12 = config.rhos[0]
-    return (theta2 ** 2 * s2 + theta3 ** 2 * s3
-            + (theta2 * config.gamma) ** 2 * s1
-            + 2.0 * theta2 * config.gamma * rho12 * float(np.sqrt(s1 * s2)))
+    s1, s2, s3 = SIGMAS_SQ
+    rho12 = CORRELATED_RHOS[0] if config.correlated else 0.0
+    return (THETA2 ** 2 * s2 + THETA3 ** 2 * s3
+            + (THETA2 * config.gamma) ** 2 * s1
+            + 2.0 * THETA2 * config.gamma * rho12 * float(np.sqrt(s1 * s2)))
 
 
 def generate_dataset(config: ScenarioConfig,
@@ -463,7 +416,7 @@ def generate_dataset(config: ScenarioConfig,
 
     The dataset carries the multivariable-analysis outcome standard errors;
     risk-factor standard errors are the (synthetic) marginal draw scales
-    sqrt(sigmas_sq).
+    sqrt(SIGMAS_SQ).
     """
     if not 0 <= replicate_index < config.replicates:
         raise ValueError(
@@ -482,8 +435,7 @@ def generate_dataset(config: ScenarioConfig,
         effect_alleles=np.full(j, "A"),
         other_alleles=np.full(j, "G"),
         beta_x=np.column_stack([abs_x1, x2, x3]),
-        se_x=np.broadcast_to(np.sqrt(np.asarray(config.sigmas_sq, dtype=float)),
-                             (j, 3)),
+        se_x=np.broadcast_to(np.sqrt(SIGMAS_SQ), (j, 3)),
         beta_y=beta_y,
         se_y=np.sqrt(se2_mv),
     )
@@ -707,22 +659,21 @@ def run_scenario_grid(replicates: int = DEFAULT_REPLICATES,
     _check_seed(seed)
     layout = itertools.product((False, True), (False, True), (0.0, 0.3),
                                _GRID_SCENARIOS)
-    rows, configs = [], []
+    configs = {}
     for index, (mediation, correlated, theta1, (scenario, mu)) in enumerate(
             layout):
         if mediation_only and not mediation:
             continue
         row_seed = int(np.random.SeedSequence(
             [int(seed), index]).generate_state(1, np.uint64)[0])
-        rows.append((index, mediation, correlated, theta1, scenario, mu,
-                     row_seed))
-        configs.append(scenario_config(
+        configs[index] = ScenarioConfig(
             scenario, theta1=theta1, mu=mu, correlated=correlated,
-            mediation=mediation, replicates=replicates, seed=row_seed))
+            mediation=mediation, replicates=replicates, seed=row_seed)
     # Every config is validated above, so replicates is positive here.
     group = max(1, _CHUNK // replicates)
+    rows = list(configs.values())
     summaries = []
-    for first in range(0, len(configs), group):
-        summaries += _run_scenarios(configs[first:first + group])
-    return tuple(GridRow(*row, summary=summary)
-                 for row, summary in zip(rows, summaries))
+    for first in range(0, len(rows), group):
+        summaries += _run_scenarios(rows[first:first + group])
+    return tuple(GridRow(index, config, summary) for (index, config), summary
+                 in zip(configs.items(), summaries))

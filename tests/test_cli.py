@@ -163,12 +163,14 @@ class TestAnalyze:
         assert err.startswith(f"error: {bad}: not UTF-8 text (")
         assert "at line 1" in err
 
-    def test_bad_level(self, one_factor_csv, capsys):
-        code, _, err = _analyze(
-            ["--data", one_factor_csv, "--k", "1", "--methods", "UI",
-             "--level", "1.5"], capsys)
-        assert code == 2
-        assert "confidence level" in err
+    def test_bad_level(self, one_factor_csv, tmp_path, capsys):
+        # A usage error is reported before any file is read.
+        for data in (one_factor_csv, str(tmp_path / "missing.csv")):
+            code, _, err = _analyze(
+                ["--data", data, "--k", "1", "--methods", "UI",
+                 "--level", "1.5"], capsys)
+            assert code == 2
+            assert "confidence level" in err
 
     def test_formats_agree(self, tmp_path, capsys):
         # An exactly-zero x1 association adds a warning record, and the
@@ -367,12 +369,17 @@ class TestAnalyze:
         assert "Instrument strength" in out
         assert "N=188578" in out
 
-    def test_instrument_strength_needs_both(self, one_factor_csv, capsys):
-        code, _, err = _analyze(
-            ["--data", one_factor_csv, "--k", "1", "--methods", "UI",
-             "--r2", "0.087"], capsys)
-        assert code == 2
-        assert "both --n-participants and --r2" in err
+    def test_instrument_strength_needs_both(self, one_factor_csv, tmp_path,
+                                            capsys):
+        # A usage error is reported before any file is read.
+        for data in (one_factor_csv, str(tmp_path / "missing.csv")):
+            for option, value in (("--r2", "0.087"),
+                                  ("--n-participants", "1000")):
+                code, _, err = _analyze(
+                    ["--data", data, "--k", "1", "--methods", "UI", option,
+                     value], capsys)
+                assert code == 2
+                assert "both --n-participants and --r2" in err
 
     def test_zero_association_warns_exit_one(self, tmp_path, capsys):
         bx = np.array([0.0, 0.5, 0.8, 0.3, 0.4])
@@ -627,7 +634,7 @@ class TestSimulate:
         assert "needs mu > 0" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--scenario", "1", "--theta1", "inf"], "theta must be finite"),
+        (["--scenario", "1", "--theta1", "inf"], "theta1 must be finite"),
         (["--scenario", "3", "--mu", "nan"], "mu must be finite"),
     ])
     def test_non_finite_setting(self, tmp_path, capsys, argv, message):

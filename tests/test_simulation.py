@@ -1,9 +1,10 @@
 """Data-generating process, scenario runner, and grid determinism."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,16 @@ from mrkit import (
     simulation,
 )
 from mrkit.simulation import (
+    BETA_MEANS,
     CORRELATED_RHOS,
+    DEFAULT_REPLICATES,
     DEFAULT_SEED,
     INSIDE_CORRELATION,
+    MEDIATION_GAMMA,
+    SIGMA_ALPHA_SQ,
+    SIGMAS_SQ,
+    THETA2,
+    THETA3,
     GeneratedTruth,
     ScenarioConfig,
     _univariable_extra_variance,
@@ -31,112 +39,117 @@ from conftest import make_dataset
 
 class TestScenarioConfig:
     def test_defaults_valid(self):
-        config = ScenarioConfig()
+        assert scenario_config is ScenarioConfig
+        assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
+            "scenario", "theta1", "mu", "correlated", "mediation",
+            "j_variants", "replicates", "seed", "weight_mode"]
+        config = scenario_config(2)
         assert config.theta == (0.0, 0.1, -0.3)
         assert config.scenario_label == "balanced"
+        assert (config.j_variants, config.replicates, config.seed,
+                config.weight_mode) == (185, DEFAULT_REPLICATES,
+                                        DEFAULT_SEED, "realized")
 
-    def test_tuple_lengths(self):
-        with pytest.raises(ValueError, match="exactly 3"):
-            ScenarioConfig(theta=(0.0, 0.1))
-        with pytest.raises(ValueError, match="exactly 3"):
-            ScenarioConfig(sigmas_sq=(0.03,))
+    def test_removed_settings_rejected(self):
+        # The fixed parts of the process are module constants, not settings.
+        for name, value in (("theta", (0.0, 0.1, -0.3)),
+                            ("rhos", CORRELATED_RHOS),
+                            ("sigma_alpha_sq", SIGMA_ALPHA_SQ),
+                            ("inside_violated", True),
+                            ("beta_means", BETA_MEANS),
+                            ("sigmas_sq", SIGMAS_SQ),
+                            ("gamma", MEDIATION_GAMMA)):
+            with pytest.raises(TypeError, match=name):
+                scenario_config(2, **{name: value})
 
     def test_sigma_positivity(self):
-        with pytest.raises(ValueError, match="positive"):
-            ScenarioConfig(sigmas_sq=(0.03, 0.0, 0.04))
-        with pytest.raises(ValueError, match="non-negative"):
-            ScenarioConfig(sigma_alpha_sq=-0.1)
+        assert all(s > 0 for s in SIGMAS_SQ)
+        assert SIGMA_ALPHA_SQ > 0
+        assert [scenario_config(s, mu=mu).sigma_alpha_sq
+                for s, mu in ((1, 0.0), (2, 0.0), (3, 0.1), (4, 0.1))] == \
+               [0.0] + [SIGMA_ALPHA_SQ] * 3
 
     def test_rho_range_and_psd(self):
-        with pytest.raises(ValueError, match="\\[-1, 1\\]"):
-            ScenarioConfig(rhos=(1.5, 0.0, 0.0))
-        # Each pairwise rho is legal but jointly impossible.
-        with pytest.raises(ValueError, match="not positive"):
-            ScenarioConfig(rhos=(0.99, -0.99, 0.99))
+        # The factors taken at import are the Cholesky factors of the
+        # independent and the correlated risk-factor correlation.
+        assert all(-1 <= r <= 1 for r in CORRELATED_RHOS)
+        factors = simulation._RISK_FACTOR_CHOLESKY
+        assert np.array_equal(factors[0], np.eye(3))
+        for rhos, factor in zip(((0.0, 0.0, 0.0), CORRELATED_RHOS), factors):
+            assert np.all(np.diag(factor) > 0)
+            np.testing.assert_allclose(factor @ factor.T, _correlation(rhos),
+                                       rtol=0, atol=1e-15)
 
     def test_no_pleiotropy_consistency(self):
-        # Derived from the direct-effect law, so it cannot contradict it.
-        assert not ScenarioConfig(mu=0.1, sigma_alpha_sq=0.0).no_pleiotropy
-        assert not ScenarioConfig().no_pleiotropy  # default sigma_alpha_sq > 0
-        ok = ScenarioConfig(mu=0.0, sigma_alpha_sq=0.0)
-        assert ok.no_pleiotropy
-        assert ok.scenario_label == "none"
+        # Derived from the scenario, so it cannot contradict it.
+        config = scenario_config(1)
+        assert (config.mu, config.sigma_alpha_sq) == (0.0, 0.0)
+        with pytest.raises(AttributeError):
+            config.sigma_alpha_sq = SIGMA_ALPHA_SQ
         with pytest.raises(TypeError):
-            ScenarioConfig(no_pleiotropy=True)
+            ScenarioConfig(1, no_pleiotropy=True)
 
     def test_inside_violated_needs_variance(self):
-        with pytest.raises(ValueError, match="sigma_alpha_sq > 0"):
-            ScenarioConfig(inside_violated=True, sigma_alpha_sq=0.0)
+        # Scenario 4 is the only InSIDE-violated law, and it has direct-effect
+        # variance for alpha' to share with bX1 under every flag.
+        for correlated, mediation in itertools.product((False, True),
+                                                       repeat=2):
+            config = scenario_config(4, mu=0.01, correlated=correlated,
+                                     mediation=mediation)
+            assert config.sigma_alpha_sq == SIGMA_ALPHA_SQ > 0
 
-    @given(rhos=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
-           sigmas_sq=st.tuples(
-               *[st.floats(min_value=1e-6, max_value=10.0)] * 3),
-           sigma_alpha_sq=st.floats(min_value=1e-8, max_value=10.0))
-    @example(rhos=CORRELATED_RHOS, sigmas_sq=(0.03, 0.02, 0.04),
-             sigma_alpha_sq=0.004)
-    @example(rhos=(0.999, 0.999, 0.998), sigmas_sq=(10.0, 1e-6, 1.0),
-             sigma_alpha_sq=10.0)
-    @hypothesis_settings(max_examples=200, deadline=None)
-    def test_inside_violated_joint_law_is_psd(self, rhos, sigmas_sq,
-                                              sigma_alpha_sq):
+    def test_inside_violated_joint_law_is_psd(self):
         # alpha' loads on the standardized bX1 only, so the joint covariance
-        # of (bX1, bX2, bX3, alpha') is PSD whenever the risk-factor
-        # correlation is: its Schur complement is
-        # sigma_alpha_sq * (1 - INSIDE_CORRELATION**2). This certifies that
-        # bound in place of a runtime check on every config.
-        r12, r13, r23 = rhos
-        correlation = np.array([[1.0, r12, r13], [r12, 1.0, r23],
-                                [r13, r23, 1.0]])
-        try:
-            np.linalg.cholesky(correlation)
-        except np.linalg.LinAlgError:
-            assume(False)
-        config = ScenarioConfig(inside_violated=True, rhos=rhos,
-                                sigmas_sq=sigmas_sq,
-                                sigma_alpha_sq=sigma_alpha_sq)
-        sd = np.sqrt(np.array(config.sigmas_sq))
-        joint = np.zeros((4, 4))
-        joint[:3, :3] = correlation * np.outer(sd, sd)
-        joint[3, 3] = config.sigma_alpha_sq
-        joint[3, :3] = joint[:3, 3] = (
-            INSIDE_CORRELATION * np.sqrt(config.sigma_alpha_sq) * sd
-            * correlation[0])
-        assert np.linalg.eigvalsh(joint).min() >= -1e-10
+        # of (bX1, bX2, bX3, alpha') in scenario 4 has Schur complement
+        # sigma_alpha_sq * (1 - INSIDE_CORRELATION**2) > 0. Both laws that
+        # exist are checked directly.
+        sd = np.sqrt(SIGMAS_SQ)
+        for correlated, rhos in ((False, (0.0, 0.0, 0.0)),
+                                 (True, CORRELATED_RHOS)):
+            correlation = _correlation(rhos)
+            assert np.linalg.eigvalsh(correlation).min() > 0
+            config = scenario_config(4, mu=0.1, correlated=correlated)
+            joint = np.zeros((4, 4))
+            joint[:3, :3] = correlation * np.outer(sd, sd)
+            joint[3, 3] = config.sigma_alpha_sq
+            joint[3, :3] = joint[:3, 3] = (
+                INSIDE_CORRELATION * np.sqrt(config.sigma_alpha_sq) * sd
+                * correlation[0])
+            assert np.linalg.eigvalsh(joint).min() > 0
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="at least 5"):
-            ScenarioConfig(j_variants=4)
+            scenario_config(2, j_variants=4)
         with pytest.raises(ValueError, match="replicates"):
-            ScenarioConfig(replicates=0)
+            scenario_config(2, replicates=0)
         with pytest.raises(ValueError, match="64-bit"):
-            ScenarioConfig(seed=2 ** 64)
+            scenario_config(2, seed=2 ** 64)
         with pytest.raises(ValueError, match="weight_mode"):
-            ScenarioConfig(weight_mode="other")
+            scenario_config(2, weight_mode="other")
 
     def test_non_finite_settings(self):
         nan, inf = float("nan"), float("inf")
-        for field, value in (("theta", (inf, 0.1, -0.3)), ("mu", nan),
-                             ("sigma_alpha_sq", inf), ("gamma", nan),
-                             ("beta_means", (0.08, nan, -0.05)),
-                             ("sigmas_sq", (0.03, 0.02, nan)),
-                             ("rhos", (nan, 0.0, 0.0))):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                ScenarioConfig(**{field: value})
-        # NaN slips past both mu checks of the factory, so the config has
-        # to catch it.
-        with pytest.raises(ValueError, match="mu must be finite"):
-            scenario_config(3, mu=nan)
-        with pytest.raises(ValueError, match="theta must be finite"):
-            scenario_config(1, theta1=inf)
+        # NaN and inf slip past both mu checks for scenarios 3 and 4, so the
+        # finiteness check has to catch them.
+        for mu in (nan, inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                scenario_config(3, mu=mu)
+        for theta1 in (nan, inf):
+            with pytest.raises(ValueError, match="theta1 must be finite"):
+                scenario_config(1, theta1=theta1)
+        # theta1 is checked before mu, and the scenario's mu rule first.
+        with pytest.raises(ValueError, match="theta1 must be finite"):
+            scenario_config(4, theta1=inf, mu=nan)
+        with pytest.raises(ValueError, match="fixes mu = 0"):
+            scenario_config(1, theta1=inf, mu=nan)
 
     def test_labels(self):
-        assert ScenarioConfig(mu=0.1).scenario_label == \
+        assert scenario_config(1).scenario_label == "none"
+        assert scenario_config(3, mu=0.1).scenario_label == \
                "directional, InSIDE satisfied"
-        assert ScenarioConfig(mu=0.1, inside_violated=True).scenario_label == \
+        assert scenario_config(4, mu=0.1).scenario_label == \
                "directional, InSIDE violated"
 
-
-class TestScenarioFactory:
     def test_scenario_range(self):
         with pytest.raises(ValueError, match="scenario must be 1-4"):
             scenario_config(5)
@@ -149,26 +162,32 @@ class TestScenarioFactory:
 
     def test_scenario_one_is_clean(self):
         config = scenario_config(1)
-        assert config.no_pleiotropy
         assert config.sigma_alpha_sq == 0.0
-        assert not config.inside_violated
+        assert config.scenario_label == "none"
 
     def test_scenario_four_violates(self):
         config = scenario_config(4, mu=0.05)
-        assert config.inside_violated
-        assert config.sigma_alpha_sq == 0.004
+        assert config.scenario_label == "directional, InSIDE violated"
+        assert config.sigma_alpha_sq == SIGMA_ALPHA_SQ == 0.004
 
     def test_flags(self):
         config = scenario_config(2, correlated=True, mediation=True)
-        assert config.rhos == CORRELATED_RHOS
-        assert config.gamma == 0.5
+        assert config.correlated
+        assert config.gamma == MEDIATION_GAMMA == 0.5
+        assert CORRELATED_RHOS == (0.2, -0.3, 0.1)
         plain = scenario_config(2)
-        assert plain.rhos == (0.0, 0.0, 0.0)
+        assert not plain.correlated
         assert plain.gamma == 0.0
 
     def test_theta_slots(self):
         config = scenario_config(3, theta1=0.3, mu=0.01)
         assert config.theta == (0.3, 0.1, -0.3)
+        assert config.theta[1:] == (THETA2, THETA3)
+
+
+def _correlation(rhos):
+    r12, r13, r23 = rhos
+    return np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
 
 
 class TestGenerateDataset:
@@ -210,7 +229,7 @@ class TestGenerateDataset:
         assert dataset.variants[0].variant_id == "v00001"
         assert dataset.variants[-1].variant_id == "v00012"
         assert dataset.variants[0].se_x == tuple(
-            float(np.sqrt(s)) for s in config.sigmas_sq)
+            float(np.sqrt(s)) for s in SIGMAS_SQ)
         assert isinstance(truth, GeneratedTruth)
 
     def test_replicate_bounds(self):
@@ -507,19 +526,21 @@ class TestGrid:
         rows = grid_rows
         assert len(rows) == 64
         assert [r.index for r in rows] == list(range(64))
-        assert all(not r.mediation for r in rows[:32])
-        assert all(r.mediation for r in rows[32:])
+        configs = [r.config for r in rows]
+        assert all(not c.mediation for c in configs[:32])
+        assert all(c.mediation for c in configs[32:])
         # Within each 32-row half: independent block then correlated block.
-        assert all(not r.correlated for r in rows[:16])
-        assert all(r.correlated for r in rows[16:32])
+        assert all(not c.correlated for c in configs[:16])
+        assert all(c.correlated for c in configs[16:32])
         # Within each 16-row block: theta1 = 0 rows then theta1 = 0.3 rows.
-        assert [r.theta1 for r in rows[:16]] == [0.0] * 8 + [0.3] * 8
+        assert [c.theta1 for c in configs[:16]] == [0.0] * 8 + [0.3] * 8
         # Each 8-row run walks the pleiotropy scenarios in table order.
-        assert [r.scenario for r in rows[:8]] == [1, 2, 3, 3, 3, 4, 4, 4]
-        assert [r.mu for r in rows[:8]] == [0.0, 0.0, 0.01, 0.05, 0.1,
-                                            0.01, 0.05, 0.1]
+        assert [c.scenario for c in configs[:8]] == [1, 2, 3, 3, 3, 4, 4, 4]
+        assert [c.mu for c in configs[:8]] == [0.0, 0.0, 0.01, 0.05, 0.1,
+                                               0.01, 0.05, 0.1]
+        assert all(c.replicates == 20 for c in configs)
         # Row seeds are distinct, derived from (seed, index).
-        assert len({r.seed for r in rows}) == 64
+        assert len({c.seed for c in configs}) == 64
 
     def test_rows_reproducible_in_isolation(self, grid_rows, monkeypatch):
         # At 20 replicates six rows share each chunk; at 50, two. Every row
@@ -532,11 +553,8 @@ class TestGrid:
                                           mediation_only=True)
             for rows, replicates in ((full, 20), (mediation, 50)):
                 for row in rows:
-                    config = scenario_config(
-                        row.scenario, theta1=row.theta1, mu=row.mu,
-                        correlated=row.correlated, mediation=row.mediation,
-                        replicates=replicates, seed=row.seed)
-                    assert run_scenario(config) == row.summary, (
+                    assert row.config.replicates == replicates
+                    assert run_scenario(row.config) == row.summary, (
                         threads, replicates, row.index)
 
     def test_mediation_only_returns_mediation_rows(self, grid_rows):
