@@ -444,11 +444,14 @@ def _write_outputs(prefix: str, title: str, audit: str, header: list[str],
     return [csv_path, txt_path], text
 
 
-def _write_grid_outputs(rows: tuple[GridRow, ...], replicates: int,
-                        seed: int, mediation_only: bool,
+def _write_grid_outputs(rows: tuple[GridRow, ...], seed: int,
+                        mediation_only: bool,
                         out_prefix: str | None) -> tuple[list[str], str]:
-    """Write the grid .csv and .txt; return the paths and the text table."""
-    audit = (f"seed={seed} replicates={replicates} "
+    """Write the grid .csv and .txt; return the paths and the text table.
+
+    Every row of a grid runs the same number of replicates.
+    """
+    audit = (f"seed={seed} replicates={rows[0].config.replicates} "
              f"rows={len(rows)} mediation_only="
              f"{'true' if mediation_only else 'false'}")
     header = ["row", "grid", "correlated", "theta1", "scenario", "mu",
@@ -596,8 +599,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     rows = run_scenario_grid(replicates=args.replicates, seed=args.seed,
                              mediation_only=args.mediation)
-    paths, table = _write_grid_outputs(rows, args.replicates, args.seed,
-                                       args.mediation, args.out)
+    paths, table = _write_grid_outputs(rows, args.seed, args.mediation,
+                                       args.out)
     sys.stdout.write(table)
     print(f"wrote {', '.join(paths)}")
     failures = sum(row.summary.failures for row in rows)

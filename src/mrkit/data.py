@@ -15,7 +15,7 @@ import csv
 import math
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
 
@@ -252,10 +252,15 @@ class SummaryDataset:
     * ``beta_y``, ``se_y``: (J,) float64 association with the outcome (log
       odds ratio or outcome units) and its standard error.
 
-    Values are finite and standard errors positive. The constructor copies
-    every column into a read-only array, so a dataset never changes after
-    construction; :attr:`variants` is a row view built on demand, and
-    :meth:`from_records` builds a dataset from rows. Allele labels are
+    Values are finite and standard errors positive. Every column is a
+    read-only array, so a dataset never changes after construction. The
+    constructor (and so :meth:`from_records` and ``dataclasses.replace``)
+    copies and validates what it is given. The program's own datasets are
+    checked once, where their columns enter: :func:`load_dataset` checks the
+    file's rows, and :meth:`with_correlation`, :func:`select_risk_factor`
+    and :func:`mrkit.orientation.orient` derive new datasets that share
+    their parent's unchanged columns, without a copy or another check.
+    :attr:`variants` is a row view built on demand. Allele labels are
     carried but not biologically validated: harmonization correctness is
     sign logic, not nucleotide chemistry.
     """
@@ -298,6 +303,24 @@ class SummaryDataset:
         if self.correlation is not None:
             _require(self.correlation.dimension == j,
                      "correlation dimension does not match variant count")
+
+    @classmethod
+    def _checked(cls, **columns) -> "SummaryDataset":
+        """A dataset from every field's value, already known to be valid.
+
+        No copy and no check: the arrays become read-only and are held as
+        given. For columns that satisfy every invariant by construction.
+        """
+        dataset = object.__new__(cls)
+        for name, value in columns.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(dataset, name, value)
+        return dataset
+
+    def _derive(self, **changes) -> "SummaryDataset":
+        """This dataset with some fields replaced by valid ones; the rest shared."""
+        return self._checked(**{**vars(self), **changes})
 
     @classmethod
     def from_records(cls, risk_factor_names: tuple[str, ...],
@@ -360,8 +383,14 @@ class SummaryDataset:
         return self.se_y
 
     def with_correlation(self, correlation: CorrelationMatrix | None) -> "SummaryDataset":
-        """Return a copy with the correlation matrix attached (or detached)."""
-        return replace(self, correlation=correlation)
+        """This dataset with the correlation matrix attached (or detached).
+
+        The result shares this dataset's columns.
+        """
+        if correlation is not None:
+            _require(correlation.dimension == self.j,
+                     "correlation dimension does not match variant count")
+        return self._derive(correlation=correlation)
 
 
 def _expected_header(k: int) -> list[str]:
@@ -451,7 +480,8 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
             f"expected {len(expected)} fields, found {widths[end]}")
     if end == 0:
         raise DataError(f"{path}: no data rows")
-    return SummaryDataset(
+    # The row checks above are the dataset's checks, reported by file line.
+    return SummaryDataset._checked(
         risk_factor_names=tuple(f"x{i}" for i in range(1, k + 1)),
         variant_ids=labels[:, 0],
         effect_alleles=labels[:, 1],
@@ -460,6 +490,7 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
         se_x=values[:, 1:2 * k:2],
         beta_y=values[:, 2 * k],
         se_y=values[:, 2 * k + 1],
+        correlation=None,
     )
 
 
@@ -571,11 +602,12 @@ def write_dataset(dataset: SummaryDataset, path: str | Path) -> None:
 def select_risk_factor(dataset: SummaryDataset, name: str) -> SummaryDataset:
     """Project a K-factor dataset down to the single named risk factor.
 
-    The correlation matrix (variant-level) is carried over unchanged.
+    The result's risk-factor columns are views of the dataset's; every other
+    column and the correlation matrix (variant-level) are shared unchanged.
     """
     if name not in dataset.risk_factor_names:
         raise DataError(f"unknown risk factor '{name}'")
     i = dataset.risk_factor_names.index(name)
-    return replace(dataset, risk_factor_names=(name,),
-                   beta_x=dataset.beta_x[:, i:i + 1],
-                   se_x=dataset.se_x[:, i:i + 1])
+    return dataset._derive(risk_factor_names=(name,),
+                           beta_x=dataset.beta_x[:, i:i + 1],
+                           se_x=dataset.se_x[:, i:i + 1])

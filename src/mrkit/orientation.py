@@ -6,18 +6,21 @@ arbitrary sign unless every variant is coded so that its association with a
 chosen reference risk factor is non-negative. :func:`orient` recodes a dataset
 to that convention, swapping effect/other alleles and negating every
 association (all risk factors and the outcome) for flipped variants. Standard
-errors are sign-free and unchanged. An attached variant correlation matrix is
-sign-conjugated (rho'_st = s_s * s_t * rho_st) so that it continues to refer
-to the recoded alleles; its Cholesky factor is conjugated the same way, so the
-flipped matrix is neither validated nor factored again. ``mrkit analyze``
-instead passes :func:`orient`'s flip mask to
-:func:`mrkit.data.load_correlation`, which conjugates the parsed matrix before
-its one validation and factorization, and attaches it after orienting.
+errors are sign-free and unchanged. Recoding keeps every dataset invariant, so
+the oriented dataset is not validated again: it holds new read-only allele and
+association arrays and shares the input's ids and standard errors. An
+attached variant correlation matrix is sign-conjugated (rho'_st = s_s * s_t *
+rho_st) so that it continues to refer to the recoded alleles; its Cholesky
+factor is conjugated the same way, so the flipped matrix is neither validated
+nor factored again. ``mrkit analyze`` instead passes :func:`orient`'s flip
+mask to :func:`mrkit.data.load_correlation`, which conjugates the parsed
+matrix before its one validation and factorization, and attaches it after
+orienting.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +73,7 @@ def orient(dataset: SummaryDataset,
         correlation = dataset.correlation
         if correlation is not None:
             correlation = correlation.sign_flipped(flip)
-        oriented = replace(
-            dataset,
+        oriented = dataset._derive(
             effect_alleles=np.where(flip, dataset.other_alleles,
                                     dataset.effect_alleles),
             other_alleles=np.where(flip, dataset.effect_alleles,

@@ -325,6 +325,8 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (y.size, y.size):
         raise ValueError("omega must be J x J")
+    # _factored_fit trusts the factor to be finite.
+    omega = np.asarray_chkfinite(omega)
     try:
         with _one_blas_thread():
             factor = np.linalg.cholesky(omega)
@@ -340,14 +342,19 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
 
     Whitens [x | y] with one triangular solve against ``factor``, then fits
     it with the kernel at C = 1; fitted values and residuals are on the
-    scale of ``x`` and ``y`` as given.
+    scale of ``x`` and ``y`` as given. Only [x | y] is scanned for infs and
+    NaNs: ``factor`` must be finite, as the factor of every
+    :class:`mrkit.data.CorrelationMatrix` and of every Omega that
+    :func:`fit_gls` accepts is.
     """
     # Imported here, its only use, so that importing mrkit does not load
     # scipy.linalg.
     from scipy.linalg import solve_triangular
 
+    problem = np.asarray_chkfinite(np.column_stack([x, y]))
     with _one_blas_thread():
-        problem = solve_triangular(factor, np.column_stack([x, y]), lower=True)
+        problem = solve_triangular(factor, problem, lower=True,
+                                   check_finite=False)
     return _fit_one(x, y, _wls_kernel(problem[None]))
 
 

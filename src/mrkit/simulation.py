@@ -182,11 +182,6 @@ class ScenarioConfig:
         """Mediated effect of risk factor 1 on risk factor 2."""
         return MEDIATION_GAMMA if self.mediation else 0.0
 
-    @property
-    def scenario_label(self) -> str:
-        return {1: "none", 2: "balanced", 3: "directional, InSIDE satisfied",
-                4: "directional, InSIDE violated"}[self.scenario]
-
 
 scenario_config = ScenarioConfig
 

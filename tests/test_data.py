@@ -1,4 +1,5 @@
 """Ingestion, validation, and round-trip behaviour of the data layer."""
+import dataclasses
 import io
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrkit.cli
 from mrkit import (
     CorrelationMatrix,
     DataError,
@@ -202,6 +204,37 @@ class TestSummaryDataset:
         assert ds2.variants == ds.variants
         assert ds2.with_correlation(None).correlation is None
 
+    def test_with_correlation_wrong_size(self):
+        ds = make_dataset([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [1, 1, 1])
+        with pytest.raises(DataError, match="^correlation dimension does not "
+                                            "match variant count$"):
+            ds.with_correlation(CorrelationMatrix(np.eye(2)))
+
+    def test_with_correlation_shares_columns(self):
+        ds = make_dataset([[0.1, 0.4], [0.2, 0.1]], [0.1, 0.2], [1, 1],
+                          names=("x1", "x2"))
+        ds2 = ds.with_correlation(CorrelationMatrix(np.eye(2)))
+        for name in _COLUMNS:
+            assert np.shares_memory(getattr(ds2, name), getattr(ds, name))
+            assert not getattr(ds2, name).flags.writeable
+
+    def test_constructor_copies_and_validates(self):
+        # Input from outside the program is copied and checked, also
+        # through dataclasses.replace; only derived datasets share columns.
+        beta_y = np.array([0.1, 0.2])
+        ds = make_dataset([0.1, 0.2], beta_y, [1.0, 1.0])
+        assert not np.shares_memory(ds.beta_y, beta_y)
+        again = dataclasses.replace(ds, se_y=ds.se_y)
+        assert not np.shares_memory(again.se_y, ds.se_y)
+        with pytest.raises(DataError, match="non-finite value"):
+            dataclasses.replace(ds, beta_y=[0.1, np.nan])
+        with pytest.raises(DataError, match="duplicate variant_id"):
+            dataclasses.replace(ds, variant_ids=["a", "a"])
+
+
+_COLUMNS = ("variant_ids", "effect_alleles", "other_alleles", "beta_x",
+            "se_x", "beta_y", "se_y")
+
 
 class TestLoadDataset:
     def test_round_trip(self, tmp_path):
@@ -219,6 +252,20 @@ class TestLoadDataset:
                            rtol=1e-11, atol=0)
         assert [v.variant_id for v in back.variants] == \
                [v.variant_id for v in ds.variants]
+
+    def test_loaded_columns_read_only(self, tmp_path):
+        p = _write(tmp_path, HEADER_K2
+                   + "rs1,A,G,0.1,0.02,0.3,0.01,0.05,0.01\n"
+                   + "rs2,C,T,-0.2,0.03,0.4,0.02,0.07,0.02\n")
+        ds = load_dataset(p, k=2)
+        derived = (select_risk_factor(ds, "x2"),
+                   ds.with_correlation(CorrelationMatrix(np.eye(2))))
+        for dataset in (ds, *derived):
+            for name in _COLUMNS:
+                column = getattr(dataset, name)
+                assert not column.flags.writeable, name
+                with pytest.raises(ValueError):
+                    column[0] = column[-1]
 
     def test_basic_load(self, tmp_path):
         p = _write(tmp_path, HEADER_K1
@@ -460,6 +507,48 @@ class TestSelectRiskFactor:
         ds = make_dataset([0.1], [0.5], [0.1])
         with pytest.raises(DataError, match="unknown risk factor 'nope'"):
             select_risk_factor(ds, "nope")
+
+    def test_shares_parent_columns(self):
+        ds = make_dataset([[0.1, 0.2], [0.3, 0.4]], [0.5, 0.6], [0.1, 0.2],
+                          names=("bmi", "sbp"))
+        sub = select_risk_factor(ds, "sbp")
+        for name in _COLUMNS:
+            assert np.shares_memory(getattr(sub, name), getattr(ds, name))
+            assert not getattr(sub, name).flags.writeable
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
+@pytest.mark.parametrize("correlated", [False, True])
+def test_analyze_same_for_loaded_and_constructed(tmp_path, monkeypatch,
+                                                 capsys, fmt, correlated):
+    """A loaded dataset reports exactly as one the constructor copied."""
+    rng = np.random.default_rng(31)
+    bx = rng.normal(0.2, 0.6, size=(12, 3))
+    bx[:4, 0] = -np.abs(bx[:4, 0])
+    path = tmp_path / "summary.csv"
+    write_dataset(make_dataset(bx, rng.normal(size=12),
+                               rng.uniform(0.4, 1.5, 12),
+                               names=("x1", "x2", "x3")), path)
+    argv = ["analyze", "--data", str(path), "--k", "3", "--methods",
+            "UI,UE,MI,ME", "--ref", "x1", "--format", fmt]
+    if correlated:
+        corr = tmp_path / "corr.csv"
+        np.savetxt(corr, random_correlation(rng, 12), delimiter=",")
+        argv += ["--corr", str(corr)]
+
+    def run():
+        assert mrkit.cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    loaded = run()
+
+    def constructed(*args):
+        ds = load_dataset(*args)
+        return SummaryDataset(**{f.name: getattr(ds, f.name)
+                                 for f in dataclasses.fields(ds)})
+
+    monkeypatch.setattr(mrkit.cli, "load_dataset", constructed)
+    assert run() == loaded
 
 
 def _random_labelled_dataset(seed: int) -> SummaryDataset:

@@ -79,6 +79,24 @@ class TestOrient:
         assert oriented.correlation.entries == pytest.approx(
             np.array([[1.0, -0.4], [-0.4, 1.0]]))
 
+    def test_shares_unchanged_columns(self):
+        rho = np.array([[1.0, 0.4], [0.4, 1.0]])
+        ds = make_dataset([[-0.1, 0.3], [0.2, 0.5]], [0.2, 0.3], [1.0, 1.0],
+                          names=("x1", "x2"), se_x=[[0.1, 0.2], [0.3, 0.4]],
+                          corr=rho)
+        oriented, _ = orient(ds, "x1")
+        for name in ("variant_ids", "se_x", "se_y"):
+            assert np.shares_memory(getattr(oriented, name), getattr(ds, name))
+        for name in ("effect_alleles", "other_alleles", "beta_x", "beta_y"):
+            assert not np.shares_memory(getattr(oriented, name),
+                                        getattr(ds, name))
+        # Every column, the recoded ones too, is read-only.
+        for name in ("variant_ids", "effect_alleles", "other_alleles",
+                     "beta_x", "se_x", "beta_y", "se_y"):
+            assert not getattr(oriented, name).flags.writeable, name
+        assert not oriented.correlation.entries.flags.writeable
+        assert oriented.correlation.dimension == oriented.j
+
     def test_correlation_untouched_without_flips(self):
         rho = np.array([[1.0, 0.4], [0.4, 1.0]])
         ds = make_dataset([0.1, 0.2], [0.2, 0.3], [1.0, 1.0], corr=rho)

@@ -137,6 +137,34 @@ class TestFitGls:
         with pytest.raises(ValueError, match="J x J"):
             fit_gls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["omega_diagonal", "omega_upper",
+                                       "omega_lower", "design", "response"])
+    def test_non_finite_input_rejected(self, where, bad):
+        # The triangular whitening does not scan the factor, so fit_gls
+        # scans Omega itself, also the upper triangle its Cholesky never reads.
+        x = np.array([[1.0], [2.0], [3.0]])
+        y = np.array([0.5, 1.5, 3.5])
+        omega = np.eye(3)
+        target, index = {"omega_diagonal": (omega, (1, 1)),
+                         "omega_upper": (omega, (0, 2)),
+                         "omega_lower": (omega, (2, 0)),
+                         "design": (x, (1, 0)),
+                         "response": (y, (2,))}[where]
+        target[index] = bad
+        with pytest.raises(ValueError) as raised:
+            fit_gls(x, y, omega)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "array must not contain infs or NaNs"
+
+    def test_non_finite_whitened_problem_rejected(self):
+        # The correlated estimators fit through the stored factor directly.
+        factor = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
+        with pytest.raises(ValueError,
+                           match="^array must not contain infs or NaNs$"):
+            regression._factored_fit(np.array([[1.0], [np.inf]]),
+                                     np.array([1.0, 2.0]), factor)
+
 
 @pytest.fixture
 def blas_apis():

@@ -45,7 +45,7 @@ class TestScenarioConfig:
             "j_variants", "replicates", "seed", "weight_mode"]
         config = scenario_config(2)
         assert config.theta == (0.0, 0.1, -0.3)
-        assert config.scenario_label == "balanced"
+        assert config.scenario == 2
         assert (config.j_variants, config.replicates, config.seed,
                 config.weight_mode) == (185, DEFAULT_REPLICATES,
                                         DEFAULT_SEED, "realized")
@@ -144,11 +144,12 @@ class TestScenarioConfig:
             scenario_config(1, theta1=inf, mu=nan)
 
     def test_labels(self):
-        assert scenario_config(1).scenario_label == "none"
-        assert scenario_config(3, mu=0.1).scenario_label == \
-               "directional, InSIDE satisfied"
-        assert scenario_config(4, mu=0.1).scenario_label == \
-               "directional, InSIDE violated"
+        # A config is labelled by its scenario number alone; the grid's text
+        # table words it (cli._scenario_text).
+        assert scenario_config(1).scenario == 1
+        assert scenario_config(3, mu=0.1).scenario == 3
+        assert scenario_config(4, mu=0.1).scenario == 4
+        assert not hasattr(scenario_config(1), "scenario_label")
 
     def test_scenario_range(self):
         with pytest.raises(ValueError, match="scenario must be 1-4"):
@@ -163,11 +164,11 @@ class TestScenarioConfig:
     def test_scenario_one_is_clean(self):
         config = scenario_config(1)
         assert config.sigma_alpha_sq == 0.0
-        assert config.scenario_label == "none"
+        assert config.scenario == 1
 
     def test_scenario_four_violates(self):
         config = scenario_config(4, mu=0.05)
-        assert config.scenario_label == "directional, InSIDE violated"
+        assert config.scenario == 4
         assert config.sigma_alpha_sq == SIGMA_ALPHA_SQ == 0.004
 
     def test_flags(self):
