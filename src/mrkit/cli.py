@@ -705,6 +705,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'an allocation failed'})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

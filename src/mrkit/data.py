@@ -193,16 +193,17 @@ def _sign_conjugated(matrix: np.ndarray, flip: np.ndarray,
     return np.multiply(out, signs, out=out)
 
 
-def _row_checks(ids: np.ndarray, effect_alleles: np.ndarray,
+def _row_checks(variant_ids: np.ndarray, effect_alleles: np.ndarray,
                 other_alleles: np.ndarray, beta_x: np.ndarray, se_x: np.ndarray,
                 beta_y: np.ndarray, se_y: np.ndarray) -> list[_Check]:
     """Row invariants of a dataset, in the order they are reported for one row."""
     return [
-        (_repeats(ids), lambda row: f"duplicate variant_id '{ids[row]}'"),
+        (_repeats(variant_ids),
+         lambda row: f"duplicate variant_id '{variant_ids[row]}'"),
         (_rows(se_x <= 0, se_y <= 0), lambda row: "non-positive standard error"),
         (_rows(~np.isfinite(beta_x), ~np.isfinite(se_x), ~np.isfinite(beta_y),
                ~np.isfinite(se_y)), lambda row: "non-finite value"),
-        (_rows(ids == ""), lambda row: "empty variant_id"),
+        (_rows(variant_ids == ""), lambda row: "empty variant_id"),
         (_rows(effect_alleles == "", other_alleles == ""),
          lambda row: "empty allele label"),
     ]
@@ -425,10 +426,18 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     dataset is never returned. Numeric cells are parsed as Python's
     ``float()`` parses them, and labels are stripped of surrounding
     whitespace.
+
+    A well-formed file without quotes is parsed in one C pass
+    (:func:`numpy.loadtxt`). Any other file, and any file with a fault, is
+    parsed row by row with :mod:`csv`, which reports the fault. Both parses
+    give the same dataset, bit for bit, wherever the first one accepts.
     """
     if k < 1:
         raise DataError("k must be a positive integer")
     path = Path(path)
+    dataset = _load_one_pass(path, k)
+    if dataset is not None:
+        return dataset
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -462,9 +471,8 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     labels = np.char.strip(cells[:, :3].astype(str))
     values, bad_cell = _parse_numeric(cells[:, 3:])
 
-    checks = _row_checks(labels[:, 0], labels[:, 1], labels[:, 2],
-                         values[:, 0:2 * k:2], values[:, 1:2 * k:2],
-                         values[:, 2 * k], values[:, 2 * k + 1])
+    columns = _columns(labels, values, k)
+    checks = _row_checks(**columns)
     if bad_cell is not None:
         row, column = bad_cell
         checks.insert(1, (
@@ -480,18 +488,83 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
             f"expected {len(expected)} fields, found {widths[end]}")
     if end == 0:
         raise DataError(f"{path}: no data rows")
-    # The row checks above are the dataset's checks, reported by file line.
+    return _loaded(columns, k)
+
+
+# Characters whose presence sends a file to the row parse: the quote, with
+# which a csv field can hold commas and line breaks; NUL, which csv rejects
+# before Python 3.11; and the line breaks of str.splitlines that csv keeps
+# inside a field.
+_ROW_PARSE_ONLY = ('"', "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029")
+
+
+def _load_one_pass(path: Path, k: int) -> SummaryDataset | None:
+    """The dataset of a well-formed quote-free file, parsed in one C pass.
+
+    Returns None, and so leaves the file to the row parse, for anything
+    else: a file that is not a readable regular UTF-8 file, that holds a
+    character of ``_ROW_PARSE_ONLY`` or a line longer than csv's field size
+    limit, whose header or any row is faulty, or that has no data rows.
+    Without those characters, the lines split here are csv's records and
+    their commas csv's field breaks, so a field is never longer than its
+    line. The C parser of ``loadtxt`` (numpy >= 1.23) accepts no float cell
+    that ``float()`` rejects and reads every cell it accepts to the same
+    value; labels keep their whitespace, which is stripped as in the row
+    parse.
+    """
+    try:
+        if not path.is_file():  # a pipe cannot be read a second time
+            return None
+        text = path.read_bytes().decode("utf-8-sig")
+    except (OSError, ValueError):  # the row parse reports it
+        return None
+    if any(char in text for char in _ROW_PARSE_ONLY):
+        return None
+    lines = text.splitlines()
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header, data = lines[0], lines[1:]
+    if ([h.strip() for h in header.split(",")] != _expected_header(k)
+            or not any(data)):  # loadtxt warns when it finds no rows
+        return None
+    dtype = np.dtype([("labels", object, 3), ("values", np.float64, 2 * k + 2)])
+    try:
+        rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1)
+    except ValueError:
+        return None
+    # The values are copied out of the records, so the dataset's columns are
+    # laid out as the row parse's are and do not keep the label objects.
+    columns = _columns(np.char.strip(rows["labels"].astype(str)),
+                       rows["values"].copy(), k)
+    if _first_fault(_row_checks(**columns)) is not None:
+        return None
+    return _loaded(columns, k)
+
+
+def _columns(labels: np.ndarray, values: np.ndarray,
+             k: int) -> dict[str, np.ndarray]:
+    """A dataset's seven columns from its (J, 3) labels and (J, 2K + 2) values."""
+    return {
+        "variant_ids": labels[:, 0],
+        "effect_alleles": labels[:, 1],
+        "other_alleles": labels[:, 2],
+        "beta_x": values[:, 0:2 * k:2],
+        "se_x": values[:, 1:2 * k:2],
+        "beta_y": values[:, 2 * k],
+        "se_y": values[:, 2 * k + 1],
+    }
+
+
+def _loaded(columns: dict[str, np.ndarray], k: int) -> SummaryDataset:
+    """The dataset of a file's columns, which passed the file-line row checks.
+
+    Those checks are the dataset's checks, reported by file line.
+    """
     return SummaryDataset._checked(
         risk_factor_names=tuple(f"x{i}" for i in range(1, k + 1)),
-        variant_ids=labels[:, 0],
-        effect_alleles=labels[:, 1],
-        other_alleles=labels[:, 2],
-        beta_x=values[:, 0:2 * k:2],
-        se_x=values[:, 1:2 * k:2],
-        beta_y=values[:, 2 * k],
-        se_y=values[:, 2 * k + 1],
-        correlation=None,
-    )
+        **columns, correlation=None)
 
 
 def _parse_numeric(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:

@@ -160,15 +160,12 @@ class RegressionFit:
     unscaled_se: sqrt of the diagonal of the unit-variance covariance.
     residual_scale: sigma_hat = sqrt(weighted RSS / df_residual); 0 with the
         exact_fit flag set when df_residual = 0 or the fit is exact.
-    fitted / residuals are on the original (unweighted) response scale.
     """
 
     coefficients: np.ndarray
     unscaled_se: np.ndarray
     residual_scale: float
     df_residual: int
-    fitted: np.ndarray
-    residuals: np.ndarray
     exact_fit: bool
 
 
@@ -274,20 +271,16 @@ def _fit_from_r(r: np.ndarray, rows: int):
     return beta, unscaled_se, sigma, full_rank
 
 
-def _fit_one(x: np.ndarray, y: np.ndarray, kernel_out) -> RegressionFit:
+def _fit_one(x: np.ndarray, kernel_out) -> RegressionFit:
     """Single-dataset fit from the kernel at C = 1; RankError on its flag."""
     beta, unscaled_se, sigma, full_rank = (out[0] for out in kernel_out)
     if not full_rank:
         raise RankError("design matrix is rank deficient")
-    fitted = x @ beta
-    df = x.shape[0] - x.shape[1]
     return RegressionFit(
         coefficients=beta,
         unscaled_se=unscaled_se,
         residual_scale=float(sigma),
-        df_residual=df,
-        fitted=fitted,
-        residuals=y - fitted,
+        df_residual=x.shape[0] - x.shape[1],
         exact_fit=bool(sigma == 0.0),
     )
 
@@ -308,7 +301,7 @@ def fit_wls(design: np.ndarray, response: np.ndarray,
     if weights.shape != y.shape:
         raise ValueError("weights length does not match design")
     problem = _design((*x.T, y), False, np.sqrt(weights))
-    return _fit_one(x, y, _wls_kernel(problem[None]))
+    return _fit_one(x, _wls_kernel(problem[None]))
 
 
 def fit_gls(design: np.ndarray, response: np.ndarray,
@@ -341,8 +334,7 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
     """GLS fit given the lower Cholesky factor of the error covariance.
 
     Whitens [x | y] with one triangular solve against ``factor``, then fits
-    it with the kernel at C = 1; fitted values and residuals are on the
-    scale of ``x`` and ``y`` as given. Only [x | y] is scanned for infs and
+    it with the kernel at C = 1. Only [x | y] is scanned for infs and
     NaNs: ``factor`` must be finite, as the factor of every
     :class:`mrkit.data.CorrelationMatrix` and of every Omega that
     :func:`fit_gls` accepts is.
@@ -355,7 +347,7 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
     with _one_blas_thread():
         problem = solve_triangular(factor, problem, lower=True,
                                    check_finite=False)
-    return _fit_one(x, y, _wls_kernel(problem[None]))
+    return _fit_one(x, _wls_kernel(problem[None]))
 
 
 def _random_effects_se(unscaled_se: np.ndarray, sigma) -> np.ndarray:

@@ -163,6 +163,22 @@ class TestAnalyze:
         assert err.startswith(f"error: {bad}: not UTF-8 text (")
         assert "at line 1" in err
 
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 3.00 GiB for an array"),
+         "Unable to allocate 3.00 GiB for an array"),
+        (MemoryError(), "an allocation failed"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory(self, three_factor_csv, capsys, monkeypatch, exc,
+                           detail):
+        # The allocation failure is simulated: nothing large is allocated.
+        def failing_orient(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(mrkit.cli, "orient", failing_orient)
+        assert _analyze(["--data", three_factor_csv, "--k", "3",
+                         "--methods", "MI", "--ref", "x1"], capsys) == (
+            2, "", f"error: out of memory ({detail})\n")
+
     def test_bad_level(self, one_factor_csv, tmp_path, capsys):
         # A usage error is reported before any file is read.
         for data in (one_factor_csv, str(tmp_path / "missing.csv")):

@@ -1,6 +1,8 @@
 """Ingestion, validation, and round-trip behaviour of the data layer."""
+import csv
 import dataclasses
 import io
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrkit.cli
+import mrkit.data
 from mrkit import (
     CorrelationMatrix,
     DataError,
@@ -405,6 +408,38 @@ class TestLoadDataset:
                                             r"field limit .* at line 3$"):
             load_dataset(p, k=1)
 
+    # A row with one field of csv's field size limit plus ``extra``
+    # characters, and the 1-based line that field ends on.
+    _OVER_LIMIT_ROWS = {
+        "label": (lambda n: "rs2" + "x" * (n - 3) + ",A,G,0.1,0.02,0.05,0.01\n", 3),
+        "numeric": (lambda n: "rs2,A,G,0.1,0.02," + "0" * (n - 1) + "1,0.01\n", 3),
+        "quoted-label": (lambda n: '"rs2\n' + "x" * (n - 4)
+                         + '",A,G,0.1,0.02,0.05,0.01\n', 4),
+        "quoted-numeric": (lambda n: 'rs2,A,G,0.1,0.02,"\n' + "0" * (n - 2)
+                           + '1",0.01\n', 4),
+    }
+
+    @pytest.mark.parametrize("kind", list(_OVER_LIMIT_ROWS))
+    def test_field_limit_in_every_parse(self, tmp_path, kind):
+        """A field one character over csv's limit fails as csv fails, at its
+        line, whichever parse the file would take; one at the limit loads."""
+        row, line = self._OVER_LIMIT_ROWS[kind]
+        limit = csv.field_size_limit()
+        p = _write(tmp_path, HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + row(limit + 1))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: field "
+                                            rf"larger than field limit "
+                                            rf"\({limit}\) at line {line}$"):
+            load_dataset(p, k=1)
+        p = _write(tmp_path, HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n"
+                   + row(limit))
+        ds = load_dataset(p, k=1)
+        if kind.endswith("label"):
+            assert len(ds.variant_ids[1]) == limit
+            assert ds.beta_y[1] == 0.05
+        else:
+            assert ds.variant_ids[1] == "rs2" and ds.beta_y[1] == 1.0
+
     @pytest.mark.parametrize("data, line", [
         ((HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n").encode("utf-16"), 1),
         (HEADER_K1.encode() + b"rs1,A,G,0.1,0.02,0.05,0.01\r\n"
@@ -648,6 +683,163 @@ def test_numeric_cell_parsed_as_float_does(tmp_path_factory, cell):
     value = load_dataset(path, k=1).beta_y[1]
     assert value == expected
     assert np.signbit(value) == np.signbit(expected)
+
+
+def _load_outcome(path, k):
+    """Every column of the loaded dataset, bit for bit, or the DataError text."""
+    try:
+        ds = load_dataset(path, k)
+    except DataError as error:
+        return str(error)
+    return ds.risk_factor_names, ds.correlation, [
+        (name, column.dtype.str, column.shape, column.strides, column.tobytes())
+        for name, column in ((name, getattr(ds, name)) for name in _COLUMNS)]
+
+
+def _row_parse_outcome(path, k):
+    """_load_outcome with the one-pass parse declining every file."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mrkit.data, "_load_one_pass", lambda path, k: None)
+        return _load_outcome(path, k)
+
+
+# Labels and numeric cells that are valid, faulty, quoted, or hold a
+# character on which csv and str.splitlines disagree.
+_DIFF_LABELS = ["rs0", " rs0\t", "\trs0 ", "", " ", "\u00e9", "#rs0",
+                "\ufeffrs0", '"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', '" rs0 "',
+                "a\x0bb", "a\x0cb", "a\x85b", "a\u2028b", "a\x00b", "a\x1cb"]
+_DIFF_NUMBERS = ["0.25", " 0.5 ", "\t1e-3", "-0", "+.5", "1_5", "\uff11",
+                 "\u0661", "0x1p3", "nan", "inf", "-Infinity", "1e400", "0",
+                 "-0.1", "abc", "", " ", '"0.5"', "\u00a00.5", "1\x00",
+                 "1e-320"]
+# Line breaks of str.splitlines that csv keeps inside a field.
+_NOT_CSV_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                   "\u2029"]
+
+
+@st.composite
+def _summary_files(draw):
+    """A summary CSV's bytes and its K.
+
+    A valid file, with valid oddities (stray whitespace, quoted labels,
+    blank lines, a BOM, LF, CRLF or CR line ends), and with up to two
+    faults or cases where the parses could part ways.
+    """
+    k = draw(st.integers(min_value=1, max_value=2))
+    j = draw(st.integers(min_value=1, max_value=6))
+    value = st.floats(min_value=1e-3, max_value=2.0).map(repr)
+    row = st.integers(min_value=0, max_value=j - 1)
+    rows = [[f"rs{s}", draw(st.sampled_from("ACGT")), draw(st.sampled_from("ACGT"))]
+            + [("-" if draw(st.booleans()) else "") + draw(value)
+               if c % 2 == 0 else draw(value) for c in range(2 * k + 2)]
+            for s in range(1, j + 1)]
+    if draw(st.booleans()):  # stray whitespace around a cell
+        cells = rows[draw(row)]
+        at = draw(st.integers(0, len(cells) - 1))
+        cells[at] = draw(st.sampled_from([" ", "\t", ""])) + cells[at] + " "
+    if draw(st.booleans()):  # a quoted label, csv's to unquote
+        cells = rows[draw(row)]
+        at = draw(st.integers(0, 2))
+        cells[at] = '"' + draw(st.sampled_from(
+            ["{}", "{},x", 'a""{}', "{}\nx", "{}\r\nx", " {} "])).format(
+                cells[at]) + '"'
+    breaks = ["\n"] * j
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        kind = draw(st.sampled_from(["label", "number", "duplicate", "short",
+                                     "long", "break"]))
+        at = draw(row)
+        cells = rows[at]
+        if kind == "label":
+            cells[draw(st.integers(0, 2))] = draw(st.sampled_from(_DIFF_LABELS))
+        elif kind == "number":
+            cells[draw(st.integers(3, len(cells) - 1))] = draw(
+                st.sampled_from(_DIFF_NUMBERS))
+        elif kind == "duplicate":
+            cells[0] = rows[draw(row)][0]
+        elif kind == "short":
+            cells.pop()
+        elif kind == "long":  # a trailing comma, or one value too many
+            cells.append(draw(st.sampled_from(["", "0.5"])))
+        else:  # the row joined to the line before it
+            breaks[at] = draw(st.sampled_from(_NOT_CSV_BREAKS))
+    # Blank lines, and lines of whitespace alone, before some rows.
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(row)
+        rows[at] = [draw(st.sampled_from(["", "", " ", "\t"])) + "\n"
+                    + rows[at][0], *rows[at][1:]]
+    header = ["variant_id", "effect_allele", "other_allele"]
+    for i in range(1, k + 1):
+        header += [f"beta_x{i}", f"se_x{i}"]
+    header += ["beta_y", "se_y"]
+    header = draw(st.sampled_from([header] * 4 + [
+        [" variant_id "] + header[1:], header[:-1], ["id"] + header[1:]]))
+    text = ",".join(header) + "".join(
+        brk + ",".join(cells) for brk, cells in zip(breaks, rows))
+    if draw(st.sampled_from([False] * 9 + [True])):  # only the header
+        text = ",".join(header)
+    text += draw(st.sampled_from(["\n", ""]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.replace(
+        "\n", newline).encode()
+    if draw(st.sampled_from([False] * 9 + [True])):  # not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, k
+
+
+@pytest.mark.parametrize("brk", _NOT_CSV_BREAKS, ids=ascii)
+def test_splitlines_breaks_stay_in_a_field(tmp_path, brk):
+    """csv breaks lines at CR and LF alone, so another line break of
+    str.splitlines joins two rows into one ragged row, and inside a label
+    it is part of the label."""
+    row = "rs1,A,G,0.1,0.02,0.05,0.01"
+    p = _write(tmp_path, HEADER_K1 + row + brk + row.replace("rs1", "rs2"))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: column count "
+                                        rf"mismatch at row 2: expected 7 "
+                                        rf"fields, found 13$"):
+        load_dataset(p, k=1)
+    p = _write(tmp_path, HEADER_K1 + row.replace("rs1", f"rs{brk}1") + "\n")
+    assert load_dataset(p, k=1).variant_ids.tolist() == [f"rs{brk}1"]
+
+
+@given(_summary_files())
+@settings(max_examples=500, deadline=None)
+def test_one_pass_agrees_with_row_parse(tmp_path_factory, file):
+    """With the one-pass parse on and off, every file loads to the same
+    columns, dtypes and labels bit for bit, or fails with the same error."""
+    data, k = file
+    path = tmp_path_factory.mktemp("diff") / "data.csv"
+    path.write_bytes(data)
+    assert _load_outcome(path, k) == _row_parse_outcome(path, k)
+
+
+def test_wide_file_takes_one_pass(tmp_path, monkeypatch):
+    """A file of the benchmark's analyze shape (J = 2,500, K = 3, values at
+    6 significant digits) is parsed in one pass and never reaches csv."""
+    rng = np.random.default_rng(1)
+    j, k = 2_500, 3
+    values = np.empty((j, 2 * k + 2))
+    values[:, 0:-2:2] = rng.normal(0.0, 0.04, size=(j, k))
+    values[:, 1:-2:2] = rng.uniform(0.004, 0.012, size=(j, k))
+    values[:, -2] = rng.normal(0.0, 0.02, size=j)
+    values[:, -1] = rng.uniform(0.005, 0.02, size=j)
+    alleles = rng.choice(list("ACGT"), size=(j, 2))
+    path = tmp_path / "wide.csv"
+    path.write_text(
+        "variant_id,effect_allele,other_allele,beta_x1,se_x1,beta_x2,se_x2,"
+        "beta_x3,se_x3,beta_y,se_y\n"
+        + "".join(f"rs{s + 1},{a},{b}," + ",".join(f"{v:.6g}" for v in row)
+                  + "\n" for s, ((a, b), row) in enumerate(
+                      zip(alleles.tolist(), values.tolist()))),
+        encoding="utf-8")
+    expected = _row_parse_outcome(path, k)
+
+    def no_row_parse(*args, **kwargs):
+        raise AssertionError("the file reached the row parse")
+
+    monkeypatch.setattr(csv, "reader", no_row_parse)
+    assert _load_outcome(path, k) == expected
+    assert load_dataset(path, k).j == j
 
 
 def _float_rows(text: str, path, j: int) -> CorrelationMatrix:
