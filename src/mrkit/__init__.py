@@ -33,7 +33,6 @@ from .regression import (
     fit_wls,
     scaled_se,
     weighted_cov,
-    weighted_mean,
     weighted_var,
 )
 from .simulation import (
@@ -62,7 +61,7 @@ __all__ = [
     "OrientationReport", "orient",
     "FactorizationError", "RankError", "RegressionFit", "WeightScheme",
     "fit_gls", "fit_wls", "scaled_se",
-    "weighted_cov", "weighted_mean", "weighted_var",
+    "weighted_cov", "weighted_var",
     "DEFAULT_SEED", "DESK_REPLICATES", "EstimatorSummary", "GeneratedTruth",
     "GridRow", "ScenarioConfig", "SimulationSummary", "generate_dataset",
     "run_scenario_grid", "run_scenario", "scenario_config",

@@ -17,6 +17,7 @@ MRKIT_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -611,7 +612,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves no state in the parser: each call fills a new namespace,
+    and help and usage text are formatted when printed.
+    """
     parser = argparse.ArgumentParser(
         prog="mrkit",
         description=("Summary-data Mendelian randomization: IVW and "

@@ -230,6 +230,18 @@ def _repeats(ids: np.ndarray) -> np.ndarray | None:
     return mask
 
 
+# Labels as Python strs: each stripped of surrounding whitespace, as the
+# loaders keep them, or made with ``str()``, as the constructor keeps them.
+_strip = np.frompyfunc(str.strip, 1, 1)
+_to_str = np.frompyfunc(str, 1, 1)
+
+
+def _str_objects(values) -> np.ndarray:
+    """``values`` as a new object array holding ``str(value)`` for each value."""
+    array = np.array(values, dtype=object)
+    return _to_str(array, out=array)
+
+
 def _first_fault(checks: list[_Check]) -> tuple[int, str] | None:
     """The earliest failing row and its message; within a row, the first check."""
     faults = [(int(np.flatnonzero(mask)[0]), rank)
@@ -246,8 +258,9 @@ class SummaryDataset:
 
     Row s of every column describes variant s, in file order:
 
-    * ``variant_ids``, ``effect_alleles``, ``other_alleles``: (J,) str arrays,
-      unique non-empty ids and non-empty allele labels;
+    * ``variant_ids``, ``effect_alleles``, ``other_alleles``: (J,) object
+      arrays of ``str``, unique non-empty ids and non-empty allele labels,
+      kept exactly as parsed apart from surrounding whitespace;
     * ``beta_x``, ``se_x``: (J, K) float64 per-allele associations with each
       risk factor (risk-factor SD units) and their standard errors;
     * ``beta_y``, ``se_y``: (J,) float64 association with the outcome (log
@@ -256,11 +269,12 @@ class SummaryDataset:
     Values are finite and standard errors positive. Every column is a
     read-only array, so a dataset never changes after construction. The
     constructor (and so :meth:`from_records` and ``dataclasses.replace``)
-    copies and validates what it is given. The program's own datasets are
-    checked once, where their columns enter: :func:`load_dataset` checks the
-    file's rows, and :meth:`with_correlation`, :func:`select_risk_factor`
-    and :func:`mrkit.orientation.orient` derive new datasets that share
-    their parent's unchanged columns, without a copy or another check.
+    copies and validates what it is given, holding each label as ``str()``
+    makes it. The program's own datasets are checked once, where their
+    columns enter: :func:`load_dataset` checks the file's rows, and
+    :meth:`with_correlation`, :func:`select_risk_factor` and
+    :func:`mrkit.orientation.orient` derive new datasets that share their
+    parent's unchanged columns, without a copy or another check.
     :attr:`variants` is a row view built on demand. Allele labels are
     carried but not biologically validated: harmonization correctness is
     sign logic, not nucleotide chemistry.
@@ -279,19 +293,21 @@ class SummaryDataset:
     def __post_init__(self) -> None:
         names = tuple(self.risk_factor_names)
         _require(len(names) >= 1, "at least one risk factor required")
-        ids = np.array(self.variant_ids, dtype=str)
+        ids = _str_objects(self.variant_ids)
         _require(ids.ndim == 1 and ids.size >= 1, "at least one variant required")
         j, k = ids.size, len(names)
         object.__setattr__(self, "risk_factor_names", names)
         for name, dtype, shape in (
-                ("variant_ids", str, (j,)),
-                ("effect_alleles", str, (j,)),
-                ("other_alleles", str, (j,)),
+                ("variant_ids", object, (j,)),
+                ("effect_alleles", object, (j,)),
+                ("other_alleles", object, (j,)),
                 ("beta_x", np.float64, (j, k)),
                 ("se_x", np.float64, (j, k)),
                 ("beta_y", np.float64, (j,)),
                 ("se_y", np.float64, (j,))):
-            array = np.array(getattr(self, name), dtype=dtype, order="C")
+            value = getattr(self, name)
+            array = (_str_objects(value) if dtype is object
+                     else np.array(value, dtype=dtype, order="C"))
             _require(array.shape == shape,
                      f"{name} has shape {array.shape}, expected {shape}")
             array.setflags(write=False)
@@ -425,7 +441,7 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     with the first offending 1-based file line; a partially constructed
     dataset is never returned. Numeric cells are parsed as Python's
     ``float()`` parses them, and labels are stripped of surrounding
-    whitespace.
+    whitespace and otherwise kept as written.
 
     A well-formed file without quotes is parsed in one C pass
     (:func:`numpy.loadtxt`). Any other file, and any file with a fault, is
@@ -468,7 +484,7 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     # fault before it is reported first.
     end = int(ragged[0]) if ragged.size else len(rows)
     cells = np.array(rows[:end], dtype=object).reshape(end, len(expected))
-    labels = np.char.strip(cells[:, :3].astype(str))
+    labels = _strip(cells[:, :3])
     values, bad_cell = _parse_numeric(cells[:, 3:])
 
     columns = _columns(labels, values, k)
@@ -534,10 +550,9 @@ def _load_one_pass(path: Path, k: int) -> SummaryDataset | None:
                           ndmin=1)
     except ValueError:
         return None
-    # The values are copied out of the records, so the dataset's columns are
-    # laid out as the row parse's are and do not keep the label objects.
-    columns = _columns(np.char.strip(rows["labels"].astype(str)),
-                       rows["values"].copy(), k)
+    # The labels and values are copied out of the records, so the dataset's
+    # columns are laid out as the row parse's are and do not keep the records.
+    columns = _columns(_strip(rows["labels"]), rows["values"].copy(), k)
     if _first_fault(_row_checks(**columns)) is not None:
         return None
     return _loaded(columns, k)

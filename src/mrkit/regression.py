@@ -65,7 +65,6 @@ __all__ = [
     "fit_wls",
     "fit_gls",
     "scaled_se",
-    "weighted_mean",
     "weighted_var",
     "weighted_cov",
 ]
@@ -370,13 +369,6 @@ def _check_moment_args(values: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError("values and weights must be vectors of equal length")
     if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
         raise ValueError("weights must be positive and finite")
-
-
-def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    _check_moment_args(values, weights)
-    return float(np.sum(values * weights) / np.sum(weights))
 
 
 def weighted_var(values: np.ndarray, weights: np.ndarray) -> float:

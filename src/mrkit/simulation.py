@@ -231,12 +231,6 @@ class SimulationSummary:
     me: EstimatorSummary
     failures: int
 
-    def for_estimator(self, name: str) -> EstimatorSummary:
-        try:
-            return {"MI": self.mi, "UE": self.ue, "ME": self.me}[name.upper()]
-        except KeyError:
-            raise KeyError(f"no summary for estimator {name!r}") from None
-
 
 @dataclass(frozen=True)
 class GridRow:
@@ -428,10 +422,9 @@ def generate_dataset(config: ScenarioConfig,
         config, beta_cols, alpha_prime, epsilon, np.empty((4, j)))
     dataset = SummaryDataset(
         risk_factor_names=("x1", "x2", "x3"),
-        variant_ids=np.char.add(
-            "v", np.char.zfill(np.arange(1, j + 1).astype(str), 5)),
-        effect_alleles=np.full(j, "A"),
-        other_alleles=np.full(j, "G"),
+        variant_ids=[f"v{s:05d}" for s in range(1, j + 1)],
+        effect_alleles=["A"] * j,
+        other_alleles=["G"] * j,
         beta_x=np.column_stack([abs_x1, x2, x3]),
         se_x=np.broadcast_to(np.sqrt(SIGMAS_SQ), (j, 3)),
         beta_y=beta_y,

@@ -516,6 +516,44 @@ def test_python_m_mrkit_help():
         assert command in done.stdout
 
 
+def _outcomes(argvs, capsys):
+    """main's exit status (or SystemExit code), stdout and stderr per argv."""
+    outcomes = []
+    for argv in argvs:
+        try:
+            status = main(argv)
+        except SystemExit as exit_info:
+            status = ("SystemExit", exit_info.code)
+        captured = capsys.readouterr()
+        outcomes.append((status, captured.out, captured.err))
+    return outcomes
+
+
+def test_reused_parser_carries_no_state(three_factor_csv, tmp_path, capsys,
+                                        monkeypatch):
+    """main builds its parser once. Each later run, help and usage error
+    prints what a freshly built parser prints, whatever ran before it."""
+    assert mrkit.cli._build_parser() is mrkit.cli._build_parser()
+    analyze = ["analyze", "--data", three_factor_csv, "--k", "3",
+               "--methods", "UI,UE,MI,ME", "--ref", "x1"]
+    argvs = [analyze + ["--format", "csv"], analyze,
+             analyze + ["--scheme", "fixed"],
+             ["grid", "--reps", "3", "--seed", "5", "--mediation",
+              "--out", str(tmp_path / "g")],
+             analyze, ["--help"], ["analyze", "--help"],
+             ["analyze", "--k", "x"], ["simulate", "--scenario", "9"]]
+    reused = _outcomes(argvs, capsys)
+    monkeypatch.setattr(mrkit.cli, "_build_parser",
+                        mrkit.cli._build_parser.__wrapped__)
+    assert mrkit.cli._build_parser() is not mrkit.cli._build_parser()
+    assert reused == _outcomes(argvs, capsys)
+    assert reused[1] == reused[4] != reused[0]
+    assert [status for status, _, _ in reused] == [
+        0, 0, 0, 0, 0, ("SystemExit", 0), ("SystemExit", 0),
+        ("SystemExit", 2), ("SystemExit", 2)]
+    assert reused[7][2].startswith("usage: mrkit analyze ")
+
+
 class TestSimulate:
     def test_help_names_every_config_key(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

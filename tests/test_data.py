@@ -194,6 +194,24 @@ class TestSummaryDataset:
         with pytest.raises(DataError, match="duplicate variant_id"):
             SummaryDataset.from_records(("x1",), (v, v))
 
+    def test_labels_are_str_objects(self):
+        # The constructor, from_records and dataclasses.replace hold each
+        # label as str() makes it, every character kept.
+        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
+        ds = dataclasses.replace(ds, variant_ids=["rs1\x00", "rs1"],
+                                 effect_alleles=np.array(["A", "C"]),
+                                 other_alleles=(7, 8.5))
+        back = SummaryDataset.from_records(ds.risk_factor_names, ds.variants)
+        for dataset in (ds, back):
+            assert dataset.variant_ids.tolist() == ["rs1\x00", "rs1"]
+            assert dataset.effect_alleles.tolist() == ["A", "C"]
+            assert dataset.other_alleles.tolist() == ["7", "8.5"]
+            for name in ("variant_ids", "effect_alleles", "other_alleles"):
+                column = getattr(dataset, name)
+                assert column.dtype == object and column.shape == (2,)
+                assert all(type(label) is str for label in column.tolist())
+                assert not column.flags.writeable
+
     def test_correlation_dimension(self):
         with pytest.raises(DataError, match="correlation dimension"):
             make_dataset([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [1, 1, 1],
@@ -400,6 +418,18 @@ class TestLoadDataset:
         assert ds.j == 1
         assert ds.variants[0].variant_id == "rs1"
         assert ds.variants[0].se_y == 0.01
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="csv rejects NUL before Python 3.11")
+    def test_trailing_nul_kept(self, tmp_path):
+        """A label keeps a trailing NUL, so rs1 followed by NUL and rs1 are
+        two variants; only surrounding whitespace is stripped."""
+        p = _write(tmp_path, HEADER_K1
+                   + "rs1\x00,A,G,0.1,0.02,0.05,0.01\n"
+                   + " rs1\t,A\x00 ,G,0.1,0.02,0.05,0.01\n")
+        ds = load_dataset(p, k=1)
+        assert ds.variant_ids.tolist() == ["rs1\x00", "rs1"]
+        assert ds.effect_alleles.tolist() == ["A", "A\x00"]
 
     def test_field_over_csv_limit(self, tmp_path):
         p = _write(tmp_path, HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n"
@@ -685,6 +715,16 @@ def test_numeric_cell_parsed_as_float_does(tmp_path_factory, cell):
     assert np.signbit(value) == np.signbit(expected)
 
 
+def _column_outcome(column: np.ndarray):
+    """A column's layout and contents: the bytes of a float column, the
+    strs of a label column (whose bytes are object pointers)."""
+    if column.dtype == object:
+        labels = column.tolist()
+        assert all(type(label) is str for label in labels)
+        return column.dtype.str, column.shape, column.strides, labels
+    return column.dtype.str, column.shape, column.strides, column.tobytes()
+
+
 def _load_outcome(path, k):
     """Every column of the loaded dataset, bit for bit, or the DataError text."""
     try:
@@ -692,8 +732,7 @@ def _load_outcome(path, k):
     except DataError as error:
         return str(error)
     return ds.risk_factor_names, ds.correlation, [
-        (name, column.dtype.str, column.shape, column.strides, column.tobytes())
-        for name, column in ((name, getattr(ds, name)) for name in _COLUMNS)]
+        (name, *_column_outcome(getattr(ds, name))) for name in _COLUMNS]
 
 
 def _row_parse_outcome(path, k):

@@ -24,7 +24,7 @@ from mrkit import (
     select_risk_factor,
 )
 from mrkit.estimators import MethodTag, _fit_model, _inference
-from mrkit.regression import fit_gls, weighted_cov, weighted_mean, weighted_var
+from mrkit.regression import fit_gls, weighted_cov, weighted_var
 
 from conftest import make_dataset, random_correlation, subprocess_env
 
@@ -230,7 +230,7 @@ class TestEggerMultivariable:
             v = v.copy()
             for u in others:
                 coef = weighted_cov(v, u, w) / weighted_var(u, w)
-                v = v - coef * (u - weighted_mean(u, w))
+                v = v - coef * (u - np.sum(u * w) / np.sum(w))
             return v
 
         x1 = np.abs(rng.normal(size=j)) + 0.1

@@ -17,7 +17,6 @@ from mrkit.regression import (
     fit_wls,
     scaled_se,
     weighted_cov,
-    weighted_mean,
     weighted_var,
     _design,
     _fit_from_r,
@@ -433,10 +432,6 @@ class TestWeightedMoments:
         assert weighted_cov(a, b, w) == pytest.approx(0.5, abs=1e-14)
         assert weighted_var(a, w) == pytest.approx(0.25, abs=1e-14)
 
-    def test_unequal_weights_mean(self):
-        assert weighted_mean(np.array([0.0, 1.0]), np.array([1.0, 3.0])) == \
-               pytest.approx(0.75, abs=1e-15)
-
     def test_constant_vector(self):
         c = np.full(5, 3.7)
         w = np.linspace(1, 2, 5)
@@ -446,7 +441,7 @@ class TestWeightedMoments:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            weighted_mean(np.array([1.0, 2.0]), np.array([1.0]))
+            weighted_var(np.array([1.0, 2.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="equal length"):
             weighted_cov(np.array([1.0, 2.0]), np.array([1.0]),
                          np.array([1.0, 1.0]))

@@ -447,9 +447,6 @@ class TestRunScenario:
         assert summary.ue.power_intercept is not None
         assert summary.me.power_intercept is not None
         assert 0 <= summary.ue.power_causal <= 1
-        assert summary.for_estimator("me") is summary.me
-        with pytest.raises(KeyError, match="no summary"):
-            summary.for_estimator("ivw")
 
     def test_mediation_estimand_split(self):
         # Under mediation the univariable slope targets the total effect
@@ -510,7 +507,7 @@ def test_batched_summary_matches_single_dataset_fits(scenario, settings):
                                    np.sqrt(dataset.se_y ** 2 + extra))
         single["UE"].append(egger_univariable(univariable).estimates[0])
     for name, estimates in single.items():
-        batched = summary.for_estimator(name)
+        batched = getattr(summary, name.lower())
         np.testing.assert_allclose(
             [batched.mean_theta1, batched.mean_se],
             [np.mean([e.theta_hat for e in estimates]),
