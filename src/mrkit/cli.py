@@ -6,17 +6,25 @@ analyze   Load a summary-data CSV, orient it to a reference risk factor,
           run the requested estimators, and print a report (text, csv, or
           jsonl — all three carry the same fields).
 simulate  Run one Monte Carlo scenario (from a flat key=value config file
-          and/or flags) and write summary files.
+          and/or flags) and write its summary record.
 grid      Run the 64-row scenario grid (or, with --mediation, only its 32
-          mediation rows) and write CSV + text tables.
+          mediation rows) and write one record per row.
 
-Exit status: 0 success, 1 success with warnings, 2 errors (bad usage, bad
-data, estimator failure). Simulation worker threads are controlled by the
-MRKIT_THREADS environment variable.
+simulate and grid write <out>.csv and <out>.txt: two views (csv rows and an
+aligned table) of one list of records, headed by the same audit line, which
+names every setting exactly (at %g where that reads back, in full where it
+would not).
+
+Exit status: 0 success, 1 success with warnings (analyze's report warnings;
+failed Monte Carlo replicates, with "warning: N replicate(s) failed" on
+stderr, "... across the grid" for grid), 2 errors (bad usage, bad data,
+invalid settings, estimator failure). Simulation worker threads are
+controlled by the MRKIT_THREADS environment variable.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -318,26 +326,27 @@ def render_text(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(records: list[dict]) -> str:
+def _cell(value) -> str:
+    """A csv cell or audit value: None empty, a bool true/false, a float .6g."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def render_csv(records: list[dict], columns: list[str] = _CSV_COLUMNS) -> str:
     import csv
     import io
 
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_CSV_COLUMNS, restval="",
+    writer = csv.DictWriter(buffer, fieldnames=columns, restval="",
                             lineterminator="\n")
     writer.writeheader()
-    for record in records:
-        row = {}
-        for key, value in record.items():
-            if value is None:
-                row[key] = ""
-            elif isinstance(value, bool):
-                row[key] = "true" if value else "false"
-            elif isinstance(value, float):
-                row[key] = f"{value:.6g}"
-            else:
-                row[key] = value
-        writer.writerow(row)
+    writer.writerows({key: _cell(value) for key, value in record.items()}
+                     for record in records)
     return buffer.getvalue()
 
 
@@ -360,41 +369,41 @@ _RENDERERS = {"text": render_text, "csv": render_csv, "jsonl": render_jsonl}
 
 
 # --- simulate / grid --------------------------------------------------------
+# Each grid row, and the one simulate summary, is a record of its settings and
+# _summary_fields; the .csv and the .txt are two views of the same records.
 
-_SUMMARY_COLUMNS = [
-    "mi_mean", "mi_mean_se", "mi_power_pct",
-    "ue_mean", "ue_mean_se", "ue_power_pct", "ue_intercept_power_pct",
-    "me_mean", "me_mean_se", "me_power_pct", "me_intercept_power_pct",
-    "replicates_used", "failures",
-]
+def _setting(value: float) -> str:
+    """A run setting at ``:g``, or in full where ``:g`` would round it."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
-def _summary_cells(summary: SimulationSummary) -> list[str]:
-    def pct(x):
-        return f"{100.0 * x:.6g}"
-
-    cells = []
+def _summary_fields(summary: SimulationSummary) -> dict:
+    """Mean estimate, mean se and power %s per estimator, then the counts."""
+    fields = {}
     for est in (summary.mi, summary.ue, summary.me):
-        cells += [f"{est.mean_theta1:.6g}", f"{est.mean_se:.6g}",
-                  pct(est.power_causal)]
+        name = est.estimator.lower()
+        fields[f"{name}_mean"] = est.mean_theta1
+        fields[f"{name}_mean_se"] = est.mean_se
+        fields[f"{name}_power_pct"] = 100.0 * est.power_causal
         if est.power_intercept is not None:
-            cells.append(pct(est.power_intercept))
-    cells += [str(summary.mi.replicates_used), str(summary.failures)]
-    return cells
+            fields[f"{name}_intercept_power_pct"] = 100.0 * est.power_intercept
+    fields["replicates_used"] = summary.mi.replicates_used
+    fields["failures"] = summary.failures
+    return fields
 
 
-def _scenario_text(scenario: int, mu: float) -> str:
+def _scenario_text(scenario: int, mu: str) -> str:
     return {
         1: "no pleiotropy",
         2: "balanced pleiotropy",
-        3: f"directional (mu={mu:g}), InSIDE ok",
-        4: f"directional (mu={mu:g}), InSIDE violated",
+        3: f"directional (mu={mu}), InSIDE ok",
+        4: f"directional (mu={mu}), InSIDE violated",
     }[scenario]
 
 
-def _grid_text_table(rows: tuple[GridRow, ...]) -> str:
-    labels = [_scenario_text(row.config.scenario, row.config.mu)
-              for row in rows]
+def _grid_text_table(records: list[dict]) -> str:
+    labels = [_scenario_text(r["scenario"], r["mu"]) for r in records]
     width = max(map(len, labels))
     header = (f"{'theta1':>6}  {'pleiotropy':<{width}}"
               f"{'MI mean (se)':>18} {'pw%':>6}"
@@ -402,44 +411,51 @@ def _grid_text_table(rows: tuple[GridRow, ...]) -> str:
               f"{'ME mean (se)':>18} {'pw%':>6} {'int%':>6}")
     lines = []
     block = None
-    for row, label in zip(rows, labels):
-        config = row.config
-        key = (config.mediation, config.correlated)
-        if key != block:
-            block = key
-            grid = "mediation grid" if config.mediation else "main grid"
-            corr = "correlated" if config.correlated else "independent"
-            lines += ["", f"== {grid}, {corr} risk factors ==", header]
-        s = row.summary
-
-        def cell(est):
-            return f"{est.mean_theta1:+.3f} ({est.mean_se:.3f})"
-
-        lines.append(
-            f"{config.theta1:>6.1f}  {label:<{width}}"
-            f"{cell(s.mi):>18} {100 * s.mi.power_causal:>6.1f}"
-            f"{cell(s.ue):>18} {100 * s.ue.power_causal:>6.1f} "
-            f"{100 * s.ue.power_intercept:>6.1f}"
-            f"{cell(s.me):>18} {100 * s.me.power_causal:>6.1f} "
-            f"{100 * s.me.power_intercept:>6.1f}")
+    for r, label in zip(records, labels):
+        if (r["grid"], r["correlated"]) != block:
+            block = (r["grid"], r["correlated"])
+            corr = "correlated" if r["correlated"] else "independent"
+            lines += ["", f"== {r['grid']} grid, {corr} risk factors ==",
+                      header]
+        line = f"{float(r['theta1']):>6.1f}  {label:<{width}}"
+        for name in ("mi", "ue", "me"):
+            mean = f"{r[name + '_mean']:+.3f} ({r[name + '_mean_se']:.3f})"
+            line += f"{mean:>18} {r[name + '_power_pct']:>6.1f}"
+            if name + "_intercept_power_pct" in r:
+                line += f" {r[name + '_intercept_power_pct']:>6.1f}"
+        lines.append(line)
     return "\n".join(lines).lstrip("\n") + "\n"
 
 
-def _write_outputs(prefix: str, title: str, audit: str, header: list[str],
-                   rows: list[list], body: str) -> tuple[list[str], str]:
-    """Write <prefix>.csv (two '#' audit lines, header, rows) and <prefix>.txt.
+def _simulate_text(record: dict) -> str:
+    lines = [f"{'estimator':<12} {'mean theta1':>12} {'mean se':>10} "
+             f"{'power %':>8} {'intercept power %':>18}"]
+    for name in ("mi", "ue", "me"):
+        intercept = record.get(name + "_intercept_power_pct")
+        intercept = "" if intercept is None else f"{intercept:.1f}"
+        lines.append(
+            f"{name.upper():<12} {record[name + '_mean']:>12.4f} "
+            f"{record[name + '_mean_se']:>10.4f} "
+            f"{record[name + '_power_pct']:>8.1f} {intercept:>18}")
+    lines.append(f"replicates used: {record['replicates_used']}; "
+                 f"failures: {record['failures']}")
+    return "\n".join(lines) + "\n"
 
-    Returns the two paths and the text written to the .txt file.
+
+def _write_outputs(prefix: str, title: str, audit: dict, records: list[dict],
+                   body: str) -> tuple[list[str], str]:
+    """Write <prefix>.csv and <prefix>.txt under one title and audit line.
+
+    The .csv holds the two as '#' lines, then the records; the .txt holds
+    the two, a blank line and ``body``. Returns the paths and the .txt text.
     """
-    import csv
-
+    audit_line = " ".join(f"{key}={_cell(value)}"
+                          for key, value in audit.items())
     csv_path, txt_path = f"{prefix}.csv", f"{prefix}.txt"
     with open(csv_path, "w", newline="") as handle:
-        handle.write(f"# {title}\n# {audit}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    text = f"{title}\n{audit}\n\n{body}"
+        handle.write(f"# {title}\n# {audit_line}\n"
+                     + render_csv(records, list(records[0])))
+    text = f"{title}\n{audit_line}\n\n{body}"
     with open(txt_path, "w") as handle:
         handle.write(text)
     return [csv_path, txt_path], text
@@ -452,55 +468,22 @@ def _write_grid_outputs(rows: tuple[GridRow, ...], seed: int,
 
     Every row of a grid runs the same number of replicates.
     """
-    audit = (f"seed={seed} replicates={rows[0].config.replicates} "
-             f"rows={len(rows)} mediation_only="
-             f"{'true' if mediation_only else 'false'}")
-    header = ["row", "grid", "correlated", "theta1", "scenario", "mu",
-              "seed"] + _SUMMARY_COLUMNS
-    cells = [[
-        row.index,
-        "mediation" if row.config.mediation else "main",
-        "true" if row.config.correlated else "false",
-        f"{row.config.theta1:g}",
-        row.config.scenario,
-        f"{row.config.mu:g}",
-        row.config.seed,
-    ] + _summary_cells(row.summary) for row in rows]
-    table = _grid_text_table(rows)
+    records = [{
+        "row": row.index,
+        "grid": "mediation" if row.config.mediation else "main",
+        "correlated": row.config.correlated,
+        "theta1": _setting(row.config.theta1),
+        "scenario": row.config.scenario,
+        "mu": _setting(row.config.mu),
+        "seed": row.config.seed,
+        **_summary_fields(row.summary),
+    } for row in rows]
+    audit = {"seed": seed, "replicates": rows[0].config.replicates,
+             "rows": len(rows), "mediation_only": mediation_only}
+    table = _grid_text_table(records)
     paths, _ = _write_outputs(out_prefix or "mrkit_grid", "mrkit grid", audit,
-                              header, cells, table)
+                              records, table)
     return paths, table
-
-
-def _write_simulate_outputs(config: ScenarioConfig,
-                            summary: SimulationSummary,
-                            out_prefix: str) -> tuple[list[str], str]:
-    """Write the simulate .csv and .txt; return the paths and the text."""
-    audit = (f"scenario={config.scenario} theta1={config.theta1:g} "
-             f"mu={config.mu:g} correlated="
-             f"{'true' if config.correlated else 'false'} "
-             f"gamma={config.gamma:g} j_variants={config.j_variants} "
-             f"replicates={config.replicates} seed={config.seed} "
-             f"weight_mode={config.weight_mode}")
-    header = ["scenario", "theta1", "mu", "gamma", "j_variants",
-              "replicates", "seed", "weight_mode"] + _SUMMARY_COLUMNS
-    cells = [config.scenario, f"{config.theta1:g}", f"{config.mu:g}",
-             f"{config.gamma:g}", config.j_variants, config.replicates,
-             config.seed, config.weight_mode] + _summary_cells(summary)
-
-    lines = [f"{'estimator':<12} {'mean theta1':>12} {'mean se':>10} "
-             f"{'power %':>8} {'intercept power %':>18}"]
-    for est in (summary.mi, summary.ue, summary.me):
-        intercept_power = ("" if est.power_intercept is None
-                           else f"{100 * est.power_intercept:.1f}")
-        lines.append(
-            f"{est.estimator:<12} {est.mean_theta1:>12.4f} "
-            f"{est.mean_se:>10.4f} {100 * est.power_causal:>8.1f} "
-            f"{intercept_power:>18}")
-    lines.append(f"replicates used: {summary.mi.replicates_used}; "
-                 f"failures: {summary.failures}")
-    return _write_outputs(out_prefix, "mrkit simulate", audit, header,
-                          [cells], "\n".join(lines) + "\n")
 
 
 def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
@@ -536,18 +519,12 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
-# Config key -> (parser, what the value must be).
-_CONFIG_KEYS = {
-    "scenario": (int, "an integer"),
-    "theta1": (float, "a number"),
-    "mu": (float, "a number"),
-    "correlated": (_parse_bool, "a boolean"),
-    "mediation": (_parse_bool, "a boolean"),
-    "j_variants": (int, "an integer"),
-    "replicates": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "weight_mode": (str, "a string"),
-}
+# ScenarioConfig field type (a name: annotations are postponed there) ->
+# (parser, what the value must be).
+_PARSERS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "bool": (_parse_bool, "a boolean"), "str": (str, "a string")}
+_CONFIG_KEYS = {field.name: _PARSERS[field.type]
+                for field in dataclasses.fields(ScenarioConfig)}
 
 
 def _simulate_settings(args: argparse.Namespace) -> dict:
@@ -582,34 +559,42 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 1 if any(r["record"] == "warning" for r in records) else 0
 
 
+def _report(paths: list[str], text: str, failures: int,
+            where: str = "") -> int:
+    """Print the text and the paths written; warn and return 1 on failures."""
+    sys.stdout.write(text)
+    print(f"wrote {', '.join(paths)}")
+    if failures:
+        print(f"warning: {failures} replicate(s) failed{where}",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         **{"replicates": DESK_REPLICATES, **_simulate_settings(args)})
     summary = run_scenario(config)
-    paths, text = _write_simulate_outputs(config, summary,
-                                          args.out or "mrkit_sim")
-    sys.stdout.write(text)
-    print(f"wrote {', '.join(paths)}")
-    if summary.failures:
-        print(f"warning: {summary.failures} replicate(s) failed",
-              file=sys.stderr)
-        return 1
-    return 0
+    audit = {"scenario": config.scenario, "theta1": _setting(config.theta1),
+             "mu": _setting(config.mu), "correlated": config.correlated,
+             "gamma": config.gamma, "j_variants": config.j_variants,
+             "replicates": config.replicates, "seed": config.seed,
+             "weight_mode": config.weight_mode}
+    record = {key: value for key, value in audit.items()
+              if key != "correlated"}
+    record.update(_summary_fields(summary))
+    return _report(*_write_outputs(args.out or "mrkit_sim", "mrkit simulate",
+                                   audit, [record], _simulate_text(record)),
+                   summary.failures)
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     rows = run_scenario_grid(replicates=args.replicates, seed=args.seed,
                              mediation_only=args.mediation)
-    paths, table = _write_grid_outputs(rows, args.seed, args.mediation,
-                                       args.out)
-    sys.stdout.write(table)
-    print(f"wrote {', '.join(paths)}")
-    failures = sum(row.summary.failures for row in rows)
-    if failures:
-        print(f"warning: {failures} replicate(s) failed across the grid",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _report(*_write_grid_outputs(rows, args.seed, args.mediation,
+                                        args.out),
+                   sum(row.summary.failures for row in rows),
+                   " across the grid")
 
 
 @functools.cache

@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour: formats, exit codes, config handling."""
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,27 @@ def _data_rows(path):
     lines = [line for line in path.read_text().splitlines()
              if not line.startswith("#")]
     return list(csv.DictReader(lines))
+
+
+# Spelled out here, apart from the writer, so that a test pins them.
+_SUMMARY_HEADER = [
+    "mi_mean", "mi_mean_se", "mi_power_pct",
+    "ue_mean", "ue_mean_se", "ue_power_pct", "ue_intercept_power_pct",
+    "me_mean", "me_mean_se", "me_power_pct", "me_intercept_power_pct",
+    "replicates_used", "failures",
+]
+
+
+def _expected_summary_cells(config):
+    """The summary cells of run_scenario(config), each at .6g."""
+    summary = simulation.run_scenario(config)
+    values = []
+    for est in (summary.mi, summary.ue, summary.me):
+        values += [est.mean_theta1, est.mean_se, 100 * est.power_causal]
+        if est.power_intercept is not None:
+            values.append(100 * est.power_intercept)
+    values += [summary.mi.replicates_used, summary.failures]
+    return [f"{v:.6g}" for v in values]
 
 
 def _analyze(argv, capsys):
@@ -698,6 +721,51 @@ class TestSimulate:
         assert f"error: {message}" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_csv_pinned(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "4", "--theta1", "0.3",
+                     "--mu", "0.05", "--correlated", "--mediation",
+                     "--j-variants", "37", "--weight-mode",
+                     "variance_component", "--reps", "40", "--seed", "9",
+                     "--out", str(tmp_path / "s")])
+        capsys.readouterr()
+        assert code == 0
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        audit = ("scenario=4 theta1=0.3 mu=0.05 correlated=true gamma=0.5 "
+                 "j_variants=37 replicates=40 seed=9 "
+                 "weight_mode=variance_component")
+        assert lines[:3] == [
+            "# mrkit simulate", f"# {audit}",
+            ",".join(["scenario", "theta1", "mu", "gamma", "j_variants",
+                      "replicates", "seed", "weight_mode"]
+                     + _SUMMARY_HEADER)]
+        config = simulation.ScenarioConfig(
+            4, theta1=0.3, mu=0.05, correlated=True, mediation=True,
+            j_variants=37, replicates=40, seed=9,
+            weight_mode="variance_component")
+        assert lines[3:] == [",".join(
+            ["4", "0.3", "0.05", "0.5", "37", "40", "9", "variance_component"]
+            + _expected_summary_cells(config))]
+        txt = (tmp_path / "s.txt").read_text().splitlines()
+        assert txt[:3] == ["mrkit simulate", audit, ""]
+
+    def test_settings_written_in_full(self, tmp_path, capsys):
+        # At %g these read 1.23457e+07 and 0.123457: not the run's settings.
+        code = main(["simulate", "--scenario", "3", "--theta1", "12345678",
+                     "--mu", "0.1234567", "--reps", "10", "--seed", "4",
+                     "--out", str(tmp_path / "p")])
+        out = capsys.readouterr().out
+        assert code == 0
+        audit = ("scenario=3 theta1=12345678.0 mu=0.1234567 correlated=false "
+                 "gamma=0 j_variants=185 replicates=10 seed=4 "
+                 "weight_mode=realized")
+        assert out.splitlines()[:2] == ["mrkit simulate", audit]
+        assert (tmp_path / "p.csv").read_text().splitlines()[1] == \
+               f"# {audit}"
+        [row] = _data_rows(tmp_path / "p.csv")
+        assert (row["theta1"], row["mu"]) == ("12345678.0", "0.1234567")
+        # Estimates stay at six significant digits.
+        assert row["mi_mean"] == "1.23457e+07"
+
     def test_every_replicate_failed(self, tmp_path, capsys):
         # Finite but overflowing: every outcome residual sum is infinite.
         code = main(["simulate", "--scenario", "1", "--theta1", "1e200",
@@ -741,6 +809,41 @@ class TestGrid:
         assert data[0].startswith("0,main,false,0,1,0,")
         assert data[-1].startswith("63,mediation,true,0.3,4,0.1,")
         assert (tmp_path / "grid.txt").exists()
+
+    @pytest.mark.parametrize("mediation", [False, True])
+    def test_csv_pinned(self, tmp_path, capsys, mediation):
+        argv = ["grid", "--reps", "4", "--seed", "5",
+                "--out", str(tmp_path / "g")]
+        assert main(argv + ["--mediation"] * mediation) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "g.csv").read_text().splitlines()
+        audit = (f"seed=5 replicates=4 rows={32 if mediation else 64} "
+                 f"mediation_only={'true' if mediation else 'false'}")
+        assert lines[:3] == [
+            "# mrkit grid", f"# {audit}",
+            ",".join(["row", "grid", "correlated", "theta1", "scenario",
+                      "mu", "seed"] + _SUMMARY_HEADER)]
+        layout = list(itertools.product(
+            ("main", "mediation"), ("false", "true"), ("0", "0.3"),
+            (("1", "0"), ("2", "0"), ("3", "0.01"), ("3", "0.05"),
+             ("3", "0.1"), ("4", "0.01"), ("4", "0.05"), ("4", "0.1"))))
+        expected = []
+        for index, (grid, correlated, theta1, (scenario, mu)) in enumerate(
+                layout):
+            if mediation and grid == "main":
+                continue
+            seed = int(np.random.SeedSequence([5, index])
+                       .generate_state(1, np.uint64)[0])
+            config = simulation.ScenarioConfig(
+                int(scenario), theta1=float(theta1), mu=float(mu),
+                correlated=correlated == "true",
+                mediation=grid == "mediation", replicates=4, seed=seed)
+            expected.append(",".join(
+                [str(index), grid, correlated, theta1, scenario, mu,
+                 str(seed)] + _expected_summary_cells(config)))
+        assert lines[3:] == expected
+        txt = (tmp_path / "g.txt").read_text().splitlines()
+        assert txt[:3] == ["mrkit grid", audit, ""]
 
     def test_mediation_filter(self, tmp_path, capsys):
         prefix = str(tmp_path / "med")
@@ -847,3 +950,23 @@ class TestGrid:
                (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.txt").read_bytes() == \
                (tmp_path / "b.txt").read_bytes()
+
+
+def test_perfbench_trace_targets_resolve(tmp_path, capsys, monkeypatch):
+    """Every name perfbench's tracer wraps exists, and a grid calls them."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    import worker
+
+    tracer = spans.Tracer()
+    worker.install_targets(tracer)
+    writer = mrkit.cli._write_grid_outputs
+    with tracer.installed(), tracer.operation():
+        assert mrkit.cli._write_grid_outputs is not writer
+        assert main(["grid", "--mediation", "--reps", "2", "--seed", "3",
+                     "--out", str(tmp_path / "g")]) == 0
+    capsys.readouterr()
+    assert mrkit.cli._write_grid_outputs is writer
+    # The grid writer, and the text table rendered inside it.
+    assert [s.name for s in tracer.spans].count("cli.render") == 2
