@@ -40,6 +40,7 @@ from .data import (
     select_risk_factor,
 )
 from .estimators import (
+    _MODELS,
     _check_level,
     egger_correlated,
     egger_multivariable,
@@ -49,7 +50,7 @@ from .estimators import (
     ivw_multivariable,
     ivw_univariable,
 )
-from .orientation import _flip_mask, orient
+from .orientation import orient, reference_column
 from .regression import WeightScheme
 from .simulation import (
     DEFAULT_SEED,
@@ -63,12 +64,6 @@ from .simulation import (
 
 __all__ = ["run_analyze", "main"]
 
-_METHOD_LABELS = {
-    "UI": "univariable IVW",
-    "UE": "univariable MR-Egger",
-    "MI": "multivariable IVW",
-    "ME": "multivariable MR-Egger",
-}
 _CAUSAL_UNITS = "log odds ratio per SD of risk factor"
 _INTERCEPT_UNITS = "log odds ratio per effect allele"
 
@@ -85,9 +80,9 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
     if not methods:
         raise ValueError("no methods requested; use --methods")
     for method in methods:
-        if method not in _METHOD_LABELS:
+        if method not in _MODELS:
             raise ValueError(
-                f"unknown method {method!r}; choose from UI, UE, MI, ME")
+                f"unknown method {method!r}; choose from {', '.join(_MODELS)}")
     _check_level(args.level)
     if (args.n_participants is None) != (args.r2 is None):
         raise ValueError(
@@ -98,13 +93,13 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
     if args.corr is not None:
         # Loaded already oriented, so the matrix is held once and factored
         # once; an unknown --ref is reported after the file's own faults.
-        flip = (_flip_mask(dataset, args.ref)
+        flip = (reference_column(dataset, args.ref) < 0.0
                 if args.ref in dataset.risk_factor_names else None)
         correlation = load_correlation(args.corr, dataset, flip)
 
-    needs_reference = [m for m in methods if m in ("UE", "ME")]
-    if args.k > 1:
-        needs_reference += [m for m in methods if m == "UI"]
+    needs_reference = [
+        m for m in methods
+        if _MODELS[m].intercept or (_MODELS[m].univariable and args.k > 1)]
     if needs_reference and args.ref is None:
         raise ValueError(
             f"--ref is required for {', '.join(sorted(set(needs_reference)))}"
@@ -153,30 +148,25 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
         {"record": "warning", "message": str(w.message)} for w in caught]
 
 
-# A multivariable method on one risk factor is its univariable counterpart.
-_K1_REDUCTIONS = {
-    "MI": ("UI", "multivariable IVW on a single risk factor reduces to "
-                 "univariable IVW; reporting it as UI"),
-    "ME": ("UE", "multivariable MR-Egger on a single risk factor reduces to "
-                 "univariable MR-Egger; reporting it as UE"),
-}
-
-
 def _method_records(method: str, analysis: SummaryDataset,
                     reference: str | None, scheme: WeightScheme,
                     level: float) -> list[dict]:
     """Run one requested method; its method, estimate and intercept records."""
     note = None
-    if analysis.k == 1 and method in _K1_REDUCTIONS:
-        method, note = _K1_REDUCTIONS[method]
+    model = _MODELS[method]
+    if analysis.k == 1 and not model.univariable:
+        # A multivariable method on one risk factor is its univariable
+        # counterpart.
+        method = "UE" if model.intercept else "UI"
+        note = (f"{model.label} on a single risk factor reduces to "
+                f"{_MODELS[method].label}; reporting it as {method}")
     target = analysis
-    if method in ("UI", "UE") and analysis.k > 1:
+    if _MODELS[method].univariable and analysis.k > 1:
         target = select_risk_factor(analysis, reference)
 
     if analysis.correlation is not None:
-        result = (ivw_correlated(target, scheme, level)
-                  if method in ("UI", "MI")
-                  else egger_correlated(target, reference, scheme, level))
+        result = (egger_correlated(target, reference, scheme, level)
+                  if model.intercept else ivw_correlated(target, scheme, level))
     elif method == "UI":
         result = ivw_univariable(target, scheme, level)
     elif method == "MI":
@@ -194,7 +184,7 @@ def _method_records(method: str, analysis: SummaryDataset,
     records = [{
         "record": "method",
         "method": tag.estimator,
-        "label": _METHOD_LABELS[tag.estimator],
+        "label": _MODELS[tag.estimator].label,
         "scheme": tag.scheme.value,
         "variants": tag.variants,
         "df": df,
@@ -580,9 +570,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
              "gamma": config.gamma, "j_variants": config.j_variants,
              "replicates": config.replicates, "seed": config.seed,
              "weight_mode": config.weight_mode}
-    record = {key: value for key, value in audit.items()
-              if key != "correlated"}
-    record.update(_summary_fields(summary))
+    record = {**audit, **_summary_fields(summary)}
     return _report(*_write_outputs(args.out or "mrkit_sim", "mrkit simulate",
                                    audit, [record], _simulate_text(record)),
                    summary.failures)

@@ -15,6 +15,14 @@ Egger-type estimators require the dataset to be orientation-normalized with
 respect to a reference risk factor (see :mod:`mrkit.orientation`): the
 intercept is only identified once the per-variant sign convention is fixed.
 
+All six public estimators share one precondition check, made in this order
+before any fit, with one message per condition: the confidence level; K = 1
+for UI and UE; a correlation matrix attached for ``ivw_correlated`` and
+``egger_correlated`` and absent for the others; orientation to the reference
+risk factor for UE and ME; then J. An intercept fit (UE, ME) needs
+J >= K + 2; an intercept-free fit (UI, MI) needs J > K, or is the
+single-variant ratio J = K = 1.
+
 Inference is t-based with the residual degrees of freedom of each regression:
 J-1 (UI), J-2 (UE), J-K (MI), J-(K+1) (ME). Fixed-effect and multiplicative
 random-effects standard errors are as in :func:`mrkit.regression.scaled_se`;
@@ -35,11 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .data import SummaryDataset
+from .orientation import reference_column
 from .regression import (
     WeightScheme,
     _design,
@@ -67,6 +77,22 @@ __all__ = [
 ]
 
 DEFAULT_SCHEME = WeightScheme.MULTIPLICATIVE_RANDOM_EFFECT
+
+
+class _Model(NamedTuple):
+    label: str
+    intercept: bool
+    univariable: bool
+
+
+# The four models by tag, in report order: IVW or MR-Egger (no intercept or a
+# free one) on one risk factor or on K.
+_MODELS = {
+    "UI": _Model("univariable IVW", False, True),
+    "UE": _Model("univariable MR-Egger", True, True),
+    "MI": _Model("multivariable IVW", False, False),
+    "ME": _Model("multivariable MR-Egger", True, False),
+}
 
 
 @dataclass(frozen=True)
@@ -161,29 +187,6 @@ def _estimate(name: str, theta: float, se: float, df: int, method: MethodTag,
     )
 
 
-def _require_correlation(dataset: SummaryDataset, op: str,
-                         attached: bool) -> None:
-    """Reject a dataset whose correlation matrix the estimator cannot use."""
-    if attached and dataset.correlation is None:
-        raise ValueError(f"{op} requires an attached correlation matrix")
-    if not attached and dataset.correlation is not None:
-        raise ValueError(
-            f"{op} assumes independent variants but a correlation matrix is "
-            f"attached; use the correlated-variant estimator instead")
-
-
-def _require_oriented(dataset: SummaryDataset, reference: str) -> None:
-    if reference not in dataset.risk_factor_names:
-        raise ValueError(
-            f"unknown risk factor {reference!r}; "
-            f"expected one of {', '.join(dataset.risk_factor_names)}")
-    column = dataset.beta_x[:, dataset.risk_factor_names.index(reference)]
-    if np.any(column < 0):
-        raise ValueError(
-            f"dataset is not orientation-normalized: negative {reference} "
-            f"associations present; run orient() first")
-
-
 def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
                scheme: WeightScheme, level: float,
                reference: str | None = None) -> MRResult:
@@ -226,6 +229,43 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
                     experimental=correlated and intercept)
 
 
+def _checked_fit(dataset: SummaryDataset, estimator: str, op: str,
+                 attached: bool, scheme: WeightScheme, level: float,
+                 reference: str | None = None) -> MRResult:
+    """Check a model's preconditions in the module's order, then fit it.
+
+    ``estimator`` is a key of ``_MODELS``; ``op``, the public estimator named
+    in the correlation messages; ``attached``, whether it fits correlated
+    variants; ``reference``, the risk factor an intercept model is oriented
+    to.
+    """
+    model = _MODELS[estimator]
+    _check_level(level)
+    j, k = dataset.j, dataset.k
+    if model.univariable and k != 1:
+        raise ValueError(f"univariable estimator requires K=1, got K={k}")
+    if attached and dataset.correlation is None:
+        raise ValueError(f"{op} requires an attached correlation matrix")
+    if not attached and dataset.correlation is not None:
+        raise ValueError(
+            f"{op} assumes independent variants but a correlation matrix is "
+            f"attached; use the correlated-variant estimator instead")
+    if model.intercept:
+        if np.any(reference_column(dataset, reference) < 0):
+            raise ValueError(
+                f"dataset is not orientation-normalized: negative {reference} "
+                f"associations present; run orient() first")
+        if j < k + 2:
+            raise ValueError(
+                f"MR-Egger requires J >= K + 2, got J={j}, K={k} "
+                f"(needs J >= {k + 2})")
+    elif j <= k and (j, k) != (1, 1):
+        raise ValueError(
+            f"need J > K for the intercept-free model, got J={j}, K={k}")
+    return _fit_model(dataset, estimator, model.intercept, scheme, level,
+                      reference)
+
+
 def ivw_univariable(dataset: SummaryDataset,
                     scheme: WeightScheme = DEFAULT_SCHEME,
                     level: float = 0.95) -> MRResult:
@@ -235,11 +275,7 @@ def ivw_univariable(dataset: SummaryDataset,
     and computed as a zero-intercept weighted regression; the two forms agree
     by algebra. Sign-flip invariant, so no orientation is required.
     """
-    _check_level(level)
-    if dataset.k != 1:
-        raise ValueError(f"univariable estimator requires K=1, got K={dataset.k}")
-    _require_correlation(dataset, "ivw_univariable", attached=False)
-    return _fit_model(dataset, "UI", False, scheme, level)
+    return _checked_fit(dataset, "UI", "ivw_univariable", False, scheme, level)
 
 
 def egger_univariable(dataset: SummaryDataset,
@@ -251,15 +287,8 @@ def egger_univariable(dataset: SummaryDataset,
     outcome; its t test (same df) is the usual test of directional
     pleiotropy. Requires an oriented dataset and J >= 3.
     """
-    _check_level(level)
-    if dataset.k != 1:
-        raise ValueError(f"univariable estimator requires K=1, got K={dataset.k}")
-    _require_correlation(dataset, "egger_univariable", attached=False)
-    if dataset.j < 3:
-        raise ValueError(f"MR-Egger requires J >= 3 variants, got J={dataset.j}")
-    reference = dataset.risk_factor_names[0]
-    _require_oriented(dataset, reference)
-    return _fit_model(dataset, "UE", True, scheme, level, reference)
+    return _checked_fit(dataset, "UE", "egger_univariable", False, scheme,
+                        level, dataset.risk_factor_names[0])
 
 
 def ivw_multivariable(dataset: SummaryDataset,
@@ -273,13 +302,8 @@ def ivw_multivariable(dataset: SummaryDataset,
     dropped, because silently dropping a column changes every remaining
     coefficient from a direct to a total effect.
     """
-    _check_level(level)
-    _require_correlation(dataset, "ivw_multivariable", attached=False)
-    if dataset.j <= dataset.k:
-        raise ValueError(
-            f"need J > K for the intercept-free model, got J={dataset.j}, "
-            f"K={dataset.k}")
-    return _fit_model(dataset, "MI", False, scheme, level)
+    return _checked_fit(dataset, "MI", "ivw_multivariable", False, scheme,
+                        level)
 
 
 def egger_multivariable(dataset: SummaryDataset, reference: str,
@@ -291,14 +315,8 @@ def egger_multivariable(dataset: SummaryDataset, reference: str,
     (the risk factor of primary interest): all its associations non-negative,
     with the other columns and the outcome recoded consistently per variant.
     """
-    _check_level(level)
-    _require_correlation(dataset, "egger_multivariable", attached=False)
-    _require_oriented(dataset, reference)
-    if dataset.j < dataset.k + 2:
-        raise ValueError(
-            f"multivariable MR-Egger requires J >= K + 2, got J={dataset.j}, "
-            f"K={dataset.k}")
-    return _fit_model(dataset, "ME", True, scheme, level, reference)
+    return _checked_fit(dataset, "ME", "egger_multivariable", False, scheme,
+                        level, reference)
 
 
 def ivw_correlated(dataset: SummaryDataset,
@@ -310,14 +328,8 @@ def ivw_correlated(dataset: SummaryDataset,
     identity correlation this reproduces the independent-variant estimator
     exactly. Works for any K >= 1 (df = J - K).
     """
-    _check_level(level)
-    _require_correlation(dataset, "ivw_correlated", attached=True)
-    if dataset.j <= dataset.k:
-        raise ValueError(
-            f"need J > K for the intercept-free model, got J={dataset.j}, "
-            f"K={dataset.k}")
-    return _fit_model(dataset, "MI" if dataset.k > 1 else "UI", False,
-                      scheme, level)
+    return _checked_fit(dataset, "MI" if dataset.k > 1 else "UI",
+                        "ivw_correlated", True, scheme, level)
 
 
 def egger_correlated(dataset: SummaryDataset, reference: str,
@@ -330,14 +342,8 @@ def egger_correlated(dataset: SummaryDataset, reference: str,
     exploratory. Requires an oriented dataset; note that orientation flips
     must be applied to the correlation matrix as well (orient() does this).
     """
-    _check_level(level)
-    _require_correlation(dataset, "egger_correlated", attached=True)
-    _require_oriented(dataset, reference)
-    if dataset.j < dataset.k + 2:
-        raise ValueError(
-            f"MR-Egger requires J >= K + 2, got J={dataset.j}, K={dataset.k}")
-    return _fit_model(dataset, "ME" if dataset.k > 1 else "UE", True,
-                      scheme, level, reference)
+    return _checked_fit(dataset, "ME" if dataset.k > 1 else "UE",
+                        "egger_correlated", True, scheme, level, reference)
 
 
 def inside_bias_oracle(true_alpha: np.ndarray, true_beta_x: np.ndarray,

@@ -51,13 +51,9 @@ def orient(dataset: SummaryDataset,
     is emitted because intercept-based estimates remain coding-dependent for
     those rows.
     """
-    if reference not in dataset.risk_factor_names:
-        raise ValueError(
-            f"unknown risk factor {reference!r}; "
-            f"expected one of {', '.join(dataset.risk_factor_names)}")
-    reference_column = dataset.beta_x[:, dataset.risk_factor_names.index(reference)]
-    flip = _flip_mask(dataset, reference)
-    zeros = dataset.variant_ids[reference_column == 0.0].tolist()
+    column = reference_column(dataset, reference)
+    flip = column < 0.0
+    zeros = dataset.variant_ids[column == 0.0].tolist()
     flipped = dataset.variant_ids[flip].tolist()
 
     if zeros:
@@ -90,7 +86,12 @@ def orient(dataset: SummaryDataset,
     return oriented, report
 
 
-def _flip_mask(dataset: SummaryDataset, reference: str) -> np.ndarray:
-    """Mask of the variants :func:`orient` flips: a negative association with
-    ``reference``, which must name one of the dataset's risk factors."""
-    return dataset.beta_x[:, dataset.risk_factor_names.index(reference)] < 0.0
+def reference_column(dataset: SummaryDataset, name: str) -> np.ndarray:
+    """The (J,) associations with risk factor ``name``; ValueError naming the
+    dataset's risk factors when it has none of that name."""
+    if name not in dataset.risk_factor_names:
+        raise ValueError(
+            f"unknown risk factor {name!r}; "
+            f"expected one of {', '.join(dataset.risk_factor_names)}")
+    return dataset.beta_x[:, dataset.risk_factor_names.index(name)]
+

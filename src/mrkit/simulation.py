@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SummaryDataset
-from .estimators import _t_pvalue
+from .estimators import _MODELS, _t_pvalue
 from .regression import _design, _fit_from_r, _random_effects_se, _wls_kernel
 
 __all__ = [
@@ -113,9 +113,8 @@ _INSIDE_LOADING = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
 POWER_ALPHA = 0.05
 _CHUNK = 128
 
-# The tabulated estimators, in summary order, and whether each fit has an
-# intercept.
-_ESTIMATORS = (("MI", False), ("UE", True), ("ME", True))
+# The tabulated estimators, in summary order.
+_ESTIMATORS = ("MI", "UE", "ME")
 # Each chunk tests five coefficients, in this order: theta1 of each estimator,
 # then the intercepts, as (estimator, coefficient column) pairs.
 _TESTS = ((0, 0), (1, 1), (2, 1), (1, 0), (2, 0))
@@ -539,7 +538,8 @@ def _summarise(results: np.ndarray) -> SimulationSummary:
     all_ok = np.ones(results.shape[-1], dtype=bool)
     theta, se, p = results
     intercept_p = iter(p[len(_ESTIMATORS):])
-    for e, (estimator, intercept) in enumerate(_ESTIMATORS):
+    for e, estimator in enumerate(_ESTIMATORS):
+        intercept = _MODELS[estimator].intercept
         ok = np.isfinite(theta[e]) & np.isfinite(se[e]) & np.isfinite(p[e])
         if intercept:
             p0 = next(intercept_p)

@@ -277,6 +277,19 @@ class TestAnalyze:
         assert "[EXPERIMENTAL]" in out
         assert "experimental; interpret with caution" in out
 
+    def test_correlated_single_variant_ratio(self, tmp_path, capsys):
+        # One variant: UI is the ratio estimate, with a matrix as without.
+        data_path = tmp_path / "one.csv"
+        write_dataset(make_dataset([2.0], [1.0], [1.0]), data_path)
+        corr_path = tmp_path / "rho.csv"
+        corr_path.write_text("1\n")
+        argv = ["--data", str(data_path), "--k", "1", "--methods", "UI"]
+        code, out, err = _analyze(argv + ["--corr", str(corr_path)], capsys)
+        assert code == 0, err
+        assert "[UI] univariable IVW — random-effects, correlated" in out
+        _, independent, _ = _analyze(argv, capsys)
+        assert out.splitlines()[-2:] == independent.splitlines()[-2:]
+
     def test_singular_correlation_fails_cleanly(self, tmp_path, capsys):
         # A duplicated variant with rho = 1: the matrix has no Cholesky
         # factor, so it is refused at load, before any estimator runs.
@@ -735,15 +748,16 @@ class TestSimulate:
                  "weight_mode=variance_component")
         assert lines[:3] == [
             "# mrkit simulate", f"# {audit}",
-            ",".join(["scenario", "theta1", "mu", "gamma", "j_variants",
-                      "replicates", "seed", "weight_mode"]
+            ",".join(["scenario", "theta1", "mu", "correlated", "gamma",
+                      "j_variants", "replicates", "seed", "weight_mode"]
                      + _SUMMARY_HEADER)]
         config = simulation.ScenarioConfig(
             4, theta1=0.3, mu=0.05, correlated=True, mediation=True,
             j_variants=37, replicates=40, seed=9,
             weight_mode="variance_component")
         assert lines[3:] == [",".join(
-            ["4", "0.3", "0.05", "0.5", "37", "40", "9", "variance_component"]
+            ["4", "0.3", "0.05", "true", "0.5", "37", "40", "9",
+             "variance_component"]
             + _expected_summary_cells(config))]
         txt = (tmp_path / "s.txt").read_text().splitlines()
         assert txt[:3] == ["mrkit simulate", audit, ""]
@@ -952,8 +966,10 @@ class TestGrid:
                (tmp_path / "b.txt").read_bytes()
 
 
-def test_perfbench_trace_targets_resolve(tmp_path, capsys, monkeypatch):
-    """Every name perfbench's tracer wraps exists, and a grid calls them."""
+def test_perfbench_trace_targets_resolve(three_factor_csv, tmp_path, capsys,
+                                        monkeypatch):
+    """Every name perfbench's tracer wraps exists, and grid and analyze call
+    them."""
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parents[1] / "perfbench"))
     import spans
@@ -970,3 +986,18 @@ def test_perfbench_trace_targets_resolve(tmp_path, capsys, monkeypatch):
     assert mrkit.cli._write_grid_outputs is writer
     # The grid writer, and the text table rendered inside it.
     assert [s.name for s in tracer.spans].count("cli.render") == 2
+
+    # analyze calls each estimator through cli's globals, and each
+    # estimator's fit calls fit_wls through estimators'.
+    tracer.spans.clear()
+    with tracer.installed(), tracer.operation():
+        assert main(["analyze", "--data", three_factor_csv, "--k", "3",
+                     "--methods", "UI,UE,MI,ME", "--ref", "x1"]) == 0
+    capsys.readouterr()
+    names = {s.span_id: s.name for s in tracer.spans}
+    assert [n for n in names.values() if n.startswith("estimators.")] == [
+        "estimators.ivw_univariable", "estimators.egger_univariable",
+        "estimators.ivw_multivariable", "estimators.egger_multivariable"]
+    fits = [s for s in tracer.spans if s.name == "regression.fit_wls"]
+    assert len(fits) == 4
+    assert all(names[s.parent].startswith("estimators.") for s in fits)

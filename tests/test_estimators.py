@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mrkit import (
+    CorrelationMatrix,
     DataError,
     RankError,
     WeightScheme,
@@ -154,6 +155,17 @@ class TestIvwMultivariable:
                           names=("x1", "x2"))
         with pytest.raises(ValueError, match="J > K"):
             ivw_multivariable(ds)
+
+    def test_single_variant_ratio_k1(self):
+        # J = K = 1 is the ratio estimate, as for ivw_univariable, with or
+        # without an attached matrix.
+        ds = make_dataset([2.0], [1.0], [1.0])
+        ui = ivw_univariable(ds).estimates[0]
+        for result in (ivw_multivariable(ds), ivw_correlated(
+                ds.with_correlation(CorrelationMatrix(np.eye(1))))):
+            est = result.estimates[0]
+            assert (est.theta_hat, est.se, est.df) == (ui.theta_hat, ui.se, 0)
+            assert np.isnan(est.p_value)
 
     def test_k1_equals_univariable(self):
         rng = np.random.default_rng(9)
@@ -383,6 +395,66 @@ class TestCorrelatedVariants:
         ds = self._dataset(rng)
         with pytest.raises(ValueError, match="requires an attached correlation"):
             ivw_correlated(ds)
+
+
+# Each public estimator: (call with reference x1 where it takes one,
+# intercept, univariable, correlated variants).
+_ESTIMATORS = {
+    "ivw_univariable": (ivw_univariable, False, True, False),
+    "egger_univariable": (egger_univariable, True, True, False),
+    "ivw_multivariable": (ivw_multivariable, False, False, False),
+    "egger_multivariable": (
+        lambda ds, **kw: egger_multivariable(ds, "x1", **kw), True, False,
+        False),
+    "ivw_correlated": (ivw_correlated, False, False, True),
+    "egger_correlated": (
+        lambda ds, **kw: egger_correlated(ds, "x1", **kw), True, False, True),
+}
+
+
+@pytest.mark.parametrize("name", list(_ESTIMATORS))
+def test_same_condition_same_message(name):
+    """One precondition check: a violated condition reads the same from
+    every estimator it applies to, and is reported in one order."""
+    fit, intercept, univariable, correlated = _ESTIMATORS[name]
+
+    def dataset(j, k=1, corr=correlated, unoriented=False):
+        bx = np.arange(1.0, j * k + 1.0).reshape(j, k)
+        if unoriented:
+            bx[0, 0] = -1.0
+        return make_dataset(bx, np.linspace(0.5, 1.5, j), np.ones(j),
+                            names=tuple(f"x{i + 1}" for i in range(k)),
+                            corr=np.eye(j) if corr else None)
+
+    # case -> (dataset, level, message)
+    cases = {"level": (dataset(5), 1.5,
+                       "confidence level must be in (0, 1), got 1.5")}
+    if univariable:
+        cases["K"] = (dataset(5, k=2), 0.95,
+                      "univariable estimator requires K=1, got K=2")
+    cases["correlation"] = (
+        dataset(5, corr=not correlated), 0.95,
+        f"{name} requires an attached correlation matrix" if correlated
+        else f"{name} assumes independent variants but a correlation matrix "
+             f"is attached; use the correlated-variant estimator instead")
+    if intercept:
+        unoriented = ("dataset is not orientation-normalized: negative x1 "
+                      "associations present; run orient() first")
+        cases["unoriented"] = (dataset(5, unoriented=True), 0.95, unoriented)
+        # Orientation is checked before J.
+        cases["unoriented, too few"] = (dataset(2, unoriented=True), 0.95,
+                                        unoriented)
+        cases["too few"] = (dataset(2), 0.95,
+                            "MR-Egger requires J >= K + 2, got J=2, K=1 "
+                            "(needs J >= 3)")
+    elif not univariable:
+        cases["too few"] = (dataset(2, k=2), 0.95,
+                            "need J > K for the intercept-free model, got "
+                            "J=2, K=2")
+    for case, (ds, level, message) in cases.items():
+        with pytest.raises(ValueError) as error:
+            fit(ds, level=level)
+        assert str(error.value) == message, case
 
 
 class TestInference:
