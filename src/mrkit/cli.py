@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from .data import (
     SummaryDataset,
-    _not_utf8,
+    _read_text,
     load_correlation,
     load_dataset,
     select_risk_factor,
@@ -480,23 +481,21 @@ def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
     """Flat key=value lines; '#' comments and blank lines ignored.
 
     Returns key -> (1-based line, value); a repeated key keeps its last line.
-    A file that is not UTF-8 raises DataError at the line of its first bad
-    byte.
+    The file is read once, so it may be a pipe. A file that is not UTF-8
+    raises DataError at the line of its first bad byte, before any other
+    fault is reported.
     """
     values: dict[str, tuple[int, str]] = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                values[key.strip()] = (lineno, value.strip())
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(Path(path), exc) from None
+    text = _read_text(Path(path))
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = (lineno, value.strip())
     return values
 
 

@@ -12,6 +12,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from collections.abc import Callable, Iterable
@@ -417,21 +418,20 @@ def _expected_header(k: int) -> list[str]:
     return header + ["beta_y", "se_y"]
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
-    """DataError for a file that is not UTF-8, at the line of its first bad byte.
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file, less an optional BOM: read once, decoded once.
 
-    A reader decodes in chunks, so ``exc`` places the byte only within its
-    chunk; the file is read again whole to find the line.
+    A file that is not UTF-8 raises DataError at the 1-based line of its
+    first bad byte, before any parse sees the file.
     """
     data = path.read_bytes()
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
         # A sentinel byte makes the line holding the bad byte count too.
-        line = len((data[:whole.start] + b"x").splitlines())
-        return DataError(f"{path}: not UTF-8 text ({whole.reason}) at line {line}")
-    # The file changed after the failed read.
-    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
+        line = len((data[:exc.start] + b"x").splitlines())
+        raise DataError(
+            f"{path}: not UTF-8 text ({exc.reason}) at line {line}") from None
 
 
 def load_dataset(path: str | Path, k: int) -> SummaryDataset:
@@ -443,36 +443,36 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     ``float()`` parses them, and labels are stripped of surrounding
     whitespace and otherwise kept as written.
 
-    A well-formed file without quotes is parsed in one C pass
-    (:func:`numpy.loadtxt`). Any other file, and any file with a fault, is
+    The file is read and decoded once, so it may be a pipe; a file that is
+    not UTF-8 fails at the line of its first bad byte before any other
+    fault is reported. Well-formed text without quotes is parsed in one C
+    pass (:func:`numpy.loadtxt`). Any other text, and any with a fault, is
     parsed row by row with :mod:`csv`, which reports the fault. Both parses
     give the same dataset, bit for bit, wherever the first one accepts.
     """
     if k < 1:
         raise DataError("k must be a positive integer")
     path = Path(path)
-    dataset = _load_one_pass(path, k)
+    text = _read_text(path)
+    dataset = _load_one_pass(text, k)
     if dataset is not None:
         return dataset
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-            expected = _expected_header(k)
-            if len(header) != len(expected):
-                raise DataError(
-                    f"{path}: column count mismatch: expected {len(expected)} "
-                    f"columns for k={k}, found {len(header)}")
-            if [h.strip() for h in header] != expected:
-                raise DataError(
-                    f"{path}: malformed header: expected {','.join(expected)}")
-            rows = list(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}: {exc} at line {reader.line_num}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        expected = _expected_header(k)
+        if len(header) != len(expected):
+            raise DataError(
+                f"{path}: column count mismatch: expected {len(expected)} "
+                f"columns for k={k}, found {len(header)}")
+        if [h.strip() for h in header] != expected:
+            raise DataError(
+                f"{path}: malformed header: expected {','.join(expected)}")
+        rows = list(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc} at line {reader.line_num}") from None
 
     lines = np.arange(2, len(rows) + 2)
     if not all(rows):  # a blank line reads as an empty row
@@ -515,13 +515,13 @@ _ROW_PARSE_ONLY = ('"', "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                    "\u2028", "\u2029")
 
 
-def _load_one_pass(path: Path, k: int) -> SummaryDataset | None:
-    """The dataset of a well-formed quote-free file, parsed in one C pass.
+def _load_one_pass(text: str, k: int) -> SummaryDataset | None:
+    """The dataset of a well-formed quote-free file's text, in one C pass.
 
-    Returns None, and so leaves the file to the row parse, for anything
-    else: a file that is not a readable regular UTF-8 file, that holds a
-    character of ``_ROW_PARSE_ONLY`` or a line longer than csv's field size
-    limit, whose header or any row is faulty, or that has no data rows.
+    Returns None, and so leaves the text to the row parse, for anything
+    else: text that holds a character of ``_ROW_PARSE_ONLY`` or a line
+    longer than csv's field size limit, whose header or any row is faulty,
+    or that has no data rows.
     Without those characters, the lines split here are csv's records and
     their commas csv's field breaks, so a field is never longer than its
     line. The C parser of ``loadtxt`` (numpy >= 1.23) accepts no float cell
@@ -529,12 +529,6 @@ def _load_one_pass(path: Path, k: int) -> SummaryDataset | None:
     value; labels keep their whitespace, which is stripped as in the row
     parse.
     """
-    try:
-        if not path.is_file():  # a pipe cannot be read a second time
-            return None
-        text = path.read_bytes().decode("utf-8-sig")
-    except (OSError, ValueError):  # the row parse reports it
-        return None
     if any(char in text for char in _ROW_PARSE_ONLY):
         return None
     lines = text.splitlines()
@@ -608,9 +602,12 @@ def load_correlation(path: str | Path, dataset: SummaryDataset,
     """Load a J x J correlation matrix whose row order matches ``dataset``.
 
     Cells are parsed as Python's ``float()`` parses them; blank and
-    whitespace-only lines are skipped. A file that does not parse as a whole
-    J x J array is parsed again row by row, which reports its first
-    offending 1-based line.
+    whitespace-only lines are skipped. A regular file is streamed through
+    :func:`numpy.loadtxt`; a pipe is read once and both parses share its
+    text. A file that does not parse as a whole J x J array is parsed again
+    row by row, which reports its first offending 1-based line; a file that
+    is not UTF-8 fails there at the line of its first bad byte, before any
+    other fault.
 
     With a (J,) boolean ``flip``, the matrix is sign-conjugated (rho'_st =
     s_s s_t rho_st, s = -1 where ``flip`` is set) in place before it is
@@ -625,41 +622,45 @@ def load_correlation(path: str | Path, dataset: SummaryDataset,
         raise ValueError(f"flip must be a mask over the dataset's {dataset.j} "
                          f"variants, not of shape {np.shape(flip)}")
     path = Path(path)
+    # A regular file is streamed, so its text is never held beside the
+    # matrix. Anything else that exists, such as a pipe, can be read only
+    # once, so its text is read first and serves both parses; a missing file
+    # is left to loadtxt, which names it.
+    text = _read_text(path) if path.exists() and not path.is_file() else None
     try:
         with warnings.catch_warnings():
             # An empty file warns here; the row parse reports it.
             warnings.simplefilter("ignore")
-            entries = np.loadtxt(path, dtype=float, delimiter=",",
-                                 comments=None, ndmin=2,
-                                 encoding="utf-8-sig")
+            entries = np.loadtxt(
+                path if text is None else io.StringIO(text, newline=None),
+                dtype=float, delimiter=",", comments=None, ndmin=2,
+                encoding="utf-8-sig")
     except ValueError:  # UnicodeDecodeError too: the row parse reports it
         entries = None
     if entries is None or entries.shape != (dataset.j, dataset.j):
-        entries = np.array(_parse_correlation_rows(path, dataset.j), dtype=float)
+        rows = _parse_correlation_rows(
+            _read_text(path) if text is None else text, path, dataset.j)
+        entries = np.array(rows, dtype=float)
     if flip is not None:
         _sign_conjugated(entries, flip, out=entries)
     return CorrelationMatrix._adopt(entries)
 
 
-def _parse_correlation_rows(path: Path, j: int) -> list[list[float]]:
+def _parse_correlation_rows(text: str, path: Path, j: int) -> list[list[float]]:
     """Parse a correlation file line by line; DataError at the first bad row."""
     rows: list[list[float]] = []
     line_nos: list[int] = []
-    with path.open(encoding="utf-8-sig") as handle:
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
         try:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    raise DataError(f"{path}: non-numeric correlation entry "
-                                    f"at row {line_no}") from None
-                line_nos.append(line_no)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise DataError(f"{path}: non-numeric correlation entry "
+                            f"at row {line_no}") from None
+        line_nos.append(line_no)
     mismatch = f"{path}: correlation matrix must be {j}x{j} to match the dataset"
     for line_no, row in zip(line_nos, rows):
         if len(row) != j:

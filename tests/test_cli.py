@@ -1,10 +1,13 @@
 """End-to-end command-line behaviour: formats, exit codes, config handling."""
+import contextlib
 import csv
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -664,6 +667,9 @@ class TestSimulate:
     @pytest.mark.parametrize("content, line", [
         ("scenario = 1\n".encode("utf-16"), 1),
         (b"# header\nscenario = 1\nseed = 7\xff\n", 3),
+        # The whole file is decoded before its first line is parsed.
+        pytest.param(b"scenario 1\n" + b"# padding\n" * 900
+                     + b"seed = 7\xff\n", 902, id="after-bad-line-past-8kb"),
     ])
     def test_config_not_utf8(self, tmp_path, capsys, content, line):
         conf = tmp_path / "sim.conf"
@@ -964,6 +970,74 @@ class TestGrid:
                (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.txt").read_bytes() == \
                (tmp_path / "b.txt").read_bytes()
+
+
+@contextlib.contextmanager
+def _fifo(path: Path, data: bytes):
+    """``path`` as a named pipe that gives ``data`` to its first reader and
+    nothing to any later one, as a shell's process substitution does."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def serve():
+        payload = data
+        while not done.is_set():
+            try:
+                with open(path, "wb") as pipe:
+                    pipe.write(payload)
+            except BrokenPipeError:  # the reader closed its end early
+                pass
+            payload = b""
+
+    writer = threading.Thread(target=serve, daemon=True)
+    writer.start()
+    try:
+        yield
+    finally:
+        done.set()
+        while writer.is_alive():
+            # A reader that closes at once lets a waiting writer finish.
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=0.05)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("piped, argv", [
+    ("summary.csv", ["analyze", "--data", "summary.csv", "--k", "3",
+                     "--methods", "UI,UE,MI,ME", "--ref", "x1"]),
+    ("rho.csv", ["analyze", "--data", "summary.csv", "--k", "3",
+                 "--methods", "UI,UE,MI,ME", "--ref", "x1", "--corr", "rho.csv"]),
+    ("sim.conf", ["simulate", "--config", "sim.conf", "--out", "sim"]),
+], ids=["dataset", "faulty-correlation", "config"])
+def test_pipe_input_matches_file(three_factor_csv, tmp_path, capsys,
+                                 monkeypatch, piped, argv):
+    """Each input read from a named pipe gives the output, errors, exit
+    status and files that the same bytes give from a regular file."""
+    files = {"summary.csv": Path(three_factor_csv).read_bytes(),
+             "rho.csv": b"1.0,0.5\n0.5,1.0\n",
+             "sim.conf": b"scenario = 2\nreplicates = 60\nseed = 11\n"}
+    outcomes = []
+    for kind in ("file", "pipe"):
+        run = tmp_path / kind
+        run.mkdir()
+        for name, data in files.items():
+            if kind == "file" or name != piped:
+                (run / name).write_bytes(data)
+        monkeypatch.chdir(run)
+        with (_fifo(run / piped, files[piped]) if kind == "pipe"
+              else contextlib.nullcontext()):
+            code = main(argv)
+        out, err = capsys.readouterr()
+        written = {name: (run / name).read_bytes()
+                   for name in ("sim.csv", "sim.txt") if (run / name).exists()}
+        outcomes.append((code, out, err, written))
+    assert outcomes[0] == outcomes[1]
+    if piped == "rho.csv":
+        assert outcomes[0][:3] == (
+            2, "", "error: rho.csv: correlation matrix must be 10x10 to match "
+                   "the dataset: row 1 has 2 entries\n")
+    else:
+        assert outcomes[0][0] == 0
 
 
 def test_perfbench_trace_targets_resolve(three_factor_csv, tmp_path, capsys,

@@ -5,6 +5,7 @@ import io
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,13 +475,40 @@ class TestLoadDataset:
         ((HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n").encode("utf-16"), 1),
         (HEADER_K1.encode() + b"rs1,A,G,0.1,0.02,0.05,0.01\r\n"
          + b"rs2,A,G,0.1,0.02,0.05,\xff\n", 3),
-    ], ids=["utf-16", "bad-byte-on-line-3"])
+        # The whole file is decoded before the header is read.
+        (HEADER_K1.replace("variant_id", "id").encode()
+         + "".join(f"rs{s},A,G,0.1,0.02,0.05,0.01\n"
+                   for s in range(400)).encode()
+         + b"rs400,A,G,0.1,0.02,0.05,\xff\n", 402),
+    ], ids=["utf-16", "bad-byte-on-line-3", "after-bad-header-past-8kb"])
     def test_not_utf8(self, tmp_path, data, line):
         p = tmp_path / "data.csv"
         p.write_bytes(data)
         with pytest.raises(DataError, match=rf"data\.csv: not UTF-8 text "
                                             rf"\(.*\) at line {line}$"):
             load_dataset(p, k=1)
+
+    @pytest.mark.parametrize("data", [
+        HEADER_K1.encode() + b"rs1,A,G,0.1,0.02,0.05,0.01\n",
+        HEADER_K1.encode() + b"rs1,A,G,0.1,0.02,x,0.01\n",
+        HEADER_K1.encode() + b"rs1,A,G,0.1,0.02,0.05,0.01\xff\n",
+    ], ids=["valid", "non-numeric", "not-utf8"])
+    def test_file_read_once(self, tmp_path, monkeypatch, data):
+        p = tmp_path / "data.csv"
+        p.write_bytes(data)
+        opened = []
+        path_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        try:
+            load_dataset(p, k=1)
+        except DataError:
+            pass
+        assert opened == [p]
 
 
 class TestLoadCorrelation:
@@ -533,7 +561,8 @@ class TestLoadCorrelation:
     @pytest.mark.parametrize("data, line", [
         ("1.0,0.5\n0.5,1.0\n".encode("utf-16"), 1),
         (b"1.0,0.5\n\n0.5,1.0\xff\n", 3),
-    ], ids=["utf-16", "bad-byte-on-line-3"])
+        (b"1.0,x\n" + b"0.5,1.0\n" * 1100 + b"0.5,1.0\xff\n", 1102),
+    ], ids=["utf-16", "bad-byte-on-line-3", "after-bad-row-past-8kb"])
     def test_not_utf8(self, tmp_path, data, line):
         ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
         p = tmp_path / "corr.csv"
