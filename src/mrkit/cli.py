@@ -31,7 +31,6 @@ import json
 import math
 import sys
 import warnings as _warnings
-from pathlib import Path
 
 from .data import (
     SummaryDataset,
@@ -486,7 +485,7 @@ def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
     fault is reported.
     """
     values: dict[str, tuple[int, str]] = {}
-    text = _read_text(Path(path))
+    text = _read_text(path)
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -16,13 +16,13 @@ import io
 import math
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .regression import _one_blas_thread
+from .regression import _cholesky_in_place, _one_blas_thread
 
 __all__ = [
     "DataError",
@@ -82,90 +82,123 @@ class VariantRecord:
                  f"non-positive standard error for variant '{self.variant_id}'")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class CorrelationMatrix:
     """J x J variant correlation matrix: symmetric, unit diagonal, definite.
 
     A matrix is accepted only if it has a Cholesky factor, because every
     generalized least-squares fit needs one: a singular matrix (a duplicated
     variant with rho = 1, say) or an indefinite one raises DataError here,
-    at load, with its smallest eigenvalue. The lower factor L (rho = L L')
-    is kept as :attr:`factor`, read-only and excluded from equality, so the
-    matrix is factored once however many estimators use it. The
-    factorization runs on one BLAS thread, so ``OPENBLAS_NUM_THREADS``
-    changes neither the factor nor the CPU cost of ``mrkit analyze --corr``.
+    at load, with its smallest eigenvalue.
 
-    The constructor validates a copy of the entries it is given;
+    The matrix and its lower factor L (rho = L L') share one J x J array, in
+    LAPACK's own layout: L in the lower triangle and on the diagonal, rho's
+    strict upper triangle above it, and rho's diagonal kept as a (J,)
+    vector. The factor is computed in place, once however many estimators
+    use it, on one BLAS thread, so ``OPENBLAS_NUM_THREADS`` changes neither
+    the factor nor the CPU cost of ``mrkit analyze --corr``. The estimators
+    whiten against that array, which reads only L; :attr:`entries` and
+    :attr:`factor` are read-only J x J arrays built each time they are read.
+
+    The constructor validates and factors a copy of the entries it is given;
     :func:`load_correlation` instead adopts the array it parsed, so a loaded
-    matrix is held once. The checks make no J x J temporary: symmetry is
-    tested in blocks of rows, the range by ``max`` and ``min``.
+    matrix is held in one J x J array. The checks make no J x J temporary:
+    symmetry is tested in blocks of rows, the range by ``max`` and ``min``.
+    A matrix that is asymmetric within the tolerance is factored from its
+    lower triangle and keeps its upper one, so its :attr:`entries` are the
+    symmetric matrix of its upper triangle.
     """
 
-    entries: np.ndarray
-    factor: np.ndarray = field(init=False, repr=False)
+    _packed: np.ndarray
+    _diagonal: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._validate(np.array(self.entries, dtype=float))
+    def __init__(self, entries) -> None:
+        self._validate_and_factor(np.array(entries, dtype=float, order="C"))
 
     @classmethod
     def _adopt(cls, entries: np.ndarray) -> "CorrelationMatrix":
-        """Validate and wrap ``entries`` itself, with no defensive copy.
+        """Validate and factor ``entries`` itself, with no defensive copy.
 
-        For a float64 array that nothing else holds; it becomes read-only.
+        For a C-contiguous float64 array that nothing else holds; it becomes
+        the matrix's read-only packed array.
         """
         matrix = object.__new__(cls)
-        matrix._validate(entries)
+        matrix._validate_and_factor(entries)
         return matrix
 
-    def _validate(self, entries: np.ndarray) -> None:
+    def _validate_and_factor(self, entries: np.ndarray) -> None:
         _require(entries.ndim == 2 and entries.shape[0] == entries.shape[1],
                  "correlation matrix must be square")
         _require(entries.size > 0, "correlation matrix is empty")
         _require(bool(np.isfinite(entries).all()), "non-finite correlation entry")
         _require(_asymmetry(entries) <= 1e-8,
                  "correlation matrix asymmetric beyond tolerance 1e-8")
-        _require(np.max(np.abs(np.diag(entries) - 1.0)) <= 1e-8,
+        diagonal = entries.diagonal().copy()
+        _require(np.max(np.abs(diagonal - 1.0)) <= 1e-8,
                  "correlation matrix diagonal differs from 1 beyond tolerance 1e-8")
         _require(max(entries.max(), -entries.min()) <= 1.0 + 1e-8,
                  "correlation out of range")
-        with _one_blas_thread():
-            try:
-                factor = np.linalg.cholesky(entries)
-            except np.linalg.LinAlgError:
-                smallest = float(np.linalg.eigvalsh(entries)[0])
-                raise DataError(
-                    "correlation matrix is not positive definite (smallest "
-                    f"eigenvalue {smallest:.3e})") from None
-        self._set(entries, factor)
+        if not _cholesky_in_place(entries):
+            # The strict upper triangle is intact. eigvalsh reads the lower
+            # triangle, so on the transpose it reads that one, and the
+            # eigenvalue is the full matrix's, bit for bit.
+            np.fill_diagonal(entries, diagonal)
+            with _one_blas_thread():
+                smallest = float(np.linalg.eigvalsh(entries.T)[0])
+            raise DataError(
+                "correlation matrix is not positive definite (smallest "
+                f"eigenvalue {smallest:.3e})")
+        self._set(entries, diagonal)
 
-    def _set(self, entries: np.ndarray, factor: np.ndarray) -> None:
+    def _set(self, packed: np.ndarray, diagonal: np.ndarray) -> None:
+        packed.setflags(write=False)
+        diagonal.setflags(write=False)
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_diagonal", diagonal)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """rho, as a new read-only J x J array."""
+        lower = np.tri(self.dimension, k=-1, dtype=bool)
+        entries = np.where(lower, self._packed.T, self._packed)
+        np.fill_diagonal(entries, self._diagonal)
         entries.setflags(write=False)
+        return entries
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The lower Cholesky factor L, as a new read-only J x J array."""
+        factor = np.tril(self._packed)
         factor.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "factor", factor)
+        return factor
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorrelationMatrix):
             return NotImplemented
-        return bool(np.array_equal(self.entries, other.entries))
+        # rho is its diagonal and its strict upper triangle, row by row.
+        return (self.dimension == other.dimension
+                and np.array_equal(self._diagonal, other._diagonal)
+                and all(np.array_equal(mine[s + 1:], theirs[s + 1:])
+                        for s, (mine, theirs)
+                        in enumerate(zip(self._packed, other._packed))))
 
     __hash__ = None  # the entries are an ndarray, which has no hash
 
     @property
     def dimension(self) -> int:
-        return self.entries.shape[0]
+        return self._diagonal.size
 
     def sign_flipped(self, flip: np.ndarray) -> "CorrelationMatrix":
         """S rho S for S = diag(-1 where ``flip`` is set, else 1), unvalidated.
 
         Negation is exact and S L S is lower triangular with L's positive
-        diagonal, so it is the Cholesky factor of S rho S: the flipped matrix
-        keeps the factor without another validation or factorization. It
-        allocates the two flipped arrays and no temporary.
+        diagonal, so it is the Cholesky factor of S rho S: one conjugation
+        of the packed array flips rho's triangle and L's at once, with no
+        validation or factorization. It allocates that one array and no
+        temporary; rho's diagonal is unchanged and shared.
         """
         flipped = object.__new__(CorrelationMatrix)
-        flipped._set(_sign_conjugated(self.entries, flip),
-                     _sign_conjugated(self.factor, flip))
+        flipped._set(_sign_conjugated(self._packed, flip), self._diagonal)
         return flipped
 
 
@@ -418,13 +451,14 @@ def _expected_header(k: int) -> list[str]:
     return header + ["beta_y", "se_y"]
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: str | Path) -> str:
     """The text of a UTF-8 file, less an optional BOM: read once, decoded once.
 
     A file that is not UTF-8 raises DataError at the 1-based line of its
-    first bad byte, before any parse sees the file.
+    first bad byte, before any parse sees the file. The message names the
+    file as ``path`` spells it, as every reader's messages do.
     """
-    data = path.read_bytes()
+    data = Path(path).read_bytes()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -449,10 +483,10 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     pass (:func:`numpy.loadtxt`). Any other text, and any with a fault, is
     parsed row by row with :mod:`csv`, which reports the fault. Both parses
     give the same dataset, bit for bit, wherever the first one accepts.
+    Error messages name the file as ``path`` spells it.
     """
     if k < 1:
         raise DataError("k must be a positive integer")
-    path = Path(path)
     text = _read_text(path)
     dataset = _load_one_pass(text, k)
     if dataset is not None:
@@ -609,30 +643,33 @@ def load_correlation(path: str | Path, dataset: SummaryDataset,
     is not UTF-8 fails there at the line of its first bad byte, before any
     other fault.
 
-    With a (J,) boolean ``flip``, the matrix is sign-conjugated (rho'_st =
-    s_s s_t rho_st, s = -1 where ``flip`` is set) in place before it is
-    validated and factored, so the matrix is held once and factored once.
-    The result equals ``load_correlation(path, dataset).sign_flipped(flip)``:
-    sign flips commute exactly with every step of the Cholesky
-    factorization, so the entries and factor agree bit for bit but for the
-    sign of an exact zero in the factor; the same faults raise the same
-    errors. The parsed array becomes the matrix's entries without a copy.
+    The parsed array is validated, then factored in place, and becomes the
+    matrix's packed array without a copy, so one J x J array holds rho's
+    upper triangle and its Cholesky factor. With a (J,) boolean ``flip``,
+    the matrix is sign-conjugated (rho'_st = s_s s_t rho_st, s = -1 where
+    ``flip`` is set) in place before it is validated and factored, so it is
+    still held once and factored once. The result equals
+    ``load_correlation(path, dataset).sign_flipped(flip)``: sign flips
+    commute exactly with every step of the Cholesky factorization, so the
+    two packed arrays agree bit for bit but for the sign of an exact zero in
+    the factor; the same faults raise the same errors. Error messages name
+    the file as ``path`` spells it.
     """
     if flip is not None and np.shape(flip) != (dataset.j,):
         raise ValueError(f"flip must be a mask over the dataset's {dataset.j} "
                          f"variants, not of shape {np.shape(flip)}")
-    path = Path(path)
     # A regular file is streamed, so its text is never held beside the
     # matrix. Anything else that exists, such as a pipe, can be read only
     # once, so its text is read first and serves both parses; a missing file
     # is left to loadtxt, which names it.
-    text = _read_text(path) if path.exists() and not path.is_file() else None
+    file = Path(path)
+    text = _read_text(path) if file.exists() and not file.is_file() else None
     try:
         with warnings.catch_warnings():
             # An empty file warns here; the row parse reports it.
             warnings.simplefilter("ignore")
             entries = np.loadtxt(
-                path if text is None else io.StringIO(text, newline=None),
+                file if text is None else io.StringIO(text, newline=None),
                 dtype=float, delimiter=",", comments=None, ndmin=2,
                 encoding="utf-8-sig")
     except ValueError:  # UnicodeDecodeError too: the row parse reports it
@@ -646,7 +683,8 @@ def load_correlation(path: str | Path, dataset: SummaryDataset,
     return CorrelationMatrix._adopt(entries)
 
 
-def _parse_correlation_rows(text: str, path: Path, j: int) -> list[list[float]]:
+def _parse_correlation_rows(text: str, path: str | Path,
+                            j: int) -> list[list[float]]:
     """Parse a correlation file line by line; DataError at the first bad row."""
     rows: list[list[float]] = []
     line_nos: list[int] = []

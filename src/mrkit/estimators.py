@@ -35,9 +35,10 @@ weighted least squares (weights se_Y^-2) for independent variants, or
 generalized least squares with error covariance
 Omega_st = se_Ys * se_Yt * rho_st when a correlation matrix is attached. The
 generalized fit scales each row by 1 / se_Y and whitens it with the Cholesky
-factor the correlation matrix computed when it was loaded, which every
-attached matrix has, so no estimator factors a matrix or builds
-diag(se_Y) L.
+factor the correlation matrix computed in place when it was loaded, which
+every attached matrix has: one J x J array holds rho's upper triangle and
+that factor, and the whitening reads only the factor. So no estimator
+factors a matrix, copies the factor out or builds diag(se_Y) L.
 """
 from __future__ import annotations
 
@@ -196,9 +197,10 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
     se_Y^-2; with a correlation matrix attached, by generalized least squares
     with Omega = se_Y se_Y' * rho. That fit divides the rows of the design
     and the response by se_Y and whitens them with the Cholesky factor L of
-    rho that the matrix stored at load, since Omega's factor is
-    diag(se_Y) L. An intercept fit also reports the intercept test, and is
-    experimental when the variants are correlated.
+    rho that the matrix stored at load, in the lower triangle of its packed
+    array, since Omega's factor is diag(se_Y) L. An intercept fit also
+    reports the intercept test, and is experimental when the variants are
+    correlated.
     """
     design = _design(dataset.beta_x_matrix().T, intercept)
     se_y = dataset.se_y_vector()
@@ -206,7 +208,8 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
     correlated = correlation is not None
     if correlated:
         fit = _factored_fit(design / se_y[:, None],
-                            dataset.beta_y_vector() / se_y, correlation.factor)
+                            dataset.beta_y_vector() / se_y,
+                            correlation._packed)
     else:
         fit = fit_wls(design, dataset.beta_y_vector(), se_y ** -2.0)
     se = scaled_se(fit, scheme)

@@ -10,11 +10,12 @@ first when asked, then the covariates, each row scaled by 1 or, to whiten,
 by sqrt(w), all written into one array. :func:`fit_wls` takes the design,
 the response and the weight vector w (the semantic se(beta_Yj)^-2) and
 whitens [X | y] with :func:`_design`; :func:`fit_gls` takes Omega in place
-of w, factors it and hands the factor to :func:`_factored_fit`, the one
+of w, factors a copy of it in place with :func:`_cholesky_in_place`, the one
+Cholesky routine, and hands the factor to :func:`_factored_fit`, the one
 triangular-whitening step. The correlated-variant estimators call
 :func:`_factored_fit` directly, with the design and response divided by se_Y
-and the factor L their correlation matrix stored at load, so they never
-factor or build Omega. That dense J x J work (a Cholesky factor, a
+and the factor L their correlation matrix computed in place at load, so they
+never factor or build Omega. That dense J x J work (a Cholesky factor, a
 triangular whitening) runs on one BLAS thread, inside
 :func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS`` changes neither the
 results nor the CPU cost of ``mrkit analyze --corr``. None of these adds an
@@ -318,25 +319,51 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
     if omega.shape != (y.size, y.size):
         raise ValueError("omega must be J x J")
     # _factored_fit trusts the factor to be finite.
-    omega = np.asarray_chkfinite(omega)
-    try:
-        with _one_blas_thread():
-            factor = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError:
+    factor = np.asarray_chkfinite(omega).copy()
+    if not _cholesky_in_place(factor):
         raise FactorizationError(
-            "omega is not positive definite (factorization failed)") from None
+            "omega is not positive definite (factorization failed)")
     return _factored_fit(x, y, factor)
+
+
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Factor the symmetric matrix held by a's lower triangle, in place.
+
+    ``a`` is a writeable C-contiguous (J, J) float64 array; any other
+    raises ValueError. On success its lower triangle and diagonal hold the
+    lower Cholesky factor L of the symmetric matrix its lower triangle and
+    diagonal held (that matrix = L L'), its strict upper triangle is left as
+    it was, and the result is True. LAPACK factors a's transpose, a
+    Fortran-ordered array, as an upper factor L' = U, so nothing is copied.
+    False when the matrix is not positive definite; the lower triangle and
+    the diagonal are then partly overwritten, the strict upper triangle
+    still not. Runs on one BLAS thread.
+    """
+    # Imported here, its only use, so that importing mrkit does not load
+    # scipy.linalg; imported before the BLAS thread counts are read, so that
+    # scipy's OpenBLAS is among them.
+    from scipy.linalg import lapack
+
+    # LAPACK would factor a copy of any other layout, leaving ``a`` as it
+    # was, and would write to a read-only array.
+    if not (a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.writeable):
+        raise ValueError("needs a writeable C-contiguous float64 array")
+    with _one_blas_thread():
+        _, info = lapack.dpotrf(a.T, lower=0, overwrite_a=1, clean=0)
+    return info == 0
 
 
 def _factored_fit(x: np.ndarray, y: np.ndarray,
                   factor: np.ndarray) -> RegressionFit:
-    """GLS fit given the lower Cholesky factor of the error covariance.
+    """GLS fit given the lower Cholesky factor L of the error covariance.
 
     Whitens [x | y] with one triangular solve against ``factor``, then fits
-    it with the kernel at C = 1. Only [x | y] is scanned for infs and
-    NaNs: ``factor`` must be finite, as the factor of every
-    :class:`mrkit.data.CorrelationMatrix` and of every Omega that
-    :func:`fit_gls` accepts is.
+    it with the kernel at C = 1. The solve reads only the lower triangle and
+    the diagonal of ``factor``, so L may share its array with anything above
+    it, as in the packed array of a :class:`mrkit.data.CorrelationMatrix`
+    and the factor :func:`fit_gls` makes. Only [x | y] is scanned for infs
+    and NaNs: L must be finite, as both of those are.
     """
     # Imported here, its only use, so that importing mrkit does not load
     # scipy.linalg.

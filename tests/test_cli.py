@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import mrkit
 from mrkit import simulation, write_dataset
@@ -315,24 +316,25 @@ class TestAnalyze:
 
     def test_correlation_factored_once(self, three_factor_csv, tmp_path,
                                        capsys, monkeypatch):
-        # Load factors the oriented matrix before orient runs, and all four
-        # estimators whiten their rows, scaled by 1 / se_y, with that
-        # factor, so nothing factors a matrix again.
+        # Load factors the oriented matrix in place before orient runs, and
+        # all four estimators whiten their rows, scaled by 1 / se_y, with
+        # that factor, so nothing factors a matrix again. Every Cholesky
+        # factor in mrkit is one LAPACK dpotrf call.
         corr_path = tmp_path / "rho.csv"
         np.savetxt(corr_path, random_correlation(np.random.default_rng(3), 10),
                    delimiter=",")
-        cholesky, orient = np.linalg.cholesky, mrkit.cli.orient
+        dpotrf, orient = lapack.dpotrf, mrkit.cli.orient
         calls, at_orient = [], []
 
-        def counting_cholesky(*args, **kwargs):
-            calls.append(args[0].shape)
-            return cholesky(*args, **kwargs)
+        def counting_dpotrf(a, *args, **kwargs):
+            calls.append(a.shape)
+            return dpotrf(a, *args, **kwargs)
 
         def counting_orient(*args, **kwargs):
             at_orient.append(len(calls))
             return orient(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(lapack, "dpotrf", counting_dpotrf)
         monkeypatch.setattr(mrkit.cli, "orient", counting_orient)
         code, out, err = _analyze(
             ["--data", three_factor_csv, "--k", "3", "--corr", str(corr_path),
@@ -381,10 +383,13 @@ class TestAnalyze:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_correlated_analysis_memory(self, tmp_path, capsys):
-        # One analysis holds two J x J arrays at once: the oriented matrix
-        # and its factor. The estimators divide their rows by se_y rather
-        # than build diag(se_y) L. tracemalloc counts numpy's arrays only,
-        # not the buffers LAPACK allocates itself.
+        # One analysis holds one J x J array: the oriented matrix's upper
+        # triangle and its Cholesky factor, computed in place, share it.
+        # np.loadtxt's parse peaks a little above that array. The
+        # estimators divide their rows by se_y rather than build
+        # diag(se_y) L, and whiten against the shared array without a copy.
+        # tracemalloc counts numpy's arrays only, not buffers that LAPACK
+        # allocates itself (dpotrf in place allocates none).
         j = 400
         rng = np.random.default_rng(11)
         bx = rng.normal(0.0, 0.5, size=(j, 3))  # about half of x1 negative
@@ -407,7 +412,7 @@ class TestAnalyze:
         capsys.readouterr()
         assert code == 0
         assert np.count_nonzero(bx[:, 0] < 0) > j // 3
-        assert peak <= 2.5 * 8 * j * j
+        assert peak <= 1.5 * 8 * j * j
 
     def test_fixed_scheme_label(self, one_factor_csv, capsys):
         code, out, _ = _analyze(
@@ -679,6 +684,32 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"error: {conf}: not UTF-8 text (")
         assert err.rstrip().endswith(f"at line {line}")
+
+    def test_config_named_as_typed(self, tmp_path, capsys, monkeypatch):
+        # Every reader names its file as the user typed it: a parse error
+        # and a bad byte in a config file alike, and so the dataset and the
+        # correlation file.
+        monkeypatch.chdir(tmp_path)
+        Path("a.conf").write_text("scenario = 1\nbad line\n")
+        Path("b.conf").write_bytes(b"scenario = \xff1\n")
+        Path("d.csv").write_bytes(b"variant_id\xff\n")
+        write_dataset(make_dataset([0.1, 0.2], [0.1, 0.2], [1.0, 1.0]),
+                      "ok.csv")
+        Path("c.csv").write_text("1,0\n0,x\n")
+        runs = [
+            (["simulate", "--config", "./a.conf"],
+             "./a.conf:2: expected key=value, got 'bad line'"),
+            (["simulate", "--config", "./b.conf"],
+             "./b.conf: not UTF-8 text (invalid start byte) at line 1"),
+            (["analyze", "--data", "./d.csv", "--k", "1", "--methods", "UI"],
+             "./d.csv: not UTF-8 text (invalid start byte) at line 1"),
+            (["analyze", "--data", "ok.csv", "--k", "1", "--methods", "UI",
+              "--corr", "./c.csv"],
+             "./c.csv: non-numeric correlation entry at row 2"),
+        ]
+        for argv, message in runs:
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("line, message", [
         ("replicates=abc", "replicates expects an integer, got 'abc'"),

@@ -24,6 +24,7 @@ from mrkit import (
     select_risk_factor,
     write_dataset,
 )
+from mrkit.regression import _one_blas_thread
 
 from conftest import make_dataset, random_correlation, subprocess_env
 
@@ -75,9 +76,13 @@ class TestCorrelationMatrix:
         assert m.entries[0, 1] == 0.9
 
     def test_entries_read_only(self):
+        # entries and factor are built on each read, from the one packed
+        # array and the diagonal; all four are read-only.
         m = CorrelationMatrix(np.eye(3))
-        with pytest.raises(ValueError):
-            m.entries[0, 1] = 0.5
+        for array in (m.entries, m.factor, m._packed, m._diagonal):
+            with pytest.raises(ValueError):
+                array[1] = 0.5
+        assert not np.shares_memory(m.entries, m._packed)
 
     def test_not_square(self):
         with pytest.raises(DataError, match="square"):
@@ -140,20 +145,31 @@ class TestCorrelationMatrix:
 
     def test_factor_independent_of_openblas_threads(self):
         # A threaded Cholesky or triangular solve differs in its last bits
-        # from the one-thread result, so the factor and the correlated fit
-        # must not follow OPENBLAS_NUM_THREADS.
+        # from the one-thread result, so the packed matrix, its factor and
+        # the correlated fit must not follow OPENBLAS_NUM_THREADS. scipy's
+        # OpenBLAS factors the matrix and numpy's may serve the rest; the
+        # thread-count functions are looked up once per process, so each
+        # OpenBLAS loaded by then must report one thread inside
+        # _one_blas_thread. J = 600 is past OpenBLAS's blocking threshold.
         script = (
             "import hashlib\n"
             "import numpy as np\n"
             "from mrkit import CorrelationMatrix\n"
-            "from mrkit.regression import _factored_fit\n"
-            "lags = np.abs(np.subtract.outer(np.arange(300), np.arange(300)))\n"
-            "factor = CorrelationMatrix(0.3 ** lags).factor\n"
+            "from mrkit.regression import (\n"
+            "    _factored_fit, _one_blas_thread, _openblas_thread_apis)\n"
+            "lags = np.abs(np.subtract.outer(np.arange(600), np.arange(600)))\n"
+            "rho = 0.3 ** lags\n"
+            "matrix = CorrelationMatrix(rho)\n"
+            "assert np.array_equal(matrix.entries, rho)\n"
             "rng = np.random.default_rng(1)\n"
-            "fit = _factored_fit(rng.normal(size=(300, 4)),\n"
-            "                    rng.normal(size=300), factor)\n"
-            "for array in (factor, fit.coefficients):\n"
-            "    print(hashlib.sha256(array.tobytes()).hexdigest())\n")
+            "fit = _factored_fit(rng.normal(size=(600, 4)),\n"
+            "                    rng.normal(size=600), matrix._packed)\n"
+            "for array in (matrix._packed, matrix.factor, fit.coefficients):\n"
+            "    print(hashlib.sha256(array.tobytes()).hexdigest())\n"
+            "loaded = _openblas_thread_apis.__wrapped__()\n"
+            "assert len(loaded) == len(_openblas_thread_apis())\n"
+            "with _one_blas_thread():\n"
+            "    assert [get() for get, _ in loaded] == [1] * len(loaded)\n")
         outputs = []
         for threads in ("1", "2"):
             done = subprocess.run(
@@ -1036,12 +1052,93 @@ def test_oriented_load_equals_load_then_flip(tmp_path_factory, seed, j, kind,
         return
     got = load_correlation(path, ds, flip)
     want = load_correlation(path, ds).sign_flipped(flip)
+    # One packed array each, rho's strict upper triangle above its factor,
+    # and rho's diagonal. Bit for bit, but for the sign of an exact zero:
+    # sign_flipped turns a zero of the factor into -0.0 where the
+    # factorization of the flipped matrix writes +0.0. rho's own zeros are
+    # conjugated alike on both paths.
+    nonzero = want._packed != 0.0
+    assert np.array_equal(got._packed, want._packed)
+    assert got._packed[nonzero].tobytes() == want._packed[nonzero].tobytes()
+    assert got._diagonal.tobytes() == want._diagonal.tobytes()
     assert got.entries.tobytes() == want.entries.tobytes()
-    assert not got.entries.flags.writeable
-    # Bit for bit, but for the sign of an exact zero: sign_flipped turns a
-    # zero of the upper triangle into -0.0 where the factorization of the
-    # flipped matrix writes +0.0.
-    nonzero = want.factor != 0.0
-    assert np.array_equal(got.factor, want.factor)
-    assert got.factor[nonzero].tobytes() == want.factor[nonzero].tobytes()
-    assert not got.factor.flags.writeable
+    assert not got._packed.flags.writeable
+    assert not got._diagonal.flags.writeable
+
+
+def _parent_indefinite_message(rho: np.ndarray) -> str:
+    """The error a full matrix without a Cholesky factor has always raised."""
+    with _one_blas_thread():
+        smallest = float(np.linalg.eigvalsh(rho)[0])
+    return ("correlation matrix is not positive definite (smallest "
+            f"eigenvalue {smallest:.3e})")
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       j=st.sampled_from([1, 2, 7, 64]),
+       kind=st.sampled_from(["definite", "blocks", "singular", "indefinite"]))
+@settings(max_examples=150, deadline=None)
+def test_packed_layout(tmp_path_factory, seed, j, kind):
+    """rho and its factor L share one array: L below rho's upper triangle.
+
+    ``entries`` rebuilds an exactly symmetric input bit for bit, signed
+    zeros included, and L L' is rho to rounding. A load with a flip mask
+    equals the load then ``sign_flipped``, but for the sign of an exact
+    zero of L. A matrix with no factor raises the message a full matrix
+    gives, smallest eigenvalue and all, with and without the mask.
+    """
+    rng = np.random.default_rng(seed)
+    rho = random_correlation(rng, j)
+    if kind == "blocks":
+        # Two uncorrelated blocks: exact zeros, which a flip makes -0.0.
+        cut = int(rng.integers(1, j + 1))
+        rho[:cut, cut:] = rho[cut:, :cut] = 0.0
+    elif kind == "singular" and j > 1:
+        s, t = rng.choice(j, size=2, replace=False)
+        rho[t] = rho[s]
+        rho[:, t] = rho[:, s]
+    elif kind == "indefinite" and j > 2:
+        # Pairwise correlations of 0.9, -0.9, 0.9 cannot coexist.
+        rows = rng.choice(j, size=3, replace=False)
+        rho[np.ix_(rows, rows)] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9],
+                                   [-0.9, 0.9, 1.0]]
+    flip = rng.random(j) < 0.5
+    signs = np.where(flip, -1.0, 1.0)
+    flipped = signs[:, None] * rho * signs
+    text = io.StringIO()
+    np.savetxt(text, rho, delimiter=",", fmt="%.17g")  # round-trips exactly
+    path = tmp_path_factory.mktemp("corr") / "rho.csv"
+    path.write_text(text.getvalue(), encoding="utf-8")
+    ds = make_dataset(np.full(j, 0.1), np.full(j, 0.1), np.ones(j))
+
+    try:
+        matrix = CorrelationMatrix(flipped)
+    except DataError as error:
+        assert kind in ("singular", "indefinite")
+        assert str(error) == _parent_indefinite_message(flipped)
+        with pytest.raises(DataError) as loaded:
+            load_correlation(path, ds)
+        assert str(loaded.value) == _parent_indefinite_message(rho)
+        with pytest.raises(DataError) as loaded:
+            load_correlation(path, ds, flip)
+        assert str(loaded.value) == str(error)
+        return
+    # A singular draw whose rounding leaves it a factor loads.
+    assert kind != "indefinite" or j <= 2
+    entries = matrix.entries
+    assert entries.tobytes() == flipped.tobytes()
+    assert not entries.flags.writeable
+    factor = matrix.factor
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.all(np.diag(factor) > 0.0)
+    assert np.max(np.abs(factor @ factor.T - flipped)) <= 1e-12
+    assert np.triu(matrix._packed, 1).tobytes() == np.triu(flipped, 1).tobytes()
+    assert np.tril(matrix._packed).tobytes() == factor.tobytes()
+
+    got = load_correlation(path, ds, flip)
+    want = load_correlation(path, ds).sign_flipped(flip)
+    assert got == matrix and want == matrix
+    assert got.entries.tobytes() == want.entries.tobytes() == entries.tobytes()
+    nonzero = want._packed != 0.0
+    assert np.array_equal(got._packed, want._packed)
+    assert got._packed[nonzero].tobytes() == want._packed[nonzero].tobytes()

@@ -94,8 +94,14 @@ class TestOrient:
         for name in ("variant_ids", "effect_alleles", "other_alleles",
                      "beta_x", "se_x", "beta_y", "se_y"):
             assert not getattr(oriented, name).flags.writeable, name
-        assert not oriented.correlation.entries.flags.writeable
-        assert oriented.correlation.dimension == oriented.j
+        # The flipped matrix is one new read-only packed array, rho's upper
+        # triangle above its factor; rho's diagonal is shared.
+        flipped, parent = oriented.correlation, ds.correlation
+        assert not flipped._packed.flags.writeable
+        assert not np.shares_memory(flipped._packed, parent._packed)
+        assert flipped._diagonal is parent._diagonal
+        assert not flipped.entries.flags.writeable
+        assert flipped.dimension == oriented.j
 
     def test_correlation_untouched_without_flips(self):
         rho = np.array([[1.0, 0.4], [0.4, 1.0]])

@@ -130,8 +130,37 @@ class TestFitGls:
 
     def test_not_positive_definite(self):
         omega = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError, match=r"^omega is not positive "
+                           r"definite \(factorization failed\)$"):
             fit_gls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]), omega)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_omega_left_unchanged(self, order):
+        # fit_gls factors a private copy of Omega in place, whatever its
+        # memory order; the caller's array is never written.
+        omega = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]],
+                         order=order)
+        before = omega.copy()
+        fit_gls(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 2.5]),
+                omega)
+        assert omega.tobytes() == before.tobytes()
+        assert omega.flags.f_contiguous == (order == "F")
+
+    @pytest.mark.parametrize("kind", ["float32", "fortran", "strided",
+                                      "read-only"])
+    def test_in_place_factor_refuses_arrays_it_cannot_own(self, kind):
+        # LAPACK factors a copy of an array of another type or layout and
+        # leaves the caller's unfactored; a read-only one it overwrites.
+        array = {"float32": np.eye(3, dtype=np.float32),
+                 "fortran": np.asfortranarray(np.eye(3) + 0.1),
+                 "strided": np.eye(6)[::2, ::2],
+                 "read-only": np.eye(3)}[kind]
+        if kind == "read-only":
+            array.setflags(write=False)
+        before = array.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            regression._cholesky_in_place(array)
+        assert array.tobytes() == before.tobytes()
 
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="J x J"):
