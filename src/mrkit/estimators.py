@@ -406,5 +406,5 @@ def f_statistic(n: int, k: int, r2: float) -> float:
     if not 0.0 <= r2 < 1.0:
         raise ValueError(f"r2 must be in [0, 1), got {r2}")
     if n <= k + 1:
-        raise ValueError(f"need n > k + 1, got n={n}, k={k}")
+        raise ValueError(f"need n > k + 1 for k variants, got n={n}, k={k}")
     return ((n - k - 1) / k) * (r2 / (1.0 - r2))

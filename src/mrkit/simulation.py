@@ -46,15 +46,18 @@ own seeding and raises RuntimeError on a mismatch. Replicates are processed
 in fixed-size chunks written to index-ordered arrays, so summaries are
 bit-identical for any chunk size and any worker count (set via the
 ``MRKIT_THREADS`` environment variable, default min(4, cpu count)).
-``run_scenario_grid`` packs rows smaller than a chunk into shared chunks;
-each replicate keeps its row's seed and its own index, so every row's
-summary is bit for bit the one it gets alone.
+One private engine, ``_replicate_results``, plans the chunks for both
+``run_scenario`` and ``run_scenario_grid``: it packs consecutive configs
+smaller than a chunk into shared chunks, and each replicate keeps its
+config's seed and its own index, so every grid row's summary is bit for bit
+the one it gets alone.
 """
 from __future__ import annotations
 
 import itertools
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -440,30 +443,28 @@ def generate_dataset(config: ScenarioConfig,
 
 def _thread_count() -> int:
     env = os.environ.get("MRKIT_THREADS")
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(
-                f"MRKIT_THREADS must be a positive integer, got {env!r}"
-            ) from None
-        if count < 1:
-            raise ValueError(
-                f"MRKIT_THREADS must be a positive integer, got {env!r}")
-        return count
-    return min(4, os.cpu_count() or 1)
+    if env is None:
+        return min(4, os.cpu_count() or 1)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"MRKIT_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 class _ChunkBuffers:
     """One worker thread's arrays for chunks of up to ``size`` replicates.
 
     A chunk's draws, observables, weights and fit inputs are written into
-    these arrays, so the thread allocates them once per ``run_scenario``
-    call instead of once per chunk: arrays freed after every chunk were
-    returned to the system and page-faulted back in by the next. They are
-    views of one allocation because glibc returns the free top of its heap
-    once it passes twice the largest block it has unmapped; one block stays
-    under that and is reused by the next call, where separate arrays are not.
+    these arrays, so a thread allocates them once, not once per chunk:
+    arrays freed after every chunk were returned to the system and
+    page-faulted back in by the next. They are views of one allocation
+    because glibc returns the free top of its heap once it passes twice the
+    largest block it has unmapped; one block stays under that and is reused
+    by the next call, where separate arrays are not.
     The ME and UE problems are (C, J, p + 1) arrays laid out column-major per
     matrix: each column of each replicate's problem is J contiguous values,
     so building a column writes, and the QR copies, contiguous memory.
@@ -563,32 +564,40 @@ def _summarise(results: np.ndarray) -> SimulationSummary:
                              failures=int(np.sum(~all_ok)))
 
 
-def _run_scenarios(configs: list[ScenarioConfig]) -> list[SimulationSummary]:
-    """Summaries of several configs that share one J, run as one job.
+def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
+    """Yield each config's per-replicate results, in order.
 
-    The configs' replicates are laid end to end, in order, and cut into
-    chunks of up to ``_CHUNK``, so one chunk may hold several configs'
-    replicates. A chunk is filled one segment at a time, each segment one
-    config's replicates under that config's seed and replicate indices, and
-    then fitted and tested at once. Every step is per replicate, so each
-    config's summary is bit for bit what it gets when run alone. Worker
-    threads start only when there is more than one chunk.
+    A config's results are a (3, len(_TESTS), replicates) array: per tested
+    coefficient (see _TESTS) and replicate, the estimate, its random-effects
+    se and its p-value. This is the one owner of the chunk plan. Consecutive
+    configs whose replicates fit in one chunk of ``_CHUNK`` share it, laid
+    end to end, and a larger config is cut into chunks of its own. A chunk is
+    filled one segment at a time, each segment one config's replicates under
+    that config's seed and replicate indices, and then fitted and tested at
+    once. Every step is per replicate, so each config's results are bit for
+    bit what it gets when run alone. Groups of configs run one after
+    another, and a group's chunks go to worker threads only when it has more
+    than one. A group's results are yielded as soon as it has run, so a
+    grid holds one group's results at a time. The configs must share
+    j_variants.
     """
     j = configs[0].j_variants
     if any(config.j_variants != j for config in configs):
         raise ValueError("configs run together must share j_variants")
-    ends = list(itertools.accumulate(config.replicates for config in configs))
-    firsts, total = [0] + ends[:-1], ends[-1]
-    # Per tested coefficient (see _TESTS) and replicate: the estimate, its se
-    # and its p-value.
-    results = np.empty((3, len(_TESTS), total))
-    chunk = min(_CHUNK, total)
+    groups = []  # per group: its replicate count and (config, first) pairs
+    for config in configs:
+        if not groups or groups[-1][0] + config.replicates > _CHUNK:
+            groups.append([0, []])
+        groups[-1][1].append((config, groups[-1][0]))
+        groups[-1][0] += config.replicates
+    size = min(_CHUNK, max(total for total, _ in groups))
     local = threading.local()
+    workers = _thread_count()
 
-    def work(start: int, end: int) -> None:
+    def work(segments, results, start: int, end: int) -> None:
         if not hasattr(local, "buffers"):
-            local.buffers = _ChunkBuffers(chunk, j)
-        for config, first in zip(configs, firsts):
+            local.buffers = _ChunkBuffers(size, j)
+        for config, first in segments:
             lo, hi = max(start, first), min(end, first + config.replicates)
             if lo < hi:
                 _whitened_problems(config, lo - first, hi - first,
@@ -597,17 +606,18 @@ def _run_scenarios(configs: list[ScenarioConfig]) -> list[SimulationSummary]:
         _chunk_tests(local.buffers.me[:c], local.buffers.ue[:c],
                      results[:, :, start:end])
 
-    bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    workers = _thread_count()
-    if workers == 1 or len(bounds) == 1:
-        for start, end in bounds:
-            work(start, end)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Materialize to surface any worker exception.
-            list(pool.map(lambda b: work(*b), bounds))
-    return [_summarise(results[:, :, first:end])
-            for first, end in zip(firsts, ends)]
+    for total, segments in groups:
+        results = np.empty((3, len(_TESTS), total))
+        bounds = [(s, min(s + size, total)) for s in range(0, total, size)]
+        if workers == 1 or len(bounds) == 1:
+            for start, end in bounds:
+                work(segments, results, start, end)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                # Materialize to surface any worker exception.
+                list(pool.map(lambda b: work(segments, results, *b), bounds))
+        for config, first in segments:
+            yield results[:, :, first:first + config.replicates]
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationSummary:
@@ -621,7 +631,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationSummary:
     are counted in ``failures`` and excluded from the affected summaries.
     Raises ValueError when every replicate fails for some estimator.
     """
-    return _run_scenarios([config])[0]
+    return _summarise(next(_replicate_results([config])))
 
 
 # Scenario rows of each grid block, in table order: no pleiotropy; balanced;
@@ -642,8 +652,8 @@ def run_scenario_grid(replicates: int = DEFAULT_REPLICATES,
     rows are skipped before any draw or fit, and only rows 32-63 are run.
     Each row runs under its own seed derived from (seed, row index), and
     keeps its full-grid index, so any subset of rows is reproducible in
-    isolation. Rows smaller than a Monte Carlo chunk share one: consecutive
-    rows run together in groups of ``max(1, _CHUNK // replicates)``, each
+    isolation. The rows go to the Monte Carlo engine as one list, and the
+    engine packs rows smaller than a chunk into shared chunks, each
     replicate under its own row's seed, so every summary is bit for bit the
     one ``run_scenario`` gives that row alone.
     """
@@ -660,11 +670,6 @@ def run_scenario_grid(replicates: int = DEFAULT_REPLICATES,
         configs[index] = ScenarioConfig(
             scenario, theta1=theta1, mu=mu, correlated=correlated,
             mediation=mediation, replicates=replicates, seed=row_seed)
-    # Every config is validated above, so replicates is positive here.
-    group = max(1, _CHUNK // replicates)
-    rows = list(configs.values())
-    summaries = []
-    for first in range(0, len(rows), group):
-        summaries += _run_scenarios(rows[first:first + group])
-    return tuple(GridRow(index, config, summary) for (index, config), summary
-                 in zip(configs.items(), summaries))
+    results = _replicate_results(list(configs.values()))
+    return tuple(GridRow(index, config, _summarise(next(results)))
+                 for index, config in configs.items())

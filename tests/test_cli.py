@@ -429,6 +429,16 @@ class TestAnalyze:
         assert "Instrument strength" in out
         assert "N=188578" in out
 
+    def test_instrument_strength_names_variants(self, tmp_path, capsys):
+        # The F-statistic's k is the variant count (J = 4), not --k.
+        path = tmp_path / "four.csv"
+        write_dataset(make_dataset([0.2, 0.3, 0.4, 0.5], [0.1, 0.2, 0.1, 0.3],
+                                   np.full(4, 0.5)), path)
+        assert _analyze(
+            ["--data", str(path), "--k", "1", "--methods", "UI",
+             "--n-participants", "3", "--r2", "0.1"], capsys) == (
+            2, "", "error: need n > k + 1 for k variants, got n=3, k=4\n")
+
     def test_instrument_strength_needs_both(self, one_factor_csv, tmp_path,
                                             capsys):
         # A usage error is reported before any file is read.

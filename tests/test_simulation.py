@@ -14,6 +14,7 @@ from mrkit import (
     ivw_multivariable,
     simulation,
 )
+from mrkit.regression import RankError
 from mrkit.simulation import (
     BETA_MEANS,
     CORRELATED_RHOS,
@@ -360,20 +361,27 @@ class TestRunScenario:
         assert all(s == summaries[0] for s in summaries)
 
     def test_packed_configs_match_isolated_runs(self, monkeypatch):
-        # 173 replicates in two chunks: the first holds all of the first
-        # config and the head of the second, the last the second's tail and
-        # all of the third.
+        # The first three configs share one chunk (123 replicates); the
+        # fourth is cut into chunks of its own, 128 + 72, which go to the
+        # pool at two threads; the last runs alone after it.
         configs = [scenario_config(1, replicates=100, j_variants=30, seed=1),
-                   scenario_config(4, mu=0.1, replicates=70, j_variants=30,
-                                   seed=2),
-                   scenario_config(2, replicates=3, j_variants=30, seed=3)]
+                   scenario_config(2, replicates=20, j_variants=30, seed=2),
+                   scenario_config(3, mu=0.1, replicates=3, j_variants=30,
+                                   seed=3),
+                   scenario_config(4, mu=0.1, replicates=200, j_variants=30,
+                                   seed=4),
+                   scenario_config(1, replicates=5, j_variants=30, seed=5)]
         for threads in ("1", "2"):
             monkeypatch.setenv("MRKIT_THREADS", threads)
-            assert simulation._run_scenarios(configs) == [
-                run_scenario(config) for config in configs]
+            packed = list(simulation._replicate_results(configs))
+            assert [a.shape for a in packed] == [
+                (3, 5, c.replicates) for c in configs]
+            for config, results in zip(configs, packed):
+                alone = next(simulation._replicate_results([config]))
+                assert results.tobytes() == alone.tobytes(), threads
         with pytest.raises(ValueError, match="share j_variants"):
-            simulation._run_scenarios(
-                [configs[0], scenario_config(1, replicates=5, j_variants=20)])
+            list(simulation._replicate_results(
+                [configs[0], scenario_config(1, replicates=5, j_variants=20)]))
 
     def test_chunk_draws_match_single_replicate(self, monkeypatch):
         # The chunk fills its draw block in place through _chunk_normals,
@@ -514,6 +522,151 @@ def test_batched_summary_matches_single_dataset_fits(scenario, settings):
              np.mean([e.se for e in estimates])], rtol=1e-9)
 
 
+def _public_tests(config, replicate):
+    """One replicate's five _TESTS coefficients from the public estimators.
+
+    Returns the (3, len(_TESTS)) estimates, ses and p-values, in the
+    engine's layout, and the MI, UE and ME results. An estimator that raises
+    RankError gives None and NaN in its coefficients.
+    """
+    dataset, _ = generate_dataset(config, replicate)
+    univariable = make_dataset(
+        dataset.beta_x[:, 0], dataset.beta_y,
+        np.sqrt(dataset.se_y ** 2 + _univariable_extra_variance(config)))
+    fits = []
+    for fit in (lambda: ivw_multivariable(dataset),
+                lambda: egger_univariable(univariable),
+                lambda: egger_multivariable(dataset, "x1")):
+        try:
+            fits.append(fit())
+        except RankError:
+            fits.append(None)
+    out = np.full((3, len(simulation._TESTS)), np.nan)
+    for row, (estimator, column) in enumerate(simulation._TESTS):
+        result = fits[estimator]
+        if result is None:
+            continue
+        if column == 0 and result.intercept is not None:
+            test = result.intercept
+            out[:, row] = test.theta_0, test.se, test.p_value
+        else:
+            test = result.estimates[0]
+            out[:, row] = test.theta_hat, test.se, test.p_value
+    return out, fits
+
+
+def _both_paths(config):
+    """The engine's per-replicate results and the public estimators'.
+
+    Returns the engine's array, the public estimators' results in the same
+    layout, and each replicate's (MI, UE, ME) results.
+    """
+    batched = next(simulation._replicate_results([config]))
+    outs, fits = zip(*(_public_tests(config, r)
+                       for r in range(config.replicates)))
+    return batched, np.stack(outs, axis=-1), fits
+
+
+@st.composite
+def _configs(draw):
+    scenario = draw(st.integers(1, 4))
+    return scenario_config(
+        scenario, theta1=draw(st.sampled_from((0.0, 0.3))),
+        mu=draw(st.floats(0.005, 0.2)) if scenario > 2 else 0.0,
+        correlated=draw(st.booleans()), mediation=draw(st.booleans()),
+        j_variants=draw(st.sampled_from((5, 6, 7, 185))), replicates=8,
+        seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@given(config=_configs())
+@example(config=scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
+                                mediation=True, j_variants=5, replicates=8,
+                                seed=1))
+@hypothesis_settings(max_examples=40, deadline=None)
+def test_replicates_match_single_dataset_fits(config):
+    """Each replicate's engine results equal the public estimators'.
+
+    Every tested coefficient's estimate, random-effects se and p-value agree
+    to rtol 1e-9, and so does every p < 0.05 decision not within 1e-9 of the
+    threshold.
+    """
+    batched, public, _ = _both_paths(config)
+    np.testing.assert_allclose(batched, public, rtol=1e-9, atol=0)
+    clear = np.abs(public[2] - simulation.POWER_ALPHA) > 1e-9
+    assert np.array_equal(batched[2][clear] < simulation.POWER_ALPHA,
+                          public[2][clear] < simulation.POWER_ALPHA)
+
+
+def test_collinear_replicates_fail_where_estimators_raise(monkeypatch):
+    """MI and ME fail in the engine exactly where the estimators raise.
+
+    A replicate whose x3 duplicates x2 is rank deficient for MI and ME: the
+    engine gives NaN and counts a failure where ``ivw_multivariable`` and
+    ``egger_multivariable`` raise RankError. UE, which does not use x3, is
+    unaffected.
+    """
+    observables = simulation._observables
+
+    def collinear(*args):
+        abs_x1, x2, x3, beta_y, se2 = observables(*args)
+        # A per-replicate rule on the replicate's own draws, so both paths,
+        # chunk and single dataset, choose the same replicates.
+        x3 = np.where(abs_x1[..., :1] > BETA_MEANS[0], x2, x3)
+        return abs_x1, x2, x3, beta_y, se2
+
+    monkeypatch.setattr(simulation, "_observables", collinear)
+    config = scenario_config(3, mu=0.05, replicates=24, j_variants=20,
+                             seed=8)
+    batched, public, fits = _both_paths(config)
+    raised = np.array([mi is None for mi, _, _ in fits])
+    assert 0 < raised.sum() < config.replicates
+    assert [me is None for _, _, me in fits] == raised.tolist()
+    assert all(ue is not None for _, ue, _ in fits)
+    np.testing.assert_allclose(batched, public, rtol=1e-9, atol=0)
+    assert np.array_equal(np.isnan(batched[0, 0]), raised)
+    assert simulation._summarise(batched).failures == raised.sum()
+
+
+@pytest.mark.parametrize("j_variants", [5, 185])
+def test_exact_fit_replicates_match_single_dataset_fits(monkeypatch,
+                                                        j_variants):
+    """An exact fit gives the same results on both paths, with sigma_hat = 0.
+
+    beta_Y is set to 0.3 |bX1| + 0.1 x2 - 0.3 x3 with no noise, so MI and ME
+    fit it exactly on both paths; UE, which omits x2 and x3, does not. The
+    true intercept is exactly 0, so ME's estimate of it is rounding noise of
+    either sign and is compared absolutely. df = 0, the other way to
+    sigma_hat = 0, cannot occur in the engine: j_variants >= 5 leaves ME,
+    the largest model, at least one residual degree of freedom.
+    """
+    observables, fit_from_r = simulation._observables, simulation._fit_from_r
+    sigmas = []
+
+    def exact(*args):
+        abs_x1, x2, x3, beta_y, se2 = observables(*args)
+        beta_y[...] = 0.3 * abs_x1 + 0.1 * x2 - 0.3 * x3
+        return abs_x1, x2, x3, beta_y, se2
+
+    def recording(*args):  # the engine's MI and ME fits
+        fit = fit_from_r(*args)
+        sigmas.append(fit[2])
+        return fit
+
+    monkeypatch.setattr(simulation, "_observables", exact)
+    monkeypatch.setattr(simulation, "_fit_from_r", recording)
+    config = scenario_config(2, theta1=0.3, replicates=16,
+                             j_variants=j_variants, seed=3)
+    batched, public, fits = _both_paths(config)
+    assert len(sigmas) == 2 and not np.concatenate(sigmas).any()
+    for mi, ue, me in fits:
+        assert mi.residual_scale == me.residual_scale == 0.0
+        assert ue.residual_scale > 0.0
+    np.testing.assert_allclose(batched[0, 4], public[0, 4], rtol=0,
+                               atol=1e-12)
+    batched[0, 4] = public[0, 4]
+    np.testing.assert_allclose(batched, public, rtol=1e-9, atol=0)
+
+
 @pytest.fixture(scope="module")
 def grid_rows():
     return run_scenario_grid(replicates=20, seed=404)
@@ -566,16 +719,49 @@ class TestGrid:
     def test_mediation_only_skips_main_rows(self, monkeypatch,
                                             mediation_only, gammas):
         computed = []
-        real = simulation._run_scenarios
+        real = simulation._replicate_results
 
         def counting(configs):
             computed.extend(config.gamma for config in configs)
             return real(configs)
 
-        monkeypatch.setattr(simulation, "_run_scenarios", counting)
+        monkeypatch.setattr(simulation, "_replicate_results", counting)
         run_scenario_grid(replicates=2, seed=404,
                           mediation_only=mediation_only)
         assert computed == gammas
+
+    @pytest.mark.parametrize("replicates, sizes", [
+        (32, [4] * 8), (20, [6] * 5 + [2]), (129, None)])
+    def test_chunk_plan(self, monkeypatch, replicates, sizes):
+        # Whole rows share a chunk while they fit in it, and a row larger
+        # than a chunk is cut into chunks of its own. Each recorded segment
+        # is (row config, first replicate, end, row of the chunk buffers).
+        monkeypatch.setenv("MRKIT_THREADS", "1")
+        whitened, tests = (simulation._whitened_problems,
+                           simulation._chunk_tests)
+        chunks, segments = [], []
+
+        def record(config, start, end, buffers, at):
+            segments.append((config, start, end, at))
+            whitened(config, start, end, buffers, at)
+
+        def close(me, ue, out):
+            chunks.append(segments[:])
+            segments.clear()
+            tests(me, ue, out)
+
+        monkeypatch.setattr(simulation, "_whitened_problems", record)
+        monkeypatch.setattr(simulation, "_chunk_tests", close)
+        configs = [row.config for row in run_scenario_grid(
+            replicates, seed=404, mediation_only=True)]
+        if sizes is None:
+            expected = [chunk for config in configs for chunk in (
+                [(config, 0, 128, 0)], [(config, 128, 129, 0)])]
+        else:
+            rows = iter(configs)
+            expected = [[(next(rows), 0, replicates, i * replicates)
+                         for i in range(size)] for size in sizes]
+        assert chunks == expected
 
     def test_seed_changes_rows(self):
         a = run_scenario_grid(replicates=20, seed=1)
