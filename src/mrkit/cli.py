@@ -50,7 +50,7 @@ from .estimators import (
     ivw_multivariable,
     ivw_univariable,
 )
-from .orientation import orient, reference_column
+from .orientation import orient
 from .regression import WeightScheme
 from .simulation import (
     DEFAULT_SEED,
@@ -89,13 +89,10 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
             "instrument strength needs both --n-participants and --r2")
 
     dataset = load_dataset(args.data, args.k)
-    correlation = None
     if args.corr is not None:
-        # Loaded already oriented, so the matrix is held once and factored
-        # once; an unknown --ref is reported after the file's own faults.
-        flip = (reference_column(dataset, args.ref) < 0.0
-                if args.ref in dataset.risk_factor_names else None)
-        correlation = load_correlation(args.corr, dataset, flip)
+        # An unknown --ref is reported after the file's own faults.
+        dataset = dataset.with_correlation(
+            load_correlation(args.corr, dataset))
 
     needs_reference = [
         m for m in methods
@@ -110,7 +107,7 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
         "j": dataset.j,
         "k": dataset.k,
         "risk_factors": ";".join(dataset.risk_factor_names),
-        "correlated": correlation is not None,
+        "correlated": dataset.correlation is not None,
     }]
     caught = []
     analysis = dataset
@@ -125,8 +122,6 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
             "zero_oriented": len(orientation.zero_ids),
             "ids": ";".join(orientation.flipped_ids),
         })
-    if correlation is not None:
-        analysis = analysis.with_correlation(correlation)
 
     scheme = WeightScheme(args.scheme)
     method_records = [
@@ -187,6 +182,7 @@ def _method_records(method: str, analysis: SummaryDataset,
         "label": _MODELS[tag.estimator].label,
         "scheme": tag.scheme.value,
         "variants": tag.variants,
+        "level": level,
         "df": df,
         "residual_scale": _fmt(result.residual_scale),
         "reference": result.orientation_reference,
@@ -227,10 +223,10 @@ def _method_records(method: str, analysis: SummaryDataset,
 # field-for-field by construction.
 
 _CSV_COLUMNS = [
-    "record", "method", "label", "scheme", "variants", "risk_factor",
-    "estimate", "se", "ci_low", "ci_high", "p_value", "df", "odds_ratio",
-    "or_ci_low", "or_ci_high", "residual_scale", "units", "reference",
-    "flipped", "zero_oriented", "ids", "j", "k", "risk_factors",
+    "record", "method", "label", "scheme", "variants", "level",
+    "risk_factor", "estimate", "se", "ci_low", "ci_high", "p_value", "df",
+    "odds_ratio", "or_ci_low", "or_ci_high", "residual_scale", "units",
+    "reference", "flipped", "zero_oriented", "ids", "j", "k", "risk_factors",
     "correlated", "experimental", "n_participants", "r2", "f_statistic",
     "message", "note",
 ]
@@ -293,9 +289,10 @@ def render_text(records: list[dict]) -> str:
             lines.append(detail)
             if record["note"]:
                 lines.append(f"  note: {record['note']}")
+            ci = f"{100 * record['level']:g}% CI"
             lines.append(
                 f"  {'risk factor':<12} {'estimate':>10} {'se':>10} "
-                f"{'95% CI':>24} {'p':>10}  {'OR (95% CI)':>26}")
+                f"{ci:>24} {'p':>10}  {f'OR ({ci})':>26}")
         elif kind == "estimate":
             ci = f"[{_num(record['ci_low'])}, {_num(record['ci_high'])}]"
             or_ci = (f"{_num(record['odds_ratio'])} "

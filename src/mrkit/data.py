@@ -91,14 +91,18 @@ class CorrelationMatrix:
     variant with rho = 1, say) or an indefinite one raises DataError here,
     at load, with its smallest eigenvalue.
 
-    The matrix and its lower factor L (rho = L L') share one J x J array, in
-    LAPACK's own layout: L in the lower triangle and on the diagonal, rho's
-    strict upper triangle above it, and rho's diagonal kept as a (J,)
-    vector. The factor is computed in place, once however many estimators
-    use it, on one BLAS thread, so ``OPENBLAS_NUM_THREADS`` changes neither
-    the factor nor the CPU cost of ``mrkit analyze --corr``. The estimators
-    whiten against that array, which reads only L; :attr:`entries` and
-    :attr:`factor` are read-only J x J arrays built each time they are read.
+    The matrix is S rho0 S for a validated matrix rho0 and a (J,) vector of
+    signs S, all ones at load; :meth:`sign_flipped` negates signs and
+    nothing else. rho0 and its lower factor L0 (rho0 = L0 L0') share one
+    J x J array, in LAPACK's own layout: L0 in the lower triangle and on the
+    diagonal, rho0's strict upper triangle above it, and rho0's diagonal
+    kept as a (J,) vector. The factor is computed in place, once however
+    many estimators use it and however the matrix is flipped, on one BLAS
+    thread, so ``OPENBLAS_NUM_THREADS`` changes neither the factor nor the
+    CPU cost of ``mrkit analyze --corr``. The estimators whiten against
+    that array, which reads only L0, with their rows multiplied by the
+    signs; :attr:`entries` (S rho0 S) and :attr:`factor` (S L0 S) are
+    read-only J x J arrays built each time they are read.
 
     The constructor validates and factors a copy of the entries it is given;
     :func:`load_correlation` instead adopts the array it parsed, so a loaded
@@ -111,6 +115,7 @@ class CorrelationMatrix:
 
     _packed: np.ndarray
     _diagonal: np.ndarray
+    _signs: np.ndarray
 
     def __init__(self, entries) -> None:
         self._validate_and_factor(np.array(entries, dtype=float, order="C"))
@@ -148,13 +153,21 @@ class CorrelationMatrix:
             raise DataError(
                 "correlation matrix is not positive definite (smallest "
                 f"eigenvalue {smallest:.3e})")
-        self._set(entries, diagonal)
+        self._set(entries, diagonal, np.ones_like(diagonal))
 
-    def _set(self, packed: np.ndarray, diagonal: np.ndarray) -> None:
-        packed.setflags(write=False)
-        diagonal.setflags(write=False)
-        object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "_diagonal", diagonal)
+    def _set(self, packed: np.ndarray, diagonal: np.ndarray,
+             signs: np.ndarray) -> None:
+        for name, array in (("_packed", packed), ("_diagonal", diagonal),
+                            ("_signs", signs)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def _conjugated(self, matrix: np.ndarray) -> np.ndarray:
+        """S M S, in place, read-only: two exact multiplications by +-1."""
+        matrix *= self._signs[:, None]
+        matrix *= self._signs
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def entries(self) -> np.ndarray:
@@ -162,15 +175,12 @@ class CorrelationMatrix:
         lower = np.tri(self.dimension, k=-1, dtype=bool)
         entries = np.where(lower, self._packed.T, self._packed)
         np.fill_diagonal(entries, self._diagonal)
-        entries.setflags(write=False)
-        return entries
+        return self._conjugated(entries)
 
     @property
     def factor(self) -> np.ndarray:
         """The lower Cholesky factor L, as a new read-only J x J array."""
-        factor = np.tril(self._packed)
-        factor.setflags(write=False)
-        return factor
+        return self._conjugated(np.tril(self._packed))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorrelationMatrix):
@@ -178,9 +188,12 @@ class CorrelationMatrix:
         # rho is its diagonal and its strict upper triangle, row by row.
         return (self.dimension == other.dimension
                 and np.array_equal(self._diagonal, other._diagonal)
-                and all(np.array_equal(mine[s + 1:], theirs[s + 1:])
-                        for s, (mine, theirs)
-                        in enumerate(zip(self._packed, other._packed))))
+                and all(np.array_equal(self._upper_row(s), other._upper_row(s))
+                        for s in range(self.dimension)))
+
+    def _upper_row(self, s: int) -> np.ndarray:
+        """Row ``s`` of rho's strict upper triangle."""
+        return self._packed[s, s + 1:] * (self._signs[s] * self._signs[s + 1:])
 
     __hash__ = None  # the entries are an ndarray, which has no hash
 
@@ -191,14 +204,14 @@ class CorrelationMatrix:
     def sign_flipped(self, flip: np.ndarray) -> "CorrelationMatrix":
         """S rho S for S = diag(-1 where ``flip`` is set, else 1), unvalidated.
 
-        Negation is exact and S L S is lower triangular with L's positive
-        diagonal, so it is the Cholesky factor of S rho S: one conjugation
-        of the packed array flips rho's triangle and L's at once, with no
-        validation or factorization. It allocates that one array and no
-        temporary; rho's diagonal is unchanged and shared.
+        S L S is lower triangular with L's positive diagonal, so it is the
+        Cholesky factor of S rho S: the flipped matrix negates its signs
+        where ``flip`` is set and shares this one's packed array and
+        diagonal, with no validation, factorization or J x J array.
         """
         flipped = object.__new__(CorrelationMatrix)
-        flipped._set(_sign_conjugated(self._packed, flip), self._diagonal)
+        flipped._set(self._packed, self._diagonal,
+                     np.where(flip, -self._signs, self._signs))
         return flipped
 
 
@@ -214,17 +227,6 @@ def _asymmetry(entries: np.ndarray) -> float:
         block = np.subtract(entries[rows], entries[:, rows].T)
         worst = max(worst, float(np.abs(block, out=block).max()))
     return worst
-
-
-def _sign_conjugated(matrix: np.ndarray, flip: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """S M S for S = diag(-1 where ``flip`` is set, else 1), into ``out``.
-
-    Two exact multiplications by +-1 in place, so no J x J temporary.
-    """
-    signs = np.where(flip, -1.0, 1.0)
-    out = np.multiply(matrix, signs[:, None], out=out)
-    return np.multiply(out, signs, out=out)
 
 
 def _row_checks(variant_ids: np.ndarray, effect_alleles: np.ndarray,
@@ -433,6 +435,15 @@ class SummaryDataset:
         """(J,) read-only vector of outcome standard errors."""
         return self.se_y
 
+    def _risk_factor_index(self, name: str) -> int:
+        """The column of risk factor ``name``; DataError naming the dataset's
+        risk factors when it has none of that name."""
+        if name not in self.risk_factor_names:
+            raise DataError(
+                f"unknown risk factor {name!r}; "
+                f"expected one of {', '.join(self.risk_factor_names)}")
+        return self.risk_factor_names.index(name)
+
     def with_correlation(self, correlation: CorrelationMatrix | None) -> "SummaryDataset":
         """This dataset with the correlation matrix attached (or detached).
 
@@ -631,8 +642,8 @@ def _parse_numeric(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | Non
     return values, (row, column)
 
 
-def load_correlation(path: str | Path, dataset: SummaryDataset,
-                     flip: np.ndarray | None = None) -> CorrelationMatrix:
+def load_correlation(path: str | Path,
+                     dataset: SummaryDataset) -> CorrelationMatrix:
     """Load a J x J correlation matrix whose row order matches ``dataset``.
 
     Cells are parsed as Python's ``float()`` parses them; blank and
@@ -645,19 +656,10 @@ def load_correlation(path: str | Path, dataset: SummaryDataset,
 
     The parsed array is validated, then factored in place, and becomes the
     matrix's packed array without a copy, so one J x J array holds rho's
-    upper triangle and its Cholesky factor. With a (J,) boolean ``flip``,
-    the matrix is sign-conjugated (rho'_st = s_s s_t rho_st, s = -1 where
-    ``flip`` is set) in place before it is validated and factored, so it is
-    still held once and factored once. The result equals
-    ``load_correlation(path, dataset).sign_flipped(flip)``: sign flips
-    commute exactly with every step of the Cholesky factorization, so the
-    two packed arrays agree bit for bit but for the sign of an exact zero in
-    the factor; the same faults raise the same errors. Error messages name
+    upper triangle and its Cholesky factor. Orienting the dataset it is
+    attached to flips its signs and shares that array. Error messages name
     the file as ``path`` spells it.
     """
-    if flip is not None and np.shape(flip) != (dataset.j,):
-        raise ValueError(f"flip must be a mask over the dataset's {dataset.j} "
-                         f"variants, not of shape {np.shape(flip)}")
     # A regular file is streamed, so its text is never held beside the
     # matrix. Anything else that exists, such as a pipe, can be read only
     # once, so its text is read first and serves both parses; a missing file
@@ -678,8 +680,6 @@ def load_correlation(path: str | Path, dataset: SummaryDataset,
         rows = _parse_correlation_rows(
             _read_text(path) if text is None else text, path, dataset.j)
         entries = np.array(rows, dtype=float)
-    if flip is not None:
-        _sign_conjugated(entries, flip, out=entries)
     return CorrelationMatrix._adopt(entries)
 
 
@@ -732,9 +732,7 @@ def select_risk_factor(dataset: SummaryDataset, name: str) -> SummaryDataset:
     The result's risk-factor columns are views of the dataset's; every other
     column and the correlation matrix (variant-level) are shared unchanged.
     """
-    if name not in dataset.risk_factor_names:
-        raise DataError(f"unknown risk factor '{name}'")
-    i = dataset.risk_factor_names.index(name)
+    i = dataset._risk_factor_index(name)
     return dataset._derive(risk_factor_names=(name,),
                            beta_x=dataset.beta_x[:, i:i + 1],
                            se_x=dataset.se_x[:, i:i + 1])

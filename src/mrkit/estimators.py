@@ -34,11 +34,12 @@ intercept, over one column or K. The core picks the fit from the dataset:
 weighted least squares (weights se_Y^-2) for independent variants, or
 generalized least squares with error covariance
 Omega_st = se_Ys * se_Yt * rho_st when a correlation matrix is attached. The
-generalized fit scales each row by 1 / se_Y and whitens it with the Cholesky
-factor the correlation matrix computed in place when it was loaded, which
-every attached matrix has: one J x J array holds rho's upper triangle and
-that factor, and the whitening reads only the factor. So no estimator
-factors a matrix, copies the factor out or builds diag(se_Y) L.
+generalized fit scales each row by 1 / se_Y and by the matrix's orientation
+sign, and whitens it with the Cholesky factor the correlation matrix
+computed in place when it was loaded, which every attached matrix has: one
+J x J array holds the loaded matrix's upper triangle and that factor, the
+oriented matrix shares it, and the whitening reads only the factor. So no
+estimator factors a matrix, copies the factor out or builds diag(se_Y) L.
 """
 from __future__ import annotations
 
@@ -195,20 +196,26 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
 
     Independent variants are fitted by weighted least squares with weights
     se_Y^-2; with a correlation matrix attached, by generalized least squares
-    with Omega = se_Y se_Y' * rho. That fit divides the rows of the design
-    and the response by se_Y and whitens them with the Cholesky factor L of
-    rho that the matrix stored at load, in the lower triangle of its packed
-    array, since Omega's factor is diag(se_Y) L. An intercept fit also
-    reports the intercept test, and is experimental when the variants are
-    correlated.
+    with Omega = se_Y se_Y' * rho. The matrix is rho = S rho0 S, with S its
+    signs and rho0 the matrix it factored at load into L0, kept in the lower
+    triangle of its packed array, so Omega's factor is diag(se_Y) S L0 S.
+    The fit divides the rows of the design and the response by se_Y,
+    multiplies them by S and whitens them against L0. That is exact:
+    (S L0 S)^-1 [X | y] = S L0^-1 S [X | y], and the left S changes only the
+    signs of the rows of the QR's R factor, which the fit ignores. An
+    intercept fit also reports the intercept test, and is experimental when
+    the variants are correlated.
     """
     design = _design(dataset.beta_x_matrix().T, intercept)
     se_y = dataset.se_y_vector()
     correlation = dataset.correlation
     correlated = correlation is not None
     if correlated:
-        fit = _factored_fit(design / se_y[:, None],
-                            dataset.beta_y_vector() / se_y,
+        # Dividing by s * se_y is dividing by se_y, then multiplying by s,
+        # bit for bit.
+        rows = se_y * correlation._signs
+        fit = _factored_fit(design / rows[:, None],
+                            dataset.beta_y_vector() / rows,
                             correlation._packed)
     else:
         fit = fit_wls(design, dataset.beta_y_vector(), se_y ** -2.0)

@@ -10,12 +10,10 @@ errors are sign-free and unchanged. Recoding keeps every dataset invariant, so
 the oriented dataset is not validated again: it holds new read-only allele and
 association arrays and shares the input's ids and standard errors. An
 attached variant correlation matrix is sign-conjugated (rho'_st = s_s * s_t *
-rho_st) so that it continues to refer to the recoded alleles; its Cholesky
-factor is conjugated the same way, so the flipped matrix is neither validated
-nor factored again. ``mrkit analyze`` instead passes :func:`orient`'s flip
-mask to :func:`mrkit.data.load_correlation`, which conjugates the parsed
-matrix before its one validation and factorization, and attaches it after
-orienting.
+rho_st) so that it continues to refer to the recoded alleles: the flipped
+matrix negates its (J,) sign vector where a variant flipped and shares the
+input's packed array of rho and its Cholesky factor, so it is neither
+validated, factored nor copied again.
 """
 from __future__ import annotations
 
@@ -87,11 +85,7 @@ def orient(dataset: SummaryDataset,
 
 
 def reference_column(dataset: SummaryDataset, name: str) -> np.ndarray:
-    """The (J,) associations with risk factor ``name``; ValueError naming the
+    """The (J,) associations with risk factor ``name``; DataError naming the
     dataset's risk factors when it has none of that name."""
-    if name not in dataset.risk_factor_names:
-        raise ValueError(
-            f"unknown risk factor {name!r}; "
-            f"expected one of {', '.join(dataset.risk_factor_names)}")
-    return dataset.beta_x[:, dataset.risk_factor_names.index(name)]
+    return dataset.beta_x[:, dataset._risk_factor_index(name)]
 

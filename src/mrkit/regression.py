@@ -14,23 +14,23 @@ of w, factors a copy of it in place with :func:`_cholesky_in_place`, the one
 Cholesky routine, and hands the factor to :func:`_factored_fit`, the one
 triangular-whitening step. The correlated-variant estimators call
 :func:`_factored_fit` directly, with the design and response divided by se_Y
-and the factor L their correlation matrix computed in place at load, so they
-never factor or build Omega. That dense J x J work (a Cholesky factor, a
-triangular whitening) runs on one BLAS thread, inside
-:func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS`` changes neither the
-results nor the CPU cost of ``mrkit analyze --corr``. None of these adds an
-intercept: the caller puts one first with :func:`_design`. Each fits one
-problem and raises :class:`RankError` on the kernel's full-rank flag (smallest
-singular value of R below RANK_TOL times the largest). The Monte Carlo engine
-builds each chunk's whitened (C, J, p + 1) problems, intercept first and
-response last, with the same :func:`_design`, fits them from their R factors,
-and counts a rank-deficient replicate as failed. R of Xw, Q'yw and the
-residual norm |r_(p+1,p+1)| all come from the one R factor of [Xw | yw], and
-no Q or residual vector is formed; the coefficients are R^-1 Q'yw through the
-same inverse of R that gives the standard errors. sigma_hat = sqrt(weighted
-RSS / df), with the RSS the square of that residual norm, and is exactly 0
-when df = 0 or the RSS is at most (100 eps)^2 times the weighted total sum of
-squares.
+and by their correlation matrix's orientation signs, and the factor L that
+matrix computed in place at load, so they never factor or build Omega. That
+dense J x J work (a Cholesky factor, a triangular whitening) runs on one BLAS
+thread, inside :func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS``
+changes neither the results nor the CPU cost of ``mrkit analyze --corr``.
+None of these adds an intercept: the caller puts one first with
+:func:`_design`. Each fits one problem and raises :class:`RankError` on the
+kernel's full-rank flag (smallest singular value of R below RANK_TOL times
+the largest). The Monte Carlo engine builds each chunk's whitened
+(C, J, p + 1) problems, intercept first and response last, with the same
+:func:`_design`, fits them from their R factors, and counts a rank-deficient
+replicate as failed. R of Xw, Q'yw and the residual norm |r_(p+1,p+1)| all
+come from the one R factor of [Xw | yw], and no Q or residual vector is
+formed; the coefficients are R^-1 Q'yw through the same inverse of R that
+gives the standard errors. sigma_hat = sqrt(weighted RSS / df), with the RSS
+the square of that residual norm, and is exactly 0 when df = 0 or the RSS is
+at most (100 eps)^2 times the weighted total sum of squares.
 
 The coefficient standard errors returned by the fit functions are "unscaled":
 square roots of the diagonal of the unit-variance coefficient covariance

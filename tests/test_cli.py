@@ -215,6 +215,41 @@ class TestAnalyze:
             assert code == 2
             assert "confidence level" in err
 
+    def test_level_labels_interval(self, one_factor_csv, capsys):
+        # The interval and its headers follow --level; each method record
+        # carries it, in csv and jsonl too.
+        args = ["--data", one_factor_csv, "--k", "1", "--methods", "UI,UE",
+                "--ref", "x1"]
+        outputs = {}
+        for level in ("0.9", "0.95"):
+            for fmt in ("text", "csv", "jsonl"):
+                code, outputs[level, fmt], err = _analyze(
+                    args + ["--level", level, "--format", fmt], capsys)
+                assert code == 0, err
+        header = ("  risk factor    estimate         se                   "
+                  "{0}% CI          p                 OR ({0}% CI)")
+        for level, percent in (("0.9", "90"), ("0.95", "95")):
+            text = outputs[level, "text"].splitlines()
+            assert text.count(header.format(percent)) == 2
+            assert sum(f"{percent}%" in line for line in text) == 2
+        for level in ("0.9", "0.95"):
+            methods = [json.loads(line) for line in
+                       outputs[level, "jsonl"].splitlines()
+                       if '"record": "method"' in line]
+            assert [m["level"] for m in methods] == [float(level)] * 2
+            rows = [row for row in
+                    csv.DictReader(io.StringIO(outputs[level, "csv"]))
+                    if row["record"] == "method"]
+            assert [r["level"] for r in rows] == [level] * 2
+        # The 90% interval is the narrower one.
+        narrow, wide = (
+            next(json.loads(line)
+                 for line in outputs[level, "jsonl"].splitlines()
+                 if '"record": "estimate"' in line)
+            for level in ("0.9", "0.95"))
+        assert wide["ci_low"] < narrow["ci_low"] < narrow["ci_high"] \
+            < wide["ci_high"]
+
     def test_formats_agree(self, tmp_path, capsys):
         # An exactly-zero x1 association adds a warning record, and the
         # instrument options add an instrument_strength record, so every
@@ -357,9 +392,8 @@ class TestAnalyze:
     def test_correlation_faults_before_reference(self, three_factor_csv,
                                                  tmp_path, capsys, fault,
                                                  message, ref):
-        # The matrix is loaded oriented only for a known --ref; a faulty
-        # file, a singular matrix included, is reported before an unknown or
-        # missing --ref.
+        # A faulty file, a singular matrix included, is reported before an
+        # unknown or missing --ref.
         corr = np.eye(10)
         if fault == "asymmetric":
             corr[0, 1] = 0.5

@@ -587,13 +587,6 @@ class TestLoadCorrelation:
                                             rf"\(.*\) at line {line}$"):
             load_correlation(p, ds)
 
-    def test_flip_mask_shape(self, tmp_path):
-        ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
-        p = _write(tmp_path, "1.0,0.5\n0.5,1.0\n", name="corr.csv")
-        with pytest.raises(ValueError, match="flip must be a mask over the "
-                                             "dataset's 2 variants"):
-            load_correlation(p, ds, np.array([True, False, True]))
-
     def test_invalid_matrix_rejected(self, tmp_path):
         ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
         p = _write(tmp_path, "1.0,0.5\n0.4,1.0\n", name="corr.csv")
@@ -991,81 +984,6 @@ def test_correlation_cells_parsed_as_float_does(tmp_path_factory, cell, j, bom,
     assert _outcome(lambda: load_correlation(path, ds)) == expected
 
 
-def _error(load) -> str | None:
-    try:
-        load()
-    except DataError as error:
-        return str(error)
-    return None
-
-
-_FAULTS = ("asymmetric", "out of range", "diagonal", "not positive definite")
-
-
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       j=st.integers(min_value=2, max_value=40),
-       kind=st.sampled_from(("definite", "singular") + _FAULTS),
-       bom=st.booleans(),
-       newline=st.sampled_from(["\n", "\r\n"]))
-@settings(max_examples=150, deadline=None)
-def test_oriented_load_equals_load_then_flip(tmp_path_factory, seed, j, kind,
-                                             bom, newline):
-    """Loading with a flip mask equals loading, then sign_flipped.
-
-    A faulty matrix raises the same DataError with and without the mask. So
-    does a singular one (a duplicated variant with rho = 1) whose
-    factorization fails; one whose rounding leaves it a factor loads and is
-    checked like a definite one.
-    """
-    rng = np.random.default_rng(seed)
-    if kind == "not positive definite":
-        j = max(j, 3)
-    rho = random_correlation(rng, j)
-    s, t, u = rng.choice(j, size=3, replace=False) if j > 2 else (0, 1, None)
-    if kind == "singular":
-        rho[t] = rho[s]
-        rho[:, t] = rho[:, s]
-    elif kind == "asymmetric":
-        rho[s, (s + 1) % j] += 1e-6
-    elif kind == "out of range":
-        rho[s, (s + 1) % j] = rho[(s + 1) % j, s] = 1.25
-    elif kind == "diagonal":
-        rho[s, s] = 0.9
-    elif kind == "not positive definite":
-        # Pairwise correlations of 0.9, -0.9, 0.9 cannot coexist.
-        rho[np.ix_([s, t, u], [s, t, u])] = [[1.0, 0.9, -0.9],
-                                              [0.9, 1.0, 0.9],
-                                              [-0.9, 0.9, 1.0]]
-    flip = rng.random(j) < 0.5
-    text = io.StringIO()
-    np.savetxt(text, rho, delimiter=",", newline=newline)
-    path = tmp_path_factory.mktemp("corr") / "rho.csv"
-    path.write_bytes((("\ufeff" if bom else "") + text.getvalue()).encode("utf-8"))
-    ds = make_dataset(np.full(j, 0.1), np.full(j, 0.1), np.ones(j))
-
-    message = _error(lambda: load_correlation(path, ds))
-    if message is not None or kind in _FAULTS:
-        # A singular draw whose factorization fails is refused as indefinite.
-        fault = "not positive definite" if kind == "singular" else kind
-        assert fault in _FAULTS and fault in (message or "")
-        assert _error(lambda: load_correlation(path, ds, flip)) == message
-        return
-    got = load_correlation(path, ds, flip)
-    want = load_correlation(path, ds).sign_flipped(flip)
-    # One packed array each, rho's strict upper triangle above its factor,
-    # and rho's diagonal. Bit for bit, but for the sign of an exact zero:
-    # sign_flipped turns a zero of the factor into -0.0 where the
-    # factorization of the flipped matrix writes +0.0. rho's own zeros are
-    # conjugated alike on both paths.
-    nonzero = want._packed != 0.0
-    assert np.array_equal(got._packed, want._packed)
-    assert got._packed[nonzero].tobytes() == want._packed[nonzero].tobytes()
-    assert got._diagonal.tobytes() == want._diagonal.tobytes()
-    assert got.entries.tobytes() == want.entries.tobytes()
-    assert not got._packed.flags.writeable
-    assert not got._diagonal.flags.writeable
-
-
 def _parent_indefinite_message(rho: np.ndarray) -> str:
     """The error a full matrix without a Cholesky factor has always raised."""
     with _one_blas_thread():
@@ -1082,10 +1000,10 @@ def test_packed_layout(tmp_path_factory, seed, j, kind):
     """rho and its factor L share one array: L below rho's upper triangle.
 
     ``entries`` rebuilds an exactly symmetric input bit for bit, signed
-    zeros included, and L L' is rho to rounding. A load with a flip mask
-    equals the load then ``sign_flipped``, but for the sign of an exact
-    zero of L. A matrix with no factor raises the message a full matrix
-    gives, smallest eigenvalue and all, with and without the mask.
+    zeros included, and L L' is rho to rounding. The load then
+    ``sign_flipped`` shares the loaded array, and its ``entries`` are
+    S rho S bit for bit. A matrix with no factor raises the message a full
+    matrix gives, smallest eigenvalue and all, flipped or not.
     """
     rng = np.random.default_rng(seed)
     rho = random_correlation(rng, j)
@@ -1119,9 +1037,6 @@ def test_packed_layout(tmp_path_factory, seed, j, kind):
         with pytest.raises(DataError) as loaded:
             load_correlation(path, ds)
         assert str(loaded.value) == _parent_indefinite_message(rho)
-        with pytest.raises(DataError) as loaded:
-            load_correlation(path, ds, flip)
-        assert str(loaded.value) == str(error)
         return
     # A singular draw whose rounding leaves it a factor loads.
     assert kind != "indefinite" or j <= 2
@@ -1135,10 +1050,12 @@ def test_packed_layout(tmp_path_factory, seed, j, kind):
     assert np.triu(matrix._packed, 1).tobytes() == np.triu(flipped, 1).tobytes()
     assert np.tril(matrix._packed).tobytes() == factor.tobytes()
 
-    got = load_correlation(path, ds, flip)
-    want = load_correlation(path, ds).sign_flipped(flip)
-    assert got == matrix and want == matrix
-    assert got.entries.tobytes() == want.entries.tobytes() == entries.tobytes()
-    nonzero = want._packed != 0.0
-    assert np.array_equal(got._packed, want._packed)
-    assert got._packed[nonzero].tobytes() == want._packed[nonzero].tobytes()
+    loaded = load_correlation(path, ds)
+    got = loaded.sign_flipped(flip)
+    assert got._packed is loaded._packed
+    assert got._diagonal is loaded._diagonal
+    assert got == matrix
+    assert got.entries.tobytes() == entries.tobytes()
+    # S L S, which the flipped matrix's own factorization gives but for the
+    # sign of an exact zero.
+    assert np.array_equal(got.factor, factor)

@@ -1,4 +1,5 @@
 """Allele orientation and its interaction with the estimators."""
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from mrkit import (
     ivw_univariable,
     orient,
 )
+from mrkit.regression import WeightScheme
 
 from conftest import make_dataset, random_correlation
 
@@ -94,12 +96,14 @@ class TestOrient:
         for name in ("variant_ids", "effect_alleles", "other_alleles",
                      "beta_x", "se_x", "beta_y", "se_y"):
             assert not getattr(oriented, name).flags.writeable, name
-        # The flipped matrix is one new read-only packed array, rho's upper
-        # triangle above its factor; rho's diagonal is shared.
+        # The flipped matrix shares the parent's packed array (rho's upper
+        # triangle above its factor) and rho's diagonal; its signs are new.
         flipped, parent = oriented.correlation, ds.correlation
-        assert not flipped._packed.flags.writeable
-        assert not np.shares_memory(flipped._packed, parent._packed)
+        assert flipped._packed is parent._packed
         assert flipped._diagonal is parent._diagonal
+        assert flipped._signs.tolist() == [-1.0, 1.0]
+        assert parent._signs.tolist() == [1.0, 1.0]
+        assert not flipped._signs.flags.writeable
         assert not flipped.entries.flags.writeable
         assert flipped.dimension == oriented.j
 
@@ -286,3 +290,67 @@ def test_orient_matches_row_reference(seed):
         assert oriented.correlation is None
     else:
         assert oriented.correlation.entries.tolist() == rho
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       j=st.sampled_from([5, 6, 9, 30, 90]),
+       k=st.integers(min_value=1, max_value=3),
+       scheme=st.sampled_from(list(WeightScheme)),
+       blocks=st.booleans(),
+       exact=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_correlated_fits_through_signs_match_flipped_matrix(seed, j, k, scheme,
+                                                            blocks, exact):
+    """Fits on an oriented correlated dataset equal, bit for bit, the fits on
+    the oriented arrays with the matrix S rho S validated and factored anew.
+
+    Orienting keeps the loaded factor L and a sign vector S; the fit
+    whitens S-scaled rows against L where the direct dataset whitens
+    against S L S, and the results agree to the last bit. Block-diagonal
+    rho holds exact zeros, which a flip makes -0.0; an exact fit has a
+    residual scale of exactly 0.
+    """
+    rng = np.random.default_rng(seed)
+    names = tuple(f"x{i + 1}" for i in range(k))
+    reference = names[int(rng.integers(k))]
+    bx = rng.normal(size=(j, k))
+    by = (bx @ rng.normal(size=k) if exact
+          else rng.normal(size=j))
+    se_y = rng.uniform(0.3, 2.0, j)
+    rho = random_correlation(rng, j)
+    if blocks:
+        cut = int(rng.integers(1, j))
+        rho[:cut, cut:] = rho[cut:, :cut] = 0.0
+    oriented, report = orient(make_dataset(bx, by, se_y, names=names,
+                                           corr=rho), reference)
+    signs = np.where(bx[:, names.index(reference)] < 0, -1.0, 1.0)
+    direct = make_dataset(signs[:, None] * bx, signs * by, se_y, names=names,
+                          corr=signs[:, None] * rho * signs)
+    assert report.n_flipped == np.count_nonzero(signs < 0)
+    assert oriented.correlation == direct.correlation
+    for fit in (lambda d: ivw_correlated(d, scheme),
+                lambda d: egger_correlated(d, reference, scheme)):
+        # repr spells every float exactly, NaN and the sign of zero too.
+        assert repr(fit(oriented)) == repr(fit(direct))
+    if exact:
+        assert ivw_correlated(oriented, scheme).residual_scale == 0.0
+
+
+def test_orienting_correlated_dataset_allocates_no_matrix():
+    # The flipped matrix shares the J x J array and adds a (J,) sign
+    # vector; orienting allocates only per-variant columns.
+    j = 400
+    rng = np.random.default_rng(5)
+    lags = np.abs(np.subtract.outer(np.arange(j), np.arange(j)))
+    ds = make_dataset(rng.normal(size=j), rng.normal(size=j),
+                      rng.uniform(0.5, 2.0, j), corr=0.3 ** lags)
+    orient(ds, "x1")  # first-use caches, untraced
+    tracemalloc.start()
+    try:
+        oriented, report = orient(ds, "x1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_flipped > j // 4
+    assert oriented.correlation._packed is ds.correlation._packed
+    assert peak < 8 * j * j / 8
