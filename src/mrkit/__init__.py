@@ -1,69 +1,16 @@
-"""Summary-data Mendelian randomization estimators and simulation engine."""
-from .data import (
-    CorrelationMatrix,
-    DataError,
-    SummaryDataset,
-    VariantRecord,
-    load_correlation,
-    load_dataset,
-    select_risk_factor,
-    write_dataset,
-)
-from .estimators import (
-    CausalEstimate,
-    InterceptTest,
-    MethodTag,
-    MRResult,
-    egger_correlated,
-    egger_multivariable,
-    egger_univariable,
-    f_statistic,
-    inside_bias_oracle,
-    ivw_correlated,
-    ivw_multivariable,
-    ivw_univariable,
-)
-from .orientation import OrientationReport, orient
-from .regression import (
-    FactorizationError,
-    RankError,
-    RegressionFit,
-    WeightScheme,
-    fit_gls,
-    fit_wls,
-    scaled_se,
-    weighted_cov,
-    weighted_var,
-)
-from .simulation import (
-    DEFAULT_SEED,
-    DESK_REPLICATES,
-    EstimatorSummary,
-    GeneratedTruth,
-    GridRow,
-    ScenarioConfig,
-    SimulationSummary,
-    generate_dataset,
-    run_scenario_grid,
-    run_scenario,
-    scenario_config,
-)
+"""Summary-data Mendelian randomization estimators and simulation engine.
+
+The package re-exports the public names of its five library modules: its
+``__all__`` is theirs, in module order, plus ``__version__``.
+"""
+from . import data, estimators, orientation, regression, simulation
+from .data import *
+from .estimators import *
+from .orientation import *
+from .regression import *
+from .simulation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrelationMatrix", "DataError", "SummaryDataset", "VariantRecord",
-    "load_correlation", "load_dataset", "select_risk_factor", "write_dataset",
-    "CausalEstimate", "InterceptTest", "MethodTag", "MRResult",
-    "egger_correlated", "egger_multivariable", "egger_univariable",
-    "f_statistic", "inside_bias_oracle", "ivw_correlated",
-    "ivw_multivariable", "ivw_univariable",
-    "OrientationReport", "orient",
-    "FactorizationError", "RankError", "RegressionFit", "WeightScheme",
-    "fit_gls", "fit_wls", "scaled_se",
-    "weighted_cov", "weighted_var",
-    "DEFAULT_SEED", "DESK_REPLICATES", "EstimatorSummary", "GeneratedTruth",
-    "GridRow", "ScenarioConfig", "SimulationSummary", "generate_dataset",
-    "run_scenario_grid", "run_scenario", "scenario_config",
-    "__version__",
-]
+__all__ = [*data.__all__, *estimators.__all__, *orientation.__all__,
+           *regression.__all__, *simulation.__all__, "__version__"]

@@ -31,6 +31,7 @@ import json
 import math
 import sys
 import warnings as _warnings
+from decimal import Decimal
 
 from .data import (
     SummaryDataset,
@@ -133,7 +134,7 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
         records.append({
             "record": "instrument_strength",
             "n_participants": args.n_participants,
-            "k": dataset.j,
+            "j": dataset.j,
             "r2": _fmt(args.r2),
             "f_statistic": _fmt(
                 f_statistic(args.n_participants, dataset.j, args.r2)),
@@ -272,7 +273,7 @@ def render_text(records: list[dict]) -> str:
         elif kind == "instrument_strength":
             lines.append(
                 f"Instrument strength: R2={_num(record['r2'])}, "
-                f"N={record['n_participants']}, k={record['k']} variants, "
+                f"N={record['n_participants']}, k={record['j']} variants, "
                 f"F={_num(record['f_statistic'])} (dimensionless)")
         elif kind == "method":
             lines.append("")
@@ -289,7 +290,7 @@ def render_text(records: list[dict]) -> str:
             lines.append(detail)
             if record["note"]:
                 lines.append(f"  note: {record['note']}")
-            ci = f"{100 * record['level']:g}% CI"
+            ci = f"{_percent(record['level'])}% CI"
             lines.append(
                 f"  {'risk factor':<12} {'estimate':>10} {'se':>10} "
                 f"{ci:>24} {'p':>10}  {f'OR ({ci})':>26}")
@@ -326,14 +327,13 @@ def _cell(value) -> str:
 
 def render_csv(records: list[dict], columns: list[str] = _CSV_COLUMNS) -> str:
     import csv
-    import io
 
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=columns, restval="",
                             lineterminator="\n")
     writer.writeheader()
-    writer.writerows({key: _cell(value) for key, value in record.items()}
-                     for record in records)
+    writer.writerows({key: _setting(value) if key == "level" else _cell(value)
+                      for key, value in record.items()} for record in records)
     return buffer.getvalue()
 
 
@@ -363,6 +363,17 @@ def _setting(value: float) -> str:
     """A run setting at ``:g``, or in full where ``:g`` would round it."""
     short = f"{value:g}"
     return short if float(short) == value else repr(value)
+
+
+def _percent(level: float) -> str:
+    """100 * level, written as exactly as :func:`_setting` writes the level.
+
+    Decimal shifts the level's digits, since 100 * 0.9999999 is
+    99.99999000000001 in floating point.
+    """
+    if float(f"{level:g}") == level:
+        return f"{100 * level:g}"
+    return f"{Decimal(repr(level)).scaleb(2):f}"
 
 
 def _summary_fields(summary: SimulationSummary) -> dict:

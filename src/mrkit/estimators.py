@@ -26,7 +26,9 @@ single-variant ratio J = K = 1.
 Inference is t-based with the residual degrees of freedom of each regression:
 J-1 (UI), J-2 (UE), J-K (MI), J-(K+1) (ME). Fixed-effect and multiplicative
 random-effects standard errors are as in :func:`mrkit.regression.scaled_se`;
-point estimates are identical under both schemes.
+point estimates are identical under both schemes. One array step tests a
+fit's coefficients and its intercept together, as the Monte Carlo engine
+tests a chunk, and the results hold Python floats.
 
 All six public estimators are one regression of outcome on risk-factor
 associations, fitted and packaged by one private core: with or without an
@@ -115,7 +117,8 @@ class CausalEstimate:
 
     ``df`` is the residual degrees of freedom of the underlying regression;
     when it is zero the point estimate and standard error are still reported
-    but ``p_value``/``ci_low``/``ci_high`` are NaN.
+    but ``p_value``/``ci_low``/``ci_high`` are NaN. Every number is a Python
+    ``float``, and ``df`` an ``int``.
     """
 
     risk_factor: str
@@ -130,7 +133,10 @@ class CausalEstimate:
 
 @dataclass(frozen=True)
 class InterceptTest:
-    """Egger intercept: average direct effect per allele, and its t test."""
+    """Egger intercept: average direct effect per allele, and its t test.
+
+    Every field is a Python ``float``.
+    """
 
     theta_0: float
     se: float
@@ -164,29 +170,18 @@ def _t_pvalue(theta, se, df: int):
     return 2.0 * special.stdtr(df, -np.abs(theta / se))
 
 
-def _inference(theta: float, se: float, df: int,
-               level: float) -> tuple[float, float, float]:
-    """Two-sided t p-value and CI; NaN when no residual df remain."""
+def _inference(theta, se, df: int, level: float):
+    """Two-sided t p-values and CIs of theta / se, element by element.
+
+    One call tests a whole fit: ``theta`` and ``se`` are its coefficient and
+    standard-error arrays (or scalars). Returns (p_value, ci_low, ci_high),
+    all NaN when no residual df remain.
+    """
     if df <= 0:
-        return math.nan, math.nan, math.nan
-    p_value = float(_t_pvalue(theta, se, df))
-    half_width = float(special.stdtrit(df, 0.5 + level / 2.0)) * se
-    return p_value, theta - half_width, theta + half_width
-
-
-def _estimate(name: str, theta: float, se: float, df: int, method: MethodTag,
-              level: float) -> CausalEstimate:
-    p_value, ci_low, ci_high = _inference(theta, se, df, level)
-    return CausalEstimate(
-        risk_factor=name,
-        theta_hat=float(theta),
-        se=float(se),
-        ci_low=ci_low,
-        ci_high=ci_high,
-        p_value=p_value,
-        df=df,
-        method=method,
-    )
+        nan = np.full_like(theta, math.nan, dtype=float)
+        return nan, nan, nan
+    half_width = special.stdtrit(df, 0.5 + level / 2.0) * se
+    return _t_pvalue(theta, se, df), theta - half_width, theta + half_width
 
 
 def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
@@ -222,17 +217,18 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
     se = scaled_se(fit, scheme)
     tag = MethodTag(estimator, scheme,
                     "correlated" if correlated else "independent")
-    first = 1 if intercept else 0
-    estimates = tuple(
-        _estimate(name, fit.coefficients[first + i], se[first + i],
-                  fit.df_residual, tag, level)
-        for i, name in enumerate(dataset.risk_factor_names))
+    df = fit.df_residual
+    p_value, ci_low, ci_high = _inference(fit.coefficients, se, df, level)
+    # One row of Python floats per coefficient, the intercept first:
+    # theta, se, CI low, CI high, p.
+    table = np.column_stack(
+        [fit.coefficients, se, ci_low, ci_high, p_value]).tolist()
+    estimates = tuple(CausalEstimate(name, *table[intercept + i], df, tag)
+                      for i, name in enumerate(dataset.risk_factor_names))
     test = None
     if intercept:
-        p_value, _, _ = _inference(fit.coefficients[0], se[0],
-                                   fit.df_residual, level)
-        test = InterceptTest(theta_0=float(fit.coefficients[0]),
-                             se=float(se[0]), p_value=p_value)
+        theta_0, se_0, _, _, p_0 = table[0]
+        test = InterceptTest(theta_0=theta_0, se=se_0, p_value=p_0)
     return MRResult(estimates=estimates, intercept=test,
                     residual_scale=fit.residual_scale,
                     orientation_reference=reference,

@@ -217,22 +217,25 @@ class TestAnalyze:
 
     def test_level_labels_interval(self, one_factor_csv, capsys):
         # The interval and its headers follow --level; each method record
-        # carries it, in csv and jsonl too.
+        # carries it, in csv and jsonl too. The level is written exactly,
+        # also past the 6 significant digits of the estimates.
         args = ["--data", one_factor_csv, "--k", "1", "--methods", "UI,UE",
                 "--ref", "x1"]
+        levels = ("0.9", "0.95", "0.9999999")
         outputs = {}
-        for level in ("0.9", "0.95"):
+        for level in levels:
             for fmt in ("text", "csv", "jsonl"):
                 code, outputs[level, fmt], err = _analyze(
                     args + ["--level", level, "--format", fmt], capsys)
                 assert code == 0, err
-        header = ("  risk factor    estimate         se                   "
-                  "{0}% CI          p                 OR ({0}% CI)")
-        for level, percent in (("0.9", "90"), ("0.95", "95")):
+        header = ("  risk factor    estimate         se {0:>24}          p  "
+                  "{1:>26}")
+        for level, percent in zip(levels, ("90", "95", "99.99999")):
             text = outputs[level, "text"].splitlines()
-            assert text.count(header.format(percent)) == 2
+            ci = f"{percent}% CI"
+            assert text.count(header.format(ci, f"OR ({ci})")) == 2
             assert sum(f"{percent}%" in line for line in text) == 2
-        for level in ("0.9", "0.95"):
+        for level in levels:
             methods = [json.loads(line) for line in
                        outputs[level, "jsonl"].splitlines()
                        if '"record": "method"' in line]
@@ -456,12 +459,23 @@ class TestAnalyze:
         assert "fixed-effects" in out
 
     def test_instrument_strength_block(self, one_factor_csv, capsys):
-        code, out, _ = _analyze(
-            ["--data", one_factor_csv, "--k", "1", "--methods", "UI",
-             "--n-participants", "188578", "--r2", "0.087"], capsys)
+        args = ["--data", one_factor_csv, "--k", "1", "--methods", "UI",
+                "--n-participants", "188578", "--r2", "0.087"]
+        code, out, _ = _analyze(args, capsys)
         assert code == 0
         assert "Instrument strength" in out
-        assert "N=188578" in out
+        assert "N=188578, k=12 variants" in out
+        # The variant count sits under j, as on the dataset record; k is
+        # left to the dataset's risk-factor count.
+        _, out, _ = _analyze(args + ["--format", "csv"], capsys)
+        rows = {row["record"]: row for row in csv.DictReader(io.StringIO(out))}
+        assert (rows["dataset"]["j"], rows["dataset"]["k"]) == ("12", "1")
+        strength = rows["instrument_strength"]
+        assert (strength["j"], strength["k"]) == ("12", "")
+        _, out, _ = _analyze(args + ["--format", "jsonl"], capsys)
+        record = next(json.loads(line) for line in out.splitlines()
+                      if '"instrument_strength"' in line)
+        assert record["j"] == 12 and "k" not in record
 
     def test_instrument_strength_names_variants(self, tmp_path, capsys):
         # The F-statistic's k is the variant count (J = 4), not --k.

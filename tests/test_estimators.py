@@ -1,4 +1,5 @@
 """Estimator behaviour: point estimates, inference, correlated variants, oracles."""
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from mrkit import (
     CorrelationMatrix,
@@ -32,7 +33,12 @@ from mrkit.regression import (
     weighted_var,
 )
 
-from conftest import make_dataset, random_correlation, subprocess_env
+from conftest import (
+    make_dataset,
+    random_correlation,
+    random_dataset,
+    subprocess_env,
+)
 
 
 FIXED = WeightScheme.FIXED_EFFECT
@@ -505,6 +511,34 @@ class TestInference:
         assert narrow.theta_hat == wide.theta_hat
         assert narrow.p_value == wide.p_value  # p does not depend on level
 
+    def test_results_hold_python_numbers(self):
+        # Every estimator, df > 0 and df = 0 (the single-variant ratio):
+        # plain floats and an int, not numpy scalars.
+        rng = np.random.default_rng(79)
+        plain = random_dataset(rng, 9, 2, positive_x=True)
+        correlated = random_dataset(rng, 9, 2, positive_x=True, corr=True)
+        results = [
+            ivw_univariable(select_risk_factor(plain, "x1")),
+            egger_univariable(select_risk_factor(plain, "x1")),
+            ivw_multivariable(plain),
+            egger_multivariable(plain, "x1"),
+            ivw_correlated(correlated),
+            egger_correlated(correlated, "x1"),
+            ivw_univariable(make_dataset([0.5], [0.2], [0.1])),
+        ]
+        assert results[-1].estimates[0].df == 0
+        for result in results:
+            for est in result.estimates:
+                assert type(est.df) is int
+                for value in (est.theta_hat, est.se, est.ci_low, est.ci_high,
+                              est.p_value):
+                    assert type(value) is float
+            if result.intercept is not None:
+                test = result.intercept
+                for value in (test.theta_0, test.se, test.p_value):
+                    assert type(value) is float
+        assert sum(r.intercept is not None for r in results) == 3
+
     def test_estimate_for_unknown(self):
         ds = make_dataset([1.0, 2.0], [1.0, 2.0], [1.0, 1.0])
         res = ivw_univariable(ds)
@@ -647,6 +681,57 @@ def test_egger_nests_ivw(seed):
     # And the free-intercept fit differs unless the intercept is (nearly) 0.
     ue = egger_univariable(ds)
     assert ue.intercept is not None
+
+
+def _scalar_inference(theta, se, df, level):
+    """The t p-value and CI of one coefficient, from scipy's scalar calls."""
+    if df <= 0:
+        return math.nan, math.nan, math.nan
+    half_width = float(special.stdtrit(df, 0.5 + level / 2.0)) * se
+    p_value = float(2.0 * special.stdtr(df, -abs(theta / se)))
+    return p_value, theta - half_width, theta + half_width
+
+
+def _same_float(a, b):
+    return type(a) is float and (a == b or math.isnan(a) and math.isnan(b))
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000),
+       k=st.integers(min_value=1, max_value=3),
+       df=st.integers(min_value=0, max_value=12),
+       intercept=st.booleans(), correlated=st.booleans(),
+       scheme=st.sampled_from(list(WeightScheme)),
+       level=st.sampled_from([0.5, 0.9, 0.95, 0.999]))
+@settings(max_examples=150, deadline=None)
+@example(seed=0, k=1, df=0, intercept=False, correlated=False, scheme=FIXED,
+         level=0.95)
+@example(seed=0, k=1, df=0, intercept=False, correlated=True, scheme=RANDOM,
+         level=0.9)
+def test_inference_matches_scalar_formula(seed, k, df, intercept, correlated,
+                                          scheme, level):
+    """One array step tests every coefficient and the intercept exactly as
+    the per-coefficient scalar formula does, bit for bit."""
+    if df == 0:  # only the single-variant ratio leaves no residual df
+        k, intercept = 1, False
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, k + intercept + df, k, positive_x=True,
+                        corr=correlated)
+    if correlated:
+        result = (egger_correlated(ds, "x1", scheme, level) if intercept
+                  else ivw_correlated(ds, scheme, level))
+    else:
+        result = (egger_multivariable(ds, "x1", scheme, level) if intercept
+                  else ivw_multivariable(ds, scheme, level))
+    assert [est.df for est in result.estimates] == [df] * k
+    for est in result.estimates:
+        want = _scalar_inference(est.theta_hat, est.se, df, level)
+        got = (est.p_value, est.ci_low, est.ci_high)
+        assert all(map(_same_float, got, want)), (got, want)
+    assert (result.intercept is not None) == intercept
+    if intercept:
+        test = result.intercept
+        want, _, _ = _scalar_inference(test.theta_0, test.se, df, level)
+        assert _same_float(test.p_value, want)
 
 
 @given(seed=st.integers(min_value=0, max_value=100_000),

@@ -244,6 +244,17 @@ class TestOneBlasThread:
             assert thread_counts(blas_apis) == [2] * len(blas_apis)
         assert thread_counts(blas_apis) == [2] * len(blas_apis)
 
+    def test_unreadable_maps_find_no_openblas(self, monkeypatch):
+        # Without /proc/self/maps nothing is looked up. The undecorated
+        # function runs, so the cached answer stays as it was.
+        def unreadable(path, *args, **kwargs):
+            if path == "/proc/self/maps":
+                raise PermissionError(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(regression, "open", unreadable, raising=False)
+        assert _openblas_thread_apis.__wrapped__() == ()
+
     def test_each_api_once(self, blas_apis):
         addresses = [ctypes.cast(get, ctypes.c_void_p).value
                      for get, _ in blas_apis]
