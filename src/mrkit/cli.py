@@ -135,7 +135,7 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
             "record": "instrument_strength",
             "n_participants": args.n_participants,
             "j": dataset.j,
-            "r2": _fmt(args.r2),
+            "r2": args.r2,
             "f_statistic": _fmt(
                 f_statistic(args.n_participants, dataset.j, args.r2)),
             "units": "dimensionless",
@@ -231,6 +231,9 @@ _CSV_COLUMNS = [
     "correlated", "experimental", "n_participants", "r2", "f_statistic",
     "message", "note",
 ]
+# Run settings among the columns, written exactly (see _setting), not at 6
+# significant digits.
+_SETTING_KEYS = frozenset({"level", "r2"})
 
 
 def _fmt(value: float) -> float | None:
@@ -272,7 +275,7 @@ def render_text(records: list[dict]) -> str:
                 lines.append(f"  flipped: {record['ids'].replace(';', ', ')}")
         elif kind == "instrument_strength":
             lines.append(
-                f"Instrument strength: R2={_num(record['r2'])}, "
+                f"Instrument strength: R2={_setting(record['r2'])}, "
                 f"N={record['n_participants']}, k={record['j']} variants, "
                 f"F={_num(record['f_statistic'])} (dimensionless)")
         elif kind == "method":
@@ -332,7 +335,8 @@ def render_csv(records: list[dict], columns: list[str] = _CSV_COLUMNS) -> str:
     writer = csv.DictWriter(buffer, fieldnames=columns, restval="",
                             lineterminator="\n")
     writer.writeheader()
-    writer.writerows({key: _setting(value) if key == "level" else _cell(value)
+    writer.writerows({key: _setting(value) if key in _SETTING_KEYS
+                      else _cell(value)
                       for key, value in record.items()} for record in records)
     return buffer.getvalue()
 

@@ -6,18 +6,19 @@ The CSV schema (header required, comma-separated, UTF-8) is::
 
 Correlation files hold J lines of J comma-separated reals, no header, in
 dataset row order. A :class:`SummaryDataset` stores the file's columns as
-read-only arrays; :class:`VariantRecord` is the view of one row. All types are
-immutable after construction and safe to share across threads.
+read-only arrays; :class:`VariantRecord` is the view of one row, checked only
+when records become a dataset. All types are immutable after construction and
+safe to share across threads. A fault in a summary file is named by the
+1-based line it is on; a quoted field may hold a line break, and a record
+that spans lines is named by the line it ends on.
 """
 from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,9 @@ class VariantRecord:
     (risk-factor SD units); beta_y / se_y the association with the outcome
     (log odds ratio or outcome units). Datasets hand these out through
     :attr:`SummaryDataset.variants` and are built from them with
-    :meth:`SummaryDataset.from_records`.
+    :meth:`SummaryDataset.from_records`. A record is a plain row view and
+    checks nothing itself: records are checked when they become a dataset,
+    with the constructor's messages.
     """
 
     variant_id: str
@@ -68,18 +71,6 @@ class VariantRecord:
     se_x: tuple[float, ...]
     beta_y: float
     se_y: float
-
-    def __post_init__(self) -> None:
-        _require(bool(self.variant_id), "empty variant_id")
-        _require(bool(self.effect_allele) and bool(self.other_allele),
-                 f"empty allele label for variant '{self.variant_id}'")
-        _require(len(self.beta_x) == len(self.se_x),
-                 f"beta_x/se_x length mismatch for variant '{self.variant_id}'")
-        values = (*self.beta_x, *self.se_x, self.beta_y, self.se_y)
-        _require(all(map(math.isfinite, values)),
-                 f"non-finite value for variant '{self.variant_id}'")
-        _require(all(s > 0 for s in self.se_x) and self.se_y > 0,
-                 f"non-positive standard error for variant '{self.variant_id}'")
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -380,13 +371,18 @@ class SummaryDataset:
                      records: Iterable[VariantRecord],
                      correlation: CorrelationMatrix | None = None,
                      ) -> "SummaryDataset":
-        """Stack :class:`VariantRecord` rows into a dataset."""
+        """Stack :class:`VariantRecord` rows into a dataset.
+
+        Each record must hold K beta_x and K se_x values, K those of the
+        first record; every other invariant is the constructor's to check.
+        """
         records = tuple(records)
         k = len(records[0].beta_x) if records else len(risk_factor_names)
         for v in records:
-            _require(len(v.beta_x) == k,
-                     f"variant '{v.variant_id}' has {len(v.beta_x)} risk-factor "
-                     f"associations, expected {k}")
+            _require(len(v.beta_x) == len(v.se_x) == k,
+                     f"beta_x/se_x length mismatch for variant "
+                     f"'{v.variant_id}': {len(v.beta_x)} and {len(v.se_x)} "
+                     f"values, expected {k}")
         return cls(
             risk_factor_names=tuple(risk_factor_names),
             variant_ids=[v.variant_id for v in records],
@@ -483,10 +479,11 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     """Load and validate a summary-statistics CSV with K risk factors.
 
     Row order is preserved. Every malformed input raises :class:`DataError`
-    with the first offending 1-based file line; a partially constructed
-    dataset is never returned. Numeric cells are parsed as Python's
-    ``float()`` parses them, and labels are stripped of surrounding
-    whitespace and otherwise kept as written.
+    with the first offending 1-based file line, as csv numbers lines: a
+    record whose quoted field holds a line break is named by the line it
+    ends on. A partially constructed dataset is never returned. Numeric
+    cells are parsed as Python's ``float()`` parses them, and labels are
+    stripped of surrounding whitespace and otherwise kept as written.
 
     The file is read and decoded once, so it may be a pipe; a file that is
     not UTF-8 fails at the line of its first bad byte before any other
@@ -513,16 +510,16 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
         if [h.strip() for h in header] != expected:
             raise DataError(
                 f"{path}: malformed header: expected {','.join(expected)}")
-        rows = list(reader)
+        rows, lines = [], []
+        for row in reader:
+            if row:  # a blank line reads as an empty row
+                rows.append(row)
+                lines.append(reader.line_num)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     except csv.Error as exc:
         raise DataError(f"{path}: {exc} at line {reader.line_num}") from None
 
-    lines = np.arange(2, len(rows) + 2)
-    if not all(rows):  # a blank line reads as an empty row
-        kept = np.fromiter(map(bool, rows), dtype=bool, count=len(rows))
-        rows, lines = list(compress(rows, kept)), lines[kept]
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     ragged = np.flatnonzero(widths != len(expected))
     # Rows from the first ragged one on cannot be split into columns; any

@@ -114,7 +114,11 @@ _RISK_FACTOR_CHOLESKY = tuple(
 _INSIDE_LOADING = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
 
 POWER_ALPHA = 0.05
+# Replicates per Monte Carlo chunk: at most _CHUNK, and fewer where a worker
+# thread's chunk buffers (144 bytes per replicate and variant) would pass
+# _CHUNK_BYTES. The paper's J = 185 keeps chunks of 128 (3.4 MB).
 _CHUNK = 128
+_CHUNK_BYTES = 4 << 20
 
 # The tabulated estimators, in summary order.
 _ESTIMATORS = ("MI", "UE", "ME")
@@ -458,6 +462,9 @@ def _thread_count() -> int:
 class _ChunkBuffers:
     """One worker thread's arrays for chunks of up to ``size`` replicates.
 
+    They hold 18 float64 values, 144 bytes, per replicate and variant: the
+    size that _replicate_results bounds by ``_CHUNK_BYTES``.
+
     A chunk's draws, observables, weights and fit inputs are written into
     these arrays, so a thread allocates them once, not once per chunk:
     arrays freed after every chunk were returned to the system and
@@ -569,28 +576,30 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
 
     A config's results are a (3, len(_TESTS), replicates) array: per tested
     coefficient (see _TESTS) and replicate, the estimate, its random-effects
-    se and its p-value. This is the one owner of the chunk plan. Consecutive
-    configs whose replicates fit in one chunk of ``_CHUNK`` share it, laid
-    end to end, and a larger config is cut into chunks of its own. A chunk is
-    filled one segment at a time, each segment one config's replicates under
-    that config's seed and replicate indices, and then fitted and tested at
-    once. Every step is per replicate, so each config's results are bit for
-    bit what it gets when run alone. Groups of configs run one after
-    another, and a group's chunks go to worker threads only when it has more
-    than one. A group's results are yielded as soon as it has run, so a
-    grid holds one group's results at a time. The configs must share
-    j_variants.
+    se and its p-value. This is the one owner of the chunk plan. A chunk
+    holds ``_CHUNK`` replicates, or fewer where a worker thread's buffers
+    would pass ``_CHUNK_BYTES``. Consecutive configs whose replicates fit in
+    one chunk share it, laid end to end, and a larger config is cut into
+    chunks of its own. A chunk is filled one segment at a time, each segment
+    one config's replicates under that config's seed and replicate indices,
+    and then fitted and tested at once. Every step is per replicate, so each
+    config's results are bit for bit what it gets when run alone. Groups of
+    configs run one after another, and a group's chunks go to worker threads
+    only when it has more than one. A group's results are yielded as soon as
+    it has run, so a grid holds one group's results at a time. The configs
+    must share j_variants.
     """
     j = configs[0].j_variants
     if any(config.j_variants != j for config in configs):
         raise ValueError("configs run together must share j_variants")
+    chunk = min(max(_CHUNK_BYTES // (144 * j), 1), _CHUNK)
     groups = []  # per group: its replicate count and (config, first) pairs
     for config in configs:
-        if not groups or groups[-1][0] + config.replicates > _CHUNK:
+        if not groups or groups[-1][0] + config.replicates > chunk:
             groups.append([0, []])
         groups[-1][1].append((config, groups[-1][0]))
         groups[-1][0] += config.replicates
-    size = min(_CHUNK, max(total for total, _ in groups))
+    size = min(chunk, max(total for total, _ in groups))
     local = threading.local()
     workers = _thread_count()
 

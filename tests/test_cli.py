@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import lapack
 
 import mrkit
-from mrkit import simulation, write_dataset
+from mrkit import f_statistic, simulation, write_dataset
 from mrkit.cli import main
 
 from conftest import make_dataset, random_correlation, subprocess_env
@@ -354,10 +354,10 @@ class TestAnalyze:
 
     def test_correlation_factored_once(self, three_factor_csv, tmp_path,
                                        capsys, monkeypatch):
-        # Load factors the oriented matrix in place before orient runs, and
-        # all four estimators whiten their rows, scaled by 1 / se_y, with
-        # that factor, so nothing factors a matrix again. Every Cholesky
-        # factor in mrkit is one LAPACK dpotrf call.
+        # Load factors the loaded matrix in place before orient runs, which
+        # only flips its signs, and all four estimators whiten their rows,
+        # scaled by 1 / se_y, with that factor, so nothing factors a matrix
+        # again. Every Cholesky factor in mrkit is one LAPACK dpotrf call.
         corr_path = tmp_path / "rho.csv"
         np.savetxt(corr_path, random_correlation(np.random.default_rng(3), 10),
                    delimiter=",")
@@ -476,6 +476,22 @@ class TestAnalyze:
         record = next(json.loads(line) for line in out.splitlines()
                       if '"instrument_strength"' in line)
         assert record["j"] == 12 and "k" not in record
+        # r2 is a setting, written exactly in all three formats; the
+        # F-statistic is computed from it, as before, at 6 digits.
+        args = args[:-4] + ["--n-participants", "5000", "--r2", "0.0871234567"]
+        f = f"{f_statistic(5000, 12, 0.0871234567):.6g}"
+        _, out, _ = _analyze(args, capsys)
+        assert (f"Instrument strength: R2=0.0871234567, N=5000, k=12 "
+                f"variants, F={f} (dimensionless)") in out
+        _, out, _ = _analyze(args + ["--format", "csv"], capsys)
+        strength = next(row for row in csv.DictReader(io.StringIO(out))
+                        if row["record"] == "instrument_strength")
+        assert (strength["r2"], strength["f_statistic"]) == ("0.0871234567", f)
+        _, out, _ = _analyze(args + ["--format", "jsonl"], capsys)
+        line = next(line for line in out.splitlines()
+                    if '"instrument_strength"' in line)
+        assert '"r2": 0.0871234567' in line
+        assert json.loads(line)["f_statistic"] == float(f)
 
     def test_instrument_strength_names_variants(self, tmp_path, capsys):
         # The F-statistic's k is the variant count (J = 4), not --k.

@@ -40,7 +40,16 @@ HEADER_K2 = ("variant_id,effect_allele,other_allele,"
              "beta_x1,se_x1,beta_x2,se_x2,beta_y,se_y\n")
 
 
+def _from_record(*fields):
+    """A one-variant dataset from a :class:`VariantRecord` of ``fields``."""
+    record = VariantRecord(*fields)
+    return SummaryDataset.from_records(
+        [f"x{i}" for i in range(1, len(record.beta_x) + 1)], [record])
+
+
 class TestVariantRecord:
+    # A record is a row view; records are checked when they become a
+    # dataset, with the constructor's messages.
     def test_valid_record(self):
         v = VariantRecord("rs1", "A", "G", (0.1,), (0.02,), 0.05, 0.01)
         assert v.beta_x == (0.1,)
@@ -48,25 +57,27 @@ class TestVariantRecord:
 
     def test_empty_id(self):
         with pytest.raises(DataError, match="empty variant_id"):
-            VariantRecord("", "A", "G", (0.1,), (0.02,), 0.05, 0.01)
+            _from_record("", "A", "G", (0.1,), (0.02,), 0.05, 0.01)
 
     def test_empty_allele(self):
         with pytest.raises(DataError, match="empty allele label"):
-            VariantRecord("rs1", "A", "", (0.1,), (0.02,), 0.05, 0.01)
+            _from_record("rs1", "A", "", (0.1,), (0.02,), 0.05, 0.01)
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError, match="length mismatch"):
-            VariantRecord("rs1", "A", "G", (0.1, 0.2), (0.02,), 0.05, 0.01)
+        with pytest.raises(DataError, match=re.escape(
+                "beta_x/se_x length mismatch for variant 'rs1': 2 and 1 "
+                "values, expected 2")):
+            _from_record("rs1", "A", "G", (0.1, 0.2), (0.02,), 0.05, 0.01)
 
     def test_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):
-            VariantRecord("rs1", "A", "G", (float("nan"),), (0.02,), 0.05, 0.01)
+            _from_record("rs1", "A", "G", (float("nan"),), (0.02,), 0.05, 0.01)
 
     def test_non_positive_se(self):
         with pytest.raises(DataError, match="non-positive standard error"):
-            VariantRecord("rs1", "A", "G", (0.1,), (0.0,), 0.05, 0.01)
+            _from_record("rs1", "A", "G", (0.1,), (0.0,), 0.05, 0.01)
         with pytest.raises(DataError, match="non-positive standard error"):
-            VariantRecord("rs1", "A", "G", (0.1,), (0.02,), 0.05, -1.0)
+            _from_record("rs1", "A", "G", (0.1,), (0.02,), 0.05, -1.0)
 
 
 class TestCorrelationMatrix:
@@ -419,6 +430,26 @@ class TestLoadDataset:
                    + "rs1,A,G,0.1,0.02,0.05,0.01\n\n"
                    + "rs2,A,G,0.2,0.02,0.05,0.01\n")
         assert load_dataset(p, k=1).j == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["LF", "CRLF", "CR"])
+    def test_faults_name_physical_lines(self, tmp_path, newline):
+        """A quoted label holding a line break spans lines 2 and 3. A fault
+        after it names the line it is on, and a fault of that record the
+        line the record ends on, as csv names the line of its own errors."""
+        record = '"rs\n1",A,G,0.1,0.02,0.05,'
+        for rows, message in [
+                (record + "-1\n", "non-positive standard error at row 3"),
+                (record + "0.01\n\nrs2,A,G,nan,0.02,0.05,0.01\n",
+                 "non-finite value at row 5"),
+                (record + "0.01\n\nrs2,A,G,0.1,0.02,0.05,0.01\nrs3,A,G,0.1\n",
+                 "column count mismatch at row 6: expected 7 fields, "
+                 "found 4")]:
+            p = tmp_path / "data.csv"
+            p.write_bytes((HEADER_K1 + rows).replace("\n", newline).encode())
+            with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: "
+                                                rf"{message}$"):
+                load_dataset(p, k=1)
 
     def test_two_factor_layout(self, tmp_path):
         p = _write(tmp_path, HEADER_K2

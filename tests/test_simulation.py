@@ -348,17 +348,63 @@ class TestRunScenario:
 
     def test_chunk_size_invariant(self, monkeypatch):
         # Chunk size is free to change: summaries are bit-identical for a
-        # small chunk, a non-divisor, the default and one chunk for all.
-        config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
-                                 mediation=True, replicates=300, seed=19)
-        summaries = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MRKIT_THREADS", threads)
-            for chunk in (16, 100, simulation._CHUNK, 512):
-                with monkeypatch.context() as patch:
-                    patch.setattr(simulation, "_CHUNK", chunk)
-                    summaries.append(run_scenario(config))
-        assert all(s == summaries[0] for s in summaries)
+        # small chunk, a non-divisor, the default and one chunk for all. At
+        # J = 1,000 the default is the byte bound's 29 replicates, not
+        # _CHUNK; the other sizes lift the bound.
+        for j, replicates in ((185, 300), (1_000, 70)):
+            config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
+                                     mediation=True, j_variants=j,
+                                     replicates=replicates, seed=19)
+            summaries = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MRKIT_THREADS", threads)
+                for chunk in (16, 100, None, 512):
+                    with monkeypatch.context() as patch:
+                        if chunk is not None:
+                            patch.setattr(simulation, "_CHUNK", chunk)
+                            patch.setattr(simulation, "_CHUNK_BYTES", 1 << 40)
+                        summaries.append(run_scenario(config))
+            assert all(s == summaries[0] for s in summaries), j
+
+    @pytest.mark.parametrize("j, chunk", [
+        (185, 128), (227, 128), (228, 127), (1_000, 29), (10_000, 2),
+        (100_000, 1)])
+    def test_chunk_bounded_by_bytes(self, monkeypatch, j, chunk):
+        # A worker thread's buffers hold 144 bytes per replicate and
+        # variant: a chunk is _CHUNK replicates, or as many as keep them
+        # within _CHUNK_BYTES, and at least one. The buffer size is
+        # recorded and nothing is allocated.
+        class Recorded(Exception):
+            pass
+
+        sizes = []
+
+        def record(size, j):
+            sizes.append((size, j))
+            raise Recorded
+
+        monkeypatch.setenv("MRKIT_THREADS", "1")
+        monkeypatch.setattr(simulation, "_ChunkBuffers", record)
+        with pytest.raises(Recorded):
+            run_scenario(scenario_config(1, j_variants=j, replicates=1_000))
+        assert sizes == [(chunk, j)]
+        assert chunk == 1 or 144 * j * chunk <= simulation._CHUNK_BYTES
+
+    def test_configs_packed_by_bounded_chunk(self, monkeypatch):
+        # At J = 1,000 a chunk holds 29 replicates, so of three 10-replicate
+        # configs the first two share one and the third runs in its own.
+        monkeypatch.setenv("MRKIT_THREADS", "1")
+        tests, chunks = simulation._chunk_tests, []
+
+        def record(me, ue, out):
+            chunks.append(len(me))
+            tests(me, ue, out)
+
+        monkeypatch.setattr(simulation, "_chunk_tests", record)
+        configs = [scenario_config(1, j_variants=1_000, replicates=10, seed=s)
+                   for s in range(3)]
+        assert len(list(simulation._replicate_results(configs))) == 3
+        assert chunks == [20, 10]
 
     def test_packed_configs_match_isolated_runs(self, monkeypatch):
         # The first three configs share one chunk (123 replicates); the
