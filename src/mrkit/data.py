@@ -10,14 +10,15 @@ read-only arrays; :class:`VariantRecord` is the view of one row, checked only
 when records become a dataset. All types are immutable after construction and
 safe to share across threads. A fault in a summary file is named by the
 1-based line it is on; a quoted field may hold a line break, and a record
-that spans lines is named by the line it ends on.
+that spans lines is named by the line it ends on. A quote left open to the
+end of the file is named by the line it opens on.
 """
 from __future__ import annotations
 
 import csv
 import io
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,13 +221,24 @@ def _asymmetry(entries: np.ndarray) -> float:
     return worst
 
 
+# The most characters of a cell a message echoes; a longer cell is cut.
+_ECHO_LIMIT = 40
+
+
+def _echo(cell: str) -> str:
+    """``cell`` quoted for a message, cut to ``_ECHO_LIMIT`` characters."""
+    if len(cell) > _ECHO_LIMIT:
+        cell = cell[:_ECHO_LIMIT - 3] + "..."
+    return f"'{cell}'"
+
+
 def _row_checks(variant_ids: np.ndarray, effect_alleles: np.ndarray,
                 other_alleles: np.ndarray, beta_x: np.ndarray, se_x: np.ndarray,
                 beta_y: np.ndarray, se_y: np.ndarray) -> list[_Check]:
     """Row invariants of a dataset, in the order they are reported for one row."""
     return [
         (_repeats(variant_ids),
-         lambda row: f"duplicate variant_id '{variant_ids[row]}'"),
+         lambda row: f"duplicate variant_id {_echo(variant_ids[row])}"),
         (_rows(se_x <= 0, se_y <= 0), lambda row: "non-positive standard error"),
         (_rows(~np.isfinite(beta_x), ~np.isfinite(se_x), ~np.isfinite(beta_y),
                ~np.isfinite(se_y)), lambda row: "non-finite value"),
@@ -481,9 +493,10 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     Row order is preserved. Every malformed input raises :class:`DataError`
     with the first offending 1-based file line, as csv numbers lines: a
     record whose quoted field holds a line break is named by the line it
-    ends on. A partially constructed dataset is never returned. Numeric
-    cells are parsed as Python's ``float()`` parses them, and labels are
-    stripped of surrounding whitespace and otherwise kept as written.
+    ends on, and a quote left open by the line it opens on. A partially
+    constructed dataset is never returned. Numeric cells are parsed as
+    Python's ``float()`` parses them, and labels are stripped of surrounding
+    whitespace and otherwise kept as written.
 
     The file is read and decoded once, so it may be a pipe; a file that is
     not UTF-8 fails at the line of its first bad byte before any other
@@ -499,26 +512,24 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     dataset = _load_one_pass(text, k)
     if dataset is not None:
         return dataset
-    reader = csv.reader(io.StringIO(text, newline=""))
+    records = _csv_records(text, path)
     try:
-        header = next(reader)
-        expected = _expected_header(k)
-        if len(header) != len(expected):
-            raise DataError(
-                f"{path}: column count mismatch: expected {len(expected)} "
-                f"columns for k={k}, found {len(header)}")
-        if [h.strip() for h in header] != expected:
-            raise DataError(
-                f"{path}: malformed header: expected {','.join(expected)}")
-        rows, lines = [], []
-        for row in reader:
-            if row:  # a blank line reads as an empty row
-                rows.append(row)
-                lines.append(reader.line_num)
+        header, line = next(records)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc} at line {reader.line_num}") from None
+    expected = _expected_header(k)
+    if len(header) != len(expected):
+        raise DataError(
+            f"{path}: column count mismatch at line {line}: expected "
+            f"{len(expected)} columns for k={k}, found {len(header)}")
+    if [h.strip() for h in header] != expected:
+        raise DataError(f"{path}: malformed header at line {line}: "
+                        f"expected {','.join(expected)}")
+    rows, lines = [], []
+    for row, line in records:
+        if row:  # a blank line reads as an empty row
+            rows.append(row)
+            lines.append(line)
 
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     ragged = np.flatnonzero(widths != len(expected))
@@ -533,10 +544,9 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     checks = _row_checks(**columns)
     if bad_cell is not None:
         row, column = bad_cell
-        checks.insert(1, (
-            np.arange(end) == row,
-            lambda _: (f"non-numeric value '{cells[row, 3 + column].strip()}' "
-                       f"in column {expected[3 + column]}")))
+        message = (f"non-numeric value {_echo(cells[row, 3 + column].strip())}"
+                   f" in column {expected[3 + column]}")
+        checks.insert(1, (np.arange(end) == row, lambda _: message))
     fault = _first_fault(checks)
     if fault is not None:
         raise DataError(f"{path}: {fault[1]} at row {lines[fault[0]]}")
@@ -547,6 +557,35 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
     if end == 0:
         raise DataError(f"{path}: no data rows")
     return _loaded(columns, k)
+
+
+def _csv_records(text: str,
+                 path: str | Path) -> Iterator[tuple[list[str], int]]:
+    """The csv records of a file's text, each with the line it ends on.
+
+    csv's own errors and a quote left open raise DataError at their line.
+    The reader is not strict, so it reads an open quote to the end of the
+    text as one field, and only such a record is read after the last line.
+    """
+    at_end = False
+
+    def physical_lines():
+        nonlocal at_end
+        yield from io.StringIO(text, newline="")
+        at_end = True
+
+    reader = csv.reader(physical_lines())
+    try:
+        for row in reader:
+            if at_end:
+                # The open field holds the lines from its quote on.
+                spanned = len(io.StringIO(row[-1], newline="").readlines())
+                raise DataError(
+                    f"{path}: unterminated quote opened at line "
+                    f"{reader.line_num - max(spanned, 1) + 1}")
+            yield row, reader.line_num
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc} at line {reader.line_num}") from None
 
 
 # Characters whose presence sends a file to the row parse: the quote, with

@@ -37,15 +37,17 @@ conservative (mean se ~ 0.41 in the same setting).
 Determinism: replicate r of a scenario with seed s draws its (J, 5) standard
 normals from ``default_rng(SeedSequence([s, r]))`` in one call.
 ``generate_dataset`` builds that generator for its one replicate.
-``run_scenario`` seeds a whole chunk at once: it runs the SeedSequence hash
-of every [s, r] in the chunk as uint32 array operations, turns each result
-into the PCG64 state numpy would set, and re-seeds one generator per chunk
-with it, so row r of the chunk's one (C, J, 5) block holds the same stream,
-bit for bit. Each chunk checks its first replicate's state against numpy's
-own seeding and raises RuntimeError on a mismatch. Replicates are processed
-in fixed-size chunks written to index-ordered arrays, so summaries are
-bit-identical for any chunk size and any worker count (set via the
-``MRKIT_THREADS`` environment variable, default min(4, cpu count)).
+The Monte Carlo engine seeds a whole chunk at once: it runs the
+SeedSequence hash of every [s, r] in the chunk, whichever config's seed s
+each replicate has, as uint32 array operations, turns each result into the
+PCG64 state numpy would set, and re-seeds one generator per chunk with it,
+so replicate r's row of the chunk's one (C, J, 5) block holds the same
+stream, bit for bit. A guard checks the state of the first replicate of
+each config in the chunk against numpy's own seeding and raises
+RuntimeError on a mismatch. Replicates are processed in fixed-size chunks
+written to index-ordered arrays, so summaries are bit-identical for any
+chunk size and any worker count (set via the ``MRKIT_THREADS`` environment
+variable, default min(4, cpu count)).
 One private engine, ``_replicate_results``, plans the chunks for both
 ``run_scenario`` and ``run_scenario_grid``: it packs consecutive configs
 smaller than a chunk into shared chunks, and each replicate keeps its
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SummaryDataset
-from .estimators import _MODELS, _t_pvalue
+from .estimators import _t_pvalue
 from .regression import _design, _fit_from_r, _random_effects_se, _wls_kernel
 
 __all__ = [
@@ -125,6 +127,9 @@ _ESTIMATORS = ("MI", "UE", "ME")
 # Each chunk tests five coefficients, in this order: theta1 of each estimator,
 # then the intercepts, as (estimator, coefficient column) pairs.
 _TESTS = ((0, 0), (1, 1), (2, 1), (1, 0), (2, 0))
+# The row of _TESTS that tests each intercept, by estimator.
+_INTERCEPT_ROWS = {estimator: row for row, (estimator, _) in enumerate(_TESTS)
+                   if row >= len(_ESTIMATORS)}
 
 
 def _check_seed(seed: int) -> None:
@@ -279,22 +284,26 @@ def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return words ^ (words >> 16)
 
 
-def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for each r.
+def _seed_words(seeds: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for each pair.
 
-    ``indices`` is a vector of replicate indices below 2**64; the result is
+    ``indices`` is a vector of replicate indices and ``seeds`` one seed per
+    index, or one seed for all, each below 2**64; the result is
     (len(indices), 4) uint64. The entropy [seed, r] is the 32-bit words of
     seed then of r, at most four, so it fits the pool; a short entropy is
     zero-padded, which the hash does not tell from the missing words.
     """
+    seeds = np.asarray(seeds, dtype=np.uint64)
     indices = np.asarray(indices, dtype=np.uint64)
-    pool = np.zeros((indices.size, 4), dtype=np.uint32)
-    pool[:, 0] = seed & _MASK32
-    first = 1 if seed <= _MASK32 else 2
-    if first == 2:
-        pool[:, 1] = seed >> 32
-    pool[:, first] = indices & _MASK32
-    pool[:, first + 1] = indices >> np.uint64(32)
+    high = np.uint64(32)
+    # A seed below 2**32 is one word, and r's words follow it directly;
+    # assigning to the uint32 pool keeps each value's low word.
+    narrow = seeds <= _MASK32
+    pool = np.empty((indices.size, 4), dtype=np.uint32)
+    pool[:, 0] = seeds
+    pool[:, 1] = np.where(narrow, indices, seeds >> high)
+    pool[:, 2] = np.where(narrow, indices >> high, indices)
+    pool[:, 3] = np.where(narrow, 0, indices >> high)
     pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MUL[:4])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
@@ -314,27 +323,47 @@ def _pcg64_state(words: list[int]) -> tuple[int, int]:
     return ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
 
 
-def _chunk_normals(config: ScenarioConfig, start: int, out: np.ndarray) -> None:
-    """Fill ``out``, a (C, J, 5) block, with replicates start..start+C-1's draws.
+def _checked_bit_generator(seed: int, index: int,
+                           state: tuple[int, int]) -> np.random.PCG64:
+    """numpy's own PCG64 for replicate ``index`` of ``seed``: the seeding guard.
 
-    Row i holds exactly what
-    ``default_rng(SeedSequence([seed, start + i])).standard_normal((J, 5))``
-    draws. The chunk's seeds are hashed at once, and one generator is
-    re-seeded per replicate. A guard checks the first replicate's state
-    against numpy's own seeding and raises RuntimeError on a mismatch,
-    rather than draw other numbers.
+    Raises RuntimeError, rather than let other numbers be drawn, unless its
+    (state, inc) is ``state``, the one the vectorized seeding gives that
+    replicate.
     """
-    seed = int(config.seed)
-    words = _seed_words(
-        seed, np.arange(start, start + len(out), dtype=np.uint64))
-    states = [_pcg64_state(w) for w in words.tolist()]
-    bit_generator = np.random.PCG64(np.random.SeedSequence([seed, start]))
-    generator = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    if states[0] != (state["state"]["state"], state["state"]["inc"]):
+    bit_generator = np.random.PCG64(np.random.SeedSequence([seed, index]))
+    numpy_state = bit_generator.state["state"]
+    if state != (numpy_state["state"], numpy_state["inc"]):
         raise RuntimeError(
             "vectorized seeding disagrees with numpy's SeedSequence/PCG64 "
-            f"for seed {seed}, replicate {start}")
+            f"for seed {seed}, replicate {index}")
+    return bit_generator
+
+
+def _chunk_normals(segments: list[tuple[int, int, int]],
+                   out: np.ndarray) -> None:
+    """Fill ``out``, a (C, J, 5) block, with the draws of a chunk's segments.
+
+    ``segments`` are (seed, start, end) triples, and replicates start..end-1
+    of each fill the block's rows in turn. The row of replicate r holds
+    exactly what ``default_rng(SeedSequence([seed, r])).standard_normal((J,
+    5))`` draws. The seeds of the whole chunk are hashed at once, and one
+    generator is re-seeded per replicate. The guard checks the first
+    replicate of each segment against numpy's own seeding.
+    """
+    counts = [end - start for _, start, end in segments]
+    seeds = np.repeat(np.array([seed for seed, _, _ in segments],
+                               dtype=np.uint64), counts)
+    indices = np.concatenate([np.arange(start, end, dtype=np.uint64)
+                              for _, start, end in segments])
+    states = [_pcg64_state(w) for w in _seed_words(seeds, indices).tolist()]
+    first = 0
+    for (seed, start, _), count in zip(segments, counts):
+        bit_generator = _checked_bit_generator(seed, start, states[first])
+        first += count
+    # Every replicate's state is set below, so any generator draws the chunk.
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state
     for (pcg_state, inc), z_r in zip(states, out):
         state["state"] = {"state": pcg_state, "inc": inc}
         bit_generator.state = state
@@ -487,22 +516,19 @@ class _ChunkBuffers:
         self.sqrt_w = sqrt_w.reshape(size, j)
 
 
-def _whitened_problems(config: ScenarioConfig, start: int, end: int,
-                       buffers: _ChunkBuffers, at: int) -> None:
-    """Whitened [design | response] of ME and UE for replicates start..end-1.
+def _whitened_problems(config: ScenarioConfig, buffers: _ChunkBuffers,
+                       rows: slice) -> None:
+    """Whitened [design | response] of ME and UE for ``rows`` of a chunk.
 
-    Everything is written to rows at..at + end - start of ``buffers``: the
-    draws fill those rows of its (C, J, 5) block, which the latent draws
-    overwrite, the observables those of its four (C, J) columns, and the
-    problems those of its ME and UE arrays. MI's problem is ME's without its
-    intercept column, so it is not built: :func:`_chunk_tests` fits it from
-    ME's R. UE's outcome errors are widened by the univariable extra
-    variance.
+    ``rows`` of the chunk's (C, J, 5) block in ``buffers`` hold the draws of
+    this config's replicates; the latent draws overwrite them. The
+    observables are written to those rows of its four (C, J) columns, and
+    the problems to those of its ME and UE arrays. MI's problem is ME's
+    without its intercept column, so it is not built: :func:`_chunk_tests`
+    fits it from ME's R. UE's outcome errors are widened by the univariable
+    extra variance.
     """
-    rows = slice(at, at + end - start)
-    z = buffers.z[rows]
-    _chunk_normals(config, start, z)
-    beta_cols, alpha_prime, epsilon = _latent_draws(config, z)
+    beta_cols, alpha_prime, epsilon = _latent_draws(config, buffers.z[rows])
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
         config, beta_cols, alpha_prime, epsilon, buffers.observables[:, rows])
     sqrt_w = buffers.sqrt_w[rows]
@@ -540,35 +566,43 @@ def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
 def _summarise(results: np.ndarray) -> SimulationSummary:
     """One config's summary from its (3, len(_TESTS), replicates) results.
 
-    Raises ValueError when every replicate fails for some estimator.
+    An estimator uses the replicates whose estimate, se and p-values are
+    finite. When every value is finite, each mean and power comes from one
+    reduction along the contiguous replicate axis, which sums each row as
+    ``np.mean`` of that row does. Raises ValueError when every replicate
+    fails for some estimator.
     """
-    summaries = []
-    all_ok = np.ones(results.shape[-1], dtype=bool)
     theta, se, p = results
-    intercept_p = iter(p[len(_ESTIMATORS):])
-    for e, estimator in enumerate(_ESTIMATORS):
-        intercept = _MODELS[estimator].intercept
-        ok = np.isfinite(theta[e]) & np.isfinite(se[e]) & np.isfinite(p[e])
-        if intercept:
-            p0 = next(intercept_p)
-            ok &= np.isfinite(p0)
-        used = int(ok.sum())
-        if used == 0:
-            raise ValueError(
-                f"every replicate failed for estimator {estimator}")
-        summaries.append(EstimatorSummary(
-            estimator=estimator,
-            mean_theta1=float(np.mean(theta[e][ok])),
-            mean_se=float(np.mean(se[e][ok])),
-            power_causal=float(np.mean(p[e][ok] < POWER_ALPHA)),
-            power_intercept=(float(np.mean(p0[ok] < POWER_ALPHA))
-                             if intercept else None),
-            replicates_used=used,
-        ))
-        all_ok &= ok
-    mi, ue, me = summaries
-    return SimulationSummary(mi=mi, ue=ue, me=me,
-                             failures=int(np.sum(~all_ok)))
+    n, e = results.shape[-1], len(_ESTIMATORS)
+    if np.isfinite(results).all():
+        used = [n] * e
+        mean_theta, mean_se = np.add.reduce(results[:2, :e], axis=-1) / n
+        powers = np.count_nonzero(p < POWER_ALPHA, axis=-1) / n
+        failures = 0
+    else:
+        ok = np.isfinite(results[:, :e]).all(axis=0)
+        for estimator, row in _INTERCEPT_ROWS.items():
+            ok[estimator] &= np.isfinite(p[row])
+        used = ok.sum(axis=-1).tolist()
+        for estimator, count in zip(_ESTIMATORS, used):
+            if count == 0:
+                raise ValueError(
+                    f"every replicate failed for estimator {estimator}")
+        mean_theta = [np.mean(theta[i][ok[i]]) for i in range(e)]
+        mean_se = [np.mean(se[i][ok[i]]) for i in range(e)]
+        powers = [np.mean(p[row][ok[i]] < POWER_ALPHA)
+                  for row, (i, _) in enumerate(_TESTS)]
+        failures = int(np.sum(~ok.all(axis=0)))
+    mi, ue, me = (EstimatorSummary(
+        estimator=estimator,
+        mean_theta1=float(mean_theta[i]),
+        mean_se=float(mean_se[i]),
+        power_causal=float(powers[i]),
+        power_intercept=(float(powers[_INTERCEPT_ROWS[i]])
+                         if i in _INTERCEPT_ROWS else None),
+        replicates_used=used[i],
+    ) for i, estimator in enumerate(_ESTIMATORS))
+    return SimulationSummary(mi=mi, ue=ue, me=me, failures=failures)
 
 
 def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
@@ -606,14 +640,20 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
     def work(segments, results, start: int, end: int) -> None:
         if not hasattr(local, "buffers"):
             local.buffers = _ChunkBuffers(size, j)
+        buffers, c = local.buffers, end - start
+        # Per config in the chunk: its first and end replicate index, and
+        # its rows of the chunk buffers.
+        parts = []
         for config, first in segments:
             lo, hi = max(start, first), min(end, first + config.replicates)
             if lo < hi:
-                _whitened_problems(config, lo - first, hi - first,
-                                   local.buffers, lo - start)
-        c = end - start
-        _chunk_tests(local.buffers.me[:c], local.buffers.ue[:c],
-                     results[:, :, start:end])
+                parts.append((config, lo - first, hi - first,
+                               slice(lo - start, hi - start)))
+        _chunk_normals([(int(config.seed), lo, hi)
+                        for config, lo, hi, _ in parts], buffers.z[:c])
+        for config, _, _, rows in parts:
+            _whitened_problems(config, buffers, rows)
+        _chunk_tests(buffers.me[:c], buffers.ue[:c], results[:, :, start:end])
 
     for total, segments in groups:
         results = np.empty((3, len(_TESTS), total))

@@ -338,13 +338,67 @@ class TestLoadDataset:
 
     def test_header_column_count(self, tmp_path):
         p = _write(tmp_path, HEADER_K1 + "rs1,A,G,0.1,0.02,0.05,0.01\n")
-        with pytest.raises(DataError, match="column count mismatch"):
+        with pytest.raises(DataError, match=(
+                r"data\.csv: column count mismatch at line 1: expected 9 "
+                r"columns for k=2, found 7$")):
             load_dataset(p, k=2)
 
     def test_malformed_header(self, tmp_path):
         bad = HEADER_K1.replace("beta_y", "beta_out")
         p = _write(tmp_path, bad + "rs1,A,G,0.1,0.02,0.05,0.01\n")
-        with pytest.raises(DataError, match="malformed header"):
+        with pytest.raises(DataError, match=(
+                r"data\.csv: malformed header at line 1: expected "
+                r"variant_id,effect_allele,")):
+            load_dataset(p, k=1)
+        # A header with a quoted line break is named by the line it ends on.
+        p = _write(tmp_path, '"variant\n_id"' + HEADER_K1[10:]
+                   + "rs1,A,G,0.1,0.02,0.05,0.01\n")
+        with pytest.raises(DataError, match="malformed header at line 2:"):
+            load_dataset(p, k=1)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["LF", "CRLF", "CR"])
+    def test_unterminated_quote(self, tmp_path, newline):
+        # csv's non-strict reader reads a quote left open to the end of the
+        # file as one field; the fault names the line of the open quote,
+        # however many lines the field swallowed, even in the header.
+        row = "rs{},A,G,0.1,0.02,0.05,0.01\n"
+        for text, line in [
+                (HEADER_K1 + row.format(1) + '"' + row.format(2)
+                 + row.format(3), 3),
+                (HEADER_K1 + '"rs\n1",A,G,0.1,0.02,0.05,"0.01\n', 3),
+                (HEADER_K1 + row.format(1) + "rs2,A,G,0.1,0.02,0.05,\"", 3),
+                (HEADER_K1 + row.format(1) + 'rs2,A,G,0.1,0.02,0.05,"1""\n'
+                 + row.format(3) + "\n", 3),
+                ('"' + HEADER_K1 + row.format(1), 1)]:
+            p = tmp_path / "data.csv"
+            p.write_bytes(text.replace("\n", newline).encode())
+            with pytest.raises(DataError, match=(
+                    rf"^{re.escape(str(p))}: unterminated quote opened at "
+                    rf"line {line}$")):
+                load_dataset(p, k=1)
+        # The reader stays non-strict: text after a closing quote is kept.
+        p = _write(tmp_path, HEADER_K1 + '"rs"1,A,G,0.1,0.02,0.05,0.01\n')
+        assert load_dataset(p, k=1).variant_ids.tolist() == ["rs1"]
+
+    def test_echoed_cells_are_cut(self, tmp_path):
+        # A message echoes at most _ECHO_LIMIT characters of a cell.
+        long_id, long_value = "rs" + "7" * 200, "x" * 200
+        p = _write(tmp_path, HEADER_K1
+                   + f"{long_id},A,G,0.1,0.02,0.05,0.01\n" * 2)
+        cut = f"'{long_id[:mrkit.data._ECHO_LIMIT - 3]}...'"
+        with pytest.raises(DataError, match=(
+                rf"duplicate variant_id {cut} at row 3$")):
+            load_dataset(p, k=1)
+        p = _write(tmp_path, HEADER_K1 + f"rs1,A,G,{long_value},0.02,0.05,"
+                   "0.01\n")
+        cut = f"'{long_value[:mrkit.data._ECHO_LIMIT - 3]}...'"
+        with pytest.raises(DataError, match=(
+                rf"non-numeric value {cut} in column beta_x1 at row 2$")):
+            load_dataset(p, k=1)
+        exact = "y" * mrkit.data._ECHO_LIMIT
+        p = _write(tmp_path, HEADER_K1 + f"rs1,A,G,{exact},0.02,0.05,0.01\n")
+        with pytest.raises(DataError, match=f"non-numeric value '{exact}' "):
             load_dataset(p, k=1)
 
     def test_row_column_count(self, tmp_path):

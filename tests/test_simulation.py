@@ -431,25 +431,34 @@ class TestRunScenario:
 
     def test_chunk_draws_match_single_replicate(self, monkeypatch):
         # The chunk fills its draw block in place through _chunk_normals,
-        # which must draw what generate_dataset draws for each replicate.
+        # which must draw what generate_dataset draws for each replicate:
+        # for a config cut into two chunks, and for a chunk packed with four
+        # configs of distinct seeds, on both sides of 2**32.
         monkeypatch.setenv("MRKIT_THREADS", "1")
         latent_draws = simulation._latent_draws
         blocks = []
 
         def capture(config, z):
-            blocks.append(z.copy())
+            blocks.append((config, z.copy()))
             return latent_draws(config, z)
 
         monkeypatch.setattr(simulation, "_latent_draws", capture)
-        config = scenario_config(2, replicates=2 * simulation._CHUNK,
-                                 j_variants=20, seed=8)
-        run_scenario(config)
-        assert [len(b) for b in blocks] == [simulation._CHUNK] * 2
-        z = np.concatenate(blocks)
-        for r in range(config.replicates):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, r]))
-            assert np.array_equal(z[r], rng.standard_normal((20, 5)))
+        single = [scenario_config(2, replicates=2 * simulation._CHUNK,
+                                  j_variants=20, seed=8)]
+        packed = [scenario_config(2, replicates=simulation._CHUNK // 4,
+                                  j_variants=20, seed=seed)
+                  for seed in (2 ** 40 + 3, 8, 2 ** 32, 2 ** 64 - 1)]
+        for configs, sizes in ((single, [simulation._CHUNK] * 2),
+                               (packed, [simulation._CHUNK // 4] * 4)):
+            blocks.clear()
+            list(simulation._replicate_results(configs))
+            assert [len(z) for _, z in blocks] == sizes
+            for config in configs:
+                z = np.concatenate([z for c, z in blocks if c is config])
+                for r in range(config.replicates):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence([config.seed, r]))
+                    assert np.array_equal(z[r], rng.standard_normal((20, 5)))
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
            indices=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
@@ -470,6 +479,47 @@ class TestRunScenario:
             state = np.random.PCG64(sequence).state["state"]
             assert simulation._pcg64_state(row.tolist()) == (
                 state["state"], state["inc"])
+
+    @given(pairs=st.lists(st.tuples(
+        st.integers(min_value=0, max_value=2 ** 64 - 1),
+        st.integers(min_value=0, max_value=2 ** 64 - 1)), max_size=6))
+    @example(pairs=[])
+    @hypothesis_settings(max_examples=60, deadline=None)
+    def test_chunk_seeding_matches_seed_sequence_per_seed(self, pairs):
+        # One seed per index, as a packed chunk hashes its rows' replicates:
+        # seeds below 2**32 and at or above it always take part.
+        pairs = [(2 ** 32 - 1, 5), (2 ** 32, 5), (0, 2 ** 32)] + pairs
+        seeds, indices = (np.array(column, dtype=np.uint64)
+                          for column in zip(*pairs))
+        words = simulation._seed_words(seeds, indices)
+        assert words.shape == (len(pairs), 4)
+        for (seed, r), row in zip(pairs, words):
+            assert np.array_equal(row, np.random.SeedSequence(
+                [seed, r]).generate_state(4, np.uint64))
+
+    def test_grid_hashes_once_per_chunk_and_guards_every_row(self,
+                                                             monkeypatch):
+        # The 32 mediation rows of 32 replicates fill 8 chunks of 4 rows:
+        # each chunk hashes its seeds in one call, and the guard checks the
+        # first replicate of each row against numpy's seeding.
+        monkeypatch.setenv("MRKIT_THREADS", "1")
+        seed_words, guard = (simulation._seed_words,
+                             simulation._checked_bit_generator)
+        hashed, guarded = [], []
+
+        def hash_chunk(seeds, indices):
+            hashed.append(len(indices))
+            return seed_words(seeds, indices)
+
+        def check(seed, index, state):
+            guarded.append((seed, index))
+            return guard(seed, index, state)
+
+        monkeypatch.setattr(simulation, "_seed_words", hash_chunk)
+        monkeypatch.setattr(simulation, "_checked_bit_generator", check)
+        rows = run_scenario_grid(32, mediation_only=True)
+        assert hashed == [128] * 8
+        assert guarded == [(row.config.seed, 0) for row in rows]
 
     def test_seeding_guard_raises_on_a_corrupted_hash(self, monkeypatch):
         monkeypatch.setattr(simulation, "_PCG64_MULTIPLIER",
@@ -673,6 +723,68 @@ def test_collinear_replicates_fail_where_estimators_raise(monkeypatch):
     assert simulation._summarise(batched).failures == raised.sum()
 
 
+def _reference_summary(results):
+    """A summary from one masked ``np.mean`` per estimator and quantity.
+
+    An estimator uses the replicates whose estimate, se and p-value are
+    finite, and, for UE and ME, whose intercept p-value (rows 3 and 4 of
+    _TESTS) is finite too.
+    """
+    theta, se, p = results
+    summaries, all_ok = [], np.ones(results.shape[-1], dtype=bool)
+    for e, (estimator, intercept) in enumerate(
+            (("MI", None), ("UE", 3), ("ME", 4))):
+        ok = np.isfinite(theta[e]) & np.isfinite(se[e]) & np.isfinite(p[e])
+        if intercept is not None:
+            ok &= np.isfinite(p[intercept])
+        if not ok.any():
+            raise ValueError(
+                f"every replicate failed for estimator {estimator}")
+        summaries.append(simulation.EstimatorSummary(
+            estimator=estimator,
+            mean_theta1=float(np.mean(theta[e][ok])),
+            mean_se=float(np.mean(se[e][ok])),
+            power_causal=float(np.mean(p[e][ok] < simulation.POWER_ALPHA)),
+            power_intercept=(
+                None if intercept is None else
+                float(np.mean(p[intercept][ok] < simulation.POWER_ALPHA))),
+            replicates_used=int(ok.sum())))
+        all_ok &= ok
+    return simulation.SimulationSummary(*summaries,
+                                        failures=int(np.sum(~all_ok)))
+
+
+@pytest.mark.parametrize("n", [1, 8, 129, 8193, 10_000])
+@pytest.mark.parametrize("failed", [0.0, 0.001, 0.3])
+@given(offset=st.sampled_from((0, 3)), seed=st.integers(0, 2 ** 32 - 1))
+@hypothesis_settings(max_examples=8, deadline=None)
+def test_summary_matches_masked_means(n, failed, offset, seed):
+    """_summarise equals the per-estimator masked means bit for bit.
+
+    The results are a slice of a wider array, as the engine yields a
+    packed chunk's rows, and a share of their values is NaN or infinite.
+    """
+    rng = np.random.default_rng(seed)
+    wide = np.empty((3, len(simulation._TESTS), offset + n + 2))
+    results = wide[..., offset:offset + n]
+    results[0] = rng.normal(0.1, 0.3, results[0].shape)
+    results[1] = rng.exponential(0.05, results[1].shape)
+    results[2] = rng.uniform(0.0, 0.2, results[2].shape)
+    if failed:
+        bad = rng.random(results.shape) < failed / len(simulation._TESTS)
+        results[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
+    try:
+        want = _reference_summary(results)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            simulation._summarise(results)
+        return
+    got = simulation._summarise(results)
+    # The repr of a float round-trips, so equal reprs are equal bits.
+    assert repr(got) == repr(want)
+    assert got == want
+
+
 @pytest.mark.parametrize("j_variants", [5, 185])
 def test_exact_fit_replicates_match_single_dataset_fits(monkeypatch,
                                                         j_variants):
@@ -781,21 +893,33 @@ class TestGrid:
     def test_chunk_plan(self, monkeypatch, replicates, sizes):
         # Whole rows share a chunk while they fit in it, and a row larger
         # than a chunk is cut into chunks of its own. Each recorded segment
-        # is (row config, first replicate, end, row of the chunk buffers).
+        # is (row config, first replicate, end, row of the chunk buffers):
+        # the chunk draws the segment's replicates under the row's seed and
+        # builds their problems in those rows of its buffers.
         monkeypatch.setenv("MRKIT_THREADS", "1")
-        whitened, tests = (simulation._whitened_problems,
-                           simulation._chunk_tests)
-        chunks, segments = [], []
+        normals, whitened, tests = (simulation._chunk_normals,
+                                    simulation._whitened_problems,
+                                    simulation._chunk_tests)
+        chunks, drawn, built = [], [], []
 
-        def record(config, start, end, buffers, at):
-            segments.append((config, start, end, at))
-            whitened(config, start, end, buffers, at)
+        def draw(segments, out):
+            drawn.extend(segments)
+            normals(segments, out)
+
+        def record(config, buffers, rows):
+            built.append((config, rows.start))
+            whitened(config, buffers, rows)
 
         def close(me, ue, out):
-            chunks.append(segments[:])
-            segments.clear()
+            assert [seed for seed, _, _ in drawn] == [
+                config.seed for config, _ in built]
+            chunks.append([(config, start, end, at) for (config, at), (
+                _, start, end) in zip(built, drawn, strict=True)])
+            drawn.clear()
+            built.clear()
             tests(me, ue, out)
 
+        monkeypatch.setattr(simulation, "_chunk_normals", draw)
         monkeypatch.setattr(simulation, "_whitened_problems", record)
         monkeypatch.setattr(simulation, "_chunk_tests", close)
         configs = [row.config for row in run_scenario_grid(
