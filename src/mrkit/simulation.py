@@ -614,14 +614,14 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
     holds ``_CHUNK`` replicates, or fewer where a worker thread's buffers
     would pass ``_CHUNK_BYTES``. Consecutive configs whose replicates fit in
     one chunk share it, laid end to end, and a larger config is cut into
-    chunks of its own. A chunk is filled one segment at a time, each segment
-    one config's replicates under that config's seed and replicate indices,
-    and then fitted and tested at once. Every step is per replicate, so each
-    config's results are bit for bit what it gets when run alone. Groups of
-    configs run one after another, and a group's chunks go to worker threads
-    only when it has more than one. A group's results are yielded as soon as
-    it has run, so a grid holds one group's results at a time. The configs
-    must share j_variants.
+    chunks of its own. A chunk draws all its replicates at once, each under
+    its config's seed and its own index, builds their problems one config's
+    segment at a time, and then fits and tests them at once. Every step is
+    per replicate, so each config's results are bit for bit what it gets
+    when run alone. Groups of configs run one after another, and a group's
+    chunks go to worker threads only when it has more than one. A group's
+    results are yielded as soon as it has run, so a grid holds one group's
+    results at a time. The configs must share j_variants.
     """
     j = configs[0].j_variants
     if any(config.j_variants != j for config in configs):
