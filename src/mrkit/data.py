@@ -226,7 +226,14 @@ _ECHO_LIMIT = 40
 
 
 def _echo(cell: str) -> str:
-    """``cell`` quoted for a message, cut to ``_ECHO_LIMIT`` characters."""
+    """``cell`` quoted for a message, on one line and cut to ``_ECHO_LIMIT``.
+
+    A character that does not print, such as a line break a quoted field
+    holds, is written as its Python escape (``\\n``, ``\\x00``). The cut
+    comes after the escaping, so the echo is at most ``_ECHO_LIMIT``
+    characters as printed.
+    """
+    cell = "".join(c if c.isprintable() else repr(c)[1:-1] for c in cell)
     if len(cell) > _ECHO_LIMIT:
         cell = cell[:_ECHO_LIMIT - 3] + "..."
     return f"'{cell}'"
@@ -549,10 +556,10 @@ def load_dataset(path: str | Path, k: int) -> SummaryDataset:
         checks.insert(1, (np.arange(end) == row, lambda _: message))
     fault = _first_fault(checks)
     if fault is not None:
-        raise DataError(f"{path}: {fault[1]} at row {lines[fault[0]]}")
+        raise DataError(f"{path}: {fault[1]} at line {lines[fault[0]]}")
     if ragged.size:
         raise DataError(
-            f"{path}: column count mismatch at row {lines[end]}: "
+            f"{path}: column count mismatch at line {lines[end]}: "
             f"expected {len(expected)} fields, found {widths[end]}")
     if end == 0:
         raise DataError(f"{path}: no data rows")
@@ -716,7 +723,10 @@ def load_correlation(path: str | Path,
         rows = _parse_correlation_rows(
             _read_text(path) if text is None else text, path, dataset.j)
         entries = np.array(rows, dtype=float)
-    return CorrelationMatrix._adopt(entries)
+    try:
+        return CorrelationMatrix._adopt(entries)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _parse_correlation_rows(text: str, path: str | Path,
@@ -733,12 +743,12 @@ def _parse_correlation_rows(text: str, path: str | Path,
             rows.append([float(c) for c in cells])
         except ValueError:
             raise DataError(f"{path}: non-numeric correlation entry "
-                            f"at row {line_no}") from None
+                            f"at line {line_no}") from None
         line_nos.append(line_no)
     mismatch = f"{path}: correlation matrix must be {j}x{j} to match the dataset"
     for line_no, row in zip(line_nos, rows):
         if len(row) != j:
-            raise DataError(f"{mismatch}: row {line_no} has {len(row)} entries")
+            raise DataError(f"{mismatch}: line {line_no} has {len(row)} entries")
     if len(rows) != j:
         raise DataError(f"{mismatch}: found {len(rows)} rows")
     return rows

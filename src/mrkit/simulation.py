@@ -117,8 +117,8 @@ _INSIDE_LOADING = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
 
 POWER_ALPHA = 0.05
 # Replicates per Monte Carlo chunk: at most _CHUNK, and fewer where a worker
-# thread's chunk buffers (144 bytes per replicate and variant) would pass
-# _CHUNK_BYTES. The paper's J = 185 keeps chunks of 128 (3.4 MB).
+# thread's chunk buffers (88 bytes per replicate and variant) would pass
+# _CHUNK_BYTES. The paper's J = 185 keeps chunks of 128 (2.1 MB).
 _CHUNK = 128
 _CHUNK_BYTES = 4 << 20
 
@@ -402,21 +402,24 @@ def _latent_draws(config: ScenarioConfig,
 
 
 def _observables(config: ScenarioConfig, beta_cols: list[np.ndarray],
-                 alpha_prime: np.ndarray, epsilon: np.ndarray,
-                 out: np.ndarray):
+                 alpha_prime: np.ndarray, epsilon: np.ndarray, out):
     """Covariate columns, outcome associations, and squared outcome ses.
 
-    |bX1|, bX2, beta_Y and the squared ses are written into ``out``, a
-    (4, ..., J) array; bX3 is ``beta_cols[2]``.
+    |bX1|, bX2, beta_Y and the squared ses are written into ``out``, four
+    arrays of one shape (..., J) or a (4, ..., J) array; bX3 is
+    ``beta_cols[2]``. ``out`` may alias the inputs, as the Monte Carlo
+    engine's call does: |bX1| over bX1, bX2 over its input and beta_Y over
+    alpha'. The squared ses hold each product made here until they are
+    written last, so they alias no input.
     """
     theta1, theta2, theta3 = config.theta
     abs_x1, x2, beta_y, se2_mv = out
     x3 = beta_cols[2]
     np.abs(beta_cols[0], out=abs_x1)
-    np.add(beta_cols[1], np.multiply(config.gamma, abs_x1, out=x2), out=x2)
+    np.add(beta_cols[1], np.multiply(config.gamma, abs_x1, out=se2_mv), out=x2)
     # beta_Y = alpha' + theta1 |bX1| + theta2 bX2 + theta3 bX3 + eps, summed
-    # left to right; se2_mv holds each product until it is written last.
-    np.add(alpha_prime, np.multiply(theta1, abs_x1, out=beta_y), out=beta_y)
+    # left to right.
+    np.add(alpha_prime, np.multiply(theta1, abs_x1, out=se2_mv), out=beta_y)
     np.add(beta_y, np.multiply(theta2, x2, out=se2_mv), out=beta_y)
     np.add(beta_y, np.multiply(theta3, x3, out=se2_mv), out=beta_y)
     np.add(beta_y, epsilon, out=beta_y)
@@ -491,52 +494,61 @@ def _thread_count() -> int:
 class _ChunkBuffers:
     """One worker thread's arrays for chunks of up to ``size`` replicates.
 
-    They hold 18 float64 values, 144 bytes, per replicate and variant: the
+    They hold 11 float64 values, 88 bytes, per replicate and variant: the
     size that _replicate_results bounds by ``_CHUNK_BYTES``.
 
-    A chunk's draws, observables, weights and fit inputs are written into
-    these arrays, so a thread allocates them once, not once per chunk:
-    arrays freed after every chunk were returned to the system and
-    page-faulted back in by the next. They are views of one allocation
-    because glibc returns the free top of its heap once it passes twice the
-    largest block it has unmapped; one block stays under that and is reused
-    by the next call, where separate arrays are not.
-    The ME and UE problems are (C, J, p + 1) arrays laid out column-major per
-    matrix: each column of each replicate's problem is J contiguous values,
-    so building a column writes, and the QR copies, contiguous memory.
+    ``z`` is the chunk's (C, J, 5) block of draws. ``slots`` is a
+    (6, C, J) array of one (C, J) plane per variable: the draws are moved
+    into planes 1-5, where the latent draws, the observables and then ME's
+    problem [w, |x1|w, x2 w, x3 w, y w] overwrite them in place, so ``me``
+    is planes 0-4 seen as (C, J, 5). Once the draws are moved, z's block is
+    free, and UE's (3, C, J) problem and its (C, J) weights are views of it.
+    A thread allocates these once, not once per chunk: arrays freed after
+    every chunk were returned to the system and page-faulted back in by the
+    next. They are views of one allocation because glibc returns the free
+    top of its heap once it passes twice the largest block it has unmapped;
+    one block stays under that and is reused by the next call, where
+    separate arrays are not.
+    Each column of each replicate's ME and UE problem is J contiguous
+    values, so building a column writes, and the QR copies, contiguous
+    memory.
     """
 
     def __init__(self, size: int, j: int) -> None:
-        z, me, ue, observables, sqrt_w = np.split(
-            np.empty(18 * size * j), np.cumsum([5, 5, 3, 4]) * size * j)
+        z, slots = np.split(np.empty(11 * size * j), [5 * size * j])
         self.z = z.reshape(size, j, 5)
-        self.me = me.reshape(size, 5, j).transpose(0, 2, 1)
-        self.ue = ue.reshape(size, 3, j).transpose(0, 2, 1)
-        self.observables = observables.reshape(4, size, j)
-        self.sqrt_w = sqrt_w.reshape(size, j)
+        self.slots = slots.reshape(6, size, j)
+        self.me = self.slots[:5].transpose(1, 2, 0)
+        self.ue = z[:3 * size * j].reshape(3, size, j).transpose(1, 2, 0)
+        self.ue_weights = z[3 * size * j:4 * size * j].reshape(size, j)
 
 
 def _whitened_problems(config: ScenarioConfig, buffers: _ChunkBuffers,
                        rows: slice) -> None:
     """Whitened [design | response] of ME and UE for ``rows`` of a chunk.
 
-    ``rows`` of the chunk's (C, J, 5) block in ``buffers`` hold the draws of
-    this config's replicates; the latent draws overwrite them. The
-    observables are written to those rows of its four (C, J) columns, and
-    the problems to those of its ME and UE arrays. MI's problem is ME's
-    without its intercept column, so it is not built: :func:`_chunk_tests`
-    fits it from ME's R. UE's outcome errors are widened by the univariable
-    extra variance.
+    ``rows`` of planes 1-5 of ``buffers.slots`` hold the draws of this
+    config's replicates. The latent draws and then the observables
+    overwrite them, the squared ses go to plane 0, and UE's problem is
+    written to those rows of ``buffers.ue``. ME's is then built in place
+    over planes 0-4 from the arrays :func:`_observables` returned. MI's
+    problem is ME's without its intercept column, so it is not built:
+    :func:`_chunk_tests` fits it from ME's R. UE's outcome errors are
+    widened by the univariable extra variance.
     """
-    beta_cols, alpha_prime, epsilon = _latent_draws(config, buffers.z[rows])
+    slots = buffers.slots[:, rows]
+    beta_cols, alpha_prime, epsilon = _latent_draws(
+        config, slots[1:].transpose(1, 2, 0))
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
-        config, beta_cols, alpha_prime, epsilon, buffers.observables[:, rows])
-    sqrt_w = buffers.sqrt_w[rows]
-    np.sqrt(np.divide(1.0, se2_mv, out=sqrt_w), out=sqrt_w)
-    _design((abs_x1, x2, x3, beta_y), True, sqrt_w, out=buffers.me[rows])
+        config, beta_cols, alpha_prime, epsilon,
+        (slots[1], slots[2], slots[4], slots[0]))
+    sqrt_w = buffers.ue_weights[rows]
     np.add(se2_mv, _univariable_extra_variance(config), out=sqrt_w)
     np.sqrt(np.divide(1.0, sqrt_w, out=sqrt_w), out=sqrt_w)
     _design((abs_x1, beta_y), True, sqrt_w, out=buffers.ue[rows])
+    # ME's weights go over the squared ses, where its intercept column is.
+    sqrt_w = np.sqrt(np.divide(1.0, se2_mv, out=se2_mv), out=se2_mv)
+    _design((abs_x1, x2, x3, beta_y), True, sqrt_w, out=buffers.me[rows])
 
 
 def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
@@ -626,7 +638,7 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
     j = configs[0].j_variants
     if any(config.j_variants != j for config in configs):
         raise ValueError("configs run together must share j_variants")
-    chunk = min(max(_CHUNK_BYTES // (144 * j), 1), _CHUNK)
+    chunk = min(max(_CHUNK_BYTES // (88 * j), 1), _CHUNK)
     groups = []  # per group: its replicate count and (config, first) pairs
     for config in configs:
         if not groups or groups[-1][0] + config.replicates > chunk:
@@ -651,6 +663,8 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
                                slice(lo - start, hi - start)))
         _chunk_normals([(int(config.seed), lo, hi)
                         for config, lo, hi, _ in parts], buffers.z[:c])
+        # The draws move to the planes of slots; z's block is then free.
+        np.copyto(buffers.slots[1:, :c], buffers.z[:c].transpose(2, 0, 1))
         for config, _, _, rows in parts:
             _whitened_problems(config, buffers, rows)
         _chunk_tests(buffers.me[:c], buffers.ue[:c], results[:, :, start:end])

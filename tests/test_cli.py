@@ -179,6 +179,18 @@ class TestAnalyze:
         assert err.startswith(f"error: {data}: field larger than field limit")
         assert "at line 2" in err
 
+    def test_echoed_cell_is_one_line(self, tmp_path, capsys):
+        # A quoted id holding a line break is echoed with the break escaped,
+        # so the fault is one line of stderr. Each record spans two lines.
+        data = tmp_path / "dup.csv"
+        data.write_text("variant_id,effect_allele,other_allele,beta_x1,se_x1,"
+                        "beta_y,se_y\n" + '"rs\n1",A,G,0.1,0.02,0.05,0.01\n' * 2)
+        code, out, err = _analyze(
+            ["--data", str(data), "--k", "1", "--methods", "UI"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {data}: duplicate variant_id 'rs\\n1' at line 5\n"
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("corr", [False, True])
     def test_not_utf8(self, one_factor_csv, tmp_path, capsys, corr):
         bad = tmp_path / "utf16.csv"
@@ -349,8 +361,8 @@ class TestAnalyze:
              "--methods", "UI"], capsys)
         smallest = np.linalg.eigvalsh(corr)[0]
         assert (code, out, err) == (
-            2, "", "error: correlation matrix is not positive definite "
-                   f"(smallest eigenvalue {smallest:.3e})\n")
+            2, "", f"error: {corr_path}: correlation matrix is not positive "
+                   f"definite (smallest eigenvalue {smallest:.3e})\n")
 
     def test_correlation_factored_once(self, three_factor_csv, tmp_path,
                                        capsys, monkeypatch):
@@ -414,6 +426,8 @@ class TestAnalyze:
                        if ref else
                        "--ref is required for ME, UE, UI (orientation / "
                        "risk-factor selection)")
+        else:
+            message = f"{corr_path}: {message}"
         code, out, err = _analyze(
             ["--data", three_factor_csv, "--k", "3", "--corr", str(corr_path),
              "--methods", "UI,UE,MI,ME", *ref], capsys)
@@ -779,7 +793,7 @@ class TestSimulate:
              "./d.csv: not UTF-8 text (invalid start byte) at line 1"),
             (["analyze", "--data", "ok.csv", "--k", "1", "--methods", "UI",
               "--corr", "./c.csv"],
-             "./c.csv: non-numeric correlation entry at row 2"),
+             "./c.csv: non-numeric correlation entry at line 2"),
         ]
         for argv, message in runs:
             assert main(argv) == 2
@@ -1140,7 +1154,7 @@ def test_pipe_input_matches_file(three_factor_csv, tmp_path, capsys,
     if piped == "rho.csv":
         assert outcomes[0][:3] == (
             2, "", "error: rho.csv: correlation matrix must be 10x10 to match "
-                   "the dataset: row 1 has 2 entries\n")
+                   "the dataset: line 1 has 2 entries\n")
     else:
         assert outcomes[0][0] == 0
 

@@ -388,13 +388,13 @@ class TestLoadDataset:
                    + f"{long_id},A,G,0.1,0.02,0.05,0.01\n" * 2)
         cut = f"'{long_id[:mrkit.data._ECHO_LIMIT - 3]}...'"
         with pytest.raises(DataError, match=(
-                rf"duplicate variant_id {cut} at row 3$")):
+                rf"duplicate variant_id {cut} at line 3$")):
             load_dataset(p, k=1)
         p = _write(tmp_path, HEADER_K1 + f"rs1,A,G,{long_value},0.02,0.05,"
                    "0.01\n")
         cut = f"'{long_value[:mrkit.data._ECHO_LIMIT - 3]}...'"
         with pytest.raises(DataError, match=(
-                rf"non-numeric value {cut} in column beta_x1 at row 2$")):
+                rf"non-numeric value {cut} in column beta_x1 at line 2$")):
             load_dataset(p, k=1)
         exact = "y" * mrkit.data._ECHO_LIMIT
         p = _write(tmp_path, HEADER_K1 + f"rs1,A,G,{exact},0.02,0.05,0.01\n")
@@ -403,7 +403,7 @@ class TestLoadDataset:
 
     def test_row_column_count(self, tmp_path):
         p = _write(tmp_path, HEADER_K1 + "rs1,A,G,0.1,0.02,0.05\n")
-        with pytest.raises(DataError, match="at row 2"):
+        with pytest.raises(DataError, match="at line 2"):
             load_dataset(p, k=1)
 
     def test_duplicate_row(self, tmp_path):
@@ -411,13 +411,13 @@ class TestLoadDataset:
                    + "rs1,A,G,0.1,0.02,0.05,0.01\n"
                    + "rs1,A,G,0.2,0.02,0.05,0.01\n")
         with pytest.raises(DataError,
-                           match="duplicate variant_id 'rs1' at row 3"):
+                           match="duplicate variant_id 'rs1' at line 3"):
             load_dataset(p, k=1)
 
     def test_non_numeric_cell(self, tmp_path):
         p = _write(tmp_path, HEADER_K1 + "rs1,A,G,0.1,oops,0.05,0.01\n")
         with pytest.raises(DataError,
-                           match="non-numeric value 'oops' in column se_x1 at row 2"):
+                           match="non-numeric value 'oops' in column se_x1 at line 2"):
             load_dataset(p, k=1)
 
     def test_non_positive_se_row(self, tmp_path):
@@ -425,12 +425,12 @@ class TestLoadDataset:
                    + "rs1,A,G,0.1,0.02,0.05,0.01\n"
                    + "rs2,A,G,0.1,0.02,0.05,0\n")
         with pytest.raises(DataError,
-                           match="non-positive standard error at row 3"):
+                           match="non-positive standard error at line 3"):
             load_dataset(p, k=1)
 
     def test_non_finite_row(self, tmp_path):
         p = _write(tmp_path, HEADER_K1 + "rs1,A,G,inf,0.02,0.05,0.01\n")
-        with pytest.raises(DataError, match="non-finite value at row 2"):
+        with pytest.raises(DataError, match="non-finite value at line 2"):
             load_dataset(p, k=1)
 
     def test_empty_variant_id_row(self, tmp_path):
@@ -438,7 +438,7 @@ class TestLoadDataset:
                    + "rs1,A,G,0.1,0.02,0.05,0.01\n"
                    + ",A,G,0.1,0.02,0.05,0.01\n")
         with pytest.raises(DataError,
-                           match=r"data\.csv: empty variant_id at row 3"):
+                           match=r"data\.csv: empty variant_id at line 3"):
             load_dataset(p, k=1)
 
     def test_empty_allele_row(self, tmp_path):
@@ -446,7 +446,7 @@ class TestLoadDataset:
                    + "rs1,A,G,0.1,0.02,0.05,0.01\n"
                    + "rs2,A, ,0.1,0.02,0.05,0.01\n")
         with pytest.raises(DataError,
-                           match=r"data\.csv: empty allele label at row 3"):
+                           match=r"data\.csv: empty allele label at line 3"):
             load_dataset(p, k=1)
 
     def test_first_faulty_row_reported(self, tmp_path):
@@ -459,7 +459,7 @@ class TestLoadDataset:
                    + "rs4,A,G,0.1\n"
                    + ",A,G,0.1,x,0.05,0.01\n")
         with pytest.raises(DataError,
-                           match="duplicate variant_id 'rs1' at row 3"):
+                           match="duplicate variant_id 'rs1' at line 3"):
             load_dataset(p, k=1)
         p = _write(tmp_path, HEADER_K1
                    + "rs1,A,G,0.1,0.02,0.05,0.01\n"
@@ -471,7 +471,7 @@ class TestLoadDataset:
                    + "rs1,A,G,0.1,0.02,0.05,0.01\n"
                    + "rs2,A,G,0.1,0.02,0.05\n"
                    + "rs3,A,G,nan,0.02,0.05,0.01\n")
-        with pytest.raises(DataError, match="column count mismatch at row 3"):
+        with pytest.raises(DataError, match="column count mismatch at line 3"):
             load_dataset(p, k=1)
 
     def test_no_data_rows(self, tmp_path):
@@ -493,11 +493,11 @@ class TestLoadDataset:
         line the record ends on, as csv names the line of its own errors."""
         record = '"rs\n1",A,G,0.1,0.02,0.05,'
         for rows, message in [
-                (record + "-1\n", "non-positive standard error at row 3"),
+                (record + "-1\n", "non-positive standard error at line 3"),
                 (record + "0.01\n\nrs2,A,G,nan,0.02,0.05,0.01\n",
-                 "non-finite value at row 5"),
+                 "non-finite value at line 5"),
                 (record + "0.01\n\nrs2,A,G,0.1,0.02,0.05,0.01\nrs3,A,G,0.1\n",
-                 "column count mismatch at row 6: expected 7 fields, "
+                 "column count mismatch at line 6: expected 7 fields, "
                  "found 4")]:
             p = tmp_path / "data.csv"
             p.write_bytes((HEADER_K1 + rows).replace("\n", newline).encode())
@@ -636,7 +636,7 @@ class TestLoadCorrelation:
         ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
         p = _write(tmp_path, "1.0,0.5\n\n0.5\n", name="corr.csv")
         with pytest.raises(DataError, match="must be 2x2 to match the dataset: "
-                                            "row 3 has 1 entries"):
+                                            "line 3 has 1 entries"):
             load_correlation(p, ds)
 
     def test_row_count_reported(self, tmp_path):
@@ -656,7 +656,7 @@ class TestLoadCorrelation:
     def test_non_numeric(self, tmp_path):
         ds = make_dataset([0.1, 0.2], [0.1, 0.2], [1, 1])
         p = _write(tmp_path, "1.0,x\nx,1.0\n", name="corr.csv")
-        with pytest.raises(DataError, match="non-numeric correlation entry at row 1"):
+        with pytest.raises(DataError, match="non-numeric correlation entry at line 1"):
             load_correlation(p, ds)
 
     @pytest.mark.parametrize("data, line", [
@@ -826,11 +826,11 @@ def test_numeric_cell_parsed_as_float_does(tmp_path_factory, cell):
         expected = float(cell)
     except ValueError:
         with pytest.raises(DataError, match="non-numeric value .* in column "
-                                            "beta_y at row 3"):
+                                            "beta_y at line 3"):
             load_dataset(path, k=1)
         return
     if not np.isfinite(expected):
-        with pytest.raises(DataError, match="non-finite value at row 3"):
+        with pytest.raises(DataError, match="non-finite value at line 3"):
             load_dataset(path, k=1)
         return
     value = load_dataset(path, k=1).beta_y[1]
@@ -957,7 +957,7 @@ def test_splitlines_breaks_stay_in_a_field(tmp_path, brk):
     row = "rs1,A,G,0.1,0.02,0.05,0.01"
     p = _write(tmp_path, HEADER_K1 + row + brk + row.replace("rs1", "rs2"))
     with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: column count "
-                                        rf"mismatch at row 2: expected 7 "
+                                        rf"mismatch at line 2: expected 7 "
                                         rf"fields, found 13$"):
         load_dataset(p, k=1)
     p = _write(tmp_path, HEADER_K1 + row.replace("rs1", f"rs{brk}1") + "\n")
@@ -1015,14 +1015,17 @@ def _float_rows(text: str, path, j: int) -> CorrelationMatrix:
             rows.append((line_no, [float(c) for c in line.strip().split(",")]))
         except ValueError:
             raise DataError(
-                f"{path}: non-numeric correlation entry at row {line_no}") from None
+                f"{path}: non-numeric correlation entry at line {line_no}") from None
     mismatch = f"{path}: correlation matrix must be {j}x{j} to match the dataset"
     for line_no, row in rows:
         if len(row) != j:
-            raise DataError(f"{mismatch}: row {line_no} has {len(row)} entries")
+            raise DataError(f"{mismatch}: line {line_no} has {len(row)} entries")
     if len(rows) != j:
         raise DataError(f"{mismatch}: found {len(rows)} rows")
-    return CorrelationMatrix([row for _, row in rows])
+    try:
+        return CorrelationMatrix([row for _, row in rows])
+    except DataError as error:
+        raise DataError(f"{path}: {error}") from None
 
 
 def _outcome(load):
@@ -1121,7 +1124,8 @@ def test_packed_layout(tmp_path_factory, seed, j, kind):
         assert str(error) == _parent_indefinite_message(flipped)
         with pytest.raises(DataError) as loaded:
             load_correlation(path, ds)
-        assert str(loaded.value) == _parent_indefinite_message(rho)
+        assert str(loaded.value) == (f"{path}: "
+                                     f"{_parent_indefinite_message(rho)}")
         return
     # A singular draw whose rounding leaves it a factor loads.
     assert kind != "indefinite" or j <= 2

@@ -1,6 +1,7 @@
 """Data-generating process, scenario runner, and grid determinism."""
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ class TestRunScenario:
     def test_chunk_size_invariant(self, monkeypatch):
         # Chunk size is free to change: summaries are bit-identical for a
         # small chunk, a non-divisor, the default and one chunk for all. At
-        # J = 1,000 the default is the byte bound's 29 replicates, not
+        # J = 1,000 the default is the byte bound's 47 replicates, not
         # _CHUNK; the other sizes lift the bound.
         for j, replicates in ((185, 300), (1_000, 70)):
             config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
@@ -367,10 +368,10 @@ class TestRunScenario:
             assert all(s == summaries[0] for s in summaries), j
 
     @pytest.mark.parametrize("j, chunk", [
-        (185, 128), (227, 128), (228, 127), (1_000, 29), (10_000, 2),
+        (185, 128), (372, 128), (373, 127), (1_000, 47), (10_000, 4),
         (100_000, 1)])
     def test_chunk_bounded_by_bytes(self, monkeypatch, j, chunk):
-        # A worker thread's buffers hold 144 bytes per replicate and
+        # A worker thread's buffers hold 88 bytes per replicate and
         # variant: a chunk is _CHUNK replicates, or as many as keep them
         # within _CHUNK_BYTES, and at least one. The buffer size is
         # recorded and nothing is allocated.
@@ -388,10 +389,26 @@ class TestRunScenario:
         with pytest.raises(Recorded):
             run_scenario(scenario_config(1, j_variants=j, replicates=1_000))
         assert sizes == [(chunk, j)]
-        assert chunk == 1 or 144 * j * chunk <= simulation._CHUNK_BYTES
+        assert chunk == 1 or 88 * j * chunk <= simulation._CHUNK_BYTES
+
+    def test_chunk_memory(self, monkeypatch):
+        # One 128-replicate chunk at the paper's J = 185 on one thread. Its
+        # buffers hold 11 float64 per replicate and variant; the QR's copy
+        # of ME's five-column problem comes on top of them.
+        monkeypatch.setenv("MRKIT_THREADS", "1")
+        config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
+                                 mediation=True, replicates=simulation._CHUNK)
+        run_scenario(config)  # first-use caches, untraced
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * 8 * simulation._CHUNK * config.j_variants
 
     def test_configs_packed_by_bounded_chunk(self, monkeypatch):
-        # At J = 1,000 a chunk holds 29 replicates, so of three 10-replicate
+        # At J = 1,000 a chunk holds 47 replicates, so of three 20-replicate
         # configs the first two share one and the third runs in its own.
         monkeypatch.setenv("MRKIT_THREADS", "1")
         tests, chunks = simulation._chunk_tests, []
@@ -401,10 +418,10 @@ class TestRunScenario:
             tests(me, ue, out)
 
         monkeypatch.setattr(simulation, "_chunk_tests", record)
-        configs = [scenario_config(1, j_variants=1_000, replicates=10, seed=s)
+        configs = [scenario_config(1, j_variants=1_000, replicates=20, seed=s)
                    for s in range(3)]
         assert len(list(simulation._replicate_results(configs))) == 3
-        assert chunks == [20, 10]
+        assert chunks == [40, 20]
 
     def test_packed_configs_match_isolated_runs(self, monkeypatch):
         # The first three configs share one chunk (123 replicates); the
@@ -691,6 +708,45 @@ def test_replicates_match_single_dataset_fits(config):
     clear = np.abs(public[2] - simulation.POWER_ALPHA) > 1e-9
     assert np.array_equal(batched[2][clear] < simulation.POWER_ALPHA,
                           public[2][clear] < simulation.POWER_ALPHA)
+
+
+@pytest.mark.parametrize("weight_mode", ["realized", "variance_component"])
+@pytest.mark.parametrize("scenario, mu", [(1, 0.0), (2, 0.0), (3, 0.05),
+                                          (4, 0.1)])
+def test_observables_in_place_match_generate_dataset(monkeypatch, scenario,
+                                                     mu, weight_mode):
+    """The engine's _observables call equals generate_dataset's, bit for bit.
+
+    The engine writes the observables over the latent draws they are made
+    from; generate_dataset writes them into its own (4, J) array.
+    """
+    observables = simulation._observables
+    calls = []
+
+    def capture(config, beta_cols, alpha_prime, epsilon, out):
+        aliased = (np.shares_memory(out[0], beta_cols[0])
+                   and np.shares_memory(out[1], beta_cols[1])
+                   and np.shares_memory(out[2], alpha_prime))
+        result = observables(config, beta_cols, alpha_prime, epsilon, out)
+        calls.append((aliased, np.stack(result)))
+        return result
+
+    monkeypatch.setattr(simulation, "_observables", capture)
+    for correlated, mediation in itertools.product((False, True), repeat=2):
+        config = scenario_config(scenario, theta1=0.3, mu=mu,
+                                 correlated=correlated, mediation=mediation,
+                                 j_variants=30, replicates=6, seed=23,
+                                 weight_mode=weight_mode)
+        calls.clear()
+        next(simulation._replicate_results([config]))
+        [(aliased, engine)] = calls
+        assert aliased
+        for r in range(config.replicates):
+            calls.clear()
+            generate_dataset(config, r)
+            [(aliased, single)] = calls
+            assert not aliased
+            assert engine[:, r].tobytes() == single.tobytes(), (config, r)
 
 
 def test_collinear_replicates_fail_where_estimators_raise(monkeypatch):
