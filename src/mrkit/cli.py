@@ -52,7 +52,7 @@ from .estimators import (
     ivw_univariable,
 )
 from .orientation import orient
-from .regression import WeightScheme
+from .regression import NonFiniteFitError, RankError, WeightScheme
 from .simulation import (
     DEFAULT_SEED,
     DESK_REPLICATES,
@@ -160,17 +160,22 @@ def _method_records(method: str, analysis: SummaryDataset,
     if _MODELS[method].univariable and analysis.k > 1:
         target = select_risk_factor(analysis, reference)
 
-    if analysis.correlation is not None:
-        result = (egger_correlated(target, reference, scheme, level)
-                  if model.intercept else ivw_correlated(target, scheme, level))
-    elif method == "UI":
-        result = ivw_univariable(target, scheme, level)
-    elif method == "MI":
-        result = ivw_multivariable(target, scheme, level)
-    elif method == "UE":
-        result = egger_univariable(target, scheme, level)
-    else:
-        result = egger_multivariable(target, reference, scheme, level)
+    try:
+        if analysis.correlation is not None:
+            result = (egger_correlated(target, reference, scheme, level)
+                      if model.intercept
+                      else ivw_correlated(target, scheme, level))
+        elif method == "UI":
+            result = ivw_univariable(target, scheme, level)
+        elif method == "MI":
+            result = ivw_multivariable(target, scheme, level)
+        elif method == "UE":
+            result = egger_univariable(target, scheme, level)
+        else:
+            result = egger_multivariable(target, reference, scheme, level)
+    except (RankError, NonFiniteFitError) as exc:
+        # The fit failed on this data: name the method, keep the type.
+        raise type(exc)(f"{method} ({_MODELS[method].label}): {exc}") from exc
 
     if result.experimental and note is None:
         note = ("correlated-variant MR-Egger is experimental; interpret "

@@ -208,10 +208,8 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
     if correlated:
         # Dividing by s * se_y is dividing by se_y, then multiplying by s,
         # bit for bit.
-        rows = se_y * correlation._signs
-        fit = _factored_fit(design / rows[:, None],
-                            dataset.beta_y_vector() / rows,
-                            correlation._packed)
+        fit = _factored_fit(design, dataset.beta_y_vector(),
+                            correlation._packed, se_y * correlation._signs)
     else:
         fit = fit_wls(design, dataset.beta_y_vector(), se_y ** -2.0)
     se = scaled_se(fit, scheme)

@@ -13,24 +13,27 @@ whitens [X | y] with :func:`_design`; :func:`fit_gls` takes Omega in place
 of w, factors a copy of it in place with :func:`_cholesky_in_place`, the one
 Cholesky routine, and hands the factor to :func:`_factored_fit`, the one
 triangular-whitening step. The correlated-variant estimators call
-:func:`_factored_fit` directly, with the design and response divided by se_Y
-and by their correlation matrix's orientation signs, and the factor L that
-matrix computed in place at load, so they never factor or build Omega. That
+:func:`_factored_fit` directly, with the design and response, se_Y times
+their correlation matrix's orientation signs as the divisor of its rows, and
+the factor L that matrix computed in place at load, so they never factor or
+build Omega. That
 dense J x J work (a Cholesky factor, a triangular whitening) runs on one BLAS
 thread, inside :func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS``
 changes neither the results nor the CPU cost of ``mrkit analyze --corr``.
 None of these adds an intercept: the caller puts one first with
 :func:`_design`. Each fits one problem and raises :class:`RankError` on the
 kernel's full-rank flag (smallest singular value of R below RANK_TOL times
-the largest). The Monte Carlo engine builds each chunk's whitened
-(C, J, p + 1) problems, intercept first and response last, with the same
-:func:`_design`, fits them from their R factors, and counts a rank-deficient
-replicate as failed. R of Xw, Q'yw and the residual norm |r_(p+1,p+1)| all
-come from the one R factor of [Xw | yw], and no Q or residual vector is
-formed; the coefficients are R^-1 Q'yw through the same inverse of R that
-gives the standard errors. sigma_hat = sqrt(weighted RSS / df), with the RSS
-the square of that residual norm, and is exactly 0 when df = 0 or the RSS is
-at most (100 eps)^2 times the weighted total sum of squares.
+the largest), and :class:`NonFiniteFitError` when a finite problem's
+whitened values or fit overflow, with no floating-point warning. The Monte
+Carlo engine builds each chunk's whitened (C, J, p + 1) problems, intercept
+first and response last, with the same :func:`_design`, fits them from their
+R factors, and counts a rank-deficient or non-finite replicate as failed.
+R of Xw, Q'yw and the residual norm |r_(p+1,p+1)| all come from the one R
+factor of [Xw | yw], and no Q or residual vector is formed; the
+coefficients are R^-1 Q'yw through the same inverse of R that gives the
+standard errors. sigma_hat = sqrt(weighted RSS / df), with the RSS the
+square of that residual norm, and is exactly 0 when df = 0 or the RSS is at
+most (100 eps)^2 times the weighted total sum of squares.
 
 The coefficient standard errors returned by the fit functions are "unscaled":
 square roots of the diagonal of the unit-variance coefficient covariance
@@ -49,6 +52,7 @@ Point estimates never depend on the scheme.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -60,6 +64,7 @@ import numpy as np
 
 __all__ = [
     "RankError",
+    "NonFiniteFitError",
     "FactorizationError",
     "WeightScheme",
     "RegressionFit",
@@ -76,6 +81,10 @@ RANK_TOL = 1e-10
 
 class RankError(ValueError):
     """Design matrix is rank deficient (collinear or zero columns)."""
+
+
+class NonFiniteFitError(ValueError):
+    """A finite problem's whitened values or fit overflowed the float range."""
 
 
 class FactorizationError(ValueError):
@@ -271,11 +280,31 @@ def _fit_from_r(r: np.ndarray, rows: int):
     return beta, unscaled_se, sigma, full_rank
 
 
-def _fit_one(x: np.ndarray, kernel_out) -> RegressionFit:
-    """Single-dataset fit from the kernel at C = 1; RankError on its flag."""
-    beta, unscaled_se, sigma, full_rank = (out[0] for out in kernel_out)
+_NON_FINITE_FIT = ("fit is not finite: the whitened problem or its fit "
+                   "overflowed")
+
+
+def _fit_one(x: np.ndarray, y: np.ndarray,
+             problem: np.ndarray) -> RegressionFit:
+    """Fit one problem [x | y], whitened to ``problem``, at C = 1.
+
+    ``problem`` is the (J, p + 1) array [Xw | yw] the kernel fits. It is
+    finite unless x or y is, which raises numpy's ValueError "array must
+    not contain infs or NaNs", or unless the whitening overflowed. That,
+    and a fit that is not finite, raise NonFiniteFitError, with no
+    floating-point warning. RankError on the kernel's full-rank flag.
+    """
+    if not np.isfinite(problem).all():
+        np.asarray_chkfinite(x)
+        np.asarray_chkfinite(y)
+        raise NonFiniteFitError(_NON_FINITE_FIT)
+    with np.errstate(all="ignore"):
+        beta, unscaled_se, sigma, full_rank = (
+            out[0] for out in _wls_kernel(problem[None]))
     if not full_rank:
         raise RankError("design matrix is rank deficient")
+    if not (math.isfinite(sigma) and np.isfinite((beta, unscaled_se)).all()):
+        raise NonFiniteFitError(_NON_FINITE_FIT)
     return RegressionFit(
         coefficients=beta,
         unscaled_se=unscaled_se,
@@ -300,8 +329,10 @@ def fit_wls(design: np.ndarray, response: np.ndarray,
         raise ValueError("weights must be positive and finite")
     if weights.shape != y.shape:
         raise ValueError("weights length does not match design")
-    problem = _design((*x.T, y), False, np.sqrt(weights))
-    return _fit_one(x, _wls_kernel(problem[None]))
+    # Whitening a finite problem may overflow; _fit_one raises on that.
+    with np.errstate(over="ignore"):
+        problem = _design((*x.T, y), False, np.sqrt(weights))
+    return _fit_one(x, y, problem)
 
 
 def fit_gls(design: np.ndarray, response: np.ndarray,
@@ -354,26 +385,32 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     return info == 0
 
 
-def _factored_fit(x: np.ndarray, y: np.ndarray,
-                  factor: np.ndarray) -> RegressionFit:
+def _factored_fit(x: np.ndarray, y: np.ndarray, factor: np.ndarray,
+                  divisor: np.ndarray | None = None) -> RegressionFit:
     """GLS fit given the lower Cholesky factor L of the error covariance.
 
-    Whitens [x | y] with one triangular solve against ``factor``, then fits
-    it with the kernel at C = 1. The solve reads only the lower triangle and
+    Divides each row of [x | y] by ``divisor``, a length-J vector, when
+    given, whitens the result with one triangular solve against ``factor``,
+    then fits it with the kernel at C = 1. The solve reads only the lower triangle and
     the diagonal of ``factor``, so L may share its array with anything above
     it, as in the packed array of a :class:`mrkit.data.CorrelationMatrix`
-    and the factor :func:`fit_gls` makes. Only [x | y] is scanned for infs
-    and NaNs: L must be finite, as both of those are.
+    and the factor :func:`fit_gls` makes. L must be finite, as both of
+    those are; a non-finite x or y leaves the whitened problem non-finite,
+    which :func:`_fit_one` reports.
     """
     # Imported here, its only use, so that importing mrkit does not load
     # scipy.linalg.
     from scipy.linalg import solve_triangular
 
-    problem = np.asarray_chkfinite(np.column_stack([x, y]))
+    problem = np.column_stack([x, y])
+    if divisor is not None:
+        # A quotient that overflows is reported by _fit_one.
+        with np.errstate(over="ignore"):
+            problem /= divisor[:, None]
     with _one_blas_thread():
         problem = solve_triangular(factor, problem, lower=True,
                                    check_finite=False)
-    return _fit_one(x, _wls_kernel(problem[None]))
+    return _fit_one(x, y, problem)
 
 
 def _random_effects_se(unscaled_se: np.ndarray, sigma) -> np.ndarray:

@@ -37,14 +37,15 @@ conservative (mean se ~ 0.41 in the same setting).
 Determinism: replicate r of a scenario with seed s draws its (J, 5) standard
 normals from ``default_rng(SeedSequence([s, r]))`` in one call.
 ``generate_dataset`` builds that generator for its one replicate.
-The Monte Carlo engine seeds a whole chunk at once: it runs the
+The Monte Carlo engine hashes a whole chunk's seeds at once: it runs the
 SeedSequence hash of every [s, r] in the chunk, whichever config's seed s
-each replicate has, as uint32 array operations, turns each result into the
-PCG64 state numpy would set, and re-seeds one generator per chunk with it,
-so replicate r's row of the chunk's one (C, J, 5) block holds the same
-stream, bit for bit. A guard checks the state of the first replicate of
-each config in the chunk against numpy's own seeding and raises
-RuntimeError on a mismatch. Replicates are processed in fixed-size chunks
+each replicate has, as uint32 array operations, and hands each replicate's
+four output words to numpy's PCG64 through numpy's ``ISeedSequence``
+interface, so numpy seeds the generator as ``SeedSequence([s, r])`` would
+and replicate r's row of the chunk's (C, J, 5) block holds the same stream,
+bit for bit. A guard checks the words of the first replicate of each config
+in the chunk against numpy's own SeedSequence and raises RuntimeError on a
+mismatch. Replicates are processed in fixed-size chunks
 written to index-ordered arrays, so summaries are bit-identical for any
 chunk size and any worker count (set via the ``MRKIT_THREADS`` environment
 variable, default min(4, cpu count)).
@@ -253,14 +254,11 @@ class GridRow:
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe: a 4-word pool, the
-# entropy words mixed into it, then the output words hashed from it) and
-# PCG64's seeding from its first four 64-bit output words, written so that
-# one chunk of replicates is hashed at once.
+# entropy words mixed into it, then the output words hashed from it), written
+# so that one chunk of replicates is hashed at once.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_constants(init: int, mult: int,
@@ -316,28 +314,25 @@ def _seed_words(seeds: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words: list[int]) -> tuple[int, int]:
-    """PCG64's (state, inc) when seeded with four SeedSequence output words."""
-    initstate = words[0] << 64 | words[1]
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
-    return ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed that hands PCG64 one replicate's hashed SeedSequence words.
 
-
-def _checked_bit_generator(seed: int, index: int,
-                           state: tuple[int, int]) -> np.random.PCG64:
-    """numpy's own PCG64 for replicate ``index`` of ``seed``: the seeding guard.
-
-    Raises RuntimeError, rather than let other numbers be drawn, unless its
-    (state, inc) is ``state``, the one the vectorized seeding gives that
-    replicate.
+    ``words`` is a row of :func:`_seed_words`: what
+    ``SeedSequence([seed, r]).generate_state(4, np.uint64)`` returns, the one
+    request PCG64 makes of its seed, so numpy's own seeding gives the
+    generator exactly the state ``SeedSequence([seed, r])`` would. Any other
+    request, such as another bit generator's, raises RuntimeError.
     """
-    bit_generator = np.random.PCG64(np.random.SeedSequence([seed, index]))
-    numpy_state = bit_generator.state["state"]
-    if state != (numpy_state["state"], numpy_state["inc"]):
-        raise RuntimeError(
-            "vectorized seeding disagrees with numpy's SeedSequence/PCG64 "
-            f"for seed {seed}, replicate {index}")
-    return bit_generator
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                "hashed seed words seed only PCG64: it asks for 4 uint64 "
+                f"words, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def _chunk_normals(segments: list[tuple[int, int, int]],
@@ -347,27 +342,29 @@ def _chunk_normals(segments: list[tuple[int, int, int]],
     ``segments`` are (seed, start, end) triples, and replicates start..end-1
     of each fill the block's rows in turn. The row of replicate r holds
     exactly what ``default_rng(SeedSequence([seed, r])).standard_normal((J,
-    5))`` draws. The seeds of the whole chunk are hashed at once, and one
-    generator is re-seeded per replicate. The guard checks the first
-    replicate of each segment against numpy's own seeding.
+    5))`` draws. The seeds of the whole chunk are hashed at once, and each
+    replicate's PCG64 is seeded from its words by numpy. The guard checks
+    the words of the first replicate of each segment against numpy's own
+    SeedSequence and raises RuntimeError, rather than let other numbers be
+    drawn, on a mismatch.
     """
     counts = [end - start for _, start, end in segments]
     seeds = np.repeat(np.array([seed for seed, _, _ in segments],
                                dtype=np.uint64), counts)
     indices = np.concatenate([np.arange(start, end, dtype=np.uint64)
                               for _, start, end in segments])
-    states = [_pcg64_state(w) for w in _seed_words(seeds, indices).tolist()]
+    words = _seed_words(seeds, indices)
     first = 0
     for (seed, start, _), count in zip(segments, counts):
-        bit_generator = _checked_bit_generator(seed, start, states[first])
+        if not np.array_equal(words[first], np.random.SeedSequence(
+                [seed, start]).generate_state(4, np.uint64)):
+            raise RuntimeError(
+                "vectorized seeding disagrees with numpy's SeedSequence "
+                f"for seed {seed}, replicate {start}")
         first += count
-    # Every replicate's state is set below, so any generator draws the chunk.
-    generator = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    for (pcg_state, inc), z_r in zip(states, out):
-        state["state"] = {"state": pcg_state, "inc": inc}
-        bit_generator.state = state
-        generator.standard_normal(z_r.shape, out=z_r)
+    for row, z_r in zip(words, out):
+        np.random.Generator(np.random.PCG64(_SeedWords(row))).standard_normal(
+            z_r.shape, out=z_r)
 
 
 def _latent_draws(config: ScenarioConfig,
@@ -665,9 +662,14 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
                         for config, lo, hi, _ in parts], buffers.z[:c])
         # The draws move to the planes of slots; z's block is then free.
         np.copyto(buffers.slots[1:, :c], buffers.z[:c].transpose(2, 0, 1))
-        for config, _, _, rows in parts:
-            _whitened_problems(config, buffers, rows)
-        _chunk_tests(buffers.me[:c], buffers.ue[:c], results[:, :, start:end])
+        # A replicate whose values overflow is a failure _summarise counts,
+        # so the chunk's arithmetic raises no floating-point warning; the
+        # error state is per thread.
+        with np.errstate(all="ignore"):
+            for config, _, _, rows in parts:
+                _whitened_problems(config, buffers, rows)
+            _chunk_tests(buffers.me[:c], buffers.ue[:c],
+                         results[:, :, start:end])
 
     for total, segments in groups:
         results = np.empty((3, len(_TESTS), total))

@@ -529,6 +529,40 @@ class TestAnalyze:
                 assert code == 2
                 assert "both --n-participants and --r2" in err
 
+    def test_failed_fit_names_its_method(self, tmp_path, capsys):
+        # beta_x2 is affine in beta_x1, so ME's design [1, x1, x2] is rank
+        # deficient; UI, UE and MI fit this file.
+        i = np.arange(1, 9)
+        path = tmp_path / "collinear.csv"
+        write_dataset(make_dataset(
+            np.column_stack([0.1 + 0.01 * i, -0.05 + 0.013 * i]), 0.02 * i,
+            np.full(8, 0.01), names=("x1", "x2"), se_x=0.01), path)
+        code, out, err = _analyze(
+            ["--data", str(path), "--k", "2", "--methods", "UI,UE,MI,ME",
+             "--ref", "x1"], capsys)
+        assert (code, out, err) == (
+            2, "", "error: ME (multivariable MR-Egger): design matrix is "
+                   "rank deficient\n")
+
+    def test_overflowing_fit_fails_cleanly(self, tmp_path, capsys):
+        # Finite values whose whitened outcomes, beta_y / se_y, overflow:
+        # an error naming the method, not a report of n/a or a warning.
+        i = np.arange(1, 9)
+        path = tmp_path / "overflow.csv"
+        write_dataset(make_dataset(0.1 + 0.01 * i, 1e300 * (1 + 0.1 * i),
+                                   np.full(8, 1e-10), se_x=0.01), path)
+        corr = tmp_path / "rho.csv"
+        corr.write_text("\n".join(",".join("1" if s == t else "0"
+                                           for t in range(8))
+                                  for s in range(8)) + "\n")
+        for extra in ([], ["--corr", str(corr)]):
+            code, out, err = _analyze(
+                ["--data", str(path), "--k", "1", "--methods", "UI,UE",
+                 "--ref", "x1", *extra], capsys)
+            assert (code, out, err) == (
+                2, "", "error: UI (univariable IVW): fit is not finite: the "
+                       "whitened problem or its fit overflowed\n"), extra
+
     def test_zero_association_warns_exit_one(self, tmp_path, capsys):
         bx = np.array([0.0, 0.5, 0.8, 0.3, 0.4])
         ds = make_dataset(bx, np.array([0.1, 0.2, 0.3, 0.1, 0.2]),
@@ -906,12 +940,18 @@ class TestSimulate:
         assert row["mi_mean"] == "1.23457e+07"
 
     def test_every_replicate_failed(self, tmp_path, capsys):
-        # Finite but overflowing: every outcome residual sum is infinite.
-        code = main(["simulate", "--scenario", "1", "--theta1", "1e200",
-                     "--reps", "8", "--out", str(tmp_path / "x")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "error: every replicate failed for estimator MI" in err
+        for setting in (
+                # Finite but overflowing: every outcome residual sum is
+                # infinite.
+                ["--scenario", "1", "--theta1", "1e200", "--reps", "8"],
+                # The whitened outcomes themselves overflow, which numpy
+                # would warn of: a failed replicate is no warning.
+                ["--scenario", "1", "--theta1", "1e308", "--reps", "1"],
+                ["--scenario", "3", "--mu", "1e308", "--reps", "3"]):
+            code = main(["simulate", *setting, "--out", str(tmp_path / "x")])
+            err = capsys.readouterr().err
+            assert code == 2, setting
+            assert err == "error: every replicate failed for estimator MI\n"
 
     def test_some_replicates_failed(self, tmp_path, capsys,
                                     collinear_replicates):

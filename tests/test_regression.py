@@ -11,6 +11,7 @@ from mrkit import CorrelationMatrix, DataError, regression
 from mrkit.regression import (
     RANK_TOL,
     FactorizationError,
+    NonFiniteFitError,
     RankError,
     WeightScheme,
     fit_gls,
@@ -86,6 +87,20 @@ class TestFitWls:
             fit_wls(x, y, [1.0, np.inf])
         with pytest.raises(ValueError, match="vector"):
             fit_wls(x, y, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["design", "response"])
+    def test_non_finite_input_rejected(self, where, bad):
+        # fit_gls's text: a NaN design is no rank deficiency, and a NaN
+        # response gives no coefficient.
+        x = np.array([[1.0], [2.0], [3.0]])
+        y = np.array([0.5, 1.5, 3.5])
+        target, index = {"design": (x, (1, 0)), "response": (y, (2,))}[where]
+        target[index] = bad
+        with pytest.raises(ValueError) as raised:
+            fit_wls(x, y, np.ones(3))
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "array must not contain infs or NaNs"
 
     def test_weights_matter(self):
         x = np.array([1.0, 1.0])
@@ -211,6 +226,27 @@ def blas_apis():
 
 def thread_counts(apis):
     return [get() for get, _ in apis]
+
+
+# Finite problems that overflow: y / se_y past the float range once whitened
+# (1e300 y with se_y = 1e-10), and a whitened problem whose slope passes it.
+_I = np.arange(1.0, 9.0)
+_OVERFLOWING = {
+    "whitened": (0.1 + 0.01 * _I[:, None], 1e300 * (1 + 0.1 * _I), 1e-10),
+    "slope": (1e-300 * _I[:, None], 1e300 * (_I + 0.1 * _I ** 2), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+@pytest.mark.parametrize("fit", ["fit_wls", "_factored_fit"])
+def test_overflowing_fit_raises(fit, case):
+    # Not a NaN fit, nor numpy's RuntimeWarning (an error under tier-1).
+    x, y, se_y = _OVERFLOWING[case]
+    with pytest.raises(NonFiniteFitError, match="^fit is not finite"):
+        if fit == "fit_wls":
+            fit_wls(x, y, np.full(8, se_y ** -2.0))
+        else:
+            regression._factored_fit(x, y, np.eye(8) * se_y)
 
 
 class TestOneBlasThread:

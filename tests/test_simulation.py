@@ -493,9 +493,16 @@ class TestRunScenario:
             sequence = np.random.SeedSequence([seed, r])
             assert np.array_equal(
                 row, sequence.generate_state(4, np.uint64))
-            state = np.random.PCG64(sequence).state["state"]
-            assert simulation._pcg64_state(row.tolist()) == (
-                state["state"], state["inc"])
+            assert np.random.PCG64(simulation._SeedWords(row)).state == (
+                np.random.PCG64(sequence).state)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                               np.random.SFC64])
+    def test_seed_words_seed_only_pcg64(self, bit_generator):
+        # Other bit generators ask for other words: 624 uint32, 3 uint64.
+        [row] = simulation._seed_words(3, np.array([0], dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="seed only PCG64"):
+            bit_generator(simulation._SeedWords(row))
 
     @given(pairs=st.lists(st.tuples(
         st.integers(min_value=0, max_value=2 ** 64 - 1),
@@ -519,28 +526,32 @@ class TestRunScenario:
         # The 32 mediation rows of 32 replicates fill 8 chunks of 4 rows:
         # each chunk hashes its seeds in one call, and the guard checks the
         # first replicate of each row against numpy's seeding.
+        # The guard is numpy's SeedSequence asked for a replicate's 4 words;
+        # the grid asks it for each row's 1-word seed.
         monkeypatch.setenv("MRKIT_THREADS", "1")
-        seed_words, guard = (simulation._seed_words,
-                             simulation._checked_bit_generator)
+        seed_words = simulation._seed_words
         hashed, guarded = [], []
 
         def hash_chunk(seeds, indices):
             hashed.append(len(indices))
             return seed_words(seeds, indices)
 
-        def check(seed, index, state):
-            guarded.append((seed, index))
-            return guard(seed, index, state)
+        class GuardSequence(np.random.SeedSequence):
+            def generate_state(self, n_words, dtype=np.uint32):
+                if n_words == 4:
+                    guarded.append(tuple(self.entropy))
+                return super().generate_state(n_words, dtype)
 
         monkeypatch.setattr(simulation, "_seed_words", hash_chunk)
-        monkeypatch.setattr(simulation, "_checked_bit_generator", check)
+        monkeypatch.setattr(np.random, "SeedSequence", GuardSequence)
         rows = run_scenario_grid(32, mediation_only=True)
         assert hashed == [128] * 8
         assert guarded == [(row.config.seed, 0) for row in rows]
 
     def test_seeding_guard_raises_on_a_corrupted_hash(self, monkeypatch):
-        monkeypatch.setattr(simulation, "_PCG64_MULTIPLIER",
-                            simulation._PCG64_MULTIPLIER + 2)
+        corrupted = simulation._STATE_XOR.copy()
+        corrupted[3] ^= 1
+        monkeypatch.setattr(simulation, "_STATE_XOR", corrupted)
         with pytest.raises(RuntimeError, match="seed 3, replicate 0"):
             run_scenario(scenario_config(2, replicates=4, seed=3))
 
