@@ -28,7 +28,10 @@ J-1 (UI), J-2 (UE), J-K (MI), J-(K+1) (ME). Fixed-effect and multiplicative
 random-effects standard errors are as in :func:`mrkit.regression.scaled_se`;
 point estimates are identical under both schemes. One array step tests a
 fit's coefficients and its intercept together, as the Monte Carlo engine
-tests a chunk, and the results hold Python floats.
+tests a chunk, and the results hold Python floats. Its t distribution
+functions come from scipy.special, imported at the first t inference, so
+importing mrkit loads numpy and no scipy module; scipy.linalg likewise
+loads with the first correlation matrix, which it factors.
 
 All six public estimators are one regression of outcome on risk-factor
 associations, fitted and packaged by one private core: with or without an
@@ -45,16 +48,16 @@ estimator factors a matrix, copies the factor out or builds diag(se_Y) L.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .data import SummaryDataset
 from .orientation import reference_column
 from .regression import (
+    _NON_FINITE_FIT,
+    NonFiniteFitError,
     WeightScheme,
     _design,
     _factored_fit,
@@ -167,7 +170,11 @@ def _check_level(level: float) -> None:
 
 def _t_pvalue(theta, se, df: int):
     """Two-sided t p-value of theta / se for df > 0 (stdtr is t.sf, unchecked)."""
-    return 2.0 * special.stdtr(df, -np.abs(theta / se))
+    # Imported here, its only use, so that importing mrkit does not load
+    # scipy.special.
+    from scipy.special import stdtr
+
+    return 2.0 * stdtr(df, -np.abs(theta / se))
 
 
 def _inference(theta, se, df: int, level: float):
@@ -178,9 +185,13 @@ def _inference(theta, se, df: int, level: float):
     all NaN when no residual df remain.
     """
     if df <= 0:
-        nan = np.full_like(theta, math.nan, dtype=float)
+        nan = np.full_like(theta, np.nan, dtype=float)
         return nan, nan, nan
-    half_width = special.stdtrit(df, 0.5 + level / 2.0) * se
+    # Imported here, its only use, so that importing mrkit does not load
+    # scipy.special.
+    from scipy.special import stdtrit
+
+    half_width = stdtrit(df, 0.5 + level / 2.0) * se
     return _t_pvalue(theta, se, df), theta - half_width, theta + half_width
 
 
@@ -211,7 +222,13 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
         fit = _factored_fit(design, dataset.beta_y_vector(),
                             correlation._packed, se_y * correlation._signs)
     else:
-        fit = fit_wls(design, dataset.beta_y_vector(), se_y ** -2.0)
+        # An se_y below about 1e-154 overflows its weight: the fit is not
+        # finite, as the correlated fit reports when its rows overflow.
+        with np.errstate(over="ignore"):
+            weights = se_y ** -2.0
+        if not np.isfinite(weights).all():
+            raise NonFiniteFitError(_NON_FINITE_FIT)
+        fit = fit_wls(design, dataset.beta_y_vector(), weights)
     se = scaled_se(fit, scheme)
     tag = MethodTag(estimator, scheme,
                     "correlated" if correlated else "independent")

@@ -109,6 +109,14 @@ def _openblas_thread_apis() -> tuple:
     listed in /proc/self/maps, without loading anything new; an extension
     that links OpenBLAS resolves the same function, so each is kept once, by
     address. Empty when /proc cannot be read or no OpenBLAS is loaded.
+
+    The answer is cached at the first call, so an OpenBLAS loaded later is
+    never found. Importing mrkit loads no scipy module, so each caller of
+    :func:`_one_blas_thread` imports the scipy module it calls before it
+    enters: :func:`_cholesky_in_place` and :func:`_factored_fit` import
+    scipy.linalg first, and the eigenvalue message of
+    :class:`mrkit.data.CorrelationMatrix` runs only after
+    :func:`_cholesky_in_place` has.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -399,7 +407,8 @@ def _factored_fit(x: np.ndarray, y: np.ndarray, factor: np.ndarray,
     which :func:`_fit_one` reports.
     """
     # Imported here, its only use, so that importing mrkit does not load
-    # scipy.linalg.
+    # scipy.linalg; imported before the BLAS thread counts are read, so that
+    # scipy's OpenBLAS is among them.
     from scipy.linalg import solve_triangular
 
     problem = np.column_stack([x, y])

@@ -563,6 +563,24 @@ class TestAnalyze:
                 2, "", "error: UI (univariable IVW): fit is not finite: the "
                        "whitened problem or its fit overflowed\n"), extra
 
+    def test_overflowing_weight_fails_cleanly(self, tmp_path, capsys):
+        # Each se_y = 1e-170 is positive and finite, but its weight se_y^-2
+        # overflows: the independent fit fails as the correlated one does,
+        # naming the method, with no floating-point warning.
+        i = np.arange(1, 9)
+        path = tmp_path / "tiny_se.csv"
+        write_dataset(make_dataset(0.1 + 0.01 * i, 0.05 + 0.003 * i ** 2,
+                                   np.full(8, 1e-170), se_x=0.01), path)
+        corr = tmp_path / "rho.csv"
+        np.savetxt(corr, np.eye(8), delimiter=",", fmt="%g")
+        for extra in ([], ["--corr", str(corr)]):
+            code, out, err = _analyze(
+                ["--data", str(path), "--k", "1", "--methods", "UI", *extra],
+                capsys)
+            assert (code, out, err) == (
+                2, "", "error: UI (univariable IVW): fit is not finite: the "
+                       "whitened problem or its fit overflowed\n"), extra
+
     def test_zero_association_warns_exit_one(self, tmp_path, capsys):
         bx = np.array([0.0, 0.5, 0.8, 0.3, 0.4])
         ds = make_dataset(bx, np.array([0.1, 0.2, 0.3, 0.1, 0.2]),

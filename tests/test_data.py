@@ -162,14 +162,19 @@ class TestCorrelationMatrix:
         # thread-count functions are looked up once per process, so each
         # OpenBLAS loaded by then must report one thread inside
         # _one_blas_thread. J = 600 is past OpenBLAS's blocking threshold.
+        # No scipy module is loaded before the factor, so scipy's OpenBLAS
+        # is there only because _cholesky_in_place imports scipy.linalg
+        # before it reads the thread counts.
         script = (
             "import hashlib\n"
+            "import sys\n"
             "import numpy as np\n"
             "from mrkit import CorrelationMatrix\n"
             "from mrkit.regression import (\n"
             "    _factored_fit, _one_blas_thread, _openblas_thread_apis)\n"
             "lags = np.abs(np.subtract.outer(np.arange(600), np.arange(600)))\n"
             "rho = 0.3 ** lags\n"
+            "assert 'scipy.special' not in sys.modules\n"
             "matrix = CorrelationMatrix(rho)\n"
             "assert np.array_equal(matrix.entries, rho)\n"
             "rng = np.random.default_rng(1)\n"

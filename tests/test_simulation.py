@@ -1,6 +1,8 @@
 """Data-generating process, scenario runner, and grid determinism."""
 import dataclasses
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -36,7 +38,7 @@ from mrkit.simulation import (
     scenario_config,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, subprocess_env
 
 
 class TestScenarioConfig:
@@ -328,6 +330,35 @@ class TestRunScenario:
         monkeypatch.setenv("MRKIT_THREADS", "3")
         threaded = run_scenario(config)
         assert serial == threaded
+
+    def test_first_t_inference_in_worker_threads(self):
+        # Importing mrkit loads no scipy module, so a process's first fit
+        # imports scipy.special. At J = 185 the 256 replicates make two
+        # chunks, so with two threads both workers reach _t_pvalue at once,
+        # and the summary must still be the one-thread summary.
+        script = (
+            "import sys\n"
+            "import threading\n"
+            "from mrkit import run_scenario, scenario_config, simulation\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "callers, t_pvalue = set(), simulation._t_pvalue\n"
+            "def recording(*args):\n"
+            "    callers.add(threading.current_thread().name)\n"
+            "    return t_pvalue(*args)\n"
+            "simulation._t_pvalue = recording\n"
+            "print(repr(run_scenario(scenario_config(2, replicates=256,\n"
+            "                                        seed=5))))\n"
+            "print(len(callers), 'MainThread' in callers)\n")
+        outputs = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env=subprocess_env(MRKIT_THREADS=threads), timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.splitlines())
+        assert outputs[0][1] == "1 True"
+        assert outputs[1][1] == "2 False"
+        assert outputs[0][0] == outputs[1][0]
 
     def test_thread_env_validation(self, monkeypatch):
         config = scenario_config(1, replicates=10, j_variants=20)
