@@ -344,6 +344,34 @@ class TestAnalyze:
         _, independent, _ = _analyze(argv, capsys)
         assert out.splitlines()[-2:] == independent.splitlines()[-2:]
 
+    def test_zero_df_reports_no_inference(self, tmp_path, capsys):
+        # J = K = 1 leaves UI no degrees of freedom: its p-value and interval
+        # bounds are NaN, written as n/a in text, empty in csv, null in jsonl.
+        path = tmp_path / "one.csv"
+        write_dataset(make_dataset([-0.4], [0.02], [1.3]), path)
+        args = ["--data", str(path), "--k", "1", "--methods", "UI"]
+        missing = ("p_value", "ci_low", "ci_high", "or_ci_low", "or_ci_high")
+        outputs = {}
+        for fmt in ("text", "csv", "jsonl"):
+            code, outputs[fmt], err = _analyze(args + ["--format", fmt],
+                                               capsys)
+            assert code == 0, err
+        row = next(line for line in outputs["text"].splitlines()
+                   if line.startswith("  x1 ")).split()
+        assert row[3:6] == ["[n/a,", "n/a]", "n/a"]
+        assert row[7:] == ["(n/a,", "n/a)"]
+        estimate = next(row for row in csv.DictReader(
+            io.StringIO(outputs["csv"])) if row["record"] == "estimate")
+        assert {key: estimate[key] for key in missing} == dict.fromkeys(
+            missing, "")
+        assert estimate["df"] == "0" and estimate["estimate"] != ""
+        estimate = next(json.loads(line)
+                        for line in outputs["jsonl"].splitlines()
+                        if '"record": "estimate"' in line)
+        assert {key: estimate[key] for key in missing} == dict.fromkeys(
+            missing)
+        assert isinstance(estimate["odds_ratio"], float)
+
     def test_singular_correlation_fails_cleanly(self, tmp_path, capsys):
         # A duplicated variant with rho = 1: the matrix has no Cholesky
         # factor, so it is refused at load, before any estimator runs.
