@@ -4,7 +4,10 @@ Subcommands
 -----------
 analyze   Load a summary-data CSV, orient it to a reference risk factor,
           run the requested estimators, and print a report (text, csv, or
-          jsonl — all three carry the same fields).
+          jsonl — all three carry the same fields). Text and csv round the
+          results to 6 significant digits; jsonl writes every number
+          exactly (NaN as null, an infinite odds ratio as "inf") and the
+          ids and risk factors as lists.
 simulate  Run one Monte Carlo scenario (from a flat key=value config file
           and/or flags) and write its summary record.
 grid      Run the 64-row scenario grid (or, with --mediation, only its 32
@@ -107,7 +110,7 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
         "record": "dataset",
         "j": dataset.j,
         "k": dataset.k,
-        "risk_factors": ";".join(dataset.risk_factor_names),
+        "risk_factors": dataset.risk_factor_names,
         "correlated": dataset.correlation is not None,
     }]
     caught = []
@@ -121,7 +124,7 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
             "reference": orientation.reference,
             "flipped": len(orientation.flipped_ids),
             "zero_oriented": len(orientation.zero_ids),
-            "ids": ";".join(orientation.flipped_ids),
+            "ids": orientation.flipped_ids,
         })
 
     scheme = WeightScheme(args.scheme)
@@ -136,8 +139,8 @@ def run_analyze(args: argparse.Namespace) -> list[dict]:
             "n_participants": args.n_participants,
             "j": dataset.j,
             "r2": args.r2,
-            "f_statistic": _fmt(
-                f_statistic(args.n_participants, dataset.j, args.r2)),
+            "f_statistic": f_statistic(args.n_participants, dataset.j,
+                                       args.r2),
             "units": "dimensionless",
         })
     return records + method_records + [
@@ -190,7 +193,7 @@ def _method_records(method: str, analysis: SummaryDataset,
         "variants": tag.variants,
         "level": level,
         "df": df,
-        "residual_scale": _fmt(result.residual_scale),
+        "residual_scale": result.residual_scale,
         "reference": result.orientation_reference,
         "experimental": result.experimental,
         "note": note,
@@ -200,24 +203,24 @@ def _method_records(method: str, analysis: SummaryDataset,
             "record": "estimate",
             "method": tag.estimator,
             "risk_factor": estimate.risk_factor,
-            "estimate": _fmt(estimate.theta_hat),
-            "se": _fmt(estimate.se),
-            "ci_low": _fmt(estimate.ci_low),
-            "ci_high": _fmt(estimate.ci_high),
-            "p_value": _fmt(estimate.p_value),
+            "estimate": estimate.theta_hat,
+            "se": estimate.se,
+            "ci_low": estimate.ci_low,
+            "ci_high": estimate.ci_high,
+            "p_value": estimate.p_value,
             "df": estimate.df,
-            "odds_ratio": _fmt(_safe_exp(estimate.theta_hat)),
-            "or_ci_low": _fmt(_safe_exp(estimate.ci_low)),
-            "or_ci_high": _fmt(_safe_exp(estimate.ci_high)),
+            "odds_ratio": _safe_exp(estimate.theta_hat),
+            "or_ci_low": _safe_exp(estimate.ci_low),
+            "or_ci_high": _safe_exp(estimate.ci_high),
             "units": _CAUSAL_UNITS,
         })
     if result.intercept is not None:
         records.append({
             "record": "intercept",
             "method": tag.estimator,
-            "estimate": _fmt(result.intercept.theta_0),
-            "se": _fmt(result.intercept.se),
-            "p_value": _fmt(result.intercept.p_value),
+            "estimate": result.intercept.theta_0,
+            "se": result.intercept.se,
+            "p_value": result.intercept.p_value,
             "df": df,
             "units": _INTERCEPT_UNITS,
         })
@@ -226,7 +229,8 @@ def _method_records(method: str, analysis: SummaryDataset,
 
 # --- report rendering -------------------------------------------------------
 # All three formats are views of the same record list, so they agree
-# field-for-field by construction.
+# field-for-field by construction. A record holds each value as computed;
+# only the renderers format it.
 
 _CSV_COLUMNS = [
     "record", "method", "label", "scheme", "variants", "level",
@@ -236,14 +240,9 @@ _CSV_COLUMNS = [
     "correlated", "experimental", "n_participants", "r2", "f_statistic",
     "message", "note",
 ]
-# Run settings among the columns, written exactly (see _setting), not at 6
-# significant digits.
-_SETTING_KEYS = frozenset({"level", "r2"})
-
-
-def _fmt(value: float) -> float | None:
-    """``value`` at 6 significant digits; NaN becomes None (n/a)."""
-    return None if math.isnan(value) else float(f"{value:.6g}")
+# Run settings among the record keys of analyze, simulate and grid, written
+# exactly (see _setting), not at 6 significant digits.
+_SETTING_KEYS = frozenset({"level", "r2", "theta1", "mu"})
 
 
 def _safe_exp(value: float) -> float:
@@ -254,8 +253,9 @@ def _safe_exp(value: float) -> float:
         return math.inf
 
 
-def _num(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.6g}"
+def _num(value: float) -> str:
+    """A number in the text report: NaN is n/a, anything else .6g."""
+    return "n/a" if math.isnan(value) else f"{value:.6g}"
 
 
 def render_text(records: list[dict]) -> str:
@@ -263,7 +263,7 @@ def render_text(records: list[dict]) -> str:
     for record in records:
         kind = record["record"]
         if kind == "dataset":
-            names = record["risk_factors"].replace(";", ", ")
+            names = ", ".join(record["risk_factors"])
             lines.append(
                 f"Dataset: J={record['j']} variants, K={record['k']} risk "
                 f"factor(s): {names}")
@@ -277,7 +277,7 @@ def render_text(records: list[dict]) -> str:
                 f"{record['flipped']} variant(s) flipped; "
                 f"{record['zero_oriented']} with zero reference association")
             if record["ids"]:
-                lines.append(f"  flipped: {record['ids'].replace(';', ', ')}")
+                lines.append(f"  flipped: {', '.join(record['ids'])}")
         elif kind == "instrument_strength":
             lines.append(
                 f"Instrument strength: R2={_setting(record['r2'])}, "
@@ -322,14 +322,23 @@ def render_text(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    """A csv cell or audit value: None empty, a bool true/false, a float .6g."""
+def _cell(key: str, value) -> str:
+    """The csv cell or audit value of ``record[key]``.
+
+    None and NaN are empty, a bool is true/false and a tuple is joined by
+    ';'. A float is at .6g, but a run setting (``_SETTING_KEYS``) is written
+    exactly by :func:`_setting`.
+    """
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ";".join(value)
     if isinstance(value, float):
-        return f"{value:.6g}"
+        if math.isnan(value):
+            return ""
+        return _setting(value) if key in _SETTING_KEYS else f"{value:.6g}"
     return str(value)
 
 
@@ -340,16 +349,18 @@ def render_csv(records: list[dict], columns: list[str] = _CSV_COLUMNS) -> str:
     writer = csv.DictWriter(buffer, fieldnames=columns, restval="",
                             lineterminator="\n")
     writer.writeheader()
-    writer.writerows({key: _setting(value) if key in _SETTING_KEYS
-                      else _cell(value)
-                      for key, value in record.items()} for record in records)
+    writer.writerows({key: _cell(key, value) for key, value in record.items()}
+                     for record in records)
     return buffer.getvalue()
 
 
 def _json_value(value):
-    """An infinite float as its csv/text cell ("inf"), which JSON lacks."""
-    if isinstance(value, float) and math.isinf(value):
-        return f"{value:.6g}"
+    """NaN as null and an infinite float as its cell ("inf"): JSON has neither.
+
+    Every other number is written exactly, and a tuple as a list.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else f"{value:.6g}"
     return value
 
 
@@ -400,12 +411,12 @@ def _summary_fields(summary: SimulationSummary) -> dict:
     return fields
 
 
-def _scenario_text(scenario: int, mu: str) -> str:
+def _scenario_text(scenario: int, mu: float) -> str:
     return {
         1: "no pleiotropy",
         2: "balanced pleiotropy",
-        3: f"directional (mu={mu}), InSIDE ok",
-        4: f"directional (mu={mu}), InSIDE violated",
+        3: f"directional (mu={_setting(mu)}), InSIDE ok",
+        4: f"directional (mu={_setting(mu)}), InSIDE violated",
     }[scenario]
 
 
@@ -424,7 +435,7 @@ def _grid_text_table(records: list[dict]) -> str:
             corr = "correlated" if r["correlated"] else "independent"
             lines += ["", f"== {r['grid']} grid, {corr} risk factors ==",
                       header]
-        line = f"{float(r['theta1']):>6.1f}  {label:<{width}}"
+        line = f"{r['theta1']:>6.1f}  {label:<{width}}"
         for name in ("mi", "ue", "me"):
             mean = f"{r[name + '_mean']:+.3f} ({r[name + '_mean_se']:.3f})"
             line += f"{mean:>18} {r[name + '_power_pct']:>6.1f}"
@@ -456,7 +467,7 @@ def _write_outputs(prefix: str, title: str, audit: dict, records: list[dict],
     The .csv holds the two as '#' lines, then the records; the .txt holds
     the two, a blank line and ``body``. Returns the paths and the .txt text.
     """
-    audit_line = " ".join(f"{key}={_cell(value)}"
+    audit_line = " ".join(f"{key}={_cell(key, value)}"
                           for key, value in audit.items())
     csv_path, txt_path = f"{prefix}.csv", f"{prefix}.txt"
     with open(csv_path, "w", newline="") as handle:
@@ -479,9 +490,9 @@ def _write_grid_outputs(rows: tuple[GridRow, ...], seed: int,
         "row": row.index,
         "grid": "mediation" if row.config.mediation else "main",
         "correlated": row.config.correlated,
-        "theta1": _setting(row.config.theta1),
+        "theta1": row.config.theta1,
         "scenario": row.config.scenario,
-        "mu": _setting(row.config.mu),
+        "mu": row.config.mu,
         "seed": row.config.seed,
         **_summary_fields(row.summary),
     } for row in rows]
@@ -580,8 +591,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         **{"replicates": DESK_REPLICATES, **_simulate_settings(args)})
     summary = run_scenario(config)
-    audit = {"scenario": config.scenario, "theta1": _setting(config.theta1),
-             "mu": _setting(config.mu), "correlated": config.correlated,
+    audit = {"scenario": config.scenario, "theta1": config.theta1,
+             "mu": config.mu, "correlated": config.correlated,
              "gamma": config.gamma, "j_variants": config.j_variants,
              "replicates": config.replicates, "seed": config.seed,
              "weight_mode": config.weight_mode}

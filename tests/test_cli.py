@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -301,6 +302,8 @@ class TestAnalyze:
                 return ""
             if isinstance(value, bool):
                 return "true" if value else "false"
+            if isinstance(value, list):
+                return ";".join(value)
             if isinstance(value, float):
                 return f"{value:.6g}"
             return str(value)
@@ -519,7 +522,8 @@ class TestAnalyze:
                       if '"instrument_strength"' in line)
         assert record["j"] == 12 and "k" not in record
         # r2 is a setting, written exactly in all three formats; the
-        # F-statistic is computed from it, as before, at 6 digits.
+        # F-statistic is computed from it, at 6 digits in text and csv and
+        # exactly in jsonl.
         args = args[:-4] + ["--n-participants", "5000", "--r2", "0.0871234567"]
         f = f"{f_statistic(5000, 12, 0.0871234567):.6g}"
         _, out, _ = _analyze(args, capsys)
@@ -533,7 +537,8 @@ class TestAnalyze:
         line = next(line for line in out.splitlines()
                     if '"instrument_strength"' in line)
         assert '"r2": 0.0871234567' in line
-        assert json.loads(line)["f_statistic"] == float(f)
+        assert json.loads(line)["f_statistic"] == f_statistic(5000, 12,
+                                                              0.0871234567)
 
     def test_instrument_strength_names_variants(self, tmp_path, capsys):
         # The F-statistic's k is the variant count (J = 4), not --k.
@@ -677,12 +682,75 @@ class TestAnalyze:
         for record in printed:
             estimate = direct[record["method"]].estimate_for(
                 record["risk_factor"])
-            assert record["estimate"] == float(f"{estimate.theta_hat:.6g}")
-            assert record["se"] == float(f"{estimate.se:.6g}")
+            assert record["estimate"] == estimate.theta_hat
+            assert record["se"] == estimate.se
         for record in (r for r in records if r["record"] == "intercept"):
             intercept = direct[record["method"]].intercept
-            assert record["estimate"] == float(f"{intercept.theta_0:.6g}")
-            assert record["se"] == float(f"{intercept.se:.6g}")
+            assert record["estimate"] == intercept.theta_0
+            assert record["se"] == intercept.se
+
+    def test_jsonl_numbers_exact(self, three_factor_csv, capsys):
+        # jsonl writes every number as computed, not at 6 digits.
+        code, out, err = _analyze(
+            ["--data", three_factor_csv, "--k", "3", "--methods",
+             "UI,UE,MI,ME", "--ref", "x1", "--level", "0.9",
+             "--n-participants", "5000", "--r2", "0.04", "--format", "jsonl"],
+            capsys)
+        assert code == 0, err
+        oriented, _ = mrkit.orient(mrkit.load_dataset(three_factor_csv, 3),
+                                   "x1")
+        univariable = mrkit.select_risk_factor(oriented, "x1")
+        results = [mrkit.ivw_univariable(univariable, level=0.9),
+                   mrkit.egger_univariable(univariable, level=0.9),
+                   mrkit.ivw_multivariable(oriented, level=0.9),
+                   mrkit.egger_multivariable(oriented, "x1", level=0.9)]
+        expected = [{"r2": 0.04, "f_statistic": f_statistic(5000, 10, 0.04)}]
+        for result in results:
+            expected.append({"level": 0.9,
+                             "residual_scale": result.residual_scale})
+            expected += [{
+                "estimate": e.theta_hat, "se": e.se, "ci_low": e.ci_low,
+                "ci_high": e.ci_high, "p_value": e.p_value,
+                "odds_ratio": math.exp(e.theta_hat),
+                "or_ci_low": math.exp(e.ci_low),
+                "or_ci_high": math.exp(e.ci_high),
+            } for e in result.estimates]
+            if result.intercept is not None:
+                expected.append({"estimate": result.intercept.theta_0,
+                                 "se": result.intercept.se,
+                                 "p_value": result.intercept.p_value})
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [{key: value for key, value in record.items()
+                 if isinstance(value, float)}
+                for record in records if record["record"] in (
+                    "instrument_strength", "method", "estimate",
+                    "intercept")] == expected
+
+    def test_semicolon_in_variant_id(self, tmp_path, capsys):
+        # A flipped id may hold ';', the csv cell's list separator. Text and
+        # jsonl keep it whole; the csv cell cannot tell it from two ids.
+        path = tmp_path / "semicolon.csv"
+        path.write_text(
+            "variant_id,effect_allele,other_allele,beta_x1,se_x1,beta_y,se_y\n"
+            "rs1;rs2,A,G,-0.21,0.02,-0.05,0.11\n"
+            "v2,A,G,0.33,0.03,0.09,0.12\n"
+            "v3,C,T,0.18,0.02,0.02,0.09\n"
+            "v4,G,A,0.27,0.04,0.11,0.15\n"
+            "v5,T,C,-0.12,0.02,0.01,0.1\n")
+        args = ["--data", str(path), "--k", "1", "--methods", "UE",
+                "--ref", "x1"]
+        code, out, err = _analyze(args, capsys)
+        assert code == 0, err
+        assert out.splitlines()[2:4] == [
+            "Orientation: reference x1; 2 variant(s) flipped; 0 with zero "
+            "reference association",
+            "  flipped: rs1;rs2, v5"]
+        _, out, _ = _analyze(args + ["--format", "jsonl"], capsys)
+        orientation = json.loads(out.splitlines()[1])
+        assert orientation["ids"] == ["rs1;rs2", "v5"]
+        _, out, _ = _analyze(args + ["--format", "csv"], capsys)
+        assert list(csv.DictReader(io.StringIO(out)))[1]["ids"] == \
+            "rs1;rs2;v5"
 
     def test_overflowing_odds_ratio_reported_as_inf(self, tmp_path, capsys):
         # Weak instruments and large outcome associations: theta_hat ~ 3000,
