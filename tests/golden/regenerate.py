@@ -26,6 +26,7 @@ import shlex
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import scipy
@@ -87,20 +88,6 @@ def versions() -> dict[str, str]:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-@contextlib.contextmanager
-def _environment(env: dict[str, str]):
-    saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = value
-
-
 def run_case(argv: list[str], env: dict[str, str]) -> dict:
     """Run one case in process; its exit status, streams and written files."""
     out, err = io.StringIO(), io.StringIO()
@@ -110,7 +97,8 @@ def run_case(argv: list[str], env: dict[str, str]) -> dict:
             shutil.copy(path, work)
         os.chdir(work)
         try:
-            with _environment(env), contextlib.redirect_stdout(out), \
+            with mock.patch.dict(os.environ, env), \
+                    contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 status = main(argv)
         finally:
