@@ -75,6 +75,10 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
       "--seed", "11", "--out", "sim_theta"], {}),
     (["simulate", "--scenario", "3", "--theta1", "-0.0", "--mu",
       "0.0100000001", "--reps", "16", "--seed", "12", "--out", "sim_mu"], {}),
+    # J = 1,000: a chunk holds 47 replicates, not 128.
+    (["simulate", "--scenario", "4", "--theta1", "0.3", "--mu", "0.1",
+      "--correlated", "--mediation", "--j-variants", "1000", "--reps", "50",
+      "--seed", "13", "--out", "sim_j1000"], {}),
     (["grid", "--reps", "4", "--out", "grid"], {}),
     (["grid", "--mediation", "--reps", "8", "--out", "mediation_t1"],
      {"MRKIT_THREADS": "1"}),
