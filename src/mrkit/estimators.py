@@ -27,11 +27,16 @@ Inference is t-based with the residual degrees of freedom of each regression:
 J-1 (UI), J-2 (UE), J-K (MI), J-(K+1) (ME). Fixed-effect and multiplicative
 random-effects standard errors are as in :func:`mrkit.regression.scaled_se`;
 point estimates are identical under both schemes. One array step tests a
-fit's coefficients and its intercept together, as the Monte Carlo engine
-tests a chunk, and the results hold Python floats. Its t distribution
-functions come from scipy.special, imported at the first t inference, so
-importing mrkit loads numpy and no scipy module; scipy.linalg likewise
-loads with the first correlation matrix, which it factors.
+fit's coefficients and its intercept together, and the results hold Python
+floats. Its t distribution functions come from scipy.special, imported at
+the first t inference, so importing mrkit loads numpy and no scipy module;
+scipy.linalg likewise loads with the first correlation matrix, which it
+factors. The Monte Carlo engine needs only whether each t test rejects:
+one array step over a chunk compares |theta / se| with the critical value,
+which the standard library's math computes once per df, and asks
+scipy.special for a p-value only within a relative 1e-8 of it. So the
+engine's decisions are the p-value's, bit for bit, and a simulation loads
+no scipy module unless some test comes that close.
 
 All six public estimators are one regression of outcome on risk-factor
 associations, fitted and packaged by one private core: with or without an
@@ -48,6 +53,8 @@ estimator factors a matrix, copies the factor out or builds diag(se_Y) L.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -175,6 +182,99 @@ def _t_pvalue(theta, se, df: int):
     from scipy.special import stdtr
 
     return 2.0 * stdtr(df, -np.abs(theta / se))
+
+
+# The relative half-width of the band around a t test's critical value
+# inside which _t_rejects decides by the p-value. _t_critical is good to
+# about 2e-13 relative, far inside it.
+_T_BAND = 1e-8
+_LOG_GAMMA_HALF = 0.5 * math.log(math.pi)
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2).
+
+    For a >= 50, by its asymptotic series in 1 / a, good to about 2e-15:
+    lgamma(a) - lgamma(a + 1/2) would cancel the leading digits of two
+    large terms (an error of 3.5e-9 at a = 5e6).
+    """
+    if a < 50.0:
+        return math.lgamma(a) + _LOG_GAMMA_HALF - math.lgamma(a + 0.5)
+    return (_LOG_GAMMA_HALF - 0.5 * math.log(a) + 1.0 / (8.0 * a)
+            - 1.0 / (192.0 * a ** 3) + 1.0 / (640.0 * a ** 5))
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """I_x(a, b) a B(a, b) / (x^a (1 - x)^b), a continued fraction.
+
+    Evaluated by the modified Lentz method; it converges fast for x below
+    about (a + 1) / (a + b + 2).
+    """
+    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or 1e-300)
+    h = d
+    for m in range(1, 10_000):
+        for term in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x
+                     / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 / ((1.0 + term * d) or 1e-300)
+            c = (1.0 + term / c) or 1e-300
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"I_x({a}, {b}) at x = {x} did not converge")
+
+
+def _t_tail(t: float, df: int) -> float:
+    """Two-sided p-value of t > 0: I_x(df/2, 1/2), with x = df / (df + t^2)."""
+    a, x, y = df / 2.0, df / (df + t * t), t * t / (df + t * t)
+    front = math.exp(a * math.log1p(-y) + 0.5 * math.log(y)
+                     - _log_beta_half(a))
+    # I_x(a, 1/2) = 1 - I_y(1/2, a), y = 1 - x. Each fraction is well
+    # conditioned on its own side of t^2 = df: the one in x loses digits as
+    # x nears 1, as it does near the critical value at large df.
+    if t * t > df:
+        return front * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - 2.0 * front * _beta_fraction(0.5, a, y)
+
+
+@functools.cache
+def _t_critical(df: int, alpha: float) -> float:
+    """The two-sided critical value of t with df >= 1 at level alpha.
+
+    Bisection to the smallest float where :func:`_t_tail` is at most alpha;
+    standard library only, so no scipy module loads.
+    """
+    lo, hi = 0.0, 1.0
+    while _t_tail(hi, df) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _t_tail(mid, df) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _t_rejects(theta, se, df, alpha: float):
+    """Whether the two-sided t test of each theta / se rejects at alpha.
+
+    ``theta`` and ``se`` are arrays of one shape, and ``df``, ints >= 1
+    that broadcast against them (the engine passes one per row). Returns
+    1.0 where a test rejects, 0.0 where it does not, and NaN where
+    theta / se is NaN: each flag is ``_t_pvalue(theta, se, df) < alpha``,
+    bit for bit. |theta / se| is compared with :func:`_t_critical`; only
+    within ``_T_BAND`` of it does the p-value decide, so scipy.special is
+    loaded only there.
+    """
+    t = np.abs(theta / se)
+    critical = np.reshape([_t_critical(int(d), alpha) for d in np.ravel(df)],
+                          np.shape(df))
+    flags = np.where(np.isnan(t), np.nan, t > critical)
+    band = np.abs(t - critical) <= _T_BAND * critical
+    if band.any():
+        flags[band] = _t_pvalue(theta[band], se[band],
+                                np.broadcast_to(df, t.shape)[band]) < alpha
+    return flags
 
 
 def _inference(theta, se, df: int, level: float):

@@ -54,6 +54,11 @@ One private engine, ``_replicate_results``, plans the chunks for both
 smaller than a chunk into shared chunks, and each replicate keeps its
 config's seed and its own index, so every grid row's summary is bit for bit
 the one it gets alone.
+Per replicate and tested coefficient the engine keeps the estimate, its
+random-effects se and whether its two-sided t test rejects at
+``POWER_ALPHA``: 1.0 or 0.0, and NaN where theta / se is NaN. It keeps no
+p-value, and its decisions are the p-value's bit for bit without loading
+scipy (see :func:`mrkit.estimators._t_rejects`).
 """
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SummaryDataset
-from .estimators import _t_pvalue
+from .estimators import _t_rejects
 from .regression import _design, _fit_from_r, _random_effects_se, _wls_kernel
 
 __all__ = [
@@ -554,44 +559,48 @@ def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
     ``me`` and ``ue`` are the chunk's whitened (C, J, p + 1) problems. MI's
     problem is ME's without its first column, so MI's R is the R of ME's R
     without that column: a (C, 5, 4) QR in place of one over J rows. Each
-    coefficient's estimate, random-effects se and two-sided t p-value are
-    written to ``out[0]``, ``out[1]`` and ``out[2]``, (5, C) arrays; the five
-    p-values come from one call.
+    coefficient's estimate, random-effects se and two-sided t test decision
+    at ``POWER_ALPHA`` are written to ``out[0]``, ``out[1]`` and ``out[2]``,
+    (5, C) arrays. A decision is 1.0 where the test rejects, 0.0 where it
+    does not and NaN where theta / se is NaN; the five rows are decided in
+    one call.
     """
     j = me.shape[-2]
     r_me = np.linalg.qr(me, mode="r")
     fits = (_fit_from_r(np.linalg.qr(r_me[..., 1:], mode="r"), j),
             _wls_kernel(ue), _fit_from_r(r_me, j))
-    theta, se, p = out
-    df = np.empty((len(_TESTS), 1))
+    theta, se, rejects = out
+    df = np.empty((len(_TESTS), 1), dtype=int)
     for row, (estimator, column) in enumerate(_TESTS):
         beta, unscaled_se, sigma, _ = fits[estimator]
         theta[row] = beta[:, column]
         se[row] = _random_effects_se(unscaled_se, sigma)[:, column]
         df[row] = j - beta.shape[1]
-    p[:] = _t_pvalue(theta, se, df)
+    rejects[:] = _t_rejects(theta, se, df, POWER_ALPHA)
 
 
 def _summarise(results: np.ndarray) -> SimulationSummary:
     """One config's summary from its (3, len(_TESTS), replicates) results.
 
-    An estimator uses the replicates whose estimate, se and p-values are
-    finite. When every value is finite, each mean and power comes from one
-    reduction along the contiguous replicate axis, which sums each row as
-    ``np.mean`` of that row does. Raises ValueError when every replicate
-    fails for some estimator.
+    An estimator uses the replicates whose estimate, se and test decisions
+    are finite. A power is the share of those replicates whose decision is
+    1.0, a rejection; a count of 0.0 and 1.0 values is exact. When every
+    value is finite, each mean and power comes from one reduction along the
+    contiguous replicate axis, which sums each row as ``np.mean`` of that
+    row does. Raises ValueError when every replicate fails for some
+    estimator.
     """
-    theta, se, p = results
+    theta, se, rejects = results
     n, e = results.shape[-1], len(_ESTIMATORS)
     if np.isfinite(results).all():
         used = [n] * e
         mean_theta, mean_se = np.add.reduce(results[:2, :e], axis=-1) / n
-        powers = np.count_nonzero(p < POWER_ALPHA, axis=-1) / n
+        powers = np.count_nonzero(rejects, axis=-1) / n
         failures = 0
     else:
         ok = np.isfinite(results[:, :e]).all(axis=0)
         for estimator, row in _INTERCEPT_ROWS.items():
-            ok[estimator] &= np.isfinite(p[row])
+            ok[estimator] &= np.isfinite(rejects[row])
         used = ok.sum(axis=-1).tolist()
         for estimator, count in zip(_ESTIMATORS, used):
             if count == 0:
@@ -599,7 +608,7 @@ def _summarise(results: np.ndarray) -> SimulationSummary:
                     f"every replicate failed for estimator {estimator}")
         mean_theta = [np.mean(theta[i][ok[i]]) for i in range(e)]
         mean_se = [np.mean(se[i][ok[i]]) for i in range(e)]
-        powers = [np.mean(p[row][ok[i]] < POWER_ALPHA)
+        powers = [np.mean(rejects[row][ok[i]])
                   for row, (i, _) in enumerate(_TESTS)]
         failures = int(np.sum(~ok.all(axis=0)))
     mi, ue, me = (EstimatorSummary(
@@ -619,18 +628,19 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
 
     A config's results are a (3, len(_TESTS), replicates) array: per tested
     coefficient (see _TESTS) and replicate, the estimate, its random-effects
-    se and its p-value. This is the one owner of the chunk plan. A chunk
-    holds ``_CHUNK`` replicates, or fewer where a worker thread's buffers
-    would pass ``_CHUNK_BYTES``. Consecutive configs whose replicates fit in
-    one chunk share it, laid end to end, and a larger config is cut into
-    chunks of its own. A chunk draws all its replicates at once, each under
-    its config's seed and its own index, builds their problems one config's
-    segment at a time, and then fits and tests them at once. Every step is
-    per replicate, so each config's results are bit for bit what it gets
-    when run alone. Groups of configs run one after another, and a group's
-    chunks go to worker threads only when it has more than one. A group's
-    results are yielded as soon as it has run, so a grid holds one group's
-    results at a time. The configs must share j_variants.
+    se and its t test decision (see :func:`_chunk_tests`). This is the one
+    owner of the chunk plan. A chunk holds ``_CHUNK`` replicates, or fewer
+    where a worker thread's buffers would pass ``_CHUNK_BYTES``.
+    Consecutive configs whose replicates fit in one chunk share it, laid end
+    to end, and a larger config is cut into chunks of its own. A chunk draws
+    all its replicates at once, each under its config's seed and its own
+    index, builds their problems one config's segment at a time, and then
+    fits and tests them at once. Every step is per replicate, so each
+    config's results are bit for bit what it gets when run alone. Groups of
+    configs run one after another, and a group's chunks go to worker
+    threads only when it has more than one. A group's results are yielded
+    as soon as it has run, so a grid holds one group's results at a time.
+    The configs must share j_variants.
     """
     j = configs[0].j_variants
     if any(config.j_variants != j for config in configs):
@@ -651,13 +661,13 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
             local.buffers = _ChunkBuffers(size, j)
         buffers, c = local.buffers, end - start
         # Per config in the chunk: its first and end replicate index, and
-        # its rows of the chunk buffers.
+        # its rows of the chunk buffers. Every config of the group has some:
+        # a group of several configs is one chunk.
         parts = []
         for config, first in segments:
             lo, hi = max(start, first), min(end, first + config.replicates)
-            if lo < hi:
-                parts.append((config, lo - first, hi - first,
-                               slice(lo - start, hi - start)))
+            parts.append((config, lo - first, hi - first,
+                          slice(lo - start, hi - start)))
         _chunk_normals([(int(config.seed), lo, hi)
                         for config, lo, hi, _ in parts], buffers.z[:c])
         # The draws move to the planes of slots; z's block is then free.

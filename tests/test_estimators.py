@@ -25,7 +25,15 @@ from mrkit import (
     orient,
     select_risk_factor,
 )
-from mrkit.estimators import MethodTag, _fit_model, _inference
+from mrkit.estimators import (
+    _T_BAND,
+    MethodTag,
+    _fit_model,
+    _inference,
+    _t_critical,
+    _t_pvalue,
+    _t_rejects,
+)
 from mrkit.regression import (
     _cholesky_in_place,
     fit_gls,
@@ -500,6 +508,39 @@ class TestInference:
             env=subprocess_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False False"
+
+    def test_critical_value_matches_stdtrit(self):
+        dfs = [*range(1, 2001),
+               *np.unique(np.geomspace(2001, 10**7, 40).astype(int)).tolist()]
+        got = [_t_critical(df, 0.05) for df in dfs]
+        np.testing.assert_allclose(got, special.stdtrit(dfs, 0.975),
+                                   rtol=_T_BAND / 100, atol=0)
+
+    @given(df=st.integers(1, 10**6), se=st.floats(1e-3, 1e3),
+           sign=st.sampled_from((-1.0, 1.0)))
+    @example(df=1, se=1.0, sign=1.0)
+    @example(df=183, se=0.05, sign=-1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_rejection_near_critical_value_matches_p_value(self, df, se,
+                                                           sign):
+        # t at c (1 +- k delta): inside the band (k = 0.5), at its edges
+        # (k = 1) and outside it (k = 2), where the critical value decides.
+        steps = np.array([0.5, 1.0, 2.0]) * _T_BAND
+        t = _t_critical(df, 0.05) * np.concatenate([1.0 - steps, 1.0 + steps])
+        theta, se = sign * t * se, np.full(t.shape, se)
+        flags = _t_rejects(theta, se, df, 0.05)
+        assert flags.tolist() == (_t_pvalue(theta, se, df) < 0.05).tolist()
+
+    def test_rejection_flags_of_non_finite_ratios(self):
+        theta = np.array([0.0, 1.0, -1.0, 0.0, np.inf, np.nan, np.inf])
+        se = np.array([0.0, 0.0, 0.0, np.inf, 1.0, 1.0, np.inf])
+        df = np.array([3, 3, 3, 3, 3, 3, 3])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flags = _t_rejects(theta, se, df, 0.05)
+            p = _t_pvalue(theta, se, df)
+        assert np.array_equal(np.isnan(flags), np.isnan(p))
+        assert flags.tolist()[1:5] == [1.0, 1.0, 0.0, 1.0]
+        assert flags[1:5].tolist() == (p[1:5] < 0.05).tolist()
 
     def test_level_changes_width(self):
         rng = np.random.default_rng(73)

@@ -88,3 +88,17 @@ def test_fit_loads_scipy_special_not_stats(tmp_path):
     assert status == "0"
     assert "'scipy.special'" in loaded
     assert "'scipy.stats'" not in loaded
+
+
+def test_simulate_and_grid_load_no_scipy(tmp_path):
+    # The Monte Carlo engine decides its t tests without scipy.special.
+    script = ("import sys\n"
+              "from mrkit import run_scenario, scenario_config\n"
+              "run_scenario(scenario_config(2, replicates=256, seed=5))\n"
+              f"print({_SCIPY_LOADED})\n")
+    script += _main_script(
+        ["simulate", "--scenario", "2", "--reps", "300",
+         "--out", str(tmp_path / "sim")],
+        ["grid", "--mediation", "--reps", "8",
+         "--out", str(tmp_path / "grid")])
+    assert _run(script) == ["[]", "0", "0", "[]"]

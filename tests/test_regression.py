@@ -26,7 +26,7 @@ from mrkit.regression import (
     _wls_kernel,
 )
 from mrkit.estimators import _t_pvalue
-from mrkit.simulation import _chunk_tests
+from mrkit.simulation import POWER_ALPHA, _chunk_tests
 
 
 class TestFitWls:
@@ -402,10 +402,11 @@ def test_fit_from_dropped_first_column_matches_kernel():
                                    equal_nan=True)
 
     # The chunk stacks theta1 of MI, UE and ME, then the intercepts of UE
-    # and ME, and takes their five p-values in one call.
+    # and ME, and decides their five t tests in one call: 1.0 where p < 0.05,
+    # 0.0 where not, and NaN where the p-value is NaN.
     out = np.empty((3, 5, 4))
     _chunk_tests(me, ue, out)
-    theta, se, p = out
+    theta, se, rejects = out
     fits = [derived, _wls_kernel(ue), _wls_kernel(me)]
     for row, (fit, column) in enumerate(
             [(0, 0), (1, 1), (2, 1), (1, 0), (2, 0)]):
@@ -415,9 +416,10 @@ def test_fit_from_dropped_first_column_matches_kernel():
                                    atol=0, equal_nan=True)
         np.testing.assert_allclose(se[row], se_want, rtol=1e-12, atol=0,
                                    equal_nan=True)
-        df = j - beta.shape[1]
-        assert np.array_equal(p[row], _t_pvalue(theta[row], se[row], df),
-                              equal_nan=True)
+        p = _t_pvalue(theta[row], se[row], j - beta.shape[1])
+        assert np.array_equal(np.isnan(rejects[row]), np.isnan(p))
+        assert np.array_equal(rejects[row][~np.isnan(p)],
+                              p[~np.isnan(p)] < POWER_ALPHA)
 
 
 @st.composite

@@ -332,22 +332,26 @@ class TestRunScenario:
         assert serial == threaded
 
     def test_first_t_inference_in_worker_threads(self):
-        # Importing mrkit loads no scipy module, so a process's first fit
-        # imports scipy.special. At J = 185 the 256 replicates make two
-        # chunks, so with two threads both workers reach _t_pvalue at once,
-        # and the summary must still be the one-thread summary.
+        # The engine decides a t test by its p-value only within _T_BAND of
+        # the critical value, and only there imports scipy.special. With the
+        # band widened to half the critical value, many tests fall in it. At
+        # J = 185 the 256 replicates make two chunks, so with two threads
+        # both workers import scipy.special at once, and the summary must
+        # still be the one-thread summary, and the one the real band gives.
         script = (
             "import sys\n"
             "import threading\n"
-            "from mrkit import run_scenario, scenario_config, simulation\n"
+            "from mrkit import estimators, run_scenario, scenario_config\n"
+            "config = scenario_config(2, replicates=256, seed=5)\n"
+            "print(repr(run_scenario(config)))\n"
             "assert 'scipy.special' not in sys.modules\n"
-            "callers, t_pvalue = set(), simulation._t_pvalue\n"
+            "callers, t_pvalue = set(), estimators._t_pvalue\n"
             "def recording(*args):\n"
             "    callers.add(threading.current_thread().name)\n"
             "    return t_pvalue(*args)\n"
-            "simulation._t_pvalue = recording\n"
-            "print(repr(run_scenario(scenario_config(2, replicates=256,\n"
-            "                                        seed=5))))\n"
+            "estimators._t_pvalue = recording\n"
+            "estimators._T_BAND = 0.5\n"
+            "print(repr(run_scenario(config)))\n"
             "print(len(callers), 'MainThread' in callers)\n")
         outputs = []
         for threads in ("1", "2"):
@@ -356,9 +360,9 @@ class TestRunScenario:
                 env=subprocess_env(MRKIT_THREADS=threads), timeout=120)
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout.splitlines())
-        assert outputs[0][1] == "1 True"
-        assert outputs[1][1] == "2 False"
-        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][2] == "1 True"
+        assert outputs[1][2] == "2 False"
+        assert outputs[0][0] == outputs[0][1] == outputs[1][0] == outputs[1][1]
 
     def test_thread_env_validation(self, monkeypatch):
         config = scenario_config(1, replicates=10, j_variants=20)
@@ -680,9 +684,11 @@ def test_batched_summary_matches_single_dataset_fits(scenario, settings):
 def _public_tests(config, replicate):
     """One replicate's five _TESTS coefficients from the public estimators.
 
-    Returns the (3, len(_TESTS)) estimates, ses and p-values, in the
-    engine's layout, and the MI, UE and ME results. An estimator that raises
-    RankError gives None and NaN in its coefficients.
+    Returns the (4, len(_TESTS)) estimates, ses, t test decisions and
+    p-values, the first three in the engine's layout (a decision is 1.0
+    where p < POWER_ALPHA, 0.0 where not and NaN where p is), and the MI,
+    UE and ME results. An estimator that raises RankError gives None and
+    NaN in its coefficients.
     """
     dataset, _ = generate_dataset(config, replicate)
     univariable = make_dataset(
@@ -696,25 +702,41 @@ def _public_tests(config, replicate):
             fits.append(fit())
         except RankError:
             fits.append(None)
-    out = np.full((3, len(simulation._TESTS)), np.nan)
+    out = np.full((4, len(simulation._TESTS)), np.nan)
     for row, (estimator, column) in enumerate(simulation._TESTS):
         result = fits[estimator]
         if result is None:
             continue
         if column == 0 and result.intercept is not None:
             test = result.intercept
-            out[:, row] = test.theta_0, test.se, test.p_value
+            out[[0, 1, 3], row] = test.theta_0, test.se, test.p_value
         else:
             test = result.estimates[0]
-            out[:, row] = test.theta_hat, test.se, test.p_value
+            out[[0, 1, 3], row] = test.theta_hat, test.se, test.p_value
+    out[2] = np.where(np.isnan(out[3]), np.nan,
+                      out[3] < simulation.POWER_ALPHA)
     return out, fits
+
+
+def _assert_paths_agree(batched, public):
+    """The engine's results agree with the public estimators' (_both_paths).
+
+    Estimates and ses agree to rtol 1e-9. The t test decisions are NaN in
+    the same places, and equal wherever the public p-value is clear of
+    POWER_ALPHA by 1e-9.
+    """
+    np.testing.assert_allclose(batched[:2], public[:2], rtol=1e-9, atol=0)
+    assert np.array_equal(np.isnan(batched[2]), np.isnan(public[2]))
+    clear = np.abs(public[3] - simulation.POWER_ALPHA) > 1e-9
+    assert np.array_equal(batched[2][clear], public[2][clear])
 
 
 def _both_paths(config):
     """The engine's per-replicate results and the public estimators'.
 
-    Returns the engine's array, the public estimators' results in the same
-    layout, and each replicate's (MI, UE, ME) results.
+    Returns the engine's array, the public estimators' results in its
+    layout with their p-values as a fourth plane (see _public_tests), and
+    each replicate's (MI, UE, ME) results.
     """
     batched = next(simulation._replicate_results([config]))
     outs, fits = zip(*(_public_tests(config, r)
@@ -741,15 +763,11 @@ def _configs(draw):
 def test_replicates_match_single_dataset_fits(config):
     """Each replicate's engine results equal the public estimators'.
 
-    Every tested coefficient's estimate, random-effects se and p-value agree
-    to rtol 1e-9, and so does every p < 0.05 decision not within 1e-9 of the
+    Every tested coefficient's estimate and random-effects se agree to rtol
+    1e-9, and so does every p < 0.05 decision not within 1e-9 of the
     threshold.
     """
-    batched, public, _ = _both_paths(config)
-    np.testing.assert_allclose(batched, public, rtol=1e-9, atol=0)
-    clear = np.abs(public[2] - simulation.POWER_ALPHA) > 1e-9
-    assert np.array_equal(batched[2][clear] < simulation.POWER_ALPHA,
-                          public[2][clear] < simulation.POWER_ALPHA)
+    _assert_paths_agree(*_both_paths(config)[:2])
 
 
 @pytest.mark.parametrize("weight_mode", ["realized", "variance_component"])
@@ -816,7 +834,7 @@ def test_collinear_replicates_fail_where_estimators_raise(monkeypatch):
     assert 0 < raised.sum() < config.replicates
     assert [me is None for _, _, me in fits] == raised.tolist()
     assert all(ue is not None for _, ue, _ in fits)
-    np.testing.assert_allclose(batched, public, rtol=1e-9, atol=0)
+    _assert_paths_agree(batched, public)
     assert np.array_equal(np.isnan(batched[0, 0]), raised)
     assert simulation._summarise(batched).failures == raised.sum()
 
@@ -824,17 +842,19 @@ def test_collinear_replicates_fail_where_estimators_raise(monkeypatch):
 def _reference_summary(results):
     """A summary from one masked ``np.mean`` per estimator and quantity.
 
-    An estimator uses the replicates whose estimate, se and p-value are
-    finite, and, for UE and ME, whose intercept p-value (rows 3 and 4 of
-    _TESTS) is finite too.
+    An estimator uses the replicates whose estimate, se and t test decision
+    are finite, and, for UE and ME, whose intercept decision (rows 3 and 4
+    of _TESTS) is finite too. A power is the mean of the decisions, 1.0
+    where a test rejects and 0.0 where it does not.
     """
-    theta, se, p = results
+    theta, se, rejects = results
     summaries, all_ok = [], np.ones(results.shape[-1], dtype=bool)
     for e, (estimator, intercept) in enumerate(
             (("MI", None), ("UE", 3), ("ME", 4))):
-        ok = np.isfinite(theta[e]) & np.isfinite(se[e]) & np.isfinite(p[e])
+        ok = (np.isfinite(theta[e]) & np.isfinite(se[e])
+              & np.isfinite(rejects[e]))
         if intercept is not None:
-            ok &= np.isfinite(p[intercept])
+            ok &= np.isfinite(rejects[intercept])
         if not ok.any():
             raise ValueError(
                 f"every replicate failed for estimator {estimator}")
@@ -842,10 +862,9 @@ def _reference_summary(results):
             estimator=estimator,
             mean_theta1=float(np.mean(theta[e][ok])),
             mean_se=float(np.mean(se[e][ok])),
-            power_causal=float(np.mean(p[e][ok] < simulation.POWER_ALPHA)),
-            power_intercept=(
-                None if intercept is None else
-                float(np.mean(p[intercept][ok] < simulation.POWER_ALPHA))),
+            power_causal=float(np.mean(rejects[e][ok])),
+            power_intercept=(None if intercept is None else
+                             float(np.mean(rejects[intercept][ok]))),
             replicates_used=int(ok.sum())))
         all_ok &= ok
     return simulation.SimulationSummary(*summaries,
@@ -867,7 +886,7 @@ def test_summary_matches_masked_means(n, failed, offset, seed):
     results = wide[..., offset:offset + n]
     results[0] = rng.normal(0.1, 0.3, results[0].shape)
     results[1] = rng.exponential(0.05, results[1].shape)
-    results[2] = rng.uniform(0.0, 0.2, results[2].shape)
+    results[2] = rng.random(results[2].shape) < 0.25
     if failed:
         bad = rng.random(results.shape) < failed / len(simulation._TESTS)
         results[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
@@ -920,7 +939,7 @@ def test_exact_fit_replicates_match_single_dataset_fits(monkeypatch,
     np.testing.assert_allclose(batched[0, 4], public[0, 4], rtol=0,
                                atol=1e-12)
     batched[0, 4] = public[0, 4]
-    np.testing.assert_allclose(batched, public, rtol=1e-9, atol=0)
+    _assert_paths_agree(batched, public)
 
 
 @pytest.fixture(scope="module")
