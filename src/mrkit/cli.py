@@ -38,6 +38,7 @@ from decimal import Decimal
 
 from .data import (
     SummaryDataset,
+    _printable,
     _read_text,
     load_correlation,
     load_dataset,
@@ -277,7 +278,8 @@ def render_text(records: list[dict]) -> str:
                 f"{record['flipped']} variant(s) flipped; "
                 f"{record['zero_oriented']} with zero reference association")
             if record["ids"]:
-                lines.append(f"  flipped: {', '.join(record['ids'])}")
+                ids = ", ".join(map(_printable, record["ids"]))
+                lines.append(f"  flipped: {ids}")
         elif kind == "instrument_strength":
             lines.append(
                 f"Instrument strength: R2={_setting(record['r2'])}, "

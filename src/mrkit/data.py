@@ -225,15 +225,22 @@ def _asymmetry(entries: np.ndarray) -> float:
 _ECHO_LIMIT = 40
 
 
-def _echo(cell: str) -> str:
-    """``cell`` quoted for a message, on one line and cut to ``_ECHO_LIMIT``.
+def _printable(text: str) -> str:
+    """``text`` on one line, for a message or a report.
 
     A character that does not print, such as a line break a quoted field
-    holds, is written as its Python escape (``\\n``, ``\\x00``). The cut
-    comes after the escaping, so the echo is at most ``_ECHO_LIMIT``
-    characters as printed.
+    holds, is written as its Python escape (``\\n``, ``\\x00``).
     """
-    cell = "".join(c if c.isprintable() else repr(c)[1:-1] for c in cell)
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
+def _echo(cell: str) -> str:
+    """``cell`` quoted for a message, by :func:`_printable` and cut.
+
+    The cut comes after the escaping, so the echo is at most
+    ``_ECHO_LIMIT`` characters as printed.
+    """
+    cell = _printable(cell)
     if len(cell) > _ECHO_LIMIT:
         cell = cell[:_ECHO_LIMIT - 3] + "..."
     return f"'{cell}'"

@@ -62,6 +62,9 @@ _ANALYZE = [
     # A flipped variant id that contains the csv list separator.
     ["--data", "semicolon_ids.csv", "--k", "1", "--methods", "UE",
      "--ref", "x1"],
+    # Flipped variant ids that hold a line break and a tab.
+    ["--data", "newline_id.csv", "--k", "1", "--methods", "UI",
+     "--ref", "x1"],
 ]
 
 # (argv, environment overrides)
