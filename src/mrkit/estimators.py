@@ -248,10 +248,7 @@ def _t_critical(df: int, alpha: float) -> float:
     while _t_tail(hi, df) > alpha:
         lo, hi = hi, 2.0 * hi
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _t_tail(mid, df) > alpha:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if _t_tail(mid, df) > alpha else (lo, mid)
     return hi
 
 

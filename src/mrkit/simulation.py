@@ -570,12 +570,11 @@ def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
     fits = (_fit_from_r(np.linalg.qr(r_me[..., 1:], mode="r"), j),
             _wls_kernel(ue), _fit_from_r(r_me, j))
     theta, se, rejects = out
-    df = np.empty((len(_TESTS), 1), dtype=int)
     for row, (estimator, column) in enumerate(_TESTS):
         beta, unscaled_se, sigma, _ = fits[estimator]
         theta[row] = beta[:, column]
         se[row] = _random_effects_se(unscaled_se, sigma)[:, column]
-        df[row] = j - beta.shape[1]
+    df = [[j - fits[estimator][0].shape[1]] for estimator, _ in _TESTS]
     rejects[:] = _t_rejects(theta, se, df, POWER_ALPHA)
 
 
