@@ -207,8 +207,9 @@ def _log_beta_half(a: float) -> float:
 def _beta_fraction(a: float, b: float, x: float) -> float:
     """I_x(a, b) a B(a, b) / (x^a (1 - x)^b), a continued fraction.
 
-    Evaluated by the modified Lentz method; it converges fast for x below
-    about (a + 1) / (a + b + 2).
+    Evaluated by the modified Lentz method, which puts 1e-300 in place of a
+    zero denominator (one arises at t = 2 with df = 8); the fraction
+    converges fast for x below about (a + 1) / (a + b + 2).
     """
     c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or 1e-300)
     h = d
