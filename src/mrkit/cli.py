@@ -278,7 +278,7 @@ def render_text(records: list[dict]) -> str:
                 f"{record['flipped']} variant(s) flipped; "
                 f"{record['zero_oriented']} with zero reference association")
             if record["ids"]:
-                ids = ", ".join(map(_printable, record["ids"]))
+                ids = _printable(", ".join(record["ids"]))
                 lines.append(f"  flipped: {ids}")
         elif kind == "instrument_strength":
             lines.append(

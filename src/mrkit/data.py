@@ -229,9 +229,11 @@ def _printable(text: str) -> str:
     """``text`` on one line, for a message or a report.
 
     A character that does not print, such as a line break a quoted field
-    holds, is written as its Python escape (``\\n``, ``\\x00``).
+    holds, is written as its Python escape (``\\n``, ``\\x00``). Text that
+    prints whole, as nearly all does, is returned after one C-level check.
     """
-    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+    return text if text.isprintable() else "".join(
+        c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def _echo(cell: str) -> str:
