@@ -2,7 +2,12 @@
 
 Run from a source checkout:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py          # rewrite it
+    PYTHONPATH=src python tests/golden/regenerate.py --check  # compare only
+
+With ``--check`` it rewrites nothing: it prints a unified diff of every case
+whose outputs differ from the manifest, names every case that is in only one
+of the two, and exits 1 if there is any.
 
 Each case runs ``mrkit.cli.main`` in process, in a new temporary directory
 that holds copies of this directory's input files, so every path a case
@@ -18,12 +23,15 @@ CHANGES.md as a deliberate format change.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import json
 import os
 import shlex
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -127,6 +135,49 @@ def build() -> dict:
                       for argv, env in CASES}}
 
 
+def case_diff(command: str, expected: dict, actual: dict) -> str | None:
+    """Unified diffs of every output of a case that differs, or None."""
+    if expected["files"].keys() != actual["files"].keys():
+        return (f"mrkit {command}\nwrote {sorted(actual['files'])}, expected "
+                f"{sorted(expected['files'])}")
+    fields = [("exit", str(expected["exit"]), str(actual["exit"])),
+              ("stdout", expected["stdout"], actual["stdout"]),
+              ("stderr", expected["stderr"], actual["stderr"])]
+    fields += [(name, expected["files"][name], actual["files"][name])
+               for name in sorted(expected["files"])]
+    diffs = ["".join(difflib.unified_diff(
+        want.splitlines(keepends=True), got.splitlines(keepends=True),
+        fromfile=f"expected {name}", tofile=f"actual {name}"))
+        for name, want, got in fields if want != got]
+    return f"mrkit {command}\n" + "".join(diffs) if diffs else None
+
+
+def check() -> int:
+    """Print every case whose outputs differ from the manifest; 1 if any."""
+    stored, current = json.loads(MANIFEST.read_text()), build()
+    report = []
+    if stored["versions"] != current["versions"]:
+        report.append(f"versions: the manifest has {stored['versions']}, "
+                      f"this run {current['versions']}")
+    for command in sorted(stored["cases"].keys() | current["cases"].keys()):
+        if command not in current["cases"]:
+            report.append(f"mrkit {command}\nin the manifest, not a case")
+        elif command not in stored["cases"]:
+            report.append(f"mrkit {command}\na case, not in the manifest")
+        elif diff := case_diff(command, stored["cases"][command],
+                               current["cases"][command]):
+            report.append(diff)
+    print("\n".join(report) if report else "every case matches the manifest")
+    return 1 if report else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print every case whose outputs differ from "
+                             "the manifest and exit 1 if any; rewrite "
+                             "nothing")
+    if parser.parse_args().check:
+        sys.exit(check())
     MANIFEST.write_text(json.dumps(build(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}")

@@ -2,45 +2,42 @@
 
 The manifest pins analyze's three formats, simulate's and grid's files,
 stderr and the exit status byte for byte. ``tests/golden/regenerate.py``
-rewrites it.
+rewrites it, and with ``--check`` lists every case that differs.
 """
-import difflib
 import json
 import shlex
 
-from golden.regenerate import MANIFEST, run_case, versions
-
-
-def _first_mismatch(command: str, expected: dict, actual: dict) -> str | None:
-    """A unified diff of the first output of a case that differs."""
-    if expected["files"].keys() != actual["files"].keys():
-        return (f"mrkit {command}\nwrote {sorted(actual['files'])}, expected "
-                f"{sorted(expected['files'])}")
-    fields = [("exit", str(expected["exit"]), str(actual["exit"])),
-              ("stdout", expected["stdout"], actual["stdout"]),
-              ("stderr", expected["stderr"], actual["stderr"])]
-    fields += [(name, expected["files"][name], actual["files"][name])
-               for name in sorted(expected["files"])]
-    for name, want, got in fields:
-        if want != got:
-            diff = difflib.unified_diff(
-                want.splitlines(keepends=True), got.splitlines(keepends=True),
-                fromfile=f"expected {name}", tofile=f"actual {name}")
-            return f"mrkit {command}\n" + "".join(diff)
-    return None
+from golden import regenerate
+from golden.regenerate import MANIFEST, case_diff, run_case, versions
 
 
 def test_golden_outputs():
     manifest = json.loads(MANIFEST.read_text())
-    mismatch = None
+    mismatches = []
     for command, expected in manifest["cases"].items():
         actual = run_case(shlex.split(command), expected.get("env", {}))
-        mismatch = _first_mismatch(command, expected, actual)
-        if mismatch:
-            break
+        if diff := case_diff(command, expected, actual):
+            mismatches.append(diff)
+    report = "\n".join(mismatches)
     # Other library versions may draw other numbers: name them, never skip.
     assert manifest["versions"] == versions(), (
         f"the golden outputs were made with {manifest['versions']}, this run "
-        f"has {versions()}" + (f"; first mismatch:\n{mismatch}"
-                               if mismatch else ""))
-    assert mismatch is None, mismatch
+        f"has {versions()}" + (f"; mismatches:\n{report}" if report else ""))
+    assert not mismatches, report
+
+
+def test_check_lists_every_differing_case(tmp_path, monkeypatch, capsys):
+    manifest = json.loads(MANIFEST.read_text())
+    first, second, third = sorted(manifest["cases"])[:3]
+    manifest["cases"][first]["stdout"] += "an extra line\n"
+    manifest["cases"][second]["exit"] += 1
+    del manifest["cases"][third]
+    stale = tmp_path / "manifest.json"
+    stale.write_text(json.dumps(manifest))
+    monkeypatch.setattr(regenerate, "MANIFEST", stale)
+    assert regenerate.check() == 1
+    report = capsys.readouterr().out
+    assert f"mrkit {first}\n" in report and "-an extra line" in report
+    assert f"mrkit {second}\n" in report and "expected exit" in report
+    assert f"mrkit {third}\na case, not in the manifest" in report
+    assert stale.read_text() == json.dumps(manifest)
