@@ -43,7 +43,7 @@ from mrkit.cli import main
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "manifest.json"
-INPUTS = sorted(HERE.glob("*.csv"))
+INPUTS = sorted([*HERE.glob("*.csv"), *HERE.glob("*.cfg")])
 
 # Analyze argument sets; each runs once per output format.
 _ANALYZE = [
@@ -73,6 +73,12 @@ _ANALYZE = [
     # Flipped variant ids that hold a line break and a tab.
     ["--data", "newline_id.csv", "--k", "1", "--methods", "UI",
      "--ref", "x1"],
+    # An exact fit: beta_Y = beta_X1 / 2, so every residual scale is 0.
+    ["--data", "exact_fit.csv", "--k", "1", "--methods", "UI,UE",
+     "--ref", "x1"],
+    # A block-diagonal matrix: exchangeable 0.4, then AR(1) 0.5^|s - t|.
+    ["--data", "j12_k2.csv", "--k", "2", "--corr", "block_j12.csv",
+     "--methods", "MI,ME", "--ref", "x1"],
 ]
 
 # (argv, environment overrides)
@@ -82,6 +88,14 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["analyze", "--data", "missing.csv", "--k", "1", "--methods", "UI"], {}),
     (["analyze", "--data", "j12_k1.csv", "--k", "1", "--methods", "UI",
       "--level", "1.5"], {}),
+    # beta_X2 is affine in beta_X1: ME's design is rank deficient.
+    (["analyze", "--data", "collinear_j8_k2.csv", "--k", "2", "--methods",
+      "UI,UE,MI,ME", "--ref", "x1"], {}),
+    # A faulty dataset and a faulty matrix.
+    (["analyze", "--data", "bad_value.csv", "--k", "1", "--methods", "UI"],
+     {}),
+    (["analyze", "--data", "j12_k2.csv", "--k", "2", "--corr",
+      "asymmetric_j12.csv", "--methods", "MI"], {}),
     (["simulate", "--scenario", "1", "--theta1", "12345678.0", "--reps", "16",
       "--seed", "11", "--out", "sim_theta"], {}),
     (["simulate", "--scenario", "3", "--theta1", "-0.0", "--mu",
@@ -90,6 +104,8 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["simulate", "--scenario", "4", "--theta1", "0.3", "--mu", "0.1",
       "--correlated", "--mediation", "--j-variants", "1000", "--reps", "50",
       "--seed", "13", "--out", "sim_j1000"], {}),
+    (["simulate", "--config", "scenario.cfg", "--out", "sim_config"], {}),
+    (["simulate", "--config", "maybe.cfg", "--out", "sim_maybe"], {}),
     (["grid", "--reps", "4", "--out", "grid"], {}),
     (["grid", "--mediation", "--reps", "8", "--out", "mediation_t1"],
      {"MRKIT_THREADS": "1"}),
