@@ -33,10 +33,9 @@ the first t inference, so importing mrkit loads numpy and no scipy module;
 scipy.linalg likewise loads with the first correlation matrix, which it
 factors. The Monte Carlo engine needs only whether each t test rejects:
 one array step over a chunk compares |theta / se| with the critical value,
-which the standard library's math computes once per df, and asks
-scipy.special for a p-value only within a relative 1e-8 of it. So the
-engine's decisions are the p-value's, bit for bit, and a simulation loads
-no scipy module unless some test comes that close.
+which the standard library's math computes once per df, so a simulation
+loads no scipy module. Each decision is the p-value's except within about
+2e-13, relative, of the critical value, where the two may round apart.
 
 All six public estimators are one regression of outcome on risk-factor
 associations, fitted and packaged by one private core: with or without an
@@ -184,10 +183,6 @@ def _t_pvalue(theta, se, df: int):
     return 2.0 * stdtr(df, -np.abs(theta / se))
 
 
-# The relative half-width of the band around a t test's critical value
-# inside which _t_rejects decides by the p-value. _t_critical is good to
-# about 2e-13 relative, far inside it.
-_T_BAND = 1e-8
 _LOG_GAMMA_HALF = 0.5 * math.log(math.pi)
 
 
@@ -258,21 +253,16 @@ def _t_rejects(theta, se, df, alpha: float):
 
     ``theta`` and ``se`` are arrays of one shape, and ``df``, ints >= 1
     that broadcast against them (the engine passes one per row). Returns
-    1.0 where a test rejects, 0.0 where it does not, and NaN where
-    theta / se is NaN: each flag is ``_t_pvalue(theta, se, df) < alpha``,
-    bit for bit. |theta / se| is compared with :func:`_t_critical`; only
-    within ``_T_BAND`` of it does the p-value decide, so scipy.special is
-    loaded only there.
+    1.0 where |theta / se| exceeds :func:`_t_critical`, 0.0 where it does
+    not, and NaN where theta / se is NaN; no scipy module loads. Each flag
+    is ``_t_pvalue(theta, se, df) < alpha`` unless |theta / se| is within
+    about 2e-13, relative, of the critical value, which is as close as
+    :func:`_t_critical` and scipy's ``stdtrit`` agree.
     """
     t = np.abs(theta / se)
     critical = np.reshape([_t_critical(int(d), alpha) for d in np.ravel(df)],
                           np.shape(df))
-    flags = np.where(np.isnan(t), np.nan, t > critical)
-    band = np.abs(t - critical) <= _T_BAND * critical
-    if band.any():
-        flags[band] = _t_pvalue(theta[band], se[band],
-                                np.broadcast_to(df, t.shape)[band]) < alpha
-    return flags
+    return np.where(np.isnan(t), np.nan, t > critical)
 
 
 def _inference(theta, se, df: int, level: float):

@@ -57,8 +57,8 @@ the one it gets alone.
 Per replicate and tested coefficient the engine keeps the estimate, its
 random-effects se and whether its two-sided t test rejects at
 ``POWER_ALPHA``: 1.0 or 0.0, and NaN where theta / se is NaN. It keeps no
-p-value, and its decisions are the p-value's bit for bit without loading
-scipy (see :func:`mrkit.estimators._t_rejects`).
+p-value and loads no scipy module: each decision compares |theta / se| with
+the critical value (see :func:`mrkit.estimators._t_rejects`).
 """
 from __future__ import annotations
 

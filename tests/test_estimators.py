@@ -26,7 +26,6 @@ from mrkit import (
     select_risk_factor,
 )
 from mrkit.estimators import (
-    _T_BAND,
     MethodTag,
     _fit_model,
     _inference,
@@ -514,18 +513,20 @@ class TestInference:
                *np.unique(np.geomspace(2001, 10**7, 40).astype(int)).tolist()]
         got = [_t_critical(df, 0.05) for df in dfs]
         np.testing.assert_allclose(got, special.stdtrit(dfs, 0.975),
-                                   rtol=_T_BAND / 100, atol=0)
+                                   rtol=1e-12, atol=0)
 
     @given(df=st.integers(1, 10**6), se=st.floats(1e-3, 1e3),
            sign=st.sampled_from((-1.0, 1.0)))
     @example(df=1, se=1.0, sign=1.0)
     @example(df=183, se=0.05, sign=-1.0)
+    @example(df=10**6, se=1e3, sign=1.0)
     @settings(max_examples=100, deadline=None)
     def test_rejection_near_critical_value_matches_p_value(self, df, se,
                                                            sign):
-        # t at c (1 +- k delta): inside the band (k = 0.5), at its edges
-        # (k = 1) and outside it (k = 2), where the critical value decides.
-        steps = np.array([0.5, 1.0, 2.0]) * _T_BAND
+        # t at c (1 +- k): the critical value alone decides, and it agrees
+        # with the p-value down to k = 1e-11, fifty times the 2e-13 by
+        # which c and stdtrit can differ.
+        steps = np.array([1e-11, 1e-10, 1e-8])
         t = _t_critical(df, 0.05) * np.concatenate([1.0 - steps, 1.0 + steps])
         theta, se = sign * t * se, np.full(t.shape, se)
         flags = _t_rejects(theta, se, df, 0.05)

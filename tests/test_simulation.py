@@ -332,37 +332,55 @@ class TestRunScenario:
         assert serial == threaded
 
     def test_first_t_inference_in_worker_threads(self):
-        # The engine decides a t test by its p-value only within _T_BAND of
-        # the critical value, and only there imports scipy.special. With the
-        # band widened to half the critical value, many tests fall in it. At
-        # J = 185 the 256 replicates make two chunks, so with two threads
-        # both workers import scipy.special at once, and the summary must
-        # still be the one-thread summary, and the one the real band gives.
+        # At J = 185 the 256 replicates make two chunks, so with two threads
+        # both workers make their first t decisions at once. The summary
+        # must be the one-thread summary, and no worker loads scipy.special.
         script = (
             "import sys\n"
-            "import threading\n"
-            "from mrkit import estimators, run_scenario, scenario_config\n"
+            "from mrkit import run_scenario, scenario_config\n"
             "config = scenario_config(2, replicates=256, seed=5)\n"
             "print(repr(run_scenario(config)))\n"
-            "assert 'scipy.special' not in sys.modules\n"
-            "callers, t_pvalue = set(), estimators._t_pvalue\n"
-            "def recording(*args):\n"
-            "    callers.add(threading.current_thread().name)\n"
-            "    return t_pvalue(*args)\n"
-            "estimators._t_pvalue = recording\n"
-            "estimators._T_BAND = 0.5\n"
-            "print(repr(run_scenario(config)))\n"
-            "print(len(callers), 'MainThread' in callers)\n")
+            "assert 'scipy.special' not in sys.modules\n")
         outputs = []
         for threads in ("1", "2"):
             done = subprocess.run(
                 [sys.executable, "-c", script], capture_output=True, text=True,
                 env=subprocess_env(MRKIT_THREADS=threads), timeout=120)
             assert done.returncode == 0, done.stderr
-            outputs.append(done.stdout.splitlines())
-        assert outputs[0][2] == "1 True"
-        assert outputs[1][2] == "2 False"
-        assert outputs[0][0] == outputs[0][1] == outputs[1][0] == outputs[1][1]
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_engine_loads_no_scipy(self, tmp_path):
+        # The engine decides each t test by its critical value alone, also
+        # for a ratio at that value or within 1e-12 of it, so no scipy
+        # module loads in _t_rejects, run_scenario or a grid.
+        script = (
+            "import contextlib\n"
+            "import io\n"
+            "import sys\n"
+            "import numpy as np\n"
+            "from mrkit import cli, run_scenario, scenario_config\n"
+            "from mrkit.estimators import _t_critical, _t_rejects\n"
+            "def loaded():\n"
+            "    return sorted(name for name in sys.modules\n"
+            "                  if name.partition('.')[0] == 'scipy')\n"
+            "for df in (1, 2, 8, 183, 10**6):\n"
+            "    t = _t_critical(df, 0.05) * np.array(\n"
+            "        [1.0, 1.0 - 1e-12, 1.0 + 1e-12])\n"
+            "    _t_rejects(t, np.ones(3), df, 0.05)\n"
+            "print('_t_rejects', loaded())\n"
+            "run_scenario(scenario_config(3, mu=0.05, replicates=300))\n"
+            "print('run_scenario', loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['grid', '--mediation', '--reps', '8',\n"
+            "                       '--out', sys.argv[1]])\n"
+            "print('grid', status, loaded())\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "grid")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "_t_rejects []", "run_scenario []", "grid 0 []"]
 
     def test_thread_env_validation(self, monkeypatch):
         config = scenario_config(1, replicates=10, j_variants=20)
