@@ -319,7 +319,7 @@ def render_text(records: list[dict]) -> str:
                 f"  intercept (average direct effect): "
                 f"{_num(record['estimate'])} (se {_num(record['se'])}), "
                 f"p={_num(record['p_value'])}  [{record['units']}]")
-        elif kind == "warning":
+        else:  # warning
             lines.append(f"warning: {record['message']}")
     return "\n".join(lines) + "\n"
 
