@@ -22,18 +22,23 @@ thread, inside :func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS``
 changes neither the results nor the CPU cost of ``mrkit analyze --corr``.
 None of these adds an intercept: the caller puts one first with
 :func:`_design`. Each fits one problem and raises :class:`RankError` on the
-kernel's full-rank flag (smallest singular value of R below RANK_TOL times
-the largest), and :class:`NonFiniteFitError` when a finite problem's
-whitened values or fit overflow, with no floating-point warning. The Monte
-Carlo engine builds each chunk's whitened (C, J, p + 1) problems, intercept
-first and response last, with the same :func:`_design`, fits them from their
-R factors, and counts a rank-deficient or non-finite replicate as failed.
-R of Xw, Q'yw and the residual norm |r_(p+1,p+1)| all come from the one R
-factor of [Xw | yw], and no Q or residual vector is formed; the
+kernel's full-rank flag, and :class:`NonFiniteFitError` when a finite
+problem's whitened values or fit overflow, with no floating-point warning.
+The Monte Carlo engine builds each chunk's whitened (C, J, p + 1) problems,
+intercept first and response last, with the same :func:`_design`, fits them
+from their R factors, and counts a rank-deficient or non-finite replicate as
+failed. R of Xw, Q'yw and the residual norm |r_(p+1,p+1)| all come from the
+one R factor of [Xw | yw], and no Q or residual vector is formed; the
 coefficients are R^-1 Q'yw through the same inverse of R that gives the
-standard errors. sigma_hat = sqrt(weighted RSS / df), with the RSS the
-square of that residual norm, and is exactly 0 when df = 0 or the RSS is at
-most (100 eps)^2 times the weighted total sum of squares.
+standard errors. Before it is inverted, each column of R is scaled by the
+power of two that brings its largest |entry| into [0.5, 1), which is exact.
+So the full-rank flag (smallest singular value of that scaled R at least
+RANK_TOL times the largest) does not depend on the units of the columns,
+and a fit whose inverse or variances would leave the float range unscaled
+keeps its digits; every other fit keeps its bits. sigma_hat =
+sqrt(weighted RSS / df), with the RSS the square of that residual norm, and
+is exactly 0 when df = 0 or the RSS is at most (100 eps)^2 times the
+weighted total sum of squares.
 
 The coefficient standard errors returned by the fit functions are "unscaled":
 square roots of the diagonal of the unit-variance coefficient covariance
@@ -75,7 +80,8 @@ __all__ = [
     "weighted_cov",
 ]
 
-# Singular values below RANK_TOL * largest are treated as zero.
+# Singular values below RANK_TOL * largest are treated as zero, in R with
+# its columns scaled to a largest |entry| in [0.5, 1).
 RANK_TOL = 1e-10
 
 
@@ -253,6 +259,13 @@ def _fit_from_r(r: np.ndarray, rows: int):
     """
     p = r.shape[-1] - 1
     r_x, tail = r[:, :p, :p], r[:, :, p]
+    # Scale each column of R by the power of two that brings its largest
+    # |entry| into [0.5, 1). R D is the R of X D, a change of the columns'
+    # units, and a power of two scales exactly, so the fit keeps its bits
+    # wherever it neither overflows nor underflows unscaled, while the rank
+    # test and the inverse no longer depend on the units.
+    _, exponents = np.frexp(np.max(np.abs(r_x), axis=1))
+    r_x = np.ldexp(r_x, -exponents[:, None, :])
     # Triangular R is invertible exactly when its diagonal has no zero; the
     # others invert the identity, so the batch cannot fail, and are flagged.
     full_rank = (np.all(np.diagonal(r_x, axis1=1, axis2=2) != 0.0, axis=1)
@@ -271,8 +284,9 @@ def _fit_from_r(r: np.ndarray, rows: int):
         singular_values = np.linalg.svd(r_x[unclear], compute_uv=False)
         full_rank[unclear] = (singular_values[:, -1]
                               >= RANK_TOL * singular_values[:, 0])
-    unscaled_se = np.sqrt(variance)
-    beta = np.einsum("cij,cj->ci", r_inv, tail[:, :p])
+    # (R D)^-1 = D^-1 R^-1: the scaled fit's rows are D^-1 times the fit's.
+    unscaled_se = np.ldexp(np.sqrt(variance), -exponents)
+    beta = np.ldexp(np.einsum("cij,cj->ci", r_inv, tail[:, :p]), -exponents)
     # Q is orthogonal, so the whole last column has the norm of yw. einsum
     # lets a sum of squares past the float range become inf without a warning.
     rss = np.einsum("ci,ci->c", tail[:, p:], tail[:, p:])

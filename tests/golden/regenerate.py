@@ -79,6 +79,10 @@ _ANALYZE = [
     # A block-diagonal matrix: exchangeable 0.4, then AR(1) 0.5^|s - t|.
     ["--data", "j12_k2.csv", "--k", "2", "--corr", "block_j12.csv",
      "--methods", "MI,ME", "--ref", "x1"],
+    # j12_k2.csv with beta_Y and se_Y times 2^-600, near 1e-181, and an
+    # identity matrix: its p-values, and each se times 2^-600.
+    ["--data", "tiny_j12_k2.csv", "--k", "2", "--corr", "identity_j12.csv",
+     "--methods", "UI,UE,MI,ME", "--ref", "x1"],
 ]
 
 # (argv, environment overrides)
@@ -90,6 +94,9 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
       "--level", "1.5"], {}),
     # beta_X2 is affine in beta_X1: ME's design is rank deficient.
     (["analyze", "--data", "collinear_j8_k2.csv", "--k", "2", "--methods",
+      "UI,UE,MI,ME", "--ref", "x1"], {}),
+    # Independent fits need se_Y^-2 in the float range: this exits 2.
+    (["analyze", "--data", "tiny_j12_k2.csv", "--k", "2", "--methods",
       "UI,UE,MI,ME", "--ref", "x1"], {}),
     # A faulty dataset and a faulty matrix.
     (["analyze", "--data", "bad_value.csv", "--k", "1", "--methods", "UI"],

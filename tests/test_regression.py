@@ -451,8 +451,12 @@ def test_batched_kernel_matches_single_fits(batch):
     x, y, w = batch
     xw, yw = whitened(x, y, w)
     beta, use, sigma, full_rank = _wls_kernel(augmented(xw, yw))
-    # The flag is the RANK_TOL test on the singular values of R.
-    singular_values = np.linalg.svd(np.linalg.qr(xw)[1], compute_uv=False)
+    # The flag is the RANK_TOL test on the singular values of R, each of
+    # whose columns is scaled by the power of two that brings its largest
+    # |entry| into [0.5, 1).
+    r = np.linalg.qr(xw)[1]
+    r = np.ldexp(r, -np.frexp(np.max(np.abs(r), axis=1))[1][:, None, :])
+    singular_values = np.linalg.svd(r, compute_uv=False)
     assert np.array_equal(
         full_rank, singular_values[:, -1] > RANK_TOL * singular_values[:, 0])
     for i in range(x.shape[0]):
@@ -470,6 +474,51 @@ def test_batched_kernel_matches_single_fits(batch):
         np.testing.assert_allclose(fit.coefficients, beta[i], rtol=1e-12)
         np.testing.assert_allclose(fit.unscaled_se, use[i], rtol=1e-12)
         np.testing.assert_allclose(fit.residual_scale, sigma[i], rtol=1e-12)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 4),
+       extra_rows=st.integers(0, 6), m=st.integers(-300, 300), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fit_wls_column_scaled_by_power_of_two(seed, p, extra_rows, m, data):
+    # Multiplying design column i by 2^m changes its units only: coefficient
+    # i and its se scale by 2^-m, and every other output keeps its bits.
+    column = data.draw(st.integers(0, p - 1))
+    rng = np.random.default_rng(seed)
+    j = p + extra_rows
+    x, y = rng.normal(size=(j, p)), rng.normal(size=j)
+    w = rng.uniform(0.1, 5.0, size=j)
+    scaled = x.copy()
+    scaled[:, column] = np.ldexp(scaled[:, column], m)
+    base, fit = fit_wls(x, y, w), fit_wls(scaled, y, w)
+    want_beta, want_se = base.coefficients.copy(), base.unscaled_se.copy()
+    want_beta[column] = np.ldexp(want_beta[column], -m)
+    want_se[column] = np.ldexp(want_se[column], -m)
+    assert fit.coefficients.tolist() == want_beta.tolist()
+    assert fit.unscaled_se.tolist() == want_se.tolist()
+    assert (fit.residual_scale, fit.df_residual, fit.exact_fit) == (
+        base.residual_scale, base.df_residual, base.exact_fit)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 4),
+       j=st.integers(6, 40), column=st.sampled_from((1, 2, 3)),
+       m=st.integers(-300, 300))
+@settings(max_examples=60, deadline=None)
+def test_chunk_tests_column_scaled_by_power_of_two(seed, c, j, column, m):
+    # Multiplying one risk factor's column of a chunk's problems by 2^m
+    # scales theta1 of MI, UE and ME and their ses by 2^-m when it is the
+    # first risk factor, whose coefficients the chunk tests; every other
+    # output keeps its bits.
+    rng = np.random.default_rng(seed)
+    me = rng.normal(size=(c, j, 5))
+    me[..., 0] = np.sqrt(rng.uniform(0.5, 2.0, size=(c, j)))
+    scaled = me.copy()
+    scaled[..., column] = np.ldexp(scaled[..., column], m)
+    base, out = np.empty((3, 5, c)), np.empty((3, 5, c))
+    _chunk_tests(me, me[..., [0, 1, 4]], base)
+    _chunk_tests(scaled, scaled[..., [0, 1, 4]], out)
+    if column == 1:
+        base[:2, :3] = np.ldexp(base[:2, :3], -m)
+    assert out.tolist() == base.tolist()
 
 
 class TestScaledSe:
