@@ -91,9 +91,18 @@ def test_fit_loads_scipy_special_not_stats(tmp_path):
 
 
 def test_simulate_and_grid_load_no_scipy(tmp_path):
-    # The Monte Carlo engine decides its t tests without scipy.special.
+    # The Monte Carlo engine decides each t test by its critical value alone,
+    # also a ratio at that value or within 1e-12 of it, so no scipy module
+    # loads in _t_rejects, run_scenario, simulate or grid.
     script = ("import sys\n"
+              "import numpy as np\n"
               "from mrkit import run_scenario, scenario_config\n"
+              "from mrkit.estimators import _t_critical, _t_rejects\n"
+              "for df in (1, 2, 8, 183, 10**6):\n"
+              "    t = _t_critical(df, 0.05) * np.array(\n"
+              "        [1.0, 1.0 - 1e-12, 1.0 + 1e-12])\n"
+              "    _t_rejects(t, np.ones(3), df, 0.05)\n"
+              f"print({_SCIPY_LOADED})\n"
               "run_scenario(scenario_config(2, replicates=256, seed=5))\n"
               f"print({_SCIPY_LOADED})\n")
     script += _main_script(
@@ -101,4 +110,4 @@ def test_simulate_and_grid_load_no_scipy(tmp_path):
          "--out", str(tmp_path / "sim")],
         ["grid", "--mediation", "--reps", "8",
          "--out", str(tmp_path / "grid")])
-    assert _run(script) == ["[]", "0", "0", "[]"]
+    assert _run(script) == ["[]", "[]", "0", "0", "[]"]

@@ -350,38 +350,6 @@ class TestRunScenario:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_engine_loads_no_scipy(self, tmp_path):
-        # The engine decides each t test by its critical value alone, also
-        # for a ratio at that value or within 1e-12 of it, so no scipy
-        # module loads in _t_rejects, run_scenario or a grid.
-        script = (
-            "import contextlib\n"
-            "import io\n"
-            "import sys\n"
-            "import numpy as np\n"
-            "from mrkit import cli, run_scenario, scenario_config\n"
-            "from mrkit.estimators import _t_critical, _t_rejects\n"
-            "def loaded():\n"
-            "    return sorted(name for name in sys.modules\n"
-            "                  if name.partition('.')[0] == 'scipy')\n"
-            "for df in (1, 2, 8, 183, 10**6):\n"
-            "    t = _t_critical(df, 0.05) * np.array(\n"
-            "        [1.0, 1.0 - 1e-12, 1.0 + 1e-12])\n"
-            "    _t_rejects(t, np.ones(3), df, 0.05)\n"
-            "print('_t_rejects', loaded())\n"
-            "run_scenario(scenario_config(3, mu=0.05, replicates=300))\n"
-            "print('run_scenario', loaded())\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = cli.main(['grid', '--mediation', '--reps', '8',\n"
-            "                       '--out', sys.argv[1]])\n"
-            "print('grid', status, loaded())\n")
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "grid")],
-            capture_output=True, text=True, env=subprocess_env(), timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == [
-            "_t_rejects []", "run_scenario []", "grid 0 []"]
-
     def test_thread_env_validation(self, monkeypatch):
         config = scenario_config(1, replicates=10, j_variants=20)
         monkeypatch.setenv("MRKIT_THREADS", "zero")
