@@ -260,10 +260,9 @@ def _fit_from_r(r: np.ndarray, rows: int):
     p = r.shape[-1] - 1
     r_x, tail = r[:, :p, :p], r[:, :, p]
     # Scale each column of R by the power of two that brings its largest
-    # |entry| into [0.5, 1). R D is the R of X D, a change of the columns'
-    # units, and a power of two scales exactly, so the fit keeps its bits
-    # wherever it neither overflows nor underflows unscaled, while the rank
-    # test and the inverse no longer depend on the units.
+    # |entry| into [0.5, 1): R D is the R of X D, and a power of two scales
+    # exactly, so neither the rank test nor the inverse depends on the
+    # columns' units.
     _, exponents = np.frexp(np.max(np.abs(r_x), axis=1))
     r_x = np.ldexp(r_x, -exponents[:, None, :])
     # Triangular R is invertible exactly when its diagonal has no zero; the
