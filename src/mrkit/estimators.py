@@ -4,7 +4,8 @@ Four weighted-regression estimators over per-variant association estimates,
 tagged UI/UE/MI/ME throughout:
 
 * UI — univariable inverse-variance weighted (zero-intercept regression of
-  outcome associations on risk-factor associations, weights se_Y^-2);
+  outcome associations on risk-factor associations, weights se_Y^-2, fitted
+  as the unweighted regression of beta_Y / se_Y on beta_X / se_Y);
 * UE — univariable MR-Egger (same regression with a free intercept, which
   estimates the average direct (pleiotropic) effect per allele);
 * MI — multivariable IVW (zero-intercept regression on K association
@@ -39,16 +40,23 @@ loads no scipy module. Each decision is the p-value's except within about
 
 All six public estimators are one regression of outcome on risk-factor
 associations, fitted and packaged by one private core: with or without an
-intercept, over one column or K. The core picks the fit from the dataset:
-weighted least squares (weights se_Y^-2) for independent variants, or
-generalized least squares with error covariance
-Omega_st = se_Ys * se_Yt * rho_st when a correlation matrix is attached. The
-generalized fit scales each row by 1 / se_Y and by the matrix's orientation
-sign, and whitens it with the Cholesky factor the correlation matrix
-computed in place when it was loaded, which every attached matrix has: one
-J x J array holds the loaded matrix's upper triangle and that factor, the
-oriented matrix shares it, and the whitening reads only the factor. So no
-estimator factors a matrix, copies the factor out or builds diag(se_Y) L.
+intercept, over one column or K. It is generalized least squares with error
+covariance Omega_st = se_Ys * se_Yt * rho_st, and rho = I for independent
+variants, where it is weighted least squares with weights se_Y^-2. One step
+whitens every fit: it divides each row of [X | y] by se_Y and by the
+attached matrix's orientation sign. Independent variants are then fitted
+with unit weights; correlated ones are whitened with the Cholesky factor
+the correlation matrix computed in place when it was loaded, which every
+attached matrix has: one J x J array holds the loaded matrix's upper
+triangle and that factor, the oriented matrix shares it, and the whitening
+reads only the factor. So no estimator factors a matrix, copies the factor
+out or builds diag(se_Y) L; an identity matrix gives the independent fit
+bit for bit; and a fit sees beta_Y and se_Y only through the divided rows,
+so beta_Y and se_Y times a power of two scale each estimate, se and interval by
+that power exactly and keep every p-value. The one range limit has no
+units: the squared norm of the whitened residuals must stay finite, which
+|beta_Y / se_Y| up to about 1e154 ensures; past that the fit may raise
+NonFiniteFitError.
 """
 from __future__ import annotations
 
@@ -288,35 +296,37 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
                reference: str | None = None) -> MRResult:
     """Regress beta_Y on beta_X (intercept column first if asked); package it.
 
-    Independent variants are fitted by weighted least squares with weights
-    se_Y^-2; with a correlation matrix attached, by generalized least squares
-    with Omega = se_Y se_Y' * rho. The matrix is rho = S rho0 S, with S its
-    signs and rho0 the matrix it factored at load into L0, kept in the lower
-    triangle of its packed array, so Omega's factor is diag(se_Y) S L0 S.
-    The fit divides the rows of the design and the response by se_Y,
-    multiplies them by S and whitens them against L0. That is exact:
-    (S L0 S)^-1 [X | y] = S L0^-1 S [X | y], and the left S changes only the
-    signs of the rows of the QR's R factor, which the fit ignores. An
-    intercept fit also reports the intercept test, and is experimental when
-    the variants are correlated.
+    The fit is generalized least squares with Omega = se_Y se_Y' * rho, and
+    rho = I for independent variants, which is weighted least squares with
+    weights se_Y^-2. One step whitens both: it divides each row of the
+    problem [X | y] by se_Y times S. For independent variants S = I, and the
+    rows go to :func:`fit_wls` with unit weights. With a matrix attached,
+    rho = S rho0 S, with S its signs and rho0 the matrix it factored at load
+    into L0, kept in the lower triangle of its packed array, so Omega's
+    factor is diag(se_Y) S L0 S; the divided rows are whitened against L0.
+    That is exact: (S L0 S)^-1 [X | y] = S L0^-1 S [X | y], and the left S
+    changes only the signs of the rows of the QR's R factor, which the fit
+    ignores. So with rho = I both fits are the same computation, bit for
+    bit. An intercept fit also reports the intercept test, and is
+    experimental when the variants are correlated.
     """
-    design = _design(dataset.beta_x_matrix().T, intercept)
-    se_y = dataset.se_y_vector()
     correlation = dataset.correlation
     correlated = correlation is not None
+    problem = _design((*dataset.beta_x_matrix().T, dataset.beta_y_vector()),
+                      intercept)
+    se_y = dataset.se_y_vector()
+    # Dividing by s * se_y is dividing by se_y, then multiplying by s, bit
+    # for bit. A finite quotient past the float range makes the fit not
+    # finite.
+    with np.errstate(over="ignore"):
+        problem /= (se_y * correlation._signs if correlated else se_y)[:, None]
+    if not np.isfinite(problem).all():
+        raise NonFiniteFitError(_NON_FINITE_FIT)
+    x, y = problem[:, :-1], problem[:, -1]
     if correlated:
-        # Dividing by s * se_y is dividing by se_y, then multiplying by s,
-        # bit for bit.
-        fit = _factored_fit(design, dataset.beta_y_vector(),
-                            correlation._packed, se_y * correlation._signs)
+        fit = _factored_fit(x, y, correlation._packed)
     else:
-        # An se_y below about 1e-154 overflows its weight: the fit is not
-        # finite, as the correlated fit reports when its rows overflow.
-        with np.errstate(over="ignore"):
-            weights = se_y ** -2.0
-        if not np.isfinite(weights).all():
-            raise NonFiniteFitError(_NON_FINITE_FIT)
-        fit = fit_wls(design, dataset.beta_y_vector(), weights)
+        fit = fit_wls(x, y, np.ones_like(y))
     se = scaled_se(fit, scheme)
     tag = MethodTag(estimator, scheme,
                     "correlated" if correlated else "independent")
@@ -435,7 +445,7 @@ def ivw_correlated(dataset: SummaryDataset,
 
     The error covariance is Omega_st = se_Ys * se_Yt * rho_st; with an
     identity correlation this reproduces the independent-variant estimator
-    exactly. Works for any K >= 1 (df = J - K).
+    bit for bit. Works for any K >= 1 (df = J - K).
     """
     return _checked_fit(dataset, "MI" if dataset.k > 1 else "UI",
                         "ivw_correlated", True, scheme, level)

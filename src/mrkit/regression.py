@@ -12,11 +12,11 @@ the response and the weight vector w (the semantic se(beta_Yj)^-2) and
 whitens [X | y] with :func:`_design`; :func:`fit_gls` takes Omega in place
 of w, factors a copy of it in place with :func:`_cholesky_in_place`, the one
 Cholesky routine, and hands the factor to :func:`_factored_fit`, the one
-triangular-whitening step. The correlated-variant estimators call
-:func:`_factored_fit` directly, with the design and response, se_Y times
-their correlation matrix's orientation signs as the divisor of its rows, and
-the factor L that matrix computed in place at load, so they never factor or
-build Omega. That
+triangular-whitening step. The estimators divide the rows of [X | y] by
+se_Y themselves, and by their correlation matrix's orientation signs, then
+call :func:`fit_wls` with unit weights for independent variants, or
+:func:`_factored_fit` directly with the factor L that the correlation matrix
+computed in place at load, so they never factor or build Omega. That
 dense J x J work (a Cholesky factor, a triangular whitening) runs on one BLAS
 thread, inside :func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS``
 changes neither the results nor the CPU cost of ``mrkit analyze --corr``.
@@ -406,13 +406,12 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     return info == 0
 
 
-def _factored_fit(x: np.ndarray, y: np.ndarray, factor: np.ndarray,
-                  divisor: np.ndarray | None = None) -> RegressionFit:
+def _factored_fit(x: np.ndarray, y: np.ndarray,
+                  factor: np.ndarray) -> RegressionFit:
     """GLS fit given the lower Cholesky factor L of the error covariance.
 
-    Divides each row of [x | y] by ``divisor``, a length-J vector, when
-    given, whitens the result with one triangular solve against ``factor``,
-    then fits it with the kernel at C = 1. The solve reads only the lower triangle and
+    Whitens [x | y] with one triangular solve against ``factor``, then fits
+    it with the kernel at C = 1. The solve reads only the lower triangle and
     the diagonal of ``factor``, so L may share its array with anything above
     it, as in the packed array of a :class:`mrkit.data.CorrelationMatrix`
     and the factor :func:`fit_gls` makes. L must be finite, as both of
@@ -424,14 +423,9 @@ def _factored_fit(x: np.ndarray, y: np.ndarray, factor: np.ndarray,
     # scipy's OpenBLAS is among them.
     from scipy.linalg import solve_triangular
 
-    problem = np.column_stack([x, y])
-    if divisor is not None:
-        # A quotient that overflows is reported by _fit_one.
-        with np.errstate(over="ignore"):
-            problem /= divisor[:, None]
     with _one_blas_thread():
-        problem = solve_triangular(factor, problem, lower=True,
-                                   check_finite=False)
+        problem = solve_triangular(factor, np.column_stack([x, y]),
+                                   lower=True, check_finite=False)
     return _fit_one(x, y, problem)
 
 

@@ -95,9 +95,15 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     # beta_X2 is affine in beta_X1: ME's design is rank deficient.
     (["analyze", "--data", "collinear_j8_k2.csv", "--k", "2", "--methods",
       "UI,UE,MI,ME", "--ref", "x1"], {}),
-    # Independent fits need se_Y^-2 in the float range: this exits 2.
+    # The same file without a matrix: the --corr identity_j12.csv numbers.
     (["analyze", "--data", "tiny_j12_k2.csv", "--k", "2", "--methods",
       "UI,UE,MI,ME", "--ref", "x1"], {}),
+    (["analyze", "--data", "tiny_j12_k2.csv", "--k", "2", "--methods",
+      "UI,UE,MI,ME", "--ref", "x1", "--format", "jsonl"], {}),
+    # j12_k2.csv with beta_Y and se_Y times 2^565, near 1e170: its p-values,
+    # and each estimate, se and interval times 2^565.
+    (["analyze", "--data", "huge_j12_k2.csv", "--k", "2", "--methods",
+      "UI,UE,MI,ME", "--ref", "x1", "--format", "jsonl"], {}),
     # A faulty dataset and a faulty matrix.
     (["analyze", "--data", "bad_value.csv", "--k", "1", "--methods", "UI"],
      {}),

@@ -279,6 +279,20 @@ class TestEggerMultivariable:
             ue.estimates[0].theta_hat, abs=1e-10, rel=1e-10)
 
 
+def _numbers(result):
+    """A result's numbers in beta_Y's units, one row per coefficient (each
+    estimate's theta, se and CI, then the intercept's theta and se), and
+    the others (each p and df, the intercept's p, and sigma_hat)."""
+    units, others = [], []
+    for e in result.estimates:
+        units.append([e.theta_hat, e.se, e.ci_low, e.ci_high])
+        others += [e.p_value, e.df]
+    if result.intercept is not None:
+        units.append([result.intercept.theta_0, result.intercept.se])
+        others.append(result.intercept.p_value)
+    return units, others + [result.residual_scale]
+
+
 class TestCorrelatedVariants:
     def _dataset(self, rng, j=6, k=1, corr=None, positive=False):
         bx = rng.normal(0.5, 0.6, size=(j, k))
@@ -288,27 +302,22 @@ class TestCorrelatedVariants:
                             names=tuple(f"x{i+1}" for i in range(k)), corr=corr)
 
     def test_identity_matches_independent_ivw(self):
+        # Both fits divide the rows by se_Y and fit them alike: the same
+        # bits.
         rng = np.random.default_rng(41)
         ds = self._dataset(rng, corr=np.eye(6))
         plain = ds.with_correlation(None)
         for scheme in (FIXED, RANDOM):
-            cor = ivw_correlated(ds, scheme=scheme).estimates[0]
-            unc = ivw_univariable(plain, scheme=scheme).estimates[0]
-            assert cor.theta_hat == pytest.approx(unc.theta_hat, rel=1e-12)
-            assert cor.se == pytest.approx(unc.se, rel=1e-12)
-            assert cor.df == unc.df
+            cor = ivw_correlated(ds, scheme=scheme)
+            unc = ivw_univariable(plain, scheme=scheme)
+            assert _numbers(cor) == _numbers(unc)
 
     def test_identity_matches_independent_egger(self):
         rng = np.random.default_rng(43)
         ds = self._dataset(rng, corr=np.eye(6), positive=True)
         cor = egger_correlated(ds, reference="x1")
         unc = egger_univariable(ds.with_correlation(None))
-        assert cor.estimates[0].theta_hat == pytest.approx(
-            unc.estimates[0].theta_hat, rel=1e-10)
-        assert cor.estimates[0].se == pytest.approx(unc.estimates[0].se,
-                                                    rel=1e-10)
-        assert cor.intercept.theta_0 == pytest.approx(unc.intercept.theta_0,
-                                                      rel=1e-10, abs=1e-12)
+        assert _numbers(cor) == _numbers(unc)
         assert cor.experimental and not unc.experimental
 
     def test_perfect_correlation_fails(self):
@@ -830,3 +839,113 @@ def test_stored_factor_fit_matches_fit_gls(seed, j, k, intercept):
                   <= 1e-12 * scale)
     assert np.allclose(unscaled_se, want.unscaled_se, rtol=1e-12, atol=0)
     assert got.residual_scale == pytest.approx(want.residual_scale, rel=1e-12)
+
+
+def _ar1(j: int) -> np.ndarray:
+    """The AR(1) correlation matrix 0.3^|s - t|."""
+    return 0.3 ** np.abs(np.subtract.outer(np.arange(j), np.arange(j)))
+
+
+_MATRICES = {"none": lambda j: None, "identity": np.eye, "ar1": _ar1}
+
+
+def _summary(seed: int, j: int, k: int, collinear: bool = False):
+    """beta_X, beta_Y and se_Y with random signs, each |value| at least 0.01.
+
+    No value comes near zero, so none is subnormal in other units of up to
+    2^1000. With ``collinear`` and K > 1, beta_X's last column is half its
+    first, and MI and ME are rank deficient.
+    """
+    rng = np.random.default_rng(seed)
+    beta_x = rng.uniform(0.05, 1.0, (j, k)) * rng.choice([-1.0, 1.0], (j, k))
+    if collinear and k > 1:
+        beta_x[:, -1] = 0.5 * beta_x[:, 0]
+    beta_y = rng.uniform(0.01, 0.5, j) * rng.choice([-1.0, 1.0], j)
+    return beta_x, beta_y, rng.uniform(0.5, 2.0, j)
+
+
+def _four_fits(beta_x, beta_y, se_y, corr):
+    """UI, UE, MI and ME on the data oriented to x1, each as :func:`_numbers`
+    or "RankError"; through the correlated estimators when ``corr`` is a
+    matrix."""
+    names = tuple(f"x{i + 1}" for i in range(beta_x.shape[1]))
+    ds, _ = orient(make_dataset(beta_x, beta_y, se_y, names, corr), "x1")
+    one = select_risk_factor(ds, "x1")
+    if corr is None:
+        runs = (lambda: ivw_univariable(one), lambda: egger_univariable(one),
+                lambda: ivw_multivariable(ds),
+                lambda: egger_multivariable(ds, "x1"))
+    else:
+        runs = (lambda: ivw_correlated(one),
+                lambda: egger_correlated(one, "x1"),
+                lambda: ivw_correlated(ds), lambda: egger_correlated(ds, "x1"))
+    fits = []
+    for run in runs:
+        try:
+            fits.append(_numbers(run()))
+        except RankError:
+            fits.append("RankError")
+    return fits
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), j=st.integers(3, 14),
+       k=st.integers(1, 3), flips=st.integers(0, 2 ** 14 - 1))
+@settings(max_examples=60, deadline=None)
+def test_identity_matrix_fits_independent_bits(seed, j, k, flips):
+    # With rho = I, S rho S = I whatever variants orient flips, and the
+    # correlated fits are the independent ones, bit for bit.
+    j = max(j, k + 2)
+    beta_x, beta_y, se_y = _summary(seed, j, k)
+    beta_x[:, 0] = np.abs(beta_x[:, 0])
+    beta_x[(flips >> np.arange(j)) & 1 == 1] *= -1.0
+    assert (_four_fits(beta_x, beta_y, se_y, np.eye(j))
+            == _four_fits(beta_x, beta_y, se_y, None))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), j=st.integers(3, 12),
+       k=st.integers(1, 3), matrix=st.sampled_from(sorted(_MATRICES)),
+       collinear=st.booleans(), m=st.integers(-1000, 1000))
+@settings(max_examples=80, deadline=None)
+def test_outcome_in_other_units(seed, j, k, matrix, collinear, m):
+    # beta_Y and se_Y times 2^m: theta, se and the CI scale by 2^m exactly;
+    # p, df and sigma_hat keep their bits, and no rank decision moves. J is
+    # at most 12, so every entry of the AR(1) factor is above 2^-21 and the
+    # whitening's products stay normal floats.
+    j = max(j, k + 2)
+    beta_x, beta_y, se_y = _summary(seed, j, k, collinear)
+    corr = _MATRICES[matrix](j)
+    base = _four_fits(beta_x, beta_y, se_y, corr)
+    scaled = _four_fits(beta_x, np.ldexp(beta_y, m), np.ldexp(se_y, m), corr)
+    if collinear and k > 1:
+        assert base[2:] == ["RankError"] * 2
+    for want, got in zip(base, scaled):
+        if want == "RankError":
+            assert got == want
+            continue
+        assert got[0] == [np.ldexp(row, m).tolist() for row in want[0]]
+        assert got[1] == want[1]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), j=st.integers(3, 30),
+       k=st.integers(1, 3), matrix=st.sampled_from(sorted(_MATRICES)),
+       collinear=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_outcome_rows_permuted(seed, j, k, matrix, collinear):
+    # The variants' order means nothing: the results agree within rtol
+    # 1e-12, a coefficient's numbers within 1e-12 of its se at least (a
+    # near-zero estimate has the rounding of its se), and no rank decision
+    # moves.
+    j = max(j, k + 2)
+    beta_x, beta_y, se_y = _summary(seed, j, k, collinear)
+    corr = _MATRICES[matrix](j)
+    order = np.random.default_rng(seed).permutation(j)
+    base = _four_fits(beta_x, beta_y, se_y, corr)
+    permuted = _four_fits(beta_x[order], beta_y[order], se_y[order],
+                          None if corr is None else corr[np.ix_(order, order)])
+    for want, got in zip(base, permuted):
+        if want == "RankError":
+            assert got == want
+            continue
+        for w, g in zip(want[0], got[0]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * w[1])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)

@@ -521,6 +521,126 @@ def test_chunk_tests_column_scaled_by_power_of_two(seed, c, j, column, m):
     assert out.tolist() == base.tolist()
 
 
+def _wls_outcome(x, y, w):
+    """fit_wls's coefficients, unscaled ses and the rest, or "RankError"."""
+    try:
+        fit = fit_wls(x, y, w)
+    except RankError:
+        return "RankError"
+    return (fit.coefficients.tolist(), fit.unscaled_se.tolist(),
+            (fit.residual_scale, fit.df_residual, fit.exact_fit))
+
+
+def _wls_problem(seed, p, extra_rows, collinear):
+    """x, y and w, with x's last column half its first when ``collinear``."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.05, 1.0, (p + extra_rows, p)) * rng.choice(
+        [-1.0, 1.0], (p + extra_rows, p))
+    if collinear and p > 1:
+        x[:, -1] = 0.5 * x[:, 0]
+    y = rng.uniform(0.01, 0.5, p + extra_rows) * rng.choice(
+        [-1.0, 1.0], p + extra_rows)
+    return x, y, rng.uniform(0.1, 5.0, p + extra_rows)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 4),
+       extra_rows=st.integers(0, 6), collinear=st.booleans(),
+       m=st.integers(-500, 500))
+@settings(max_examples=100, deadline=None)
+def test_fit_wls_outcome_in_other_units(seed, p, extra_rows, collinear, m):
+    # y and se_Y = w^-1/2 times 2^m: the coefficients and ses scale by 2^m
+    # exactly, sigma_hat keeps its bits and no rank decision moves. |m| <=
+    # 500 keeps the weight w 2^-2m a normal float.
+    x, y, w = _wls_problem(seed, p, extra_rows, collinear)
+    base = _wls_outcome(x, y, w)
+    got = _wls_outcome(x, np.ldexp(y, m), np.ldexp(w, -2 * m))
+    if base == "RankError":
+        assert got == base
+    else:
+        assert got == (np.ldexp(base[0], m).tolist(),
+                       np.ldexp(base[1], m).tolist(), base[2])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 4),
+       extra_rows=st.integers(0, 6), collinear=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_fit_wls_rows_permuted(seed, p, extra_rows, collinear):
+    # The rows' order means nothing: the fit agrees within rtol 1e-12, each
+    # coefficient within 1e-12 of its se at least (a near-zero coefficient
+    # has the rounding of its se), and no rank decision moves.
+    x, y, w = _wls_problem(seed, p, extra_rows, collinear)
+    order = np.random.default_rng(seed).permutation(len(y))
+    base = _wls_outcome(x, y, w)
+    got = _wls_outcome(x[order], y[order], w[order])
+    if base == "RankError":
+        assert got == base
+        return
+    np.testing.assert_array_less(
+        np.abs(np.subtract(got[0], base[0])),
+        1e-12 * np.maximum(np.abs(base[0]), base[1]))
+    for want, value in zip(base[1:], got[1:]):
+        np.testing.assert_allclose(value, want, rtol=1e-12, atol=0)
+
+
+def _chunk_outcome(x, y, se):
+    """_chunk_tests's (3, 5, C) results on rows [1, x1, x2, x3, y] / se."""
+    me = _design((*np.moveaxis(x, -1, 0), y), True) / se[..., None]
+    out = np.empty((3, 5, x.shape[0]))
+    # As the engine runs it: a rank-deficient fit's inverse may overflow
+    # before it is flagged and set to NaN.
+    with np.errstate(all="ignore"):
+        _chunk_tests(me, me[..., [0, 1, 4]], out)
+    return out
+
+
+def _chunk_problems(seed, c, j, collinear):
+    """x (C, J, 3), y and se (C, J); with ``collinear``, the first
+    replicate's x3 is half its x2, so its MI and ME fail."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.05, 1.0, (c, j, 3)) * rng.choice([-1.0, 1.0], (c, j, 3))
+    x[..., 0] = np.abs(x[..., 0])
+    if collinear:
+        x[0, :, 2] = 0.5 * x[0, :, 1]
+    y = rng.uniform(0.01, 0.5, (c, j)) * rng.choice([-1.0, 1.0], (c, j))
+    return x, y, rng.uniform(0.5, 2.0, (c, j))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 4),
+       j=st.integers(6, 40), collinear=st.booleans(),
+       m=st.integers(-1000, 1000))
+@settings(max_examples=60, deadline=None)
+def test_chunk_tests_outcome_in_other_units(seed, c, j, collinear, m):
+    # beta_Y and se_Y times 2^m: each estimate and se scales by 2^m
+    # exactly, each test decision keeps its bits and the same fits fail.
+    x, y, se = _chunk_problems(seed, c, j, collinear)
+    base = _chunk_outcome(x, y, se)
+    got = _chunk_outcome(x, np.ldexp(y, m), np.ldexp(se, m))
+    assert np.isnan(base[0, [0, 2], 0]).tolist() == [collinear] * 2
+    base[:2] = np.ldexp(base[:2], m)
+    np.testing.assert_array_equal(got, base)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 4),
+       j=st.integers(6, 40), collinear=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_chunk_tests_rows_permuted(seed, c, j, collinear):
+    # Permuting each replicate's variants: the ses agree within rtol 1e-12,
+    # each estimate within 1e-12 of its se at least, and every test
+    # decision and failure is the same.
+    x, y, se = _chunk_problems(seed, c, j, collinear)
+    order = np.random.default_rng(seed).permutation(j)
+    base = _chunk_outcome(x, y, se)
+    got = _chunk_outcome(x[:, order], y[:, order], se[:, order])
+    theta, se = base[:2]
+    np.testing.assert_array_equal(np.isnan(got[:2]), np.isnan(base[:2]))
+    ok = ~np.isnan(theta)
+    np.testing.assert_array_less(
+        np.abs(got[0][ok] - theta[ok]),
+        1e-12 * np.maximum(np.abs(theta[ok]), se[ok]))
+    np.testing.assert_allclose(got[1], se, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got[2], base[2])
+
+
 class TestScaledSe:
     def test_random_effects_inflation(self):
         fit = fit_wls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]),
