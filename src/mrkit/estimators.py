@@ -52,11 +52,11 @@ triangle and that factor, the oriented matrix shares it, and the whitening
 reads only the factor. So no estimator factors a matrix, copies the factor
 out or builds diag(se_Y) L; an identity matrix gives the independent fit
 bit for bit; and a fit sees beta_Y and se_Y only through the divided rows,
-so beta_Y and se_Y times a power of two scale each estimate, se and interval by
-that power exactly and keep every p-value. The one range limit has no
-units: the squared norm of the whitened residuals must stay finite, which
-|beta_Y / se_Y| up to about 1e154 ensures; past that the fit may raise
-NonFiniteFitError.
+so beta_Y and se_Y times a power of two scale each estimate, se and
+interval by that power exactly and keep every p-value. The range limits
+are on the quotients: the squared norm of the whitened residuals must stay
+finite, which |beta_Y / se_Y| up to about 1e154 ensures, and a quotient
+past the float range raises NonFiniteFitError.
 """
 from __future__ import annotations
 

@@ -598,9 +598,9 @@ class TestAnalyze:
 
     def test_overflowing_weight_fails_cleanly(self, tmp_path, capsys):
         # Each se_y = 1e-170 is positive and finite, but beta_y / se_y is
-        # about 5e168, and the square of that whitened outcome overflows:
-        # both fits fail alike, naming the method, with no floating-point
-        # warning.
+        # about 5e168, and the squared norm of the whitened residuals
+        # overflows: both fits fail alike, naming the method, with no
+        # floating-point warning.
         i = np.arange(1, 9)
         path = tmp_path / "tiny_se.csv"
         write_dataset(make_dataset(0.1 + 0.01 * i, 0.05 + 0.003 * i ** 2,

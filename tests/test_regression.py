@@ -572,8 +572,8 @@ def test_fit_wls_rows_permuted(seed, p, extra_rows, collinear):
     order = np.random.default_rng(seed).permutation(len(y))
     base = _wls_outcome(x, y, w)
     got = _wls_outcome(x[order], y[order], w[order])
+    assert (got == "RankError") == (base == "RankError")
     if base == "RankError":
-        assert got == base
         return
     np.testing.assert_array_less(
         np.abs(np.subtract(got[0], base[0])),
