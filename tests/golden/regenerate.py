@@ -83,6 +83,12 @@ _ANALYZE = [
     # identity matrix: its p-values, and each se times 2^-600.
     ["--data", "tiny_j12_k2.csv", "--k", "2", "--corr", "identity_j12.csv",
      "--methods", "UI,UE,MI,ME", "--ref", "x1"],
+    # The Egger fit first, and x2 as the reference.
+    ["--data", "j12_k2.csv", "--k", "2", "--methods", "ME,UI", "--ref", "x2"],
+    # A multivariable IVW fit needs no reference: no orientation record.
+    ["--data", "j12_k2.csv", "--k", "2", "--methods", "MI"],
+    ["--data", "j12_k2.csv", "--k", "2", "--methods", "UE,ME", "--ref", "x2",
+     "--scheme", "fixed", "--level", "0.9"],
 ]
 
 # (argv, environment overrides)
@@ -117,6 +123,9 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
     (["simulate", "--scenario", "4", "--theta1", "0.3", "--mu", "0.1",
       "--correlated", "--mediation", "--j-variants", "1000", "--reps", "50",
       "--seed", "13", "--out", "sim_j1000"], {}),
+    # 300 replicates at J = 185: chunks of 128, 128 and 44 on two threads.
+    (["simulate", "--scenario", "2", "--reps", "300", "--seed", "14",
+      "--out", "sim_pool"], {"MRKIT_THREADS": "2"}),
     (["simulate", "--config", "scenario.cfg", "--out", "sim_config"], {}),
     (["simulate", "--config", "maybe.cfg", "--out", "sim_maybe"], {}),
     (["grid", "--reps", "4", "--out", "grid"], {}),
