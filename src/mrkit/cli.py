@@ -21,8 +21,12 @@ would not).
 Exit status: 0 success, 1 success with warnings (analyze's report warnings;
 failed Monte Carlo replicates, with "warning: N replicate(s) failed" on
 stderr, "... across the grid" for grid), 2 errors (bad usage, bad data,
-invalid settings, estimator failure). Simulation worker threads are
-controlled by the MRKIT_THREADS environment variable.
+invalid settings, estimator failure, a file that cannot be read or
+written, out of memory), 70 an internal error (``EX_SOFTWARE`` of
+sysexits.h: any other exception, a fault in mrkit rather than in its
+input, printed as "internal error:" and its traceback on stderr).
+Simulation worker threads are controlled by the MRKIT_THREADS environment
+variable (default min(4, the CPUs this process may run on)).
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ import io
 import json
 import math
 import sys
+import traceback
 import warnings as _warnings
 from decimal import Decimal
 
@@ -625,8 +630,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=("Summary-data Mendelian randomization: IVW and "
                      "MR-Egger estimation, and Monte Carlo studies."),
         epilog=("Simulation worker threads: set MRKIT_THREADS (default "
-                "min(4, cpu count)). Determinism is guaranteed for any "
-                "thread count."),
+                "min(4, the CPUs this process may run on)). Determinism is "
+                "guaranteed for any thread count."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -705,18 +710,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# sysexits.h's EX_SOFTWARE: an internal software error.
+_EX_SOFTWARE = 70
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     # DataError, RankError and FactorizationError are ValueErrors.
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory ({str(exc) or 'an allocation failed'})",
               file=sys.stderr)
         return 2
+    # Anything else is a fault in mrkit, not in its input: say so, with the
+    # traceback, and exit with a status no run of working code gives.
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return _EX_SOFTWARE
 
 
 if __name__ == "__main__":

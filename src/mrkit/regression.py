@@ -5,7 +5,14 @@ Every fit runs one batched kernel, :func:`_wls_kernel`, on whitened problems
 each passed as the augmented array [Xw | yw]. The kernel is an R-only QR of
 that array followed by :func:`_fit_from_r`, the fit from its R factor alone,
 which the Monte Carlo engine also calls on an R it derives without a QR over
-J rows. :func:`_design` builds every design matrix: the intercept column
+J rows. The QR, :func:`_qr_r`, runs numpy's own LAPACK kernel (the gufunc
+``np.linalg.qr`` runs) on the caller's array, which it overwrites, rather
+than on a copy of it: a Monte Carlo chunk's problems are C x J x (p + 1)
+values, and their copy would be the chunk's largest allocation after its
+buffers. So every caller of the kernel hands over an array it owns and does not read
+again. A once-per-process probe keeps numpy's kernel only where it gives
+``np.linalg.qr``'s bits, and :func:`_qr_r` is ``np.linalg.qr`` elsewhere.
+:func:`_design` builds every design matrix: the intercept column
 first when asked, then the covariates, each row scaled by 1 or, to whiten,
 by sqrt(w), all written into one array. :func:`fit_wls` takes the design,
 the response and the weight vector w (the semantic se(beta_Yj)^-2) and
@@ -237,15 +244,90 @@ def _design(columns, intercept: bool, row_scale=1.0,
 _EXACT_FIT_RATIO = (100.0 * np.finfo(float).eps) ** 2
 
 
-def _wls_kernel(problem: np.ndarray):
-    """Least squares on C whitened problems at once; never raises.
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError(
+        "Incorrect argument found while performing QR factorization")
 
-    ``problem`` is the (C, J, p + 1) augmented array [Xw | yw] with J >= p.
-    Returns (coefficients (C, p), unscaled se (C, p), residual scale (C,),
-    full-rank flag (C,)). A problem that is not full rank, or whose design is
-    not finite, gets NaN in every numeric output.
+
+def _run_qr_kernel(kernel, problems: np.ndarray) -> np.ndarray:
+    """Run numpy's R-only QR kernel over ``problems`` as np.linalg.qr does.
+
+    The kernel leaves R in the upper triangle of each problem's top rows and
+    the Householder vectors below it. R is returned as np.linalg.qr returns
+    it: a new (C, min(J, n), n) array, the upper triangle of those rows.
+    LAPACK argument faults raise LinAlgError, and the arithmetic raises no
+    warning.
     """
-    return _fit_from_r(np.linalg.qr(problem, mode="r"), problem.shape[-2])
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        kernel(problems, signature="d->d")
+    rows, columns = problems.shape[-2:]
+    return np.triu(problems[..., :min(rows, columns), :])
+
+
+@cache
+def _in_place_qr():
+    """numpy's R-only QR kernel, or None where it cannot be trusted in place.
+
+    ``np.linalg.qr(a, mode="r")`` copies the whole of ``a`` and then runs
+    the gufunc ``numpy.linalg._umath_linalg.qr_r_raw`` on the copy, which
+    factors each problem through a Fortran-ordered buffer of its own and
+    writes the result back over its input. Run on the caller's batch, it
+    needs no copy. It is a private name, so it is kept only if it exists
+    and, once per process, gives exactly ``np.linalg.qr``'s R on a batch
+    laid out as the Monte Carlo chunk buffers are: planes of (C, J) values
+    seen as (C, J, n).
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        kernel = _umath_linalg.qr_r_raw
+        # Generic full-rank values, made without a random generator, whose
+        # first use would cost this process more memory than the probe.
+        batch = np.cos(np.arange(135.0) ** 2).reshape(5, 3, 9)
+        batch = batch.transpose(1, 2, 0)
+        want = np.linalg.qr(batch, mode="r")
+        got = _run_qr_kernel(kernel, batch)
+    # A private kernel may be missing or take other arguments.
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return None
+    return kernel if got.tobytes() == want.tobytes() else None
+
+
+def _qr_r(problems: np.ndarray) -> np.ndarray:
+    """The R factor of each problem of a (C, J, n) batch, factored in place.
+
+    ``problems`` must be a writeable, aligned float64 array, and this
+    overwrites it with the factorization (R over Householder vectors). The
+    result is exactly ``np.linalg.qr(problems, mode="r")``: a new
+    (C, min(J, n), n) array, the size of R alone, in the same layout, so a
+    fit from it keeps its bits. Where numpy's kernel fails its probe (see
+    :func:`_in_place_qr`), this is ``np.linalg.qr``, which copies the batch
+    and leaves it as it was.
+    """
+    if not (problems.dtype == np.float64 and problems.flags.writeable
+            and problems.flags.aligned):
+        raise ValueError("needs a writeable, aligned float64 array")
+    kernel = _in_place_qr()
+    if kernel is None:
+        return np.linalg.qr(problems, mode="r")
+    return _run_qr_kernel(kernel, problems)
+
+
+def _wls_kernel(problem: np.ndarray):
+    """Least squares on C whitened problems at once; never raises on values.
+
+    ``problem`` is the (C, J, p + 1) augmented array [Xw | yw] with J >= p,
+    writeable float64, and the fit overwrites it: its QR (:func:`_qr_r`)
+    runs in place, so every caller hands over an array it owns and does not
+    read again (:func:`fit_wls` the output of :func:`_design`,
+    :func:`_factored_fit` that of its triangular solve, the Monte Carlo
+    engine its chunk buffers). Returns (coefficients (C, p), unscaled se
+    (C, p), residual scale (C,), full-rank flag (C,)). A problem that is
+    not full rank, or whose design is not finite, gets NaN in every numeric
+    output.
+    """
+    return _fit_from_r(_qr_r(problem), problem.shape[-2])
 
 
 def _fit_from_r(r: np.ndarray, rows: int):

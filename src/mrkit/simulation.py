@@ -48,7 +48,8 @@ in the chunk against numpy's own SeedSequence and raises RuntimeError on a
 mismatch. Replicates are processed in fixed-size chunks
 written to index-ordered arrays, so summaries are bit-identical for any
 chunk size and any worker count (set via the ``MRKIT_THREADS`` environment
-variable, default min(4, cpu count)).
+variable, default min(4, the number of CPUs this process may run on, which
+a container or ``taskset`` can hold below the machine's count)).
 One private engine, ``_replicate_results``, plans the chunks for both
 ``run_scenario`` and ``run_scenario_grid``: it packs consecutive configs
 smaller than a chunk into shared chunks, and each replicate keeps its
@@ -73,7 +74,8 @@ import numpy as np
 
 from .data import SummaryDataset
 from .estimators import _t_rejects
-from .regression import _design, _fit_from_r, _random_effects_se, _wls_kernel
+from .regression import (_design, _fit_from_r, _qr_r, _random_effects_se,
+                          _wls_kernel)
 
 __all__ = [
     "ScenarioConfig",
@@ -372,18 +374,20 @@ def _chunk_normals(segments: list[tuple[int, int, int]],
             z_r.shape, out=z_r)
 
 
-def _latent_draws(config: ScenarioConfig,
-                  z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def _latent_draws(config: ScenarioConfig, z: np.ndarray,
+                  scratch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Map standard normals z (..., J, 5) to (beta_x columns, alpha', eps).
 
     Works in place: the results are the five columns of ``z``, overwritten
     (alpha' first, then the beta_x columns from the last, so every column
-    is read before it is replaced). Written as scalar-coefficient
-    elementwise arithmetic (no matmul), so a replicate's values do not
-    depend on the chunk size or on how chunks are packed.
+    is read before it is replaced). ``scratch`` is a (2, ..., J) array
+    that holds the two temporaries; its values are left undefined. Written
+    as scalar-coefficient elementwise arithmetic (no matmul), so a
+    replicate's values do not depend on the chunk size or on how chunks
+    are packed.
     """
     chol = _RISK_FACTOR_CHOLESKY[bool(config.correlated)]
-    acc, term = np.empty((2,) + z.shape[:-1])
+    acc, term = scratch
     alpha_prime = z[..., 3]
     if config.scenario == 4:
         # z[..., 0] is exactly the standardized bX1 (chol[0, 0] = 1).
@@ -457,7 +461,8 @@ def generate_dataset(config: ScenarioConfig,
     j = config.j_variants
     z = np.random.default_rng(np.random.SeedSequence(
         [int(config.seed), int(replicate_index)])).standard_normal((j, 5))
-    beta_cols, alpha_prime, epsilon = _latent_draws(config, z)
+    beta_cols, alpha_prime, epsilon = _latent_draws(config, z,
+                                                    np.empty((2, j)))
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
         config, beta_cols, alpha_prime, epsilon, np.empty((4, j)))
     dataset = SummaryDataset(
@@ -482,6 +487,10 @@ def generate_dataset(config: ScenarioConfig,
 def _thread_count() -> int:
     env = os.environ.get("MRKIT_THREADS")
     if env is None:
+        # Each worker holds its own chunk buffers, so count only the CPUs
+        # this process may run on; os.cpu_count() counts the machine's.
+        if hasattr(os, "sched_getaffinity"):
+            return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     try:
         count = int(env)
@@ -504,7 +513,9 @@ class _ChunkBuffers:
     into planes 1-5, where the latent draws, the observables and then ME's
     problem [w, |x1|w, x2 w, x3 w, y w] overwrite them in place, so ``me``
     is planes 0-4 seen as (C, J, 5). Once the draws are moved, z's block is
-    free, and UE's (3, C, J) problem and its (C, J) weights are views of it.
+    free, seen as five (C, J) planes: UE's (3, C, J) problem is planes 0-2,
+    and ``scratch`` is planes 3-4, which hold the latent draws' two
+    temporaries and then, in plane 3, UE's weights.
     A thread allocates these once, not once per chunk: arrays freed after
     every chunk were returned to the system and page-faulted back in by the
     next. They are views of one allocation because glibc returns the free
@@ -512,8 +523,9 @@ class _ChunkBuffers:
     one block stays under that and is reused by the next call, where
     separate arrays are not.
     Each column of each replicate's ME and UE problem is J contiguous
-    values, so building a column writes, and the QR copies, contiguous
-    memory.
+    values, so building a column writes contiguous memory, and the QR
+    (:func:`mrkit.regression._qr_r`) factors each problem where it lies, so
+    a chunk allocates nothing else of size C x J.
     """
 
     def __init__(self, size: int, j: int) -> None:
@@ -522,7 +534,8 @@ class _ChunkBuffers:
         self.slots = slots.reshape(6, size, j)
         self.me = self.slots[:5].transpose(1, 2, 0)
         self.ue = z[:3 * size * j].reshape(3, size, j).transpose(1, 2, 0)
-        self.ue_weights = z[3 * size * j:4 * size * j].reshape(size, j)
+        self.scratch = z[3 * size * j:].reshape(2, size, j)
+        self.ue_weights = self.scratch[0]
 
 
 def _whitened_problems(config: ScenarioConfig, buffers: _ChunkBuffers,
@@ -540,7 +553,7 @@ def _whitened_problems(config: ScenarioConfig, buffers: _ChunkBuffers,
     """
     slots = buffers.slots[:, rows]
     beta_cols, alpha_prime, epsilon = _latent_draws(
-        config, slots[1:].transpose(1, 2, 0))
+        config, slots[1:].transpose(1, 2, 0), buffers.scratch[:, rows])
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
         config, beta_cols, alpha_prime, epsilon,
         (slots[1], slots[2], slots[4], slots[0]))
@@ -556,9 +569,12 @@ def _whitened_problems(config: ScenarioConfig, buffers: _ChunkBuffers,
 def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
     """Fit MI, UE and ME to a chunk and test the five coefficients of _TESTS.
 
-    ``me`` and ``ue`` are the chunk's whitened (C, J, p + 1) problems. MI's
-    problem is ME's without its first column, so MI's R is the R of ME's R
-    without that column: a (C, 5, 4) QR in place of one over J rows. Each
+    ``me`` and ``ue`` are the chunk's whitened (C, J, p + 1) problems,
+    which this overwrites: ME's R comes from :func:`_qr_r` and UE's fit
+    from :func:`_wls_kernel`, and both factor their problems in place, so
+    no copy of a problem is made. MI's problem is ME's without its first
+    column, so MI's R is the R of ME's R without that column: a (C, 5, 4)
+    QR, of a copy that small, in place of one over J rows. Each
     coefficient's estimate, random-effects se and two-sided t test decision
     at ``POWER_ALPHA`` are written to ``out[0]``, ``out[1]`` and ``out[2]``,
     (5, C) arrays. A decision is 1.0 where the test rejects, 0.0 where it
@@ -566,7 +582,7 @@ def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
     one call.
     """
     j = me.shape[-2]
-    r_me = np.linalg.qr(me, mode="r")
+    r_me = _qr_r(me)
     fits = (_fit_from_r(np.linalg.qr(r_me[..., 1:], mode="r"), j),
             _wls_kernel(ue), _fit_from_r(r_me, j))
     theta, se, rejects = out

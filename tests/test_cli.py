@@ -219,6 +219,22 @@ class TestAnalyze:
                          "--methods", "MI", "--ref", "x1"], capsys) == (
             2, "", f"error: out of memory ({detail})\n")
 
+    def test_internal_key_error_exits_70(self, one_factor_csv, capsys,
+                                         monkeypatch):
+        # Only MRResult.estimate_for raises KeyError on purpose, and the CLI
+        # never calls it: a KeyError is a fault in mrkit, not a bad input.
+        def failing_render(records):
+            raise KeyError("beta")
+
+        monkeypatch.setitem(mrkit.cli._RENDERERS, "text", failing_render)
+        code, out, err = _analyze(["--data", one_factor_csv, "--k", "1",
+                                   "--methods", "UI"], capsys)
+        assert (code, out) == (70, "")
+        assert err.startswith("internal error: KeyError('beta')\n"
+                              "Traceback (most recent call last):\n")
+        assert "in failing_render" in err
+        assert err.endswith("KeyError: 'beta'\n")
+
     def test_bad_level(self, one_factor_csv, tmp_path, capsys):
         # A usage error is reported before any file is read.
         for data in (one_factor_csv, str(tmp_path / "missing.csv")):
@@ -869,6 +885,23 @@ class TestSimulate:
         assert values["replicates"] == "150"
         assert float(values["mi_mean"]) == pytest.approx(0.3, abs=0.05)
         assert (tmp_path / "simout.txt").exists()
+
+    def test_internal_error_exits_70(self, tmp_path, capsys, monkeypatch):
+        # An exception that is no input, usage or memory fault gets its own
+        # status and its traceback, never 1 (success with warnings) or 2.
+        def failing_run(config):
+            raise RuntimeError("chunk plan lost a replicate")
+
+        monkeypatch.setattr(mrkit.cli, "run_scenario", failing_run)
+        code = main(["simulate", "--scenario", "1", "--reps", "4",
+                     "--out", str(tmp_path / "sim")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (70, "")
+        assert err.startswith(
+            "internal error: RuntimeError('chunk plan lost a replicate')\n"
+            "Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: chunk plan lost a replicate\n")
+        assert not list(tmp_path.iterdir())
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         conf = tmp_path / "sim.conf"

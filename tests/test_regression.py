@@ -23,6 +23,7 @@ from mrkit.regression import (
     _fit_from_r,
     _one_blas_thread,
     _openblas_thread_apis,
+    _qr_r,
     _wls_kernel,
 )
 from mrkit.estimators import _t_pvalue
@@ -390,7 +391,9 @@ def test_fit_from_dropped_first_column_matches_kernel():
     me[2, 7, 3] = np.nan
     me[3, :, 4] = me[3, :, 1:4] @ np.array([2.0, 0.5, -1.0])
     ue = me[..., [0, 1, 4]]
-    direct = _wls_kernel(me[..., 1:])
+    # The kernel and _chunk_tests factor their problems in place, so each
+    # call gets a copy of its own.
+    direct = _wls_kernel(me[..., 1:].copy())
     derived = _fit_from_r(
         np.linalg.qr(np.linalg.qr(me, mode="r")[..., 1:], mode="r"), j)
     assert direct[3].tolist() == derived[3].tolist() == [
@@ -405,7 +408,7 @@ def test_fit_from_dropped_first_column_matches_kernel():
     # and ME, and decides their five t tests in one call: 1.0 where p < 0.05,
     # 0.0 where not, and NaN where the p-value is NaN.
     out = np.empty((3, 5, 4))
-    _chunk_tests(me, ue, out)
+    _chunk_tests(me.copy(), ue.copy(), out)
     theta, se, rejects = out
     fits = [derived, _wls_kernel(ue), _wls_kernel(me)]
     for row, (fit, column) in enumerate(
@@ -420,6 +423,47 @@ def test_fit_from_dropped_first_column_matches_kernel():
         assert np.array_equal(np.isnan(rejects[row]), np.isnan(p))
         assert np.array_equal(rejects[row][~np.isnan(p)],
                               p[~np.isnan(p)] < POWER_ALPHA)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 5),
+       n=st.integers(1, 6), extra_rows=st.integers(0, 6),
+       planes=st.booleans(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_qr_r_is_numpy_qr_in_place(seed, c, n, extra_rows, planes, data):
+    # Exactly np.linalg.qr's R, for C-ordered batches and for the chunk
+    # buffers' layout (one contiguous (C, J) plane per column), with NaN
+    # and inf rows and zero or repeated columns; the R is written over the
+    # batch's top rows.
+    j = n + extra_rows
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, c, j))
+    for kind in data.draw(st.lists(st.sampled_from(
+            ["nan", "inf", "zero", "repeat"]), max_size=3)):
+        i, row, col = rng.integers(c), rng.integers(j), rng.integers(n)
+        if kind in ("nan", "inf"):
+            values[:, i, row] = np.nan if kind == "nan" else -np.inf
+        elif kind == "zero":
+            values[col, i] = 0.0
+        else:
+            values[col, i] = values[rng.integers(n), i]
+    batch = (values.transpose(1, 2, 0) if planes
+             else np.ascontiguousarray(values.transpose(1, 2, 0)))
+    want = np.linalg.qr(batch, mode="r")
+    got = _qr_r(batch)
+    assert got.shape == want.shape == (c, min(j, n), n)
+    assert got.tobytes() == want.tobytes()
+    if regression._in_place_qr() is not None:
+        assert np.triu(batch[:, :min(j, n)]).tobytes() == want.tobytes()
+
+
+def test_qr_r_needs_a_writeable_float64_batch():
+    # numpy's kernel would factor a cast copy of another dtype, leaving
+    # the batch as it was, and would write to a read-only array.
+    batch = np.ones((2, 4, 3))
+    batch.flags.writeable = False
+    for problems in (batch, np.ones((2, 4, 3), dtype=np.float32)):
+        with pytest.raises(ValueError, match="writeable, aligned float64"):
+            _qr_r(problems)
 
 
 @st.composite

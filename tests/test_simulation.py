@@ -1,6 +1,7 @@
 """Data-generating process, scenario runner, and grid determinism."""
 import dataclasses
 import itertools
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from mrkit import (
     ivw_multivariable,
     simulation,
 )
+from mrkit import regression
 from mrkit.regression import RankError
 from mrkit.simulation import (
     BETA_MEANS,
@@ -331,6 +333,42 @@ class TestRunScenario:
         threaded = run_scenario(config)
         assert serial == threaded
 
+    def test_summaries_without_the_in_place_qr(self, monkeypatch):
+        # Where numpy's QR kernel does not give np.linalg.qr's bits on the
+        # chunk buffers' strided layout, its probe rejects it and every QR
+        # copies its batch, as np.linalg.qr does: the summaries, of one
+        # config and of packed grid rows, are the same. The stand-in kernel
+        # is wrong only on a view, which np.linalg.qr never hands it: it
+        # factors a copy of its own.
+        from numpy.linalg import _umath_linalg
+
+        monkeypatch.setenv("MRKIT_THREADS", "2")
+        config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
+                                 mediation=True, replicates=300, seed=21)
+        want = (run_scenario(config),
+                [row.summary for row in run_scenario_grid(
+                    8, seed=5, mediation_only=True)])
+        kernel = _umath_linalg.qr_r_raw
+
+        def one_ulp_off(a, **kwargs):
+            tau = kernel(a, **kwargs)
+            if a.base is not None:
+                a[..., 0, 0] = np.nextafter(a[..., 0, 0], np.inf)
+            return tau
+
+        regression._in_place_qr.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(_umath_linalg, "qr_r_raw", one_ulp_off)
+                assert regression._in_place_qr() is None
+                got = (run_scenario(config),
+                       [row.summary for row in run_scenario_grid(
+                           8, seed=5, mediation_only=True)])
+        finally:
+            regression._in_place_qr.cache_clear()
+        assert got == want
+        assert regression._in_place_qr() is kernel
+
     def test_first_t_inference_in_worker_threads(self):
         # At J = 185 the 256 replicates make two chunks, so with two threads
         # both workers make their first t decisions at once. The summary
@@ -358,6 +396,23 @@ class TestRunScenario:
         monkeypatch.setenv("MRKIT_THREADS", "0")
         with pytest.raises(ValueError, match="MRKIT_THREADS"):
             run_scenario(config)
+
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        # Without MRKIT_THREADS, a process pinned to one CPU of a larger
+        # machine starts one worker, not one per machine CPU.
+        monkeypatch.delenv("MRKIT_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert simulation._thread_count() == 1
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        assert simulation._thread_count() == 4
+        # Where the platform cannot say, the machine's count is used.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert simulation._thread_count() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulation._thread_count() == 1
 
     def test_chunk_boundary(self):
         # One full chunk and a partial last chunk of one replicate.
@@ -413,20 +468,24 @@ class TestRunScenario:
         assert chunk == 1 or 88 * j * chunk <= simulation._CHUNK_BYTES
 
     def test_chunk_memory(self, monkeypatch):
-        # One 128-replicate chunk at the paper's J = 185 on one thread. Its
-        # buffers hold 11 float64 per replicate and variant; the QR's copy
-        # of ME's five-column problem comes on top of them.
+        # One chunk on one thread: 128 replicates at the paper's J = 185,
+        # and 47 at J = 1,000. Its buffers hold 11 float64 per replicate and
+        # variant, and nothing else of that size is allocated: the latent
+        # draws' temporaries are planes of the buffers, and each QR runs in
+        # place, with a per-problem LAPACK buffer of J x 5.
         monkeypatch.setenv("MRKIT_THREADS", "1")
-        config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
-                                 mediation=True, replicates=simulation._CHUNK)
-        run_scenario(config)  # first-use caches, untraced
-        tracemalloc.start()
-        try:
-            run_scenario(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 17 * 8 * simulation._CHUNK * config.j_variants
+        for j, chunk in ((185, simulation._CHUNK), (1_000, 47)):
+            config = scenario_config(4, theta1=0.3, mu=0.1, correlated=True,
+                                     mediation=True, j_variants=j,
+                                     replicates=chunk)
+            run_scenario(config)  # first-use caches, untraced
+            tracemalloc.start()
+            try:
+                run_scenario(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * 8 * chunk * j, (j, peak / (8 * chunk * j))
 
     def test_configs_packed_by_bounded_chunk(self, monkeypatch):
         # At J = 1,000 a chunk holds 47 replicates, so of three 20-replicate
@@ -476,9 +535,9 @@ class TestRunScenario:
         latent_draws = simulation._latent_draws
         blocks = []
 
-        def capture(config, z):
+        def capture(config, z, scratch):
             blocks.append((config, z.copy()))
-            return latent_draws(config, z)
+            return latent_draws(config, z, scratch)
 
         monkeypatch.setattr(simulation, "_latent_draws", capture)
         single = [scenario_config(2, replicates=2 * simulation._CHUNK,
