@@ -9,10 +9,10 @@ J rows. The QR, :func:`_qr_r`, runs numpy's own LAPACK kernel (the gufunc
 ``np.linalg.qr`` runs) on the caller's array, which it overwrites, rather
 than on a copy of it: a Monte Carlo chunk's problems are C x J x (p + 1)
 values, and their copy would be the chunk's largest allocation after its
-buffers. So every caller of the kernel hands over an array it owns and does not read
-again. A once-per-process probe keeps numpy's kernel only where it gives
-``np.linalg.qr``'s bits, and :func:`_qr_r` is ``np.linalg.qr`` elsewhere.
-:func:`_design` builds every design matrix: the intercept column
+buffers. So every caller of the kernel hands over an array it owns and does
+not read again. A once-per-process probe keeps numpy's kernel only where it
+gives ``np.linalg.qr``'s bits, and :func:`_qr_r` is ``np.linalg.qr``
+elsewhere. :func:`_design` builds every design matrix: the intercept column
 first when asked, then the covariates, each row scaled by 1 or, to whiten,
 by sqrt(w), all written into one array. :func:`fit_wls` takes the design,
 the response and the weight vector w (the semantic se(beta_Yj)^-2) and

@@ -535,7 +535,6 @@ class _ChunkBuffers:
         self.me = self.slots[:5].transpose(1, 2, 0)
         self.ue = z[:3 * size * j].reshape(3, size, j).transpose(1, 2, 0)
         self.scratch = z[3 * size * j:].reshape(2, size, j)
-        self.ue_weights = self.scratch[0]
 
 
 def _whitened_problems(config: ScenarioConfig, buffers: _ChunkBuffers,
@@ -557,7 +556,7 @@ def _whitened_problems(config: ScenarioConfig, buffers: _ChunkBuffers,
     abs_x1, x2, x3, beta_y, se2_mv = _observables(
         config, beta_cols, alpha_prime, epsilon,
         (slots[1], slots[2], slots[4], slots[0]))
-    sqrt_w = buffers.ue_weights[rows]
+    sqrt_w = buffers.scratch[0, rows]
     np.add(se2_mv, _univariable_extra_variance(config), out=sqrt_w)
     np.sqrt(np.divide(1.0, sqrt_w, out=sqrt_w), out=sqrt_w)
     _design((abs_x1, beta_y), True, sqrt_w, out=buffers.ue[rows])
