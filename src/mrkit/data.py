@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .regression import _cholesky_in_place, _one_blas_thread
+from .regression import _cholesky_in_place, _one_blas_thread, _whiten
 
 __all__ = [
     "DataError",
@@ -91,18 +91,17 @@ class CorrelationMatrix:
     kept as a (J,) vector. The factor is computed in place, once however
     many estimators use it and however the matrix is flipped, on one BLAS
     thread, so ``OPENBLAS_NUM_THREADS`` changes neither the factor nor the
-    CPU cost of ``mrkit analyze --corr``. The estimators whiten against
-    that array, which reads only L0, with their rows multiplied by the
-    signs; :attr:`entries` (S rho0 S) and :attr:`factor` (S L0 S) are
-    read-only J x J arrays built each time they are read.
+    CPU cost of ``mrkit analyze --corr``. :meth:`whiten` is the one reader
+    of that array for a fit; :attr:`entries` (S rho0 S) and :attr:`factor`
+    (S L0 S) are read-only J x J arrays built each time they are read.
 
     The constructor validates and factors a copy of the entries it is given;
     :func:`load_correlation` instead adopts the array it parsed, so a loaded
     matrix is held in one J x J array. The checks make no J x J temporary:
-    symmetry is tested in blocks of rows, the range by ``max`` and ``min``.
-    A matrix that is asymmetric within the tolerance is factored from its
-    lower triangle and keeps its upper one, so its :attr:`entries` are the
-    symmetric matrix of its upper triangle.
+    symmetry is tested in blocks of rows, finiteness and the range by
+    ``max`` and ``min``. A matrix that is asymmetric within the tolerance is
+    factored from its lower triangle and keeps its upper one, so its
+    :attr:`entries` are the symmetric matrix of its upper triangle.
     """
 
     _packed: np.ndarray
@@ -127,14 +126,15 @@ class CorrelationMatrix:
         _require(entries.ndim == 2 and entries.shape[0] == entries.shape[1],
                  "correlation matrix must be square")
         _require(entries.size > 0, "correlation matrix is empty")
-        _require(bool(np.isfinite(entries).all()), "non-finite correlation entry")
+        # min or max is NaN when an entry is NaN, and +-inf when one is.
+        low, high = entries.min(), entries.max()
+        _require(np.isfinite([low, high]).all(), "non-finite correlation entry")
         _require(_asymmetry(entries) <= 1e-8,
                  "correlation matrix asymmetric beyond tolerance 1e-8")
         diagonal = entries.diagonal().copy()
         _require(np.max(np.abs(diagonal - 1.0)) <= 1e-8,
                  "correlation matrix diagonal differs from 1 beyond tolerance 1e-8")
-        _require(max(entries.max(), -entries.min()) <= 1.0 + 1e-8,
-                 "correlation out of range")
+        _require(max(high, -low) <= 1.0 + 1e-8, "correlation out of range")
         if not _cholesky_in_place(entries):
             # The strict upper triangle is intact. eigvalsh reads the lower
             # triangle, so on the transpose it reads that one, and the
@@ -153,6 +153,20 @@ class CorrelationMatrix:
                             ("_signs", signs)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    def whiten(self, problem: np.ndarray) -> np.ndarray:
+        """The rows of a (J, n) ``problem`` whitened against rho, as a new array.
+
+        ``problem`` holds a fit's rows, [X | y] divided by se_Y, and is
+        overwritten: its rows are multiplied by the signs S, then one
+        triangular solve against L0 (:func:`mrkit.regression._whiten`)
+        gives L0^-1 S ``problem``. rho's factor is S L0 S, whose inverse is
+        S L0^-1 S, so this is the whitened problem with the signs of some
+        rows changed. That changes only the signs of rows of its QR's R
+        factor, which no least-squares fit reads.
+        """
+        problem *= self._signs[:, None]
+        return _whiten(self._packed, problem)
 
     def _conjugated(self, matrix: np.ndarray) -> np.ndarray:
         """S M S, in place, read-only: two exact multiplications by +-1."""
@@ -218,6 +232,7 @@ def _asymmetry(entries: np.ndarray) -> float:
         rows = slice(start, start + _SYMMETRY_BLOCK)
         block = np.subtract(entries[rows], entries[:, rows].T)
         worst = max(worst, float(np.abs(block, out=block).max()))
+        del block  # freed before the next block is made
     return worst
 
 
@@ -701,10 +716,12 @@ def load_correlation(path: str | Path,
     Cells are parsed as Python's ``float()`` parses them; blank and
     whitespace-only lines are skipped. A regular file is streamed through
     :func:`numpy.loadtxt`; a pipe is read once and both parses share its
-    text. A file that does not parse as a whole J x J array is parsed again
-    row by row, which reports its first offending 1-based line; a file that
-    is not UTF-8 fails there at the line of its first bad byte, before any
-    other fault.
+    text. That parse reads at most J + 1 rows into one array sized by the
+    dataset, so a file with an extra row still fails its shape check. A
+    file that does not parse as a whole J x J array is parsed again row by
+    row, which reports its first offending 1-based line; a file that is not
+    UTF-8 fails there at the line of its first bad byte, before any other
+    fault.
 
     The parsed array is validated, then factored in place, and becomes the
     matrix's packed array without a copy, so one J x J array holds rho's
@@ -725,13 +742,12 @@ def load_correlation(path: str | Path,
             entries = np.loadtxt(
                 file if text is None else io.StringIO(text, newline=None),
                 dtype=float, delimiter=",", comments=None, ndmin=2,
-                encoding="utf-8-sig")
+                encoding="utf-8-sig", max_rows=dataset.j + 1)
     except ValueError:  # UnicodeDecodeError too: the row parse reports it
         entries = None
     if entries is None or entries.shape != (dataset.j, dataset.j):
-        rows = _parse_correlation_rows(
-            _read_text(path) if text is None else text, path, dataset.j)
-        entries = np.array(rows, dtype=float)
+        entries = np.array(_parse_correlation_rows(
+            _read_text(path) if text is None else text, path, dataset.j))
     try:
         return CorrelationMatrix._adopt(entries)
     except DataError as exc:
@@ -747,9 +763,8 @@ def _parse_correlation_rows(text: str, path: str | Path,
         line = line.strip()
         if not line:
             continue
-        cells = line.split(",")
         try:
-            rows.append([float(c) for c in cells])
+            rows.append([float(c) for c in line.split(",")])
         except ValueError:
             raise DataError(f"{path}: non-numeric correlation entry "
                             f"at line {line_no}") from None

@@ -43,11 +43,10 @@ associations, fitted and packaged by one private core: with or without an
 intercept, over one column or K. It is generalized least squares with error
 covariance Omega_st = se_Ys * se_Yt * rho_st, and rho = I for independent
 variants, where it is weighted least squares with weights se_Y^-2. One step
-whitens every fit: it divides each row of [X | y] by se_Y and by the
-attached matrix's orientation sign. Independent variants are then fitted
-with unit weights; correlated ones are whitened with the Cholesky factor
-the correlation matrix computed in place when it was loaded, which every
-attached matrix has: one J x J array holds the loaded matrix's upper
+divides each row of [X | y] by se_Y. Independent variants are then fitted
+with unit weights; an attached correlation matrix whitens the divided rows
+itself, with its orientation signs and the Cholesky factor it computed in
+place when it was loaded: one J x J array holds the loaded matrix's upper
 triangle and that factor, the oriented matrix shares it, and the whitening
 reads only the factor. So no estimator factors a matrix, copies the factor
 out or builds diag(se_Y) L; an identity matrix gives the independent fit
@@ -74,7 +73,7 @@ from .regression import (
     NonFiniteFitError,
     WeightScheme,
     _design,
-    _factored_fit,
+    _fit_one,
     fit_gls,  # unused here; perfbench traces it as mrkit.estimators.fit_gls
     fit_wls,
     scaled_se,
@@ -298,35 +297,27 @@ def _fit_model(dataset: SummaryDataset, estimator: str, intercept: bool,
 
     The fit is generalized least squares with Omega = se_Y se_Y' * rho, and
     rho = I for independent variants, which is weighted least squares with
-    weights se_Y^-2. One step whitens both: it divides each row of the
-    problem [X | y] by se_Y times S. For independent variants S = I, and the
-    rows go to :func:`fit_wls` with unit weights. With a matrix attached,
-    rho = S rho0 S, with S its signs and rho0 the matrix it factored at load
-    into L0, kept in the lower triangle of its packed array, so Omega's
-    factor is diag(se_Y) S L0 S; the divided rows are whitened against L0.
-    That is exact: (S L0 S)^-1 [X | y] = S L0^-1 S [X | y], and the left S
-    changes only the signs of the rows of the QR's R factor, which the fit
-    ignores. So with rho = I both fits are the same computation, bit for
-    bit. An intercept fit also reports the intercept test, and is
-    experimental when the variants are correlated.
+    weights se_Y^-2. One step serves both: it divides each row of the
+    problem [X | y] by se_Y. Independent variants' rows then go to
+    :func:`fit_wls` with unit weights; an attached matrix whitens them
+    itself (:meth:`mrkit.data.CorrelationMatrix.whiten`), and with rho = I
+    that is the same computation, bit for bit. An intercept fit also
+    reports the intercept test, and is experimental when the variants are
+    correlated.
     """
     correlation = dataset.correlation
     correlated = correlation is not None
     problem = _design((*dataset.beta_x_matrix().T, dataset.beta_y_vector()),
                       intercept)
-    se_y = dataset.se_y_vector()
-    # Dividing by s * se_y is dividing by se_y, then multiplying by s, bit
-    # for bit. A finite quotient past the float range makes the fit not
-    # finite.
+    # A finite quotient past the float range makes the fit not finite.
     with np.errstate(over="ignore"):
-        problem /= (se_y * correlation._signs if correlated else se_y)[:, None]
+        problem /= dataset.se_y_vector()[:, None]
     if not np.isfinite(problem).all():
         raise NonFiniteFitError(_NON_FINITE_FIT)
-    x, y = problem[:, :-1], problem[:, -1]
     if correlated:
-        fit = _factored_fit(x, y, correlation._packed)
+        fit = _fit_one(correlation.whiten(problem))
     else:
-        fit = fit_wls(x, y, np.ones_like(y))
+        fit = fit_wls(problem[:, :-1], problem[:, -1], np.ones(dataset.j))
     se = scaled_se(fit, scheme)
     tag = MethodTag(estimator, scheme,
                     "correlated" if correlated else "independent")

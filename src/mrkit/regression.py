@@ -18,15 +18,16 @@ by sqrt(w), all written into one array. :func:`fit_wls` takes the design,
 the response and the weight vector w (the semantic se(beta_Yj)^-2) and
 whitens [X | y] with :func:`_design`; :func:`fit_gls` takes Omega in place
 of w, factors a copy of it in place with :func:`_cholesky_in_place`, the one
-Cholesky routine, and hands the factor to :func:`_factored_fit`, the one
-triangular-whitening step. The estimators divide the rows of [X | y] by
-se_Y themselves, and by their correlation matrix's orientation signs, then
-call :func:`fit_wls` with unit weights for independent variants, or
-:func:`_factored_fit` directly with the factor L that the correlation matrix
-computed in place at load, so they never factor or build Omega. That
-dense J x J work (a Cholesky factor, a triangular whitening) runs on one BLAS
-thread, inside :func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS``
-changes neither the results nor the CPU cost of ``mrkit analyze --corr``.
+Cholesky routine, and whitens [X | y] against that factor with
+:func:`_whiten`, the one triangular solve. The estimators divide the rows of
+[X | y] by se_Y themselves, then call :func:`fit_wls` with unit weights for
+independent variants; for correlated ones the attached
+:class:`mrkit.data.CorrelationMatrix` whitens the divided rows with
+:func:`_whiten` and the factor it computed in place at load, so no
+estimator factors or builds Omega. That dense J x J work (a Cholesky
+factor, a triangular whitening) runs on one BLAS thread, inside
+:func:`_one_blas_thread`, so ``OPENBLAS_NUM_THREADS`` changes neither the
+results nor the CPU cost of ``mrkit analyze --corr``.
 None of these adds an intercept: the caller puts one first with
 :func:`_design`. Each fits one problem and raises :class:`RankError` on the
 kernel's full-rank flag, and :class:`NonFiniteFitError` when a finite
@@ -126,7 +127,7 @@ def _openblas_thread_apis() -> tuple:
     The answer is cached at the first call, so an OpenBLAS loaded later is
     never found. Importing mrkit loads no scipy module, so each caller of
     :func:`_one_blas_thread` imports the scipy module it calls before it
-    enters: :func:`_cholesky_in_place` and :func:`_factored_fit` import
+    enters: :func:`_cholesky_in_place` and :func:`_whiten` import
     scipy.linalg first, and the eigenvalue message of
     :class:`mrkit.data.CorrelationMatrix` runs only after
     :func:`_cholesky_in_place` has.
@@ -320,12 +321,11 @@ def _wls_kernel(problem: np.ndarray):
     ``problem`` is the (C, J, p + 1) augmented array [Xw | yw] with J >= p,
     writeable float64, and the fit overwrites it: its QR (:func:`_qr_r`)
     runs in place, so every caller hands over an array it owns and does not
-    read again (:func:`fit_wls` the output of :func:`_design`,
-    :func:`_factored_fit` that of its triangular solve, the Monte Carlo
-    engine its chunk buffers). Returns (coefficients (C, p), unscaled se
-    (C, p), residual scale (C,), full-rank flag (C,)). A problem that is
-    not full rank, or whose design is not finite, gets NaN in every numeric
-    output.
+    read again (the single-dataset fits the output of :func:`_design` or
+    :func:`_whiten`, the Monte Carlo engine its chunk buffers). Returns
+    (coefficients (C, p), unscaled se (C, p), residual scale (C,), full-rank
+    flag (C,)). A problem that is not full rank, or whose design is not
+    finite, gets NaN in every numeric output.
     """
     return _fit_from_r(_qr_r(problem), problem.shape[-2])
 
@@ -387,19 +387,20 @@ _NON_FINITE_FIT = ("fit is not finite: the whitened problem or its fit "
                    "overflowed")
 
 
-def _fit_one(x: np.ndarray, y: np.ndarray,
-             problem: np.ndarray) -> RegressionFit:
-    """Fit one problem [x | y], whitened to ``problem``, at C = 1.
+def _fit_one(problem: np.ndarray, *inputs: np.ndarray) -> RegressionFit:
+    """Fit one whitened problem at C = 1.
 
-    ``problem`` is the (J, p + 1) array [Xw | yw] the kernel fits. It is
-    finite unless x or y is, which raises numpy's ValueError "array must
-    not contain infs or NaNs", or unless the whitening overflowed. That,
-    and a fit that is not finite, raise NonFiniteFitError, with no
-    floating-point warning. RankError on the kernel's full-rank flag.
+    ``problem`` is the (J, p + 1) array [Xw | yw] the kernel fits, and
+    ``inputs`` the arrays it was whitened from, where they may not be
+    finite. It is finite unless an input is, which raises numpy's
+    ValueError "array must not contain infs or NaNs", or unless the
+    whitening overflowed. That, and a fit that is not finite, raise
+    NonFiniteFitError, with no floating-point warning. RankError on the
+    kernel's full-rank flag.
     """
     if not np.isfinite(problem).all():
-        np.asarray_chkfinite(x)
-        np.asarray_chkfinite(y)
+        for array in inputs:
+            np.asarray_chkfinite(array)
         raise NonFiniteFitError(_NON_FINITE_FIT)
     with np.errstate(all="ignore"):
         beta, unscaled_se, sigma, full_rank = (
@@ -412,7 +413,7 @@ def _fit_one(x: np.ndarray, y: np.ndarray,
         coefficients=beta,
         unscaled_se=unscaled_se,
         residual_scale=float(sigma),
-        df_residual=x.shape[0] - x.shape[1],
+        df_residual=problem.shape[0] - problem.shape[1] + 1,
         exact_fit=bool(sigma == 0.0),
     )
 
@@ -435,7 +436,7 @@ def fit_wls(design: np.ndarray, response: np.ndarray,
     # Whitening a finite problem may overflow; _fit_one raises on that.
     with np.errstate(over="ignore"):
         problem = _design((*x.T, y), False, np.sqrt(weights))
-    return _fit_one(x, y, problem)
+    return _fit_one(problem, x, y)
 
 
 def fit_gls(design: np.ndarray, response: np.ndarray,
@@ -452,12 +453,12 @@ def fit_gls(design: np.ndarray, response: np.ndarray,
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (y.size, y.size):
         raise ValueError("omega must be J x J")
-    # _factored_fit trusts the factor to be finite.
+    # _whiten trusts the factor to be finite.
     factor = np.asarray_chkfinite(omega).copy()
     if not _cholesky_in_place(factor):
         raise FactorizationError(
             "omega is not positive definite (factorization failed)")
-    return _factored_fit(x, y, factor)
+    return _fit_one(_whiten(factor, _design((*x.T, y), False)), x, y)
 
 
 def _cholesky_in_place(a: np.ndarray) -> bool:
@@ -488,17 +489,16 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     return info == 0
 
 
-def _factored_fit(x: np.ndarray, y: np.ndarray,
-                  factor: np.ndarray) -> RegressionFit:
-    """GLS fit given the lower Cholesky factor L of the error covariance.
+def _whiten(factor: np.ndarray, problem: np.ndarray) -> np.ndarray:
+    """L^-1 ``problem``, a new array, for the lower Cholesky factor L.
 
-    Whitens [x | y] with one triangular solve against ``factor``, then fits
-    it with the kernel at C = 1. The solve reads only the lower triangle and
-    the diagonal of ``factor``, so L may share its array with anything above
-    it, as in the packed array of a :class:`mrkit.data.CorrelationMatrix`
-    and the factor :func:`fit_gls` makes. L must be finite, as both of
-    those are; a non-finite x or y leaves the whitened problem non-finite,
-    which :func:`_fit_one` reports.
+    One triangular solve, on one BLAS thread, whitens the (J, n) rows of
+    ``problem``. It reads only the lower triangle and the diagonal of
+    ``factor``, so L may share its array with anything above it, as in the
+    packed array of a :class:`mrkit.data.CorrelationMatrix` and the factor
+    :func:`fit_gls` makes. L must be finite, as both of those are; a
+    non-finite problem leaves the result non-finite, which :func:`_fit_one`
+    reports.
     """
     # Imported here, its only use, so that importing mrkit does not load
     # scipy.linalg; imported before the BLAS thread counts are read, so that
@@ -506,9 +506,8 @@ def _factored_fit(x: np.ndarray, y: np.ndarray,
     from scipy.linalg import solve_triangular
 
     with _one_blas_thread():
-        problem = solve_triangular(factor, np.column_stack([x, y]),
-                                   lower=True, check_finite=False)
-    return _fit_one(x, y, problem)
+        return solve_triangular(factor, problem, lower=True,
+                                check_finite=False)
 
 
 def _random_effects_se(unscaled_se: np.ndarray, sigma) -> np.ndarray:

@@ -125,8 +125,8 @@ _INSIDE_LOADING = float(np.sqrt(1.0 - INSIDE_CORRELATION ** 2))
 
 POWER_ALPHA = 0.05
 # Replicates per Monte Carlo chunk: at most _CHUNK, and fewer where a worker
-# thread's chunk buffers (88 bytes per replicate and variant) would pass
-# _CHUNK_BYTES. The paper's J = 185 keeps chunks of 128 (2.1 MB).
+# thread's chunk buffers (_ChunkBuffers.BYTES per replicate and variant)
+# would pass _CHUNK_BYTES. The paper's J = 185 keeps chunks of 128 (2.1 MB).
 _CHUNK = 128
 _CHUNK_BYTES = 4 << 20
 
@@ -505,8 +505,8 @@ def _thread_count() -> int:
 class _ChunkBuffers:
     """One worker thread's arrays for chunks of up to ``size`` replicates.
 
-    They hold 11 float64 values, 88 bytes, per replicate and variant: the
-    size that _replicate_results bounds by ``_CHUNK_BYTES``.
+    They hold 11 float64 values, ``BYTES`` = 88 bytes, per replicate and
+    variant: the size that _replicate_results bounds by ``_CHUNK_BYTES``.
 
     ``z`` is the chunk's (C, J, 5) block of draws. ``slots`` is a
     (6, C, J) array of one (C, J) plane per variable: the draws are moved
@@ -527,6 +527,8 @@ class _ChunkBuffers:
     (:func:`mrkit.regression._qr_r`) factors each problem where it lies, so
     a chunk allocates nothing else of size C x J.
     """
+
+    BYTES = 88
 
     def __init__(self, size: int, j: int) -> None:
         z, slots = np.split(np.empty(11 * size * j), [5 * size * j])
@@ -573,16 +575,16 @@ def _chunk_tests(me: np.ndarray, ue: np.ndarray, out: np.ndarray) -> None:
     from :func:`_wls_kernel`, and both factor their problems in place, so
     no copy of a problem is made. MI's problem is ME's without its first
     column, so MI's R is the R of ME's R without that column: a (C, 5, 4)
-    QR, of a copy that small, in place of one over J rows. Each
-    coefficient's estimate, random-effects se and two-sided t test decision
-    at ``POWER_ALPHA`` are written to ``out[0]``, ``out[1]`` and ``out[2]``,
-    (5, C) arrays. A decision is 1.0 where the test rejects, 0.0 where it
-    does not and NaN where theta / se is NaN; the five rows are decided in
-    one call.
+    QR by :func:`_qr_r`, of a copy that small, in place of one over J rows.
+    Each coefficient's estimate, random-effects se and two-sided t test
+    decision at ``POWER_ALPHA`` are written to ``out[0]``, ``out[1]`` and
+    ``out[2]``, (5, C) arrays. A decision is 1.0 where the test rejects, 0.0
+    where it does not and NaN where theta / se is NaN; the five rows are
+    decided in one call.
     """
     j = me.shape[-2]
     r_me = _qr_r(me)
-    fits = (_fit_from_r(np.linalg.qr(r_me[..., 1:], mode="r"), j),
+    fits = (_fit_from_r(_qr_r(r_me[..., 1:].copy()), j),
             _wls_kernel(ue), _fit_from_r(r_me, j))
     theta, se, rejects = out
     for row, (estimator, column) in enumerate(_TESTS):
@@ -659,7 +661,7 @@ def _replicate_results(configs: list[ScenarioConfig]) -> Iterator[np.ndarray]:
     j = configs[0].j_variants
     if any(config.j_variants != j for config in configs):
         raise ValueError("configs run together must share j_variants")
-    chunk = min(max(_CHUNK_BYTES // (88 * j), 1), _CHUNK)
+    chunk = min(max(_CHUNK_BYTES // (_ChunkBuffers.BYTES * j), 1), _CHUNK)
     groups = []  # per group: its replicate count and (config, first) pairs
     for config in configs:
         if not groups or groups[-1][0] + config.replicates > chunk:

@@ -115,6 +115,12 @@ CASES: list[tuple[list[str], dict[str, str]]] = [
      {}),
     (["analyze", "--data", "j12_k2.csv", "--k", "2", "--corr",
       "asymmetric_j12.csv", "--methods", "MI"], {}),
+    # ar1_j12.csv with its last row repeated: 13 rows for 12 variants.
+    (["analyze", "--data", "j12_k2.csv", "--k", "2", "--corr",
+      "extra_row_j12.csv", "--methods", "MI"], {}),
+    # ar1_j12.csv with blank lines after its last row, which are skipped.
+    (["analyze", "--data", "j12_k2.csv", "--k", "2", "--corr",
+      "blank_tail_j12.csv", "--methods", "UI,UE,MI,ME", "--ref", "x2"], {}),
     (["simulate", "--scenario", "1", "--theta1", "12345678.0", "--reps", "16",
       "--seed", "11", "--out", "sim_theta"], {}),
     (["simulate", "--scenario", "3", "--theta1", "-0.0", "--mu",

@@ -5,6 +5,7 @@ import io
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,24 @@ class TestCorrelationMatrix:
         m = CorrelationMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]))
         assert m.dimension == 2
         assert m.entries[0, 1] == 0.9
+
+    def test_adopt_makes_no_matrix_sized_temporary(self):
+        # A loaded matrix is checked and factored where it was parsed, with
+        # no temporary near its size: the symmetry test's 64-row block is
+        # 4.3% of the matrix at J = 1,500, and a J x J bool array would be
+        # 12.5%. tracemalloc counts numpy's arrays, not LAPACK's buffers.
+        j = 1_500
+        CorrelationMatrix(np.eye(2))  # scipy.linalg imported, untraced
+        entries = np.full((j, j), 0.2)
+        np.fill_diagonal(entries, 1.0)
+        tracemalloc.start()
+        try:
+            matrix = CorrelationMatrix._adopt(entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix._packed is entries
+        assert peak <= 0.08 * entries.nbytes, peak / entries.nbytes
 
     def test_entries_read_only(self):
         # entries and factor are built on each read, from the one packed
@@ -171,15 +190,14 @@ class TestCorrelationMatrix:
             "import numpy as np\n"
             "from mrkit import CorrelationMatrix\n"
             "from mrkit.regression import (\n"
-            "    _factored_fit, _one_blas_thread, _openblas_thread_apis)\n"
+            "    _fit_one, _one_blas_thread, _openblas_thread_apis)\n"
             "lags = np.abs(np.subtract.outer(np.arange(600), np.arange(600)))\n"
             "rho = 0.3 ** lags\n"
             "assert 'scipy.special' not in sys.modules\n"
             "matrix = CorrelationMatrix(rho)\n"
             "assert np.array_equal(matrix.entries, rho)\n"
             "rng = np.random.default_rng(1)\n"
-            "fit = _factored_fit(rng.normal(size=(600, 4)),\n"
-            "                    rng.normal(size=600), matrix._packed)\n"
+            "fit = _fit_one(matrix.whiten(rng.normal(size=(600, 5))))\n"
             "for array in (matrix._packed, matrix.factor, fit.coefficients):\n"
             "    print(hashlib.sha256(array.tobytes()).hexdigest())\n"
             "loaded = _openblas_thread_apis.__wrapped__()\n"
@@ -1050,16 +1068,21 @@ def _outcome(load):
        bom=st.booleans(),
        newline=st.sampled_from(["\n", "\r\n", "\r"]),
        filler=st.sampled_from([None, "", " ", "\t \x0c", "1,", "#"]),
-       filler_at=st.integers(min_value=0, max_value=3))
-@settings(max_examples=400, deadline=None)
+       filler_at=st.integers(min_value=0, max_value=3),
+       extra_rows=st.sampled_from([0, -1, 1, 2]),
+       tail=st.sampled_from([None, "", " ", "\t \x0c", "1,", "#", "x"]))
+@settings(max_examples=600, deadline=None)
 def test_correlation_cells_parsed_as_float_does(tmp_path_factory, cell, j, bom,
-                                                newline, filler, filler_at):
+                                                newline, filler, filler_at,
+                                                extra_rows, tail):
     """The whole-array parse accepts, rejects and reports as float() rows do.
 
     The cell sits on the diagonal of a 1 x 1 file, or symmetrically off it,
     so accepted values also pass or fail matrix validation; blank,
     whitespace-only and malformed filler lines, a BOM and CR/CRLF endings
-    vary around it.
+    vary around it. The file holds J - 1, J, J + 1 or J + 2 rows, the last
+    dropped or repeated, since the whole-array parse reads at most J + 1;
+    blank or malformed filler may follow the last row.
     """
     cells = [["1" if s == t else "0" for t in range(j)] for s in range(j)]
     if j == 1:
@@ -1067,8 +1090,11 @@ def test_correlation_cells_parsed_as_float_does(tmp_path_factory, cell, j, bom,
     else:
         cells[0][1] = cells[1][0] = cell
     rows = [",".join(row) for row in cells]
+    rows = rows[:j + extra_rows] + rows[-1:] * extra_rows
     if filler is not None:
         rows.insert(min(filler_at, len(rows)), filler)
+    if tail is not None:
+        rows.append(tail)
     text = ("\ufeff" if bom else "") + newline.join(rows) + newline
     path = tmp_path_factory.mktemp("corr") / "rho.csv"
     path.write_bytes(text.encode("utf-8"))

@@ -203,12 +203,14 @@ class TestFitGls:
         assert str(raised.value) == "array must not contain infs or NaNs"
 
     def test_non_finite_whitened_problem_rejected(self):
-        # The correlated estimators fit through the stored factor directly.
+        # The correlated estimators whiten through the stored factor, with
+        # the one triangular solve, and fit the result directly.
         factor = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
+        x, y = np.array([[1.0], [np.inf]]), np.array([1.0, 2.0])
+        problem = regression._whiten(factor, np.column_stack([x, y]))
         with pytest.raises(ValueError,
                            match="^array must not contain infs or NaNs$"):
-            regression._factored_fit(np.array([[1.0], [np.inf]]),
-                                     np.array([1.0, 2.0]), factor)
+            regression._fit_one(problem, x, y)
 
 
 @pytest.fixture
@@ -239,15 +241,17 @@ _OVERFLOWING = {
 
 
 @pytest.mark.parametrize("case", sorted(_OVERFLOWING))
-@pytest.mark.parametrize("fit", ["fit_wls", "_factored_fit"])
+@pytest.mark.parametrize("fit", ["fit_wls", "fit_gls"])
 def test_overflowing_fit_raises(fit, case):
     # Not a NaN fit, nor numpy's RuntimeWarning (an error under tier-1).
+    # fit_gls whitens with the triangular solve the correlated estimators
+    # use, against the factor se_y I.
     x, y, se_y = _OVERFLOWING[case]
     with pytest.raises(NonFiniteFitError, match="^fit is not finite"):
         if fit == "fit_wls":
             fit_wls(x, y, np.full(8, se_y ** -2.0))
         else:
-            regression._factored_fit(x, y, np.eye(8) * se_y)
+            fit_gls(x, y, np.eye(8) * se_y ** 2.0)
 
 
 class TestOneBlasThread:

@@ -456,16 +456,30 @@ class TestRunScenario:
 
         sizes = []
 
-        def record(size, j):
+        def record(buffers, size, j):
             sizes.append((size, j))
             raise Recorded
 
         monkeypatch.setenv("MRKIT_THREADS", "1")
-        monkeypatch.setattr(simulation, "_ChunkBuffers", record)
+        monkeypatch.setattr(simulation._ChunkBuffers, "__init__", record)
         with pytest.raises(Recorded):
             run_scenario(scenario_config(1, j_variants=j, replicates=1_000))
         assert sizes == [(chunk, j)]
         assert chunk == 1 or 88 * j * chunk <= simulation._CHUNK_BYTES
+
+    def test_chunk_buffers_hold_their_stated_bytes(self):
+        # The chunk plan reads the bytes per replicate and variant from the
+        # class; its arrays are views of one allocation of that size.
+        buffers = simulation._ChunkBuffers(3, 7)
+        views = (buffers.z, buffers.slots, buffers.me, buffers.ue,
+                 buffers.scratch)
+        base = buffers.z.base
+        while base.base is not None:
+            base = base.base
+        assert simulation._ChunkBuffers.BYTES == 88
+        assert base.nbytes == simulation._ChunkBuffers.BYTES * 3 * 7
+        assert buffers.z.nbytes + buffers.slots.nbytes == base.nbytes
+        assert all(np.shares_memory(view, base) for view in views)
 
     def test_chunk_memory(self, monkeypatch):
         # One chunk on one thread: 128 replicates at the paper's J = 185,
